@@ -248,7 +248,7 @@ Outcome RunSweepPoint(uint32_t value_bytes, bool zero_copy) {
   }
   out.reg_mib = static_cast<double>(reg) / (1024.0 * 1024.0);
   for (rfp::Channel* channel : channels) {
-    bench::MergeChannelStats(out.stats, channel->stats());
+    out.stats.Merge(channel->stats());
   }
   return out;
 }

@@ -213,7 +213,7 @@ Outcome RunPoint(int workers, int window) {
   out.bottleneck = out.inbound_util >= out.cpu_util ? "nic_inbound" : "cpu";
   out.steals = server.channel_steals();
   for (rfp::Channel* channel : channels) {
-    bench::MergeChannelStats(out.stats, channel->stats());
+    out.stats.Merge(channel->stats());
   }
   server.Stop();
   return out;

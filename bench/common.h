@@ -77,10 +77,6 @@ void PrintRow(const std::vector<std::string>& cells);
 std::string Fmt(double value, int precision = 2);
 std::string FmtInt(uint64_t value);
 
-// Accumulates one channel's counters into a run-wide aggregate (all the
-// runners' result structs carry such an aggregate).
-void MergeChannelStats(rfp::Channel::Stats& into, const rfp::Channel::Stats& from);
-
 // ---- Raw fabric micro-benchmarks (Figs 3-6) -----------------------------------
 
 // Saturated in-bound READ IOPS at the server with `client_nodes x

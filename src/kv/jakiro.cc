@@ -58,33 +58,6 @@ ConfigBuilder& ConfigBuilder::ZeroCopy() {
   return *this;
 }
 
-// Deprecated wrapper definitions (declarations carry the attribute; defining
-// them is not a "use", so this file stays warning-clean under -Werror).
-
-JakiroConfig ServerReplyConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).ServerReply();
-}
-
-JakiroConfig NoSwitchConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).NoSwitch();
-}
-
-JakiroConfig FaultTolerantConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).FaultTolerant();
-}
-
-JakiroConfig OverloadProtectedConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).OverloadProtected();
-}
-
-JakiroConfig PipelinedConfig(JakiroConfig base, int window) {
-  return JakiroConfig::Build(std::move(base)).Pipelined(window);
-}
-
-JakiroConfig ZeroCopyConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).ZeroCopy();
-}
-
 JakiroServer::JakiroServer(rdma::Fabric& fabric, rdma::Node& node, JakiroConfig config)
     : config_(config), rpc_(fabric, node, config.server_threads, config.server_options) {
   for (int t = 0; t < config_.server_threads; ++t) {
@@ -475,30 +448,7 @@ sim::Histogram JakiroClient::MergedLatency() const {
 rfp::Channel::Stats JakiroClient::MergedChannelStats() const {
   rfp::Channel::Stats merged;
   for (const conn::ChannelLease& endpoint : endpoints_) {
-    const rfp::Channel::Stats& s = endpoint.channel()->stats();
-    merged.calls += s.calls;
-    merged.request_writes += s.request_writes;
-    merged.fetch_reads += s.fetch_reads;
-    merged.failed_fetches += s.failed_fetches;
-    merged.extra_fetches += s.extra_fetches;
-    merged.reply_pushes += s.reply_pushes;
-    merged.switches_to_reply += s.switches_to_reply;
-    merged.switches_to_fetch += s.switches_to_fetch;
-    merged.reconnects += s.reconnects;
-    merged.reissues += s.reissues;
-    merged.corrupt_fetches += s.corrupt_fetches;
-    merged.fetch_timeouts += s.fetch_timeouts;
-    merged.doorbell_batches += s.doorbell_batches;
-    merged.batched_ops += s.batched_ops;
-    merged.zero_copy_sends += s.zero_copy_sends;
-    merged.zero_copy_fetches += s.zero_copy_fetches;
-    merged.zero_copy_bytes += s.zero_copy_bytes;
-    merged.zero_copy_fallbacks += s.zero_copy_fallbacks;
-    merged.redirects += s.redirects;
-    merged.shed_redirect += s.shed_redirect;
-    merged.retries_per_call.Merge(s.retries_per_call);
-    merged.submit_window.Merge(s.submit_window);
-    merged.batch_occupancy.Merge(s.batch_occupancy);
+    merged.Merge(endpoint.channel()->stats());
   }
   return merged;
 }

@@ -9,7 +9,8 @@
 // The ServerReply baseline of the paper ("extended from Jakiro, differs in
 // that the server thread directly sends the result back") is this same
 // store with the channels forced into server-reply mode — see
-// ServerReplyConfig(). "Jakiro w/o switch" (Fig 14) forces remote-fetch.
+// ConfigBuilder::ServerReply(). "Jakiro w/o switch" (Fig 14) forces
+// remote-fetch (ConfigBuilder::NoSwitch()).
 
 #ifndef SRC_KV_JAKIRO_H_
 #define SRC_KV_JAKIRO_H_
@@ -105,27 +106,6 @@ inline ConfigBuilder JakiroConfig::Build() { return ConfigBuilder(JakiroConfig{}
 inline ConfigBuilder JakiroConfig::Build(JakiroConfig base) {
   return ConfigBuilder(std::move(base));
 }
-
-// Deprecated preset wrappers, kept one release for out-of-tree callers.
-// Each is exactly Build(base).<Preset>().
-
-[[deprecated("use kv::JakiroConfig::Build().ServerReply()")]]
-JakiroConfig ServerReplyConfig(JakiroConfig base = {});
-
-[[deprecated("use kv::JakiroConfig::Build().NoSwitch()")]]
-JakiroConfig NoSwitchConfig(JakiroConfig base = {});
-
-[[deprecated("use kv::JakiroConfig::Build().FaultTolerant()")]]
-JakiroConfig FaultTolerantConfig(JakiroConfig base = {});
-
-[[deprecated("use kv::JakiroConfig::Build().OverloadProtected()")]]
-JakiroConfig OverloadProtectedConfig(JakiroConfig base = {});
-
-[[deprecated("use kv::JakiroConfig::Build().Pipelined(window)")]]
-JakiroConfig PipelinedConfig(JakiroConfig base = {}, int window = 8);
-
-[[deprecated("use kv::JakiroConfig::Build().ZeroCopy()")]]
-JakiroConfig ZeroCopyConfig(JakiroConfig base = {});
 
 class JakiroServer {
  public:

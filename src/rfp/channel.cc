@@ -66,12 +66,10 @@ Channel::Channel(rdma::Fabric& fabric, rdma::Node& client, rdma::Node& server,
   // freshly registered MR.
   std::fill(server_span_.bytes().begin(), server_span_.bytes().end(), std::byte{0});
   std::fill(client_span_.bytes().begin(), client_span_.bytes().end(), std::byte{0});
-  if (options_.window > 1) {
-    cslots_.resize(window);
-    sslots_.resize(window);
-    if (check::FabricChecker* chk = fabric.checker()) {
-      chk->OnChannelWindow(this, options_.window);
-    }
+  cslots_.resize(window);
+  sslots_.resize(window);
+  if (check::FabricChecker* chk = fabric.checker()) {
+    chk->OnChannelWindow(this, options_.window);
   }
   // Per-channel deterministic jitter stream (breaker open intervals, busy
   // retry backoff): pooled channels can share an arena rkey, so the span
@@ -99,77 +97,15 @@ Channel::~Channel() {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const obs::Labels labels{{"client", client_node()->name()},
                            {"server", server_node()->name()}};
-  reg.GetCounter("rfp.channel.calls", labels)->Add(stats_.calls);
-  reg.GetCounter("rfp.channel.request_writes", labels)->Add(stats_.request_writes);
-  reg.GetCounter("rfp.channel.fetch_reads", labels)->Add(stats_.fetch_reads);
-  reg.GetCounter("rfp.channel.failed_fetches", labels)->Add(stats_.failed_fetches);
-  reg.GetCounter("rfp.channel.extra_fetches", labels)->Add(stats_.extra_fetches);
-  reg.GetCounter("rfp.channel.reply_pushes", labels)->Add(stats_.reply_pushes);
-  reg.GetCounter("rfp.channel.switches_to_reply", labels)->Add(stats_.switches_to_reply);
-  reg.GetCounter("rfp.channel.switches_to_fetch", labels)->Add(stats_.switches_to_fetch);
-  reg.GetHistogram("rfp.channel.retries_per_call", labels)->Merge(stats_.retries_per_call);
-  // Recovery counters register only when something actually happened, so
-  // fault-free runs keep their metric catalog unchanged.
-  if (stats_.reconnects > 0) {
-    reg.GetCounter("rfp.channel.reconnects", labels)->Add(stats_.reconnects);
-  }
-  if (stats_.reissues > 0) {
-    reg.GetCounter("rfp.channel.reissues", labels)->Add(stats_.reissues);
-  }
-  if (stats_.corrupt_fetches > 0) {
-    reg.GetCounter("rfp.channel.corrupt_fetches", labels)->Add(stats_.corrupt_fetches);
-  }
-  if (stats_.fetch_timeouts > 0) {
-    reg.GetCounter("rfp.channel.fetch_timeouts", labels)->Add(stats_.fetch_timeouts);
-  }
-  if (stats_.recovery_request_writes > 0) {
-    reg.GetCounter("rfp.channel.recovery_request_writes", labels)
-        ->Add(stats_.recovery_request_writes);
-  }
-  if (stats_.recovery_fetch_reads > 0) {
-    reg.GetCounter("rfp.channel.recovery_fetch_reads", labels)->Add(stats_.recovery_fetch_reads);
-  }
-  // Overload counters likewise register only when overload protection ever
-  // fired (see docs/overload.md).
-  if (stats_.busy_responses > 0) {
-    reg.GetCounter("rfp.channel.busy_responses", labels)->Add(stats_.busy_responses);
-  }
-  if (stats_.shed_admission > 0) {
-    reg.GetCounter("rfp.channel.shed_admission", labels)->Add(stats_.shed_admission);
-  }
-  if (stats_.shed_deadline > 0) {
-    reg.GetCounter("rfp.channel.shed_deadline", labels)->Add(stats_.shed_deadline);
-  }
-  if (stats_.breaker_opens > 0) {
-    reg.GetCounter("rfp.channel.breaker_opens", labels)->Add(stats_.breaker_opens);
-  }
-  // Replication counters register only when a redirect ever happened.
-  if (stats_.redirects > 0) {
-    reg.GetCounter("rfp.channel.redirects", labels)->Add(stats_.redirects);
-  }
-  if (stats_.shed_redirect > 0) {
-    reg.GetCounter("rfp.channel.shed_redirect", labels)->Add(stats_.shed_redirect);
-  }
-  // Coalesced-fetch counters register only when spanning READs happened.
-  if (stats_.coalesced_fetches > 0) {
-    reg.GetCounter("rfp.channel.coalesced_fetches", labels)->Add(stats_.coalesced_fetches);
-    reg.GetCounter("rfp.channel.coalesced_slots", labels)->Add(stats_.coalesced_slots);
-  }
-  // Zero-copy counters register only when indirect responses were sent.
-  if (stats_.zero_copy_sends > 0) {
-    reg.GetCounter("rfp.channel.zero_copy_sends", labels)->Add(stats_.zero_copy_sends);
-    reg.GetCounter("rfp.channel.zero_copy_fetches", labels)->Add(stats_.zero_copy_fetches);
-    reg.GetCounter("rfp.channel.zero_copy_bytes", labels)->Add(stats_.zero_copy_bytes);
-    reg.GetCounter("rfp.channel.zero_copy_fallbacks", labels)->Add(stats_.zero_copy_fallbacks);
-  }
-  // Pipelining counters register only when the channel ever batched, so
-  // window=1 runs keep their metric catalog unchanged.
-  if (stats_.doorbell_batches > 0) {
-    reg.GetCounter("rfp.channel.doorbell_batches", labels)->Add(stats_.doorbell_batches);
-    reg.GetCounter("rfp.channel.batched_ops", labels)->Add(stats_.batched_ops);
-    reg.GetHistogram("rfp.channel.batch_occupancy", labels)->Merge(stats_.batch_occupancy);
-    reg.GetHistogram("rfp.channel.submit_window", labels)->Merge(stats_.submit_window);
-  }
+  const Stats& s = stats_;
+#define RFP_CHANNEL_FLUSH_COUNTER(field, gate) \
+  if (gate) reg.GetCounter("rfp.channel." #field, labels)->Add(s.field);
+#define RFP_CHANNEL_FLUSH_HISTOGRAM(field, gate) \
+  if (gate) reg.GetHistogram("rfp.channel." #field, labels)->Merge(s.field);
+  RFP_CHANNEL_COUNTERS(RFP_CHANNEL_FLUSH_COUNTER)
+  RFP_CHANNEL_HISTOGRAMS(RFP_CHANNEL_FLUSH_HISTOGRAM)
+#undef RFP_CHANNEL_FLUSH_COUNTER
+#undef RFP_CHANNEL_FLUSH_HISTOGRAM
   // Release the channel's fabric resources: the endpoints stop resolving, so
   // any straggler holding a stale pointer fails loudly (and, under checking,
   // flags qp.post_on_retired) instead of scribbling. The ring spans return
@@ -179,6 +115,15 @@ Channel::~Channel() {
   fabric_->RetireQp(server_qp_);
   server_pool_->Free(server_span_);
   client_pool_->Free(client_span_);
+}
+
+void Channel::Stats::Merge(const Stats& other) {
+#define RFP_CHANNEL_MERGE_COUNTER(field, gate) field += other.field;
+#define RFP_CHANNEL_MERGE_HISTOGRAM(field, gate) field.Merge(other.field);
+  RFP_CHANNEL_COUNTERS(RFP_CHANNEL_MERGE_COUNTER)
+  RFP_CHANNEL_HISTOGRAMS(RFP_CHANNEL_MERGE_HISTOGRAM)
+#undef RFP_CHANNEL_MERGE_COUNTER
+#undef RFP_CHANNEL_MERGE_HISTOGRAM
 }
 
 void Channel::Detach() {
@@ -199,95 +144,177 @@ void Channel::set_fetch_size(uint32_t f) {
       std::clamp<uint32_t>(f, kHeaderBytes, static_cast<uint32_t>(block_bytes_));
 }
 
-ResponseHeader Channel::LandingHeader() const {
-  return client_.Load<ResponseHeader>(resp_offset_);
-}
-
 Mode Channel::server_visible_mode() const {
   return static_cast<Mode>(server_.Load<uint8_t>(kRequestModeOffset));
 }
 
+// ---- Client side ---------------------------------------------------------------
+
 sim::Task<void> Channel::ClientSend(std::span<const std::byte> msg, sim::Time deadline_ns) {
+  CallOptions opts;
+  opts.deadline_ns = deadline_ns;
+  last_call_ = co_await SubmitCall(msg, opts);
+  co_await FlushCalls();
+}
+
+sim::Task<size_t> Channel::ClientRecv(std::span<std::byte> out) {
+  co_return co_await AwaitCall(last_call_, out);
+}
+
+sim::Task<Channel::CallHandle> Channel::SubmitCall(std::span<const std::byte> msg,
+                                                   const CallOptions& opts) {
   if (msg.size() > options_.max_message_bytes) {
     throw std::invalid_argument("rfp channel: request exceeds max_message_bytes");
   }
-  // An open breaker delays the send (idle, not client CPU) until its open
+  // An open breaker delays the submit (idle, not client CPU) until its open
   // interval elapses; this call then becomes the half-open probe.
   co_await MaybeAwaitBreaker();
-  scalar_breaker_epoch_ = breaker_epoch_;
-  const sim::Time start = engine_.now();
+  int slot = -1;
+  for (int s = 0; s < options_.window; ++s) {
+    if (cslot(s).state == ClientSlot::State::kFree) {
+      slot = s;
+      break;
+    }
+  }
+  if (slot < 0) {
+    // Thrown before the checker's OnClientSend: a rejected submit never
+    // becomes an outstanding call.
+    throw std::runtime_error("rfp channel: call window full");
+  }
   if (check::FabricChecker* chk = fabric_->checker()) {
     chk->OnClientSend(this);
   }
   if (++seq_ == 0) {
     ++seq_;  // reserve 0 for "never used"
   }
-  call_deadline_ = deadline_ns != 0 ? deadline_ns
-                   : options_.call_deadline_ns > 0 ? engine_.now() + options_.call_deadline_ns
-                                                   : 0;
+  ClientSlot& cs = cslot(slot);
+  cs = ClientSlot{};
+  cs.state = ClientSlot::State::kStaged;
+  cs.breaker_epoch = breaker_epoch_;
+  cs.seq = seq_;
+  cs.req_bytes = static_cast<uint32_t>(msg.size());
+  cs.deadline = opts.deadline_ns != 0 ? opts.deadline_ns
+                : options_.call_deadline_ns > 0 ? engine_.now() + options_.call_deadline_ns
+                                                : 0;
+  cs.fetch_override = opts.fetch_size;
   RequestHeader header;
-  header.size_status =
-      wire::PackRequestSizeStatus(static_cast<uint32_t>(msg.size()), true, request_epoch_);
-  header.seq = seq_;
+  header.size_status = wire::PackRequestSizeStatus(cs.req_bytes, true, request_epoch_);
+  header.seq = cs.seq;
   header.mode = static_cast<uint8_t>(mode_);
-  header.deadline_ns = static_cast<uint64_t>(call_deadline_);
-  client_.Store(0, header);
-  client_.WriteBytes(kReqHeaderBytes, msg);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(0), kReqHeaderBytes + msg.size());
-  }
-  // The staging block keeps the payload until the next ClientSend, which is
+  header.slot = static_cast<uint8_t>(slot);
+  header.deadline_ns = static_cast<uint64_t>(cs.deadline);
+  // The staging block keeps the payload until the slot is reused, which is
   // what makes ReissueRequest possible without the caller's buffer.
-  last_req_size_ = static_cast<uint32_t>(msg.size());
-  co_await RcOp(/*from_client=*/true, /*is_read=*/false, 0, 0,
-                kReqHeaderBytes + static_cast<uint32_t>(msg.size()), "request write");
-  ++stats_.calls;
-  ++stats_.request_writes;
+  client_.Store(req_off(slot), header);
+  client_.WriteBytes(req_off(slot) + kReqHeaderBytes, msg);
+  if (check::FabricChecker* chk = fabric_->checker()) {
+    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(slot)),
+                    kReqHeaderBytes + msg.size());
+  }
+  ++staged_count_;
+  const CallHandle handle{slot, cs.seq};
+  if (options_.window > 1) {
+    stats_.submit_window.Record(posted_count_ + staged_count_);
+    co_return handle;
+  }
+  // A one-slot window has nothing to coalesce with: post at once, as the
+  // paper's client_send does.
+  try {
+    co_await FlushCalls();
+  } catch (...) {
+    FreeSlot(slot);
+    throw;
+  }
+  co_return handle;
+}
+
+sim::Task<void> Channel::FlushCalls() {
+  if (staged_count_ == 0) {
+    co_return;
+  }
+  const sim::Time start = engine_.now();
+  std::vector<BatchOp> ops;
+  ops.reserve(static_cast<size_t>(staged_count_));
+  check::FabricChecker* chk = fabric_->checker();
+  for (int s = 0; s < options_.window; ++s) {
+    const ClientSlot& cs = cslot(s);
+    if (cs.state != ClientSlot::State::kStaged) {
+      continue;
+    }
+    // Refresh the staged header's mode byte: the channel may have switched
+    // paradigms since the submit, and slot 0's mode byte in the server block
+    // is the server's source of truth — posting a stale one would revert it.
+    client_.Store<uint8_t>(req_off(s) + kRequestModeOffset, static_cast<uint8_t>(mode_));
+    if (chk != nullptr) {
+      chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(s) + kRequestModeOffset), 1);
+    }
+    ops.push_back({s, /*is_read=*/false, req_off(s), req_off(s), kReqHeaderBytes + cs.req_bytes});
+  }
+  co_await RcBatch(/*from_client=*/true, ops, "request write");
+  for (const BatchOp& op : ops) {
+    cslot(op.slot).state = ClientSlot::State::kPosted;
+    ++stats_.calls;
+    ++stats_.request_writes;
+    ++posted_count_;
+  }
+  staged_count_ = 0;
   client_busy_.AddBusy(engine_.now() - start);
 }
 
-sim::Task<size_t> Channel::ClientRecv(std::span<std::byte> out) {
+sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out) {
+  if (handle.slot < 0 || handle.slot >= options_.window) {
+    throw std::invalid_argument("rfp channel: call handle slot out of range");
+  }
+  const ClientSlot& cs = cslot(handle.slot);
+  if (cs.state == ClientSlot::State::kFree || cs.seq != handle.seq) {
+    throw std::invalid_argument("rfp channel: stale call handle");
+  }
+  size_t delivered = 0;
+  try {
+    delivered = co_await AwaitSlot(handle.slot, out);
+  } catch (...) {
+    FreeSlot(handle.slot);
+    throw;
+  }
+  FreeSlot(handle.slot);
+  co_return delivered;
+}
+
+sim::Task<size_t> Channel::AwaitSlot(int slot, std::span<std::byte> out) {
+  ClientSlot& cs = cslot(slot);
   const sim::Time start = engine_.now();
   if (check::FabricChecker* chk = fabric_->checker()) {
     chk->OnClientRecvStart(this);
   }
-
-  if (mode_ == Mode::kServerReply) {
-    co_return co_await AwaitReply(out);
-  }
-
-  // Remote-fetch path: spin on RDMA READs of F bytes. A window=1 SubmitCall
-  // may have left a per-call fetch-size override.
-  const uint32_t f =
-      fetch_override_ != 0 ? EffectiveFetch(fetch_override_) : options_.fetch_size;
-  fetch_override_ = 0;
-  sim::Time deadline = options_.fetch_timeout_ns > 0 ? start + options_.fetch_timeout_ns : 0;
+  co_await FlushCalls();
+  sim::Time fetch_deadline =
+      options_.fetch_timeout_ns > 0 ? start + options_.fetch_timeout_ns : 0;
   sim::Time backoff = options_.fetch_backoff_initial_ns;
   sim::Time slept = 0;  // backoff sleeps are idle time, not client CPU
-  int failed = 0;
-  int corrupt = 0;
-  int reissues = 0;
-  int busy_streak = 0;        // consecutive BUSY(admission) sheds of this call
-  uint64_t attempt_reads = 0;  // this attempt's READs, moved to the recovery
-                               // bucket if a re-issue abandons the attempt
   while (true) {
-    const rdma::WorkCompletion fetch_wc = co_await RcOp(
-        /*from_client=*/true, /*is_read=*/true, resp_offset_, resp_offset_, f, "result fetch");
-    ++stats_.fetch_reads;
-    ++attempt_reads;
-    const ResponseHeader header = LandingHeader();
-    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, seq_)) {
+    if (mode_ == Mode::kServerReply) {
+      co_return co_await AwaitReply(slot, out);
+    }
+    // Remote-fetch path: spin on RDMA READs of F bytes (or the call's
+    // per-call fetch size).
+    if (!cs.landing_ready) {
+      co_await FetchSweep(slot);
+    }
+    if (cs.landing_ready) {
+      const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slot));
       if (wire::UnpackBusy(header.size_status)) {
         // The server shed this request instead of serving it. Only the
         // header is meaningful (and published).
+        cs.landing_ready = false;
         if (check::FabricChecker* chk = fabric_->checker()) {
           chk->OnAccept(check::ViolationKind::kRaceFetchStore, server_.remote_key().rkey,
-                        server_.abs(resp_offset_), std::min<uint32_t>(kHeaderBytes, f),
-                        fetch_wc.check_tick, "busy fetch");
+                        server_.abs(land_off(slot)),
+                        std::min<uint32_t>(kHeaderBytes, cs.fetched_len),
+                        cs.fetch_tick, "busy fetch");
         }
-        RecordBusyResponse(header, scalar_breaker_epoch_);
+        RecordBusyResponse(header, cs.breaker_epoch);
         if (wire::UnpackBusyReason(header.size_status) == BusyReason::kDeadline ||
-            (call_deadline_ != 0 && engine_.now() >= call_deadline_)) {
+            (cs.deadline != 0 && engine_.now() >= cs.deadline)) {
           if (check::FabricChecker* chk = fabric_->checker()) {
             chk->OnClientRecvDone(this);
           }
@@ -295,25 +322,25 @@ sim::Task<size_t> Channel::ClientRecv(std::span<std::byte> out) {
           throw DeadlineExceeded("rfp channel: call deadline exceeded (request shed)");
         }
         // BUSY(admission): back off per the retry-after hint, then re-issue.
-        const sim::Time delay = BusyRetryDelay(header.time_us, ++busy_streak);
+        const sim::Time delay = BusyRetryDelay(header.time_us, ++cs.busy_streak);
         co_await engine_.Sleep(delay);
         slept += delay;
-        if (call_deadline_ != 0 && engine_.now() >= call_deadline_) {
+        if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
           if (check::FabricChecker* chk = fabric_->checker()) {
             chk->OnClientRecvDone(this);
           }
           client_busy_.AddBusy(engine_.now() - start - slept);
           throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
         }
-        if (++reissues > options_.max_reissue_attempts) {
+        if (++cs.reissues > options_.max_reissue_attempts) {
           throw std::runtime_error("rfp channel: request shed after max reissues");
         }
-        TransferAttemptReads(&attempt_reads);
-        co_await ReissueRequest();
-        if (deadline != 0) {
-          deadline = engine_.now() + options_.fetch_timeout_ns;
+        TransferAttemptReads(&cs.attempt_reads);
+        co_await ReissueRequest(slot);
+        if (fetch_deadline != 0) {
+          fetch_deadline = engine_.now() + options_.fetch_timeout_ns;
         }
-        failed = 0;
+        cs.failed = 0;
         continue;
       }
       if (wire::UnpackRedirect(header.size_status)) {
@@ -322,42 +349,45 @@ sim::Task<size_t> Channel::ClientRecv(std::span<std::byte> out) {
         // failover layer re-resolves the leader and re-issues.
         if (check::FabricChecker* chk = fabric_->checker()) {
           chk->OnAccept(check::ViolationKind::kRaceFetchStore, server_.remote_key().rkey,
-                        server_.abs(resp_offset_), std::min<uint32_t>(kHeaderBytes, f),
-                        fetch_wc.check_tick, "redirect fetch");
+                        server_.abs(land_off(slot)),
+                        std::min<uint32_t>(kHeaderBytes, cs.fetched_len),
+                        cs.fetch_tick, "redirect fetch");
           chk->OnClientRecvDone(this);
         }
         ++stats_.redirects;
         client_busy_.AddBusy(engine_.now() - start - slept);
         throw Redirected(wire::UnpackRedirectEpoch(header.size_status), header.time_us);
       }
-      busy_streak = 0;
+      cs.busy_streak = 0;
       const uint32_t size = wire::UnpackSize(header.size_status);
       if (size > out.size()) {
         throw std::length_error("rfp channel: response larger than output buffer");
       }
       const uint32_t total = kHeaderBytes + size + ChecksumBytes();
       uint64_t remainder_tick = 0;
-      if (total > f) {
-        // The inline fetch was short: one more READ collects the remainder.
+      if (total > cs.fetched_len) {
+        // The sweep's fetch was short: one more READ collects the remainder.
         const rdma::WorkCompletion rest_wc = co_await RcOp(
-            true, true, resp_offset_ + f, resp_offset_ + f, total - f, "remainder fetch");
+            true, true, land_off(slot) + cs.fetched_len, land_off(slot) + cs.fetched_len,
+            total - cs.fetched_len, "remainder fetch");
         remainder_tick = rest_wc.check_tick;
         ++stats_.fetch_reads;
-        ++attempt_reads;
+        ++cs.attempt_reads;
         ++stats_.extra_fetches;
       }
-      if (options_.checksum_responses && !LandingChecksumOk(size)) {
+      if (options_.checksum_responses && !ChecksumOk(slot, size)) {
         // Corrupted (or torn mid-rewrite) response: never deliver the bytes.
         // After enough corrupt observations, re-issue under a fresh seq tag
         // and fetch the re-executed result.
         ++stats_.corrupt_fetches;
-        if (++corrupt >= options_.corrupt_fetches_before_reissue) {
-          if (++reissues > options_.max_reissue_attempts) {
+        cs.landing_ready = false;
+        if (++cs.corrupt >= options_.corrupt_fetches_before_reissue) {
+          if (++cs.reissues > options_.max_reissue_attempts) {
             throw std::runtime_error("rfp channel: response corrupt after max reissues");
           }
-          TransferAttemptReads(&attempt_reads);
-          co_await ReissueRequest();
-          corrupt = 0;
+          TransferAttemptReads(&cs.attempt_reads);
+          co_await ReissueRequest(slot);
+          cs.corrupt = 0;
         }
         continue;
       }
@@ -365,58 +395,56 @@ sim::Task<size_t> Channel::ClientRecv(std::span<std::byte> out) {
         // The fetched bytes become the call's result here: every byte must
         // have been published as of the READ snapshot that carried it.
         const uint32_t rkey = server_.remote_key().rkey;
-        chk->OnAccept(check::ViolationKind::kRaceFetchStore, rkey, server_.abs(resp_offset_),
-                      std::min(total, f), fetch_wc.check_tick, "result fetch");
-        if (total > f) {
+        chk->OnAccept(check::ViolationKind::kRaceFetchStore, rkey, server_.abs(land_off(slot)),
+                      std::min(total, cs.fetched_len), cs.fetch_tick, "result fetch");
+        if (total > cs.fetched_len) {
           chk->OnAccept(check::ViolationKind::kRaceFetchStore, rkey,
-                        server_.abs(resp_offset_ + f), total - f, remainder_tick,
-                        "remainder fetch");
+                        server_.abs(land_off(slot) + cs.fetched_len), total - cs.fetched_len,
+                        remainder_tick, "remainder fetch");
         }
       }
       size_t delivered = size;
       if (wire::UnpackIndirect(header.size_status)) {
         // The staged bytes are an [IndirectRef][prefix] descriptor: one more
         // READ collects the value straight from the store-owned entry.
-        delivered = co_await CompleteIndirect(resp_offset_, size, out, "zero-copy entry fetch");
+        delivered = co_await CompleteIndirect(land_off(slot), size, out, "zero-copy entry fetch");
       } else {
-        client_.ReadBytes(resp_offset_ + kHeaderBytes, out.subspan(0, size));
+        client_.ReadBytes(land_off(slot) + kHeaderBytes, out.subspan(0, size));
       }
       if (check::FabricChecker* chk = fabric_->checker()) {
         chk->OnClientRecvDone(this);
       }
       last_server_time_us_ = header.time_us;
-      stats_.retries_per_call.Record(failed);
-      // ">= R" to stay consistent with the mid-call switch check, which
-      // already treats a call as slow the moment it reaches R failures.
-      // While the overload override is active, slow calls do not build a
-      // switch streak: a shedding server is saturated, not slow-pathed, and
-      // a stampede of switches to server-reply would only add out-bound
-      // work (see RfpOptions::overload_override_calls).
-      slow_streak_ = failed >= options_.retry_threshold && !OverloadSuppressesSwitch()
+      stats_.retries_per_call.Record(cs.failed);
+      // ">= R": a piggybacked sweep can step this slot's failure count past
+      // R between its awaits. While the overload override is active, slow
+      // calls do not build a switch streak: a shedding server is saturated,
+      // not slow-pathed, and a stampede of switches to server-reply would
+      // only add out-bound work (see RfpOptions::overload_override_calls).
+      slow_streak_ = cs.failed >= options_.retry_threshold && !OverloadSuppressesSwitch()
                          ? slow_streak_ + 1
                          : 0;
-      RecordBreakerOutcome(false, scalar_breaker_epoch_);
+      RecordBreakerOutcome(false, cs.breaker_epoch);
       if (calls_since_busy_ < (1 << 30)) {
         ++calls_since_busy_;
       }
       client_busy_.AddBusy(engine_.now() - start - slept);
       co_return delivered;
     }
-    ++failed;
-    ++stats_.failed_fetches;
-    if (failed == options_.retry_threshold && adaptive() && !OverloadSuppressesSwitch() &&
+    // The sweep came back without this slot's response.
+    if (cs.failed >= options_.retry_threshold && adaptive() && !OverloadSuppressesSwitch() &&
         slow_streak_ + 1 >= options_.slow_calls_before_switch) {
       // This call and its predecessors were all slow: fall back.
-      stats_.retries_per_call.Record(failed);
+      stats_.retries_per_call.Record(cs.failed);
       client_busy_.AddBusy(engine_.now() - start - slept);
       co_await SwitchToReply();
-      co_return co_await AwaitReply(out);
+      co_return co_await AwaitReply(slot, out);
     }
-    if (deadline != 0 && engine_.now() >= deadline) {
+    if (fetch_deadline != 0 && engine_.now() >= fetch_deadline) {
       // The fetch deadline expired mid-call: the server is unreachable,
       // crashed, or pathologically slow.
       ++stats_.fetch_timeouts;
-      RecordBreakerOutcome(true, scalar_breaker_epoch_);
+      RecordBreakerOutcome(true, cs.breaker_epoch);
       if (sim::TraceSink* trace = engine_.trace_sink()) {
         trace->Instant("rfp", "fetch_timeout", reinterpret_cast<uint64_t>(this), engine_.now());
       }
@@ -425,20 +453,20 @@ sim::Task<size_t> Channel::ClientRecv(std::span<std::byte> out) {
         // Deliberately NOT gated on the overload override: the timeout is
         // the crash-recovery path, and the abandoned READs stay in the
         // primary counters (the call completes via the reply push).
-        stats_.retries_per_call.Record(failed);
+        stats_.retries_per_call.Record(cs.failed);
         client_busy_.AddBusy(engine_.now() - start - slept);
         co_await SwitchToReply();
-        co_return co_await AwaitReply(out);
+        co_return co_await AwaitReply(slot, out);
       }
-      if (++reissues > options_.max_reissue_attempts) {
+      if (++cs.reissues > options_.max_reissue_attempts) {
         throw std::runtime_error("rfp channel: fetch timed out after max reissues");
       }
-      TransferAttemptReads(&attempt_reads);
-      co_await ReissueRequest();
-      deadline = engine_.now() + options_.fetch_timeout_ns;
-      failed = 0;
+      TransferAttemptReads(&cs.attempt_reads);
+      co_await ReissueRequest(slot);
+      fetch_deadline = engine_.now() + options_.fetch_timeout_ns;
+      cs.failed = 0;
     }
-    if (call_deadline_ != 0 && engine_.now() >= call_deadline_) {
+    if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
       // The call's own deadline is authoritative: the caller abandons the
       // result whether the server is slow, saturated, or dark. (The fetch
       // timeout above fires first when configured shorter, keeping its
@@ -449,12 +477,101 @@ sim::Task<size_t> Channel::ClientRecv(std::span<std::byte> out) {
       client_busy_.AddBusy(engine_.now() - start - slept);
       throw DeadlineExceeded("rfp channel: call deadline exceeded while fetching");
     }
-    if (backoff > 0 && failed > options_.retry_threshold) {
+    if (backoff > 0 && cs.failed > options_.retry_threshold) {
       co_await engine_.Sleep(backoff);
       slept += backoff;
       const sim::Time cap =
           std::max<sim::Time>(options_.fetch_backoff_max_ns, options_.fetch_backoff_initial_ns);
       backoff = std::min<sim::Time>(backoff * 2, cap);
+    }
+  }
+}
+
+sim::Task<void> Channel::FetchSweep(int primary) {
+  if (options_.coalesced_fetch) {
+    // Slots still awaiting a response. Response slots are contiguous in the
+    // ring ([resp 0..W-1], block_bytes_ apart), so one spanning READ from the
+    // lowest pending slot through the highest covers them all.
+    std::vector<int> pending;
+    int lo = options_.window;
+    int hi = -1;
+    for (int s = 0; s < options_.window; ++s) {
+      const ClientSlot& cs = cslot(s);
+      if (cs.state == ClientSlot::State::kPosted && !cs.landing_ready) {
+        pending.push_back(s);
+        lo = std::min(lo, s);
+        hi = std::max(hi, s);
+      }
+    }
+    if (pending.size() >= 2) {
+      // Whole blocks, so no slot ever needs a remainder fetch (a block holds
+      // the largest response + trailer). Re-landing the bytes of a ready-but-
+      // unawaited slot inside the span is benign: the server cannot rewrite a
+      // slot until the client frees it, so identical bytes land again. The
+      // span is ONE in-bound op at the server: service max(gap, bytes/bw)
+      // instead of one 89 ns gap per slot — the per-call in-bound cost drops
+      // toward the single request WRITE (docs/multicore.md).
+      const uint32_t len = static_cast<uint32_t>(static_cast<size_t>(hi - lo + 1) * block_bytes_);
+      std::vector<BatchOp> span{{primary, /*is_read=*/true, land_off(lo), land_off(lo), len}};
+      co_await RcBatch(/*from_client=*/true, span, "coalesced fetch");
+      ++stats_.fetch_reads;
+      ++stats_.coalesced_fetches;
+      stats_.coalesced_slots += pending.size();
+      // The span is one wire READ; attribute it to the awaited slot so a
+      // re-issue moves exactly one op into the recovery bucket.
+      ++cslot(primary).attempt_reads;
+      for (int s : pending) {
+        ClientSlot& cs = cslot(s);
+        const ResponseHeader header = client_.Load<ResponseHeader>(land_off(s));
+        if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
+          cs.landing_ready = true;
+          cs.fetch_tick = span[0].wc.check_tick;
+          cs.fetched_len = static_cast<uint32_t>(block_bytes_);
+        } else {
+          ++cs.failed;
+          ++stats_.failed_fetches;
+        }
+      }
+      co_return;
+    }
+    // A single pending slot falls through to the per-slot READ below (which
+    // honors fetch_size and per-call overrides).
+  }
+  std::vector<BatchOp> ops;
+  ops.reserve(static_cast<size_t>(posted_count_));
+  const auto add = [&](int s) {
+    const ClientSlot& cs = cslot(s);
+    if (cs.state != ClientSlot::State::kPosted || cs.landing_ready) {
+      return;
+    }
+    const uint32_t f =
+        cs.fetch_override != 0 ? EffectiveFetch(cs.fetch_override) : options_.fetch_size;
+    ops.push_back({s, /*is_read=*/true, land_off(s), land_off(s), f});
+  };
+  // The awaited slot leads (it pays the doorbell); every other in-flight
+  // slot's fetch rides the same batch at the marginal issue cost.
+  add(primary);
+  for (int s = 0; s < options_.window; ++s) {
+    if (s != primary) {
+      add(s);
+    }
+  }
+  if (ops.empty()) {
+    co_return;
+  }
+  co_await RcBatch(/*from_client=*/true, ops, "result fetch");
+  for (const BatchOp& op : ops) {
+    ClientSlot& cs = cslot(op.slot);
+    ++stats_.fetch_reads;
+    ++cs.attempt_reads;
+    const ResponseHeader header = client_.Load<ResponseHeader>(land_off(op.slot));
+    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
+      cs.landing_ready = true;
+      cs.fetch_tick = op.wc.check_tick;
+      cs.fetched_len = op.len;
+    } else {
+      ++cs.failed;
+      ++stats_.failed_fetches;
     }
   }
 }
@@ -478,47 +595,46 @@ sim::Task<void> Channel::SwitchToReply() {
                 1, "mode switch write");
 }
 
-sim::Task<size_t> Channel::AwaitReply(std::span<std::byte> out) {
-  int reissues = 0;
-  int busy_streak = 0;
+sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
+  ClientSlot& cs = cslot(slot);
   while (true) {
-    const ResponseHeader header = LandingHeader();
-    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, seq_)) {
+    const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slot));
+    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
       if (wire::UnpackBusy(header.size_status)) {
         // The server shed this request; only the header was pushed.
         if (check::FabricChecker* chk = fabric_->checker()) {
           chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                        client_.abs(resp_offset_), kHeaderBytes, 0, "busy reply");
+                        client_.abs(land_off(slot)), kHeaderBytes, 0, "busy reply");
         }
-        RecordBusyResponse(header, scalar_breaker_epoch_);
+        RecordBusyResponse(header, cs.breaker_epoch);
         if (wire::UnpackBusyReason(header.size_status) == BusyReason::kDeadline ||
-            (call_deadline_ != 0 && engine_.now() >= call_deadline_)) {
+            (cs.deadline != 0 && engine_.now() >= cs.deadline)) {
           if (check::FabricChecker* chk = fabric_->checker()) {
             chk->OnClientRecvDone(this);
           }
           client_busy_.AddBusy(options_.reply_poll_cpu_ns);
           throw DeadlineExceeded("rfp channel: call deadline exceeded (request shed)");
         }
-        const sim::Time delay = BusyRetryDelay(header.time_us, ++busy_streak);
+        const sim::Time delay = BusyRetryDelay(header.time_us, ++cs.busy_streak);
         co_await engine_.Sleep(delay);
-        if (call_deadline_ != 0 && engine_.now() >= call_deadline_) {
+        if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
           if (check::FabricChecker* chk = fabric_->checker()) {
             chk->OnClientRecvDone(this);
           }
           client_busy_.AddBusy(options_.reply_poll_cpu_ns);
           throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
         }
-        if (++reissues > options_.max_reissue_attempts) {
+        if (++cs.reissues > options_.max_reissue_attempts) {
           throw std::runtime_error("rfp channel: request shed after max reissues");
         }
-        co_await ReissueRequest();
+        co_await ReissueRequest(slot);
         client_busy_.AddBusy(options_.reply_poll_cpu_ns);
         continue;
       }
       if (wire::UnpackRedirect(header.size_status)) {
         if (check::FabricChecker* chk = fabric_->checker()) {
           chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                        client_.abs(resp_offset_), kHeaderBytes, 0, "redirect reply");
+                        client_.abs(land_off(slot)), kHeaderBytes, 0, "redirect reply");
           chk->OnClientRecvDone(this);
         }
         ++stats_.redirects;
@@ -529,15 +645,15 @@ sim::Task<size_t> Channel::AwaitReply(std::span<std::byte> out) {
       if (size > out.size()) {
         throw std::length_error("rfp channel: response larger than output buffer");
       }
-      if (options_.checksum_responses && !LandingChecksumOk(size)) {
+      if (options_.checksum_responses && !ChecksumOk(slot, size)) {
         // The pushed reply arrived corrupted: re-issue under a fresh seq and
         // wait for the re-executed push (the stale header can no longer
         // match the bumped sequence).
         ++stats_.corrupt_fetches;
-        if (++reissues > options_.max_reissue_attempts) {
+        if (++cs.reissues > options_.max_reissue_attempts) {
           throw std::runtime_error("rfp channel: pushed reply corrupt after max reissues");
         }
-        co_await ReissueRequest();
+        co_await ReissueRequest(slot);
         client_busy_.AddBusy(options_.reply_poll_cpu_ns);
         co_await engine_.Sleep(options_.reply_poll_interval_ns);
         continue;
@@ -546,26 +662,26 @@ sim::Task<size_t> Channel::AwaitReply(std::span<std::byte> out) {
         // The pushed reply is consumed from the local landing block: every
         // byte must come from the push, not a lingering local store.
         chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                      client_.abs(resp_offset_), kHeaderBytes + size + ChecksumBytes(), 0,
+                      client_.abs(land_off(slot)), kHeaderBytes + size + ChecksumBytes(), 0,
                       "reply await");
       }
       size_t delivered = size;
       if (wire::UnpackIndirect(header.size_status)) {
         // A descriptor staged before the switch to server-reply was pushed
         // as-is; the client can still READ the entry it names.
-        delivered = co_await CompleteIndirect(resp_offset_, size, out, "zero-copy entry fetch");
+        delivered = co_await CompleteIndirect(land_off(slot), size, out, "zero-copy entry fetch");
       } else {
-        client_.ReadBytes(resp_offset_ + kHeaderBytes, out.subspan(0, size));
+        client_.ReadBytes(land_off(slot) + kHeaderBytes, out.subspan(0, size));
       }
       if (check::FabricChecker* chk = fabric_->checker()) {
         chk->OnClientRecvDone(this);
       }
       client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-      FinishReplyCall(header, scalar_breaker_epoch_);
+      FinishReplyCall(header, cs.breaker_epoch);
       co_return delivered;
     }
     client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-    if (call_deadline_ != 0 && engine_.now() >= call_deadline_) {
+    if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
       // No reply before the call deadline (saturated or dark server): give
       // up. A stale push that lands later is ignored by the bumped seq.
       if (check::FabricChecker* chk = fabric_->checker()) {
@@ -609,18 +725,56 @@ uint32_t Channel::EffectiveFetch(uint32_t override_f) const {
   return std::clamp<uint32_t>(override_f, kHeaderBytes, static_cast<uint32_t>(block_bytes_));
 }
 
-bool Channel::HasPendingRequest() const {
-  if (options_.window > 1) {
-    return PendingRequests() > 0;
+sim::Task<void> Channel::ReissueRequest(int slot) {
+  ClientSlot& cs = cslot(slot);
+  ++stats_.reissues;
+  if (++seq_ == 0) {
+    ++seq_;  // 0 stays reserved for "never used"
   }
-  const RequestHeader header = server_.Load<RequestHeader>(0);
-  return wire::UnpackStatus(header.size_status) && header.seq != last_recv_seq_;
+  cs.seq = seq_;
+  cs.landing_ready = false;
+  RequestHeader header;
+  header.size_status = wire::PackRequestSizeStatus(cs.req_bytes, true, request_epoch_);
+  header.seq = cs.seq;
+  header.mode = static_cast<uint8_t>(mode_);
+  header.slot = static_cast<uint8_t>(slot);
+  header.deadline_ns = static_cast<uint64_t>(cs.deadline);
+  client_.Store(req_off(slot), header);  // the payload is still staged
+  if (check::FabricChecker* chk = fabric_->checker()) {
+    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(slot)), kReqHeaderBytes);
+  }
+  if (sim::TraceSink* trace = engine_.trace_sink()) {
+    trace->Instant("rfp", "reissue", reinterpret_cast<uint64_t>(this), engine_.now());
+  }
+  co_await RcOp(/*from_client=*/true, /*is_read=*/false, req_off(slot), req_off(slot),
+                kReqHeaderBytes + cs.req_bytes, "request reissue");
+  // Recovery traffic, not a primary-path WRITE: request_writes stays 1:1
+  // with issued calls so RoundTripsPerCall keeps the Table-3 semantics.
+  ++stats_.recovery_request_writes;
 }
 
-int Channel::PendingRequests() const {
-  if (options_.window == 1) {
-    return HasPendingRequest() ? 1 : 0;
+bool Channel::ChecksumOk(int slot, uint32_t size) const {
+  const uint64_t stored = client_.Load<uint64_t>(land_off(slot) + kHeaderBytes + size);
+  const std::span<const std::byte> payload =
+      client_.bytes().subspan(land_off(slot) + kHeaderBytes, size);
+  return stored == wire::Checksum64(payload, cslot(slot).seq);
+}
+
+void Channel::FreeSlot(int slot) {
+  ClientSlot& cs = cslot(slot);
+  if (cs.state == ClientSlot::State::kPosted) {
+    --posted_count_;
+  } else if (cs.state == ClientSlot::State::kStaged) {
+    --staged_count_;
   }
+  cs = ClientSlot{};
+}
+
+// ---- Server side ---------------------------------------------------------------
+
+bool Channel::HasPendingRequest() const { return PendingRequests() > 0; }
+
+int Channel::PendingRequests() const {
   int pending = 0;
   for (int s = 0; s < options_.window; ++s) {
     const RequestHeader header = server_.Load<RequestHeader>(req_off(s));
@@ -633,47 +787,52 @@ int Channel::PendingRequests() const {
 }
 
 bool Channel::TryServerRecv(std::span<std::byte> out, size_t* size) {
-  if (options_.window > 1) {
-    return TryServerRecvSlot(out, size);
+  for (int i = 0; i < options_.window; ++i) {
+    const int s = (recv_rr_ + i) % options_.window;
+    const RequestHeader header = server_.Load<RequestHeader>(req_off(s));
+    if (!wire::UnpackStatus(header.size_status) || header.slot != s ||
+        header.seq == sslot(s).last_recv_seq) {
+      continue;
+    }
+    const uint32_t payload = wire::UnpackRequestSize(header.size_status);
+    if (payload > out.size()) {
+      throw std::length_error("rfp channel: request larger than server buffer");
+    }
+    if (check::FabricChecker* chk = fabric_->checker()) {
+      // The request bytes are consumed by the server thread: every byte must
+      // come from the client's WRITE, not a local scribble into the block.
+      chk->OnAccept(check::ViolationKind::kRaceRecvStore, server_.remote_key().rkey,
+                    server_.abs(req_off(s)), kReqHeaderBytes + payload, 0, "server recv");
+    }
+    server_.ReadBytes(req_off(s) + kReqHeaderBytes, out.subspan(0, payload));
+    *size = payload;
+    ServerSlot& ss = sslot(s);
+    // A new request on this slot proves its previous response was consumed:
+    // release the zero-copy entry pinned for it, if any.
+    ss.pin.reset();
+    ss.last_recv_seq = header.seq;
+    ss.recv_time = engine_.now();
+    last_recv_slot_ = s;
+    last_recv_deadline_ns_ = header.deadline_ns;
+    last_recv_epoch_ = wire::UnpackRequestEpoch(header.size_status);
+    recv_rr_ = (s + 1) % options_.window;
+    return true;
   }
-  const RequestHeader header = server_.Load<RequestHeader>(0);
-  if (!wire::UnpackStatus(header.size_status) || header.seq == last_recv_seq_) {
-    return false;
-  }
-  const uint32_t payload = wire::UnpackRequestSize(header.size_status);
-  if (payload > out.size()) {
-    throw std::length_error("rfp channel: request larger than server buffer");
-  }
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    // The request bytes are consumed by the server thread: every byte must
-    // come from the client's WRITE, not a local scribble into the block.
-    chk->OnAccept(check::ViolationKind::kRaceRecvStore, server_.remote_key().rkey,
-                  server_.abs(0), kReqHeaderBytes + payload, 0, "server recv");
-  }
-  server_.ReadBytes(kReqHeaderBytes, out.subspan(0, payload));
-  *size = payload;
-  // A new request on the channel proves the previous response was consumed:
-  // release the zero-copy entry pinned for it, if any.
-  resp_pin_.reset();
-  last_recv_seq_ = header.seq;
-  last_recv_deadline_ns_ = header.deadline_ns;
-  last_recv_epoch_ = wire::UnpackRequestEpoch(header.size_status);
-  recv_time_ = engine_.now();
-  return true;
+  return false;
 }
 
 sim::Task<void> Channel::ServerSend(std::span<const std::byte> msg) {
   if (msg.size() > options_.max_message_bytes) {
     throw std::invalid_argument("rfp channel: response exceeds max_message_bytes");
   }
-  if (options_.window > 1) {
-    co_return co_await ServerSendSlot(msg);
-  }
-  resp_pin_.reset();  // a superseding send releases any pinned entry
+  const int s = last_recv_slot_;
+  ServerSlot& ss = sslot(s);
+  ss.pin.reset();  // a superseding send releases any pinned entry
+  const size_t off = land_off(s);
   ResponseHeader header;
   header.size_status = wire::PackSizeStatus(static_cast<uint32_t>(msg.size()), true);
-  header.time_us = SaturateTimeUs(engine_.now() - recv_time_);
-  header.seq = last_recv_seq_;
+  header.time_us = SaturateTimeUs(engine_.now() - ss.recv_time);
+  header.seq = ss.last_recv_seq;
   check::FabricChecker* chk = fabric_->checker();
   const uint32_t rkey = server_.remote_key().rkey;
   // Store order is the protocol's only fence against concurrent one-sided
@@ -682,53 +841,32 @@ sim::Task<void> Channel::ServerSend(std::span<const std::byte> msg) {
   // that lands between these stores sees a stale header and retries instead
   // of delivering a half-written payload. (The header used to be stored
   // first; the race detector flags that order as race.fetch_store.)
-  server_.WriteBytes(resp_offset_ + kHeaderBytes, msg);
+  server_.WriteBytes(off + kHeaderBytes, msg);
   if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(resp_offset_ + kHeaderBytes), msg.size());
+    chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes), msg.size());
   }
   if (options_.checksum_responses) {
-    server_.Store(resp_offset_ + kHeaderBytes + msg.size(),
-                      wire::Checksum64(msg, last_recv_seq_));
+    server_.Store(off + kHeaderBytes + msg.size(), wire::Checksum64(msg, ss.last_recv_seq));
     if (chk != nullptr) {
-      chk->OnCpuStore(rkey, server_.abs(resp_offset_ + kHeaderBytes + msg.size()),
-                      kChecksumBytes);
+      chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes + msg.size()), kChecksumBytes);
     }
   }
-  server_.Store(resp_offset_, header);
+  server_.Store(off, header);
   if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(resp_offset_), kHeaderBytes);
+    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
     // The header store publishes the whole response: bytes stored after this
     // point (without a fresh publication) are torn for any matching fetch.
-    chk->OnPublish(rkey, server_.abs(resp_offset_),
-                   kHeaderBytes + msg.size() + ChecksumBytes());
+    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes + msg.size() + ChecksumBytes());
   }
-  last_resp_seq_ = last_recv_seq_;
-  last_resp_size_ = static_cast<uint32_t>(msg.size());
-  last_resp_busy_ = false;
-  response_pushed_ = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReply();
+  if (BookResponse(s, static_cast<uint32_t>(msg.size()), /*header_only=*/false)) {
+    co_await PushReply(s);
   }
 }
 
 sim::Task<void> Channel::ServerSendBusy(BusyReason reason, uint16_t retry_after_us) {
-  if (options_.window > 1) {
-    co_return co_await ServerSendBusySlot(reason, retry_after_us);
-  }
-  resp_pin_.reset();  // a superseding send releases any pinned entry
   ResponseHeader header;
   header.size_status = wire::PackBusy(reason);
   header.time_us = retry_after_us;
-  header.seq = last_recv_seq_;
-  const uint32_t rkey = server_.remote_key().rkey;
-  // A BUSY response is header-only: the single 8-byte store is its own
-  // publication point, so a racing fetch sees either the old header or the
-  // complete shed notice.
-  server_.Store(resp_offset_, header);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(rkey, server_.abs(resp_offset_), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(resp_offset_), kHeaderBytes);
-  }
   if (reason == BusyReason::kAdmission) {
     ++stats_.shed_admission;
   } else {
@@ -739,48 +877,48 @@ sim::Task<void> Channel::ServerSendBusy(BusyReason reason, uint16_t retry_after_
                    reason == BusyReason::kAdmission ? "shed_admission" : "shed_deadline",
                    reinterpret_cast<uint64_t>(this), engine_.now());
   }
-  last_resp_seq_ = last_recv_seq_;
-  last_resp_size_ = 0;
-  last_resp_busy_ = true;
-  response_pushed_ = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReply();
-  }
+  co_await ServerSendHeaderOnly(header);
 }
 
 sim::Task<void> Channel::ServerSendRedirect(uint32_t epoch, uint16_t leader_hint) {
-  if (options_.window > 1) {
-    co_return co_await ServerSendRedirectSlot(epoch, leader_hint);
-  }
-  resp_pin_.reset();  // a superseding send releases any pinned entry
   ResponseHeader header;
   header.size_status = wire::PackRedirect(epoch);
   header.time_us = leader_hint;
-  header.seq = last_recv_seq_;
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Like BUSY, a REDIRECT is header-only: the single 8-byte store is its own
-  // publication point.
-  server_.Store(resp_offset_, header);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(rkey, server_.abs(resp_offset_), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(resp_offset_), kHeaderBytes);
-  }
   ++stats_.shed_redirect;
   if (sim::TraceSink* trace = engine_.trace_sink()) {
     trace->Instant("rfp", "shed_redirect", reinterpret_cast<uint64_t>(this), engine_.now());
   }
-  last_resp_seq_ = last_recv_seq_;
-  last_resp_size_ = 0;
-  last_resp_busy_ = true;  // header-only, like BUSY, for resend/flush sizing
-  response_pushed_ = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReply();
+  co_await ServerSendHeaderOnly(header);
+}
+
+sim::Task<void> Channel::ServerSendHeaderOnly(ResponseHeader header) {
+  const int s = last_recv_slot_;
+  ServerSlot& ss = sslot(s);
+  ss.pin.reset();  // a superseding send releases any pinned entry
+  header.seq = ss.last_recv_seq;
+  const uint32_t rkey = server_.remote_key().rkey;
+  server_.Store(land_off(s), header);
+  if (check::FabricChecker* chk = fabric_->checker()) {
+    chk->OnCpuStore(rkey, server_.abs(land_off(s)), kHeaderBytes);
+    chk->OnPublish(rkey, server_.abs(land_off(s)), kHeaderBytes);
   }
+  if (BookResponse(s, 0, /*header_only=*/true)) {
+    co_await PushReply(s);
+  }
+}
+
+bool Channel::BookResponse(int slot, uint32_t size, bool header_only) {
+  ServerSlot& ss = sslot(slot);
+  ss.last_resp_seq = ss.last_recv_seq;
+  ss.last_resp_size = size;
+  ss.last_resp_busy = header_only;
+  ss.response_pushed = false;
+  return !defer_server_pushes_ && server_visible_mode() == Mode::kServerReply;
 }
 
 void Channel::StageIndirect(int slot, uint16_t seq, uint16_t time_us,
                             std::span<const std::byte> prefix, const ZeroCopyRef& ref) {
-  const size_t off = land_off(slot);  // == resp_offset_ on window=1 (slot 0)
+  const size_t off = land_off(slot);
   wire::IndirectRef desc;
   desc.rkey = ref.rkey;
   desc.value_len = ref.len;
@@ -846,27 +984,81 @@ sim::Task<void> Channel::ServerSendZeroCopy(std::span<const std::byte> prefix,
     ++stats_.zero_copy_fallbacks;
     co_return co_await ServerSend(full);
   }
-  if (options_.window > 1) {
-    const int s = last_recv_slot_;
-    ServerSlot& ss = sslot(s);
-    ss.pin.reset();  // a superseding send releases the previous entry
-    StageIndirect(s, ss.last_recv_seq, SaturateTimeUs(engine_.now() - ss.recv_time), prefix,
-                  ref);
-    ss.pin = ref.pin;
-    ss.last_resp_seq = ss.last_recv_seq;
-    ss.last_resp_size = static_cast<uint32_t>(staged);
-    ss.last_resp_busy = false;
-    ss.response_pushed = false;
-  } else {
-    resp_pin_.reset();
-    StageIndirect(0, last_recv_seq_, SaturateTimeUs(engine_.now() - recv_time_), prefix, ref);
-    resp_pin_ = ref.pin;
-    last_resp_seq_ = last_recv_seq_;
-    last_resp_size_ = static_cast<uint32_t>(staged);
-    last_resp_busy_ = false;
-    response_pushed_ = false;
+  const int s = last_recv_slot_;
+  ServerSlot& ss = sslot(s);
+  ss.pin.reset();  // a superseding send releases the previous entry
+  StageIndirect(s, ss.last_recv_seq, SaturateTimeUs(engine_.now() - ss.recv_time), prefix, ref);
+  ss.pin = ref.pin;
+  // The client is fetching (checked above), so nothing is pushed.
+  BookResponse(s, static_cast<uint32_t>(staged), /*header_only=*/false);
+}
+
+sim::Task<void> Channel::PushReply(int slot) {
+  ServerSlot& ss = sslot(slot);
+  // BUSY/REDIRECT responses carry no payload (and no checksum trailer):
+  // push the header only.
+  const uint32_t len =
+      ss.last_resp_busy ? kHeaderBytes : kHeaderBytes + ss.last_resp_size + ChecksumBytes();
+  co_await RcOp(/*from_client=*/false, /*is_read=*/false, land_off(slot), land_off(slot), len,
+                "reply push");
+  ss.response_pushed = true;
+  ++stats_.reply_pushes;
+}
+
+bool Channel::NeedsReplyResend() const {
+  if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
+    return false;
+  }
+  for (const ServerSlot& ss : sslots_) {
+    if (!ss.response_pushed && ss.last_resp_seq != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+sim::Task<void> Channel::MaybeResendAfterSwitch() {
+  if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
+    co_return;
+  }
+  for (int s = 0; s < options_.window; ++s) {
+    if (!sslot(s).response_pushed && sslot(s).last_resp_seq != 0) {
+      co_await PushReply(s);
+    }
   }
 }
+
+sim::Task<void> Channel::FlushServerPushes() {
+  if (server_visible_mode() != Mode::kServerReply) {
+    co_return;  // remote fetch: responses are local stores, nothing to push
+  }
+  std::vector<BatchOp> ops;
+  for (int s = 0; s < options_.window; ++s) {
+    const ServerSlot& ss = sslot(s);
+    if (ss.response_pushed || ss.last_resp_seq == 0) {
+      continue;
+    }
+    const uint32_t len =
+        ss.last_resp_busy ? kHeaderBytes : kHeaderBytes + ss.last_resp_size + ChecksumBytes();
+    ops.push_back({s, /*is_read=*/false, land_off(s), land_off(s), len});
+  }
+  if (ops.empty()) {
+    co_return;
+  }
+  if (ops.size() == 1) {
+    // A lone push needs no doorbell batch; keeps single-slot visits off the
+    // batch counters.
+    co_await PushReply(ops[0].slot);
+    co_return;
+  }
+  co_await RcBatch(/*from_client=*/false, ops, "reply push batch");
+  for (const BatchOp& op : ops) {
+    sslot(op.slot).response_pushed = true;
+    ++stats_.reply_pushes;
+  }
+}
+
+// ---- RC plumbing -----------------------------------------------------------------
 
 sim::Task<size_t> Channel::CompleteIndirect(size_t land, uint32_t staged_size,
                                             std::span<std::byte> out, const char* what) {
@@ -912,24 +1104,6 @@ sim::Task<size_t> Channel::CompleteIndirect(size_t land, uint32_t staged_size,
   }
   client_pool_->Free(bounce);
   co_return total;
-}
-
-sim::Task<void> Channel::PushReply() {
-  // BUSY responses carry no payload (and no checksum trailer): push the
-  // header only.
-  const uint32_t len =
-      last_resp_busy_ ? kHeaderBytes : kHeaderBytes + last_resp_size_ + ChecksumBytes();
-  co_await RcOp(/*from_client=*/false, /*is_read=*/false, resp_offset_, resp_offset_, len,
-                "reply push");
-  response_pushed_ = true;
-  ++stats_.reply_pushes;
-}
-
-bool Channel::LandingChecksumOk(uint32_t size) const {
-  const uint64_t stored = client_.Load<uint64_t>(resp_offset_ + kHeaderBytes + size);
-  const std::span<const std::byte> payload =
-      client_.bytes().subspan(resp_offset_ + kHeaderBytes, size);
-  return stored == wire::Checksum64(payload, seq_);
 }
 
 sim::Task<rdma::WorkCompletion> Channel::RcOp(bool from_client, bool is_read, size_t local_off,
@@ -1009,795 +1183,18 @@ sim::Task<void> Channel::EnsureConnected(rdma::QueuePair* failed) {
   reconnect_in_progress_ = false;
 }
 
-sim::Task<void> Channel::ReissueRequest() {
-  ++stats_.reissues;
-  if (++seq_ == 0) {
-    ++seq_;  // 0 stays reserved for "never used"
-  }
-  RequestHeader header;
-  header.size_status = wire::PackRequestSizeStatus(last_req_size_, true, request_epoch_);
-  header.seq = seq_;
-  header.mode = static_cast<uint8_t>(mode_);
-  header.deadline_ns = static_cast<uint64_t>(call_deadline_);
-  client_.Store(0, header);  // the payload is still staged from ClientSend
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(0), kReqHeaderBytes);
-  }
-  if (sim::TraceSink* trace = engine_.trace_sink()) {
-    trace->Instant("rfp", "reissue", reinterpret_cast<uint64_t>(this), engine_.now());
-  }
-  co_await RcOp(/*from_client=*/true, /*is_read=*/false, 0, 0, kReqHeaderBytes + last_req_size_,
-                "request reissue");
-  // Recovery traffic, not a primary-path WRITE: request_writes stays 1:1
-  // with issued calls so RoundTripsPerCall keeps the Table-3 semantics.
-  ++stats_.recovery_request_writes;
-}
-
-bool Channel::NeedsReplyResend() const {
-  if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
-    return false;
-  }
+sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
+                                const char* what) {
   if (options_.window == 1) {
-    return !response_pushed_ && last_resp_seq_ != 0;
-  }
-  for (const ServerSlot& ss : sslots_) {
-    if (!ss.response_pushed && ss.last_resp_seq != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-sim::Task<void> Channel::MaybeResendAfterSwitch() {
-  if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
-    co_return;
-  }
-  if (options_.window == 1) {
-    if (!response_pushed_ && last_resp_seq_ != 0) {
-      co_await PushReply();
+    // A one-slot channel carries at most one WR at a time, so there is
+    // nothing to batch: each op goes out alone and books no doorbell batch.
+    for (BatchOp& op : ops) {
+      op.wc = co_await RcOp(from_client, op.is_read, op.local_off, op.remote_off, op.len, what);
     }
     co_return;
-  }
-  for (int s = 0; s < options_.window; ++s) {
-    if (!sslot(s).response_pushed && sslot(s).last_resp_seq != 0) {
-      co_await PushReplySlot(s);
-    }
-  }
-}
-
-sim::Task<void> Channel::FlushServerPushes() {
-  if (server_visible_mode() != Mode::kServerReply) {
-    co_return;  // remote fetch: responses are local stores, nothing to push
-  }
-  if (options_.window == 1) {
-    if (!response_pushed_ && last_resp_seq_ != 0) {
-      co_await PushReply();
-    }
-    co_return;
-  }
-  std::vector<BatchOp> ops;
-  std::vector<int> slots;
-  for (int s = 0; s < options_.window; ++s) {
-    const ServerSlot& ss = sslot(s);
-    if (ss.response_pushed || ss.last_resp_seq == 0) {
-      continue;
-    }
-    const uint32_t len =
-        ss.last_resp_busy ? kHeaderBytes : kHeaderBytes + ss.last_resp_size + ChecksumBytes();
-    ops.push_back({/*is_read=*/false, land_off(s), land_off(s), len});
-    slots.push_back(s);
   }
   if (ops.empty()) {
     co_return;
-  }
-  if (ops.size() == 1) {
-    // A lone push needs no doorbell batch; keeps window=1-equivalent visits
-    // (one completed slot) off the batch counters.
-    co_await PushReplySlot(slots[0]);
-    co_return;
-  }
-  co_await RcBatch(/*from_client=*/false, ops, "reply push batch");
-  for (int s : slots) {
-    sslot(s).response_pushed = true;
-    ++stats_.reply_pushes;
-  }
-}
-
-// ---- Pipelined calls (docs/pipelining.md) ------------------------------------
-
-sim::Task<Channel::CallHandle> Channel::SubmitCall(std::span<const std::byte> msg,
-                                                   const CallOptions& opts) {
-  if (options_.window == 1) {
-    // Degenerate pipelining: SubmitCall is exactly ClientSend; the per-call
-    // fetch size is parked for the paired ClientRecv/AwaitCall.
-    fetch_override_ = opts.fetch_size;
-    co_await ClientSend(msg, opts.deadline_ns);
-    co_return CallHandle{0, seq_};
-  }
-  if (msg.size() > options_.max_message_bytes) {
-    throw std::invalid_argument("rfp channel: request exceeds max_message_bytes");
-  }
-  co_await MaybeAwaitBreaker();
-  int slot = -1;
-  for (int s = 0; s < options_.window; ++s) {
-    if (cslot(s).state == ClientSlot::State::kFree) {
-      slot = s;
-      break;
-    }
-  }
-  if (slot < 0) {
-    // Thrown before the checker's OnClientSend: a rejected submit never
-    // becomes an outstanding call.
-    throw std::runtime_error("rfp channel: call window full");
-  }
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnClientSend(this);
-  }
-  if (++seq_ == 0) {
-    ++seq_;  // reserve 0 for "never used"
-  }
-  ClientSlot& cs = cslot(slot);
-  cs = ClientSlot{};
-  cs.state = ClientSlot::State::kStaged;
-  cs.breaker_epoch = breaker_epoch_;
-  cs.seq = seq_;
-  cs.req_bytes = static_cast<uint32_t>(msg.size());
-  cs.deadline = opts.deadline_ns != 0 ? opts.deadline_ns
-                : options_.call_deadline_ns > 0 ? engine_.now() + options_.call_deadline_ns
-                                                : 0;
-  cs.fetch_override = opts.fetch_size;
-  RequestHeader header;
-  header.size_status = wire::PackRequestSizeStatus(cs.req_bytes, true, request_epoch_);
-  header.seq = cs.seq;
-  header.mode = static_cast<uint8_t>(mode_);
-  header.slot = static_cast<uint8_t>(slot);
-  header.deadline_ns = static_cast<uint64_t>(cs.deadline);
-  client_.Store(req_off(slot), header);
-  client_.WriteBytes(req_off(slot) + kReqHeaderBytes, msg);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(slot)),
-                    kReqHeaderBytes + msg.size());
-  }
-  ++staged_count_;
-  stats_.submit_window.Record(posted_count_ + staged_count_);
-  co_return CallHandle{slot, cs.seq};
-}
-
-sim::Task<void> Channel::FlushCalls() {
-  if (options_.window == 1 || staged_count_ == 0) {
-    co_return;
-  }
-  const sim::Time start = engine_.now();
-  std::vector<BatchOp> ops;
-  std::vector<int> slots;
-  ops.reserve(static_cast<size_t>(staged_count_));
-  slots.reserve(static_cast<size_t>(staged_count_));
-  check::FabricChecker* chk = fabric_->checker();
-  for (int s = 0; s < options_.window; ++s) {
-    const ClientSlot& cs = cslot(s);
-    if (cs.state != ClientSlot::State::kStaged) {
-      continue;
-    }
-    // Refresh the staged header's mode byte: the channel may have switched
-    // paradigms since the submit, and slot 0's mode byte in the server block
-    // is the server's source of truth — posting a stale one would revert it.
-    client_.Store<uint8_t>(req_off(s) + kRequestModeOffset, static_cast<uint8_t>(mode_));
-    if (chk != nullptr) {
-      chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(s) + kRequestModeOffset), 1);
-    }
-    ops.push_back({/*is_read=*/false, req_off(s), req_off(s),
-                   kReqHeaderBytes + cs.req_bytes});
-    slots.push_back(s);
-  }
-  co_await RcBatch(/*from_client=*/true, ops, "request batch write");
-  for (int s : slots) {
-    cslot(s).state = ClientSlot::State::kPosted;
-    ++stats_.calls;
-    ++stats_.request_writes;
-    ++posted_count_;
-  }
-  staged_count_ = 0;
-  client_busy_.AddBusy(engine_.now() - start);
-}
-
-sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out) {
-  if (options_.window == 1) {
-    if (handle.seq != seq_) {
-      throw std::invalid_argument("rfp channel: stale call handle");
-    }
-    co_return co_await ClientRecv(out);
-  }
-  if (handle.slot < 0 || handle.slot >= options_.window) {
-    throw std::invalid_argument("rfp channel: call handle slot out of range");
-  }
-  const int slot = handle.slot;
-  ClientSlot& cs = cslot(slot);
-  if (cs.state == ClientSlot::State::kFree || cs.seq != handle.seq) {
-    throw std::invalid_argument("rfp channel: stale call handle");
-  }
-  const sim::Time start = engine_.now();
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnClientRecvStart(this);
-  }
-  co_await FlushCalls();
-  sim::Time fetch_deadline =
-      options_.fetch_timeout_ns > 0 ? start + options_.fetch_timeout_ns : 0;
-  sim::Time backoff = options_.fetch_backoff_initial_ns;
-  sim::Time slept = 0;  // backoff sleeps are idle time, not client CPU
-  while (true) {
-    if (mode_ == Mode::kServerReply) {
-      co_return co_await AwaitReplySlot(slot, out);
-    }
-    if (!cs.landing_ready) {
-      co_await FetchSweep(slot);
-    }
-    if (cs.landing_ready) {
-      const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slot));
-      if (wire::UnpackBusy(header.size_status)) {
-        cs.landing_ready = false;
-        if (check::FabricChecker* chk = fabric_->checker()) {
-          chk->OnAccept(check::ViolationKind::kRaceFetchStore, server_.remote_key().rkey,
-                        server_.abs(land_off(slot)),
-                        std::min<uint32_t>(kHeaderBytes, cs.fetched_len),
-                        cs.fetch_tick, "busy fetch");
-        }
-        RecordBusyResponse(header, cs.breaker_epoch);
-        if (wire::UnpackBusyReason(header.size_status) == BusyReason::kDeadline ||
-            (cs.deadline != 0 && engine_.now() >= cs.deadline)) {
-          if (check::FabricChecker* chk = fabric_->checker()) {
-            chk->OnClientRecvDone(this);
-          }
-          client_busy_.AddBusy(engine_.now() - start - slept);
-          FreeSlot(slot);
-          throw DeadlineExceeded("rfp channel: call deadline exceeded (request shed)");
-        }
-        const sim::Time delay = BusyRetryDelay(header.time_us, ++cs.busy_streak);
-        co_await engine_.Sleep(delay);
-        slept += delay;
-        if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
-          if (check::FabricChecker* chk = fabric_->checker()) {
-            chk->OnClientRecvDone(this);
-          }
-          client_busy_.AddBusy(engine_.now() - start - slept);
-          FreeSlot(slot);
-          throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
-        }
-        if (++cs.reissues > options_.max_reissue_attempts) {
-          FreeSlot(slot);
-          throw std::runtime_error("rfp channel: request shed after max reissues");
-        }
-        TransferAttemptReads(&cs.attempt_reads);
-        co_await ReissueRequestSlot(slot);
-        if (fetch_deadline != 0) {
-          fetch_deadline = engine_.now() + options_.fetch_timeout_ns;
-        }
-        cs.failed = 0;
-        continue;
-      }
-      if (wire::UnpackRedirect(header.size_status)) {
-        if (check::FabricChecker* chk = fabric_->checker()) {
-          chk->OnAccept(check::ViolationKind::kRaceFetchStore, server_.remote_key().rkey,
-                        server_.abs(land_off(slot)),
-                        std::min<uint32_t>(kHeaderBytes, cs.fetched_len),
-                        cs.fetch_tick, "redirect fetch");
-          chk->OnClientRecvDone(this);
-        }
-        ++stats_.redirects;
-        client_busy_.AddBusy(engine_.now() - start - slept);
-        const Redirected redirected(wire::UnpackRedirectEpoch(header.size_status),
-                                    header.time_us);
-        FreeSlot(slot);
-        throw redirected;
-      }
-      cs.busy_streak = 0;
-      const uint32_t size = wire::UnpackSize(header.size_status);
-      if (size > out.size()) {
-        FreeSlot(slot);
-        throw std::length_error("rfp channel: response larger than output buffer");
-      }
-      const uint32_t total = kHeaderBytes + size + ChecksumBytes();
-      uint64_t remainder_tick = 0;
-      if (total > cs.fetched_len) {
-        // The sweep's fetch was short: one more READ collects the remainder.
-        const rdma::WorkCompletion rest_wc = co_await RcOp(
-            true, true, land_off(slot) + cs.fetched_len, land_off(slot) + cs.fetched_len,
-            total - cs.fetched_len, "remainder fetch");
-        remainder_tick = rest_wc.check_tick;
-        ++stats_.fetch_reads;
-        ++cs.attempt_reads;
-        ++stats_.extra_fetches;
-      }
-      if (options_.checksum_responses && !SlotChecksumOk(slot, size)) {
-        ++stats_.corrupt_fetches;
-        cs.landing_ready = false;
-        if (++cs.corrupt >= options_.corrupt_fetches_before_reissue) {
-          if (++cs.reissues > options_.max_reissue_attempts) {
-            FreeSlot(slot);
-            throw std::runtime_error("rfp channel: response corrupt after max reissues");
-          }
-          TransferAttemptReads(&cs.attempt_reads);
-          co_await ReissueRequestSlot(slot);
-          cs.corrupt = 0;
-        }
-        continue;
-      }
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        const uint32_t rkey = server_.remote_key().rkey;
-        chk->OnAccept(check::ViolationKind::kRaceFetchStore, rkey, server_.abs(land_off(slot)),
-                      std::min(total, cs.fetched_len), cs.fetch_tick, "result fetch");
-        if (total > cs.fetched_len) {
-          chk->OnAccept(check::ViolationKind::kRaceFetchStore, rkey,
-                        server_.abs(land_off(slot) + cs.fetched_len), total - cs.fetched_len,
-                        remainder_tick, "remainder fetch");
-        }
-      }
-      size_t delivered = size;
-      if (wire::UnpackIndirect(header.size_status)) {
-        try {
-          delivered =
-              co_await CompleteIndirect(land_off(slot), size, out, "zero-copy entry fetch");
-        } catch (...) {
-          FreeSlot(slot);
-          throw;
-        }
-      } else {
-        client_.ReadBytes(land_off(slot) + kHeaderBytes, out.subspan(0, size));
-      }
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnClientRecvDone(this);
-      }
-      last_server_time_us_ = header.time_us;
-      stats_.retries_per_call.Record(cs.failed);
-      // ">=" rather than the scalar path's "==": a piggybacked sweep can step
-      // another slot's failure count past R between this slot's awaits.
-      slow_streak_ = cs.failed >= options_.retry_threshold && !OverloadSuppressesSwitch()
-                         ? slow_streak_ + 1
-                         : 0;
-      RecordBreakerOutcome(false, cs.breaker_epoch);
-      if (calls_since_busy_ < (1 << 30)) {
-        ++calls_since_busy_;
-      }
-      client_busy_.AddBusy(engine_.now() - start - slept);
-      FreeSlot(slot);
-      co_return delivered;
-    }
-    // The sweep came back without this slot's response.
-    if (cs.failed >= options_.retry_threshold && adaptive() && !OverloadSuppressesSwitch() &&
-        slow_streak_ + 1 >= options_.slow_calls_before_switch) {
-      stats_.retries_per_call.Record(cs.failed);
-      client_busy_.AddBusy(engine_.now() - start - slept);
-      co_await SwitchToReply();
-      co_return co_await AwaitReplySlot(slot, out);
-    }
-    if (fetch_deadline != 0 && engine_.now() >= fetch_deadline) {
-      ++stats_.fetch_timeouts;
-      RecordBreakerOutcome(true, cs.breaker_epoch);
-      if (sim::TraceSink* trace = engine_.trace_sink()) {
-        trace->Instant("rfp", "fetch_timeout", reinterpret_cast<uint64_t>(this), engine_.now());
-      }
-      if (adaptive()) {
-        stats_.retries_per_call.Record(cs.failed);
-        client_busy_.AddBusy(engine_.now() - start - slept);
-        co_await SwitchToReply();
-        co_return co_await AwaitReplySlot(slot, out);
-      }
-      if (++cs.reissues > options_.max_reissue_attempts) {
-        FreeSlot(slot);
-        throw std::runtime_error("rfp channel: fetch timed out after max reissues");
-      }
-      TransferAttemptReads(&cs.attempt_reads);
-      co_await ReissueRequestSlot(slot);
-      fetch_deadline = engine_.now() + options_.fetch_timeout_ns;
-      cs.failed = 0;
-    }
-    if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnClientRecvDone(this);
-      }
-      client_busy_.AddBusy(engine_.now() - start - slept);
-      FreeSlot(slot);
-      throw DeadlineExceeded("rfp channel: call deadline exceeded while fetching");
-    }
-    if (backoff > 0 && cs.failed > options_.retry_threshold) {
-      co_await engine_.Sleep(backoff);
-      slept += backoff;
-      const sim::Time cap =
-          std::max<sim::Time>(options_.fetch_backoff_max_ns, options_.fetch_backoff_initial_ns);
-      backoff = std::min<sim::Time>(backoff * 2, cap);
-    }
-  }
-}
-
-sim::Task<void> Channel::FetchSweep(int primary) {
-  if (options_.coalesced_fetch) {
-    // Slots still awaiting a response. Response slots are contiguous in the
-    // ring ([resp 0..W-1], block_bytes_ apart), so one spanning READ from the
-    // lowest pending slot through the highest covers them all.
-    std::vector<int> pending;
-    int lo = options_.window;
-    int hi = -1;
-    for (int s = 0; s < options_.window; ++s) {
-      const ClientSlot& cs = cslot(s);
-      if (cs.state == ClientSlot::State::kPosted && !cs.landing_ready) {
-        pending.push_back(s);
-        lo = std::min(lo, s);
-        hi = std::max(hi, s);
-      }
-    }
-    if (pending.size() >= 2) {
-      // Whole blocks, so no slot ever needs a remainder fetch (a block holds
-      // the largest response + trailer). Re-landing the bytes of a ready-but-
-      // unawaited slot inside the span is benign: the server cannot rewrite a
-      // slot until the client frees it, so identical bytes land again. The
-      // span is ONE in-bound op at the server: service max(gap, bytes/bw)
-      // instead of one 89 ns gap per slot — the per-call in-bound cost drops
-      // toward the single request WRITE (docs/multicore.md).
-      const uint32_t len = static_cast<uint32_t>(static_cast<size_t>(hi - lo + 1) * block_bytes_);
-      const std::vector<BatchOp> span{{/*is_read=*/true, land_off(lo), land_off(lo), len}};
-      const std::vector<rdma::WorkCompletion> wcs =
-          co_await RcBatch(/*from_client=*/true, span, "coalesced fetch");
-      ++stats_.fetch_reads;
-      ++stats_.coalesced_fetches;
-      stats_.coalesced_slots += pending.size();
-      // The span is one wire READ; attribute it to the awaited slot so a
-      // re-issue moves exactly one op into the recovery bucket.
-      ++cslot(primary).attempt_reads;
-      for (int s : pending) {
-        ClientSlot& cs = cslot(s);
-        const ResponseHeader header = client_.Load<ResponseHeader>(land_off(s));
-        if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
-          cs.landing_ready = true;
-          cs.fetch_tick = wcs[0].check_tick;
-          cs.fetched_len = static_cast<uint32_t>(block_bytes_);
-        } else {
-          ++cs.failed;
-          ++stats_.failed_fetches;
-        }
-      }
-      co_return;
-    }
-    // A single pending slot falls through to the per-slot READ below (which
-    // honors fetch_size and per-call overrides).
-  }
-  std::vector<BatchOp> ops;
-  std::vector<int> slots;
-  const auto add = [&](int s) {
-    const ClientSlot& cs = cslot(s);
-    if (cs.state != ClientSlot::State::kPosted || cs.landing_ready) {
-      return;
-    }
-    const uint32_t f =
-        cs.fetch_override != 0 ? EffectiveFetch(cs.fetch_override) : options_.fetch_size;
-    ops.push_back({/*is_read=*/true, land_off(s), land_off(s), f});
-    slots.push_back(s);
-  };
-  // The awaited slot leads (it pays the doorbell); every other in-flight
-  // slot's fetch rides the same batch at the marginal issue cost.
-  add(primary);
-  for (int s = 0; s < options_.window; ++s) {
-    if (s != primary) {
-      add(s);
-    }
-  }
-  if (ops.empty()) {
-    co_return;
-  }
-  const std::vector<rdma::WorkCompletion> wcs =
-      co_await RcBatch(/*from_client=*/true, ops, "result fetch");
-  for (size_t i = 0; i < slots.size(); ++i) {
-    ClientSlot& cs = cslot(slots[i]);
-    ++stats_.fetch_reads;
-    ++cs.attempt_reads;
-    const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slots[i]));
-    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
-      cs.landing_ready = true;
-      cs.fetch_tick = wcs[i].check_tick;
-      cs.fetched_len = ops[i].len;
-    } else {
-      ++cs.failed;
-      ++stats_.failed_fetches;
-    }
-  }
-}
-
-sim::Task<size_t> Channel::AwaitReplySlot(int slot, std::span<std::byte> out) {
-  ClientSlot& cs = cslot(slot);
-  while (true) {
-    const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slot));
-    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
-      if (wire::UnpackBusy(header.size_status)) {
-        if (check::FabricChecker* chk = fabric_->checker()) {
-          chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                        client_.abs(land_off(slot)), kHeaderBytes, 0, "busy reply");
-        }
-        RecordBusyResponse(header, cs.breaker_epoch);
-        if (wire::UnpackBusyReason(header.size_status) == BusyReason::kDeadline ||
-            (cs.deadline != 0 && engine_.now() >= cs.deadline)) {
-          if (check::FabricChecker* chk = fabric_->checker()) {
-            chk->OnClientRecvDone(this);
-          }
-          client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-          FreeSlot(slot);
-          throw DeadlineExceeded("rfp channel: call deadline exceeded (request shed)");
-        }
-        const sim::Time delay = BusyRetryDelay(header.time_us, ++cs.busy_streak);
-        co_await engine_.Sleep(delay);
-        if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
-          if (check::FabricChecker* chk = fabric_->checker()) {
-            chk->OnClientRecvDone(this);
-          }
-          client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-          FreeSlot(slot);
-          throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
-        }
-        if (++cs.reissues > options_.max_reissue_attempts) {
-          FreeSlot(slot);
-          throw std::runtime_error("rfp channel: request shed after max reissues");
-        }
-        co_await ReissueRequestSlot(slot);
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-        continue;
-      }
-      if (wire::UnpackRedirect(header.size_status)) {
-        if (check::FabricChecker* chk = fabric_->checker()) {
-          chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                        client_.abs(land_off(slot)), kHeaderBytes, 0, "redirect reply");
-          chk->OnClientRecvDone(this);
-        }
-        ++stats_.redirects;
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-        const Redirected redirected(wire::UnpackRedirectEpoch(header.size_status),
-                                    header.time_us);
-        FreeSlot(slot);
-        throw redirected;
-      }
-      const uint32_t size = wire::UnpackSize(header.size_status);
-      if (size > out.size()) {
-        FreeSlot(slot);
-        throw std::length_error("rfp channel: response larger than output buffer");
-      }
-      if (options_.checksum_responses && !SlotChecksumOk(slot, size)) {
-        ++stats_.corrupt_fetches;
-        if (++cs.reissues > options_.max_reissue_attempts) {
-          FreeSlot(slot);
-          throw std::runtime_error("rfp channel: pushed reply corrupt after max reissues");
-        }
-        co_await ReissueRequestSlot(slot);
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-        co_await engine_.Sleep(options_.reply_poll_interval_ns);
-        continue;
-      }
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                      client_.abs(land_off(slot)), kHeaderBytes + size + ChecksumBytes(), 0,
-                      "reply await");
-      }
-      size_t delivered = size;
-      if (wire::UnpackIndirect(header.size_status)) {
-        try {
-          delivered =
-              co_await CompleteIndirect(land_off(slot), size, out, "zero-copy entry fetch");
-        } catch (...) {
-          FreeSlot(slot);
-          throw;
-        }
-      } else {
-        client_.ReadBytes(land_off(slot) + kHeaderBytes, out.subspan(0, size));
-      }
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnClientRecvDone(this);
-      }
-      client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-      FinishReplyCall(header, cs.breaker_epoch);
-      FreeSlot(slot);
-      co_return delivered;
-    }
-    client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-    if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnClientRecvDone(this);
-      }
-      FreeSlot(slot);
-      throw DeadlineExceeded("rfp channel: call deadline exceeded awaiting reply");
-    }
-    co_await engine_.Sleep(options_.reply_poll_interval_ns);
-  }
-}
-
-sim::Task<void> Channel::ReissueRequestSlot(int slot) {
-  ClientSlot& cs = cslot(slot);
-  ++stats_.reissues;
-  if (++seq_ == 0) {
-    ++seq_;  // 0 stays reserved for "never used"
-  }
-  cs.seq = seq_;
-  cs.landing_ready = false;
-  RequestHeader header;
-  header.size_status = wire::PackRequestSizeStatus(cs.req_bytes, true, request_epoch_);
-  header.seq = cs.seq;
-  header.mode = static_cast<uint8_t>(mode_);
-  header.slot = static_cast<uint8_t>(slot);
-  header.deadline_ns = static_cast<uint64_t>(cs.deadline);
-  client_.Store(req_off(slot), header);  // the payload is still staged
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(slot)), kReqHeaderBytes);
-  }
-  if (sim::TraceSink* trace = engine_.trace_sink()) {
-    trace->Instant("rfp", "reissue", reinterpret_cast<uint64_t>(this), engine_.now());
-  }
-  co_await RcOp(/*from_client=*/true, /*is_read=*/false, req_off(slot), req_off(slot),
-                kReqHeaderBytes + cs.req_bytes, "request reissue");
-  ++stats_.recovery_request_writes;
-}
-
-bool Channel::SlotChecksumOk(int slot, uint32_t size) const {
-  const uint64_t stored =
-      client_.Load<uint64_t>(land_off(slot) + kHeaderBytes + size);
-  const std::span<const std::byte> payload =
-      client_.bytes().subspan(land_off(slot) + kHeaderBytes, size);
-  return stored == wire::Checksum64(payload, cslot(slot).seq);
-}
-
-void Channel::FreeSlot(int slot) {
-  ClientSlot& cs = cslot(slot);
-  if (cs.state == ClientSlot::State::kPosted) {
-    --posted_count_;
-  } else if (cs.state == ClientSlot::State::kStaged) {
-    --staged_count_;
-  }
-  cs = ClientSlot{};
-}
-
-bool Channel::TryServerRecvSlot(std::span<std::byte> out, size_t* size) {
-  for (int i = 0; i < options_.window; ++i) {
-    const int s = (recv_rr_ + i) % options_.window;
-    const RequestHeader header = server_.Load<RequestHeader>(req_off(s));
-    if (!wire::UnpackStatus(header.size_status) || header.slot != s ||
-        header.seq == sslot(s).last_recv_seq) {
-      continue;
-    }
-    const uint32_t payload = wire::UnpackRequestSize(header.size_status);
-    if (payload > out.size()) {
-      throw std::length_error("rfp channel: request larger than server buffer");
-    }
-    if (check::FabricChecker* chk = fabric_->checker()) {
-      chk->OnAccept(check::ViolationKind::kRaceRecvStore, server_.remote_key().rkey,
-                    server_.abs(req_off(s)), kReqHeaderBytes + payload, 0, "server recv");
-    }
-    server_.ReadBytes(req_off(s) + kReqHeaderBytes, out.subspan(0, payload));
-    *size = payload;
-    ServerSlot& ss = sslot(s);
-    // A new request on this slot proves its previous response was consumed:
-    // release the zero-copy entry pinned for it, if any.
-    ss.pin.reset();
-    ss.last_recv_seq = header.seq;
-    ss.recv_time = engine_.now();
-    last_recv_slot_ = s;
-    last_recv_deadline_ns_ = header.deadline_ns;  // mirror for last_request_deadline_ns()
-    last_recv_epoch_ = wire::UnpackRequestEpoch(header.size_status);
-    recv_rr_ = (s + 1) % options_.window;
-    return true;
-  }
-  return false;
-}
-
-sim::Task<void> Channel::ServerSendSlot(std::span<const std::byte> msg) {
-  const int s = last_recv_slot_;
-  ServerSlot& ss = sslot(s);
-  ss.pin.reset();  // a superseding send releases any pinned entry
-  const size_t off = land_off(s);
-  ResponseHeader header;
-  header.size_status = wire::PackSizeStatus(static_cast<uint32_t>(msg.size()), true);
-  header.time_us = SaturateTimeUs(engine_.now() - ss.recv_time);
-  header.seq = ss.last_recv_seq;
-  check::FabricChecker* chk = fabric_->checker();
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Same publication order as the scalar path: payload, checksum trailer,
-  // header last (docs/static_analysis.md).
-  server_.WriteBytes(off + kHeaderBytes, msg);
-  if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes), msg.size());
-  }
-  if (options_.checksum_responses) {
-    server_.Store(off + kHeaderBytes + msg.size(), wire::Checksum64(msg, ss.last_recv_seq));
-    if (chk != nullptr) {
-      chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes + msg.size()), kChecksumBytes);
-    }
-  }
-  server_.Store(off, header);
-  if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes + msg.size() + ChecksumBytes());
-  }
-  ss.last_resp_seq = ss.last_recv_seq;
-  ss.last_resp_size = static_cast<uint32_t>(msg.size());
-  ss.last_resp_busy = false;
-  ss.response_pushed = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReplySlot(s);
-  }
-}
-
-sim::Task<void> Channel::ServerSendBusySlot(BusyReason reason, uint16_t retry_after_us) {
-  const int s = last_recv_slot_;
-  ServerSlot& ss = sslot(s);
-  ss.pin.reset();  // a superseding send releases any pinned entry
-  const size_t off = land_off(s);
-  ResponseHeader header;
-  header.size_status = wire::PackBusy(reason);
-  header.time_us = retry_after_us;
-  header.seq = ss.last_recv_seq;
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Header-only single-store publication, as in the scalar path.
-  server_.Store(off, header);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes);
-  }
-  if (reason == BusyReason::kAdmission) {
-    ++stats_.shed_admission;
-  } else {
-    ++stats_.shed_deadline;
-  }
-  if (sim::TraceSink* trace = engine_.trace_sink()) {
-    trace->Instant("rfp",
-                   reason == BusyReason::kAdmission ? "shed_admission" : "shed_deadline",
-                   reinterpret_cast<uint64_t>(this), engine_.now());
-  }
-  ss.last_resp_seq = ss.last_recv_seq;
-  ss.last_resp_size = 0;
-  ss.last_resp_busy = true;
-  ss.response_pushed = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReplySlot(s);
-  }
-}
-
-sim::Task<void> Channel::ServerSendRedirectSlot(uint32_t epoch, uint16_t leader_hint) {
-  const int s = last_recv_slot_;
-  ServerSlot& ss = sslot(s);
-  ss.pin.reset();  // a superseding send releases any pinned entry
-  const size_t off = land_off(s);
-  ResponseHeader header;
-  header.size_status = wire::PackRedirect(epoch);
-  header.time_us = leader_hint;
-  header.seq = ss.last_recv_seq;
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Header-only single-store publication, as in the scalar path.
-  server_.Store(off, header);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes);
-  }
-  ++stats_.shed_redirect;
-  if (sim::TraceSink* trace = engine_.trace_sink()) {
-    trace->Instant("rfp", "shed_redirect", reinterpret_cast<uint64_t>(this), engine_.now());
-  }
-  ss.last_resp_seq = ss.last_recv_seq;
-  ss.last_resp_size = 0;
-  ss.last_resp_busy = true;  // header-only, like BUSY, for resend/flush sizing
-  ss.response_pushed = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReplySlot(s);
-  }
-}
-
-sim::Task<void> Channel::PushReplySlot(int slot) {
-  ServerSlot& ss = sslot(slot);
-  const uint32_t len =
-      ss.last_resp_busy ? kHeaderBytes : kHeaderBytes + ss.last_resp_size + ChecksumBytes();
-  co_await RcOp(/*from_client=*/false, /*is_read=*/false, land_off(slot), land_off(slot), len,
-                "reply push");
-  ss.response_pushed = true;
-  ++stats_.reply_pushes;
-}
-
-sim::Task<std::vector<rdma::WorkCompletion>> Channel::RcBatch(bool from_client,
-                                                              const std::vector<BatchOp>& ops,
-                                                              const char* what) {
-  std::vector<rdma::WorkCompletion> out(ops.size());
-  if (ops.empty()) {
-    co_return out;
   }
   std::vector<char> done(ops.size(), 0);
   size_t remaining = ops.size();
@@ -1832,7 +1229,7 @@ sim::Task<std::vector<rdma::WorkCompletion>> Channel::RcBatch(bool from_client,
     bool qp_error = false;
     for (size_t c = 0; c < posted; ++c) {
       const rdma::WorkCompletion wc = co_await qp->send_cq()->Wait();
-      out[wc.wr_id] = wc;
+      ops[wc.wr_id].wc = wc;
       if (wc.status == rdma::WcStatus::kQpError) {
         qp_error = true;
         continue;
@@ -1847,13 +1244,12 @@ sim::Task<std::vector<rdma::WorkCompletion>> Channel::RcBatch(bool from_client,
     if (!qp_error || attempt >= options_.max_reconnect_attempts) {
       for (size_t i = 0; i < ops.size(); ++i) {
         if (!done[i]) {
-          CheckOk(out[i], what);  // throws, reporting the failure
+          CheckOk(ops[i].wc, what);  // throws, reporting the failure
         }
       }
     }
     co_await EnsureConnected(qp);
   }
-  co_return out;
 }
 
 // ---- Overload protection (docs/overload.md) ----------------------------------

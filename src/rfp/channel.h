@@ -17,6 +17,11 @@
 //                  the remainder. In server-reply mode the client polls its
 //                  local landing buffer.
 //
+// Every channel runs one slotted data path: RfpOptions::window request/
+// response block pairs ("slots") per channel, each carrying one call. The
+// default window of 1 is exactly the paper's single block pair; wider
+// windows pipeline calls (docs/pipelining.md).
+//
 // Mode machine: after `slow_calls_before_switch` consecutive calls exceed
 // `retry_threshold` failed fetches, the client flips the channel to
 // server-reply (a one-byte RDMA WRITE updates the server-visible mode flag
@@ -98,56 +103,72 @@ struct ZeroCopyRef {
   bool valid() const { return rkey != 0; }
 };
 
+// The Channel::Stats field table. Every statistic is listed once, as
+// X(field, flush_gate); the struct declaration, Stats::Merge, and the
+// destructor's flush into the metrics registry (as rfp.channel.<field>) all
+// expand it, so no list can drift from another. A field registers as a metric
+// only while its flush gate — an expression over the flushed Stats `s` — is
+// true, which keeps fault-free, window=1 runs on an unchanged metric catalog.
+//
+// Recovery traffic is accounted apart from the primary-path counters so
+// RoundTripsPerCall keeps the paper's Table-3 semantics: request_writes
+// counts exactly one WRITE per issued call.
+#define RFP_CHANNEL_COUNTERS(X)                                                  \
+  X(calls, true)                                                                 \
+  X(request_writes, true)    /* client_send RDMA WRITEs */                       \
+  X(fetch_reads, true)       /* all client_recv RDMA READs */                    \
+  X(failed_fetches, true)    /* READs that found no matching response */         \
+  X(extra_fetches, true)     /* second READs because size > fetch size */        \
+  X(reply_pushes, true)      /* server out-bound reply WRITEs */                 \
+  X(switches_to_reply, true)                                                     \
+  X(switches_to_fetch, true)                                                     \
+  /* Fault recovery (docs/fault_injection.md). */                                \
+  X(reconnects, s.reconnects)           /* RC pair replaced after a QP error */  \
+  X(reissues, s.reissues)               /* re-sent: timeout, corruption, busy */ \
+  X(corrupt_fetches, s.corrupt_fetches) /* checksum-mismatching responses */     \
+  X(fetch_timeouts, s.fetch_timeouts)   /* calls whose fetch deadline expired */ \
+  X(recovery_request_writes, s.recovery_request_writes) /* re-issued WRITEs */   \
+  X(recovery_fetch_reads, s.recovery_fetch_reads) /* READs of abandoned tries */ \
+  /* Overload protection (docs/overload.md). */                                  \
+  X(busy_responses, s.busy_responses) /* BUSY shed notices the client saw */     \
+  X(shed_admission, s.shed_admission) /* shed by admission control (server) */   \
+  X(shed_deadline, s.shed_deadline)   /* shed as already expired (server) */     \
+  X(breaker_opens, s.breaker_opens)   /* breaker closed/half-open -> open */     \
+  /* Replication / failover (docs/replication.md). */                            \
+  X(redirects, s.redirects)         /* REDIRECT responses the client saw */      \
+  X(shed_redirect, s.shed_redirect) /* requests rejected with REDIRECT */        \
+  /* Pipelining (docs/pipelining.md; zero on window=1 channels). */              \
+  X(doorbell_batches, s.doorbell_batches) /* posting sweeps, one doorbell each */ \
+  X(batched_ops, s.doorbell_batches)      /* follower WRs on a leader's bell */  \
+  /* Coalesced fetching (docs/multicore.md). */                                  \
+  X(coalesced_fetches, s.coalesced_fetches) /* spanning READs of fetch sweeps */ \
+  X(coalesced_slots, s.coalesced_fetches)   /* pending slots those spans hit */  \
+  /* Zero-copy GET (docs/memory.md). */                                          \
+  X(zero_copy_sends, s.zero_copy_sends)     /* indirect descriptors published */ \
+  X(zero_copy_fetches, s.zero_copy_sends)   /* client entry READs issued */      \
+  X(zero_copy_bytes, s.zero_copy_sends)     /* value bytes moved uncopied */     \
+  X(zero_copy_fallbacks, s.zero_copy_sends) /* copy-path sends (reply mode) */
+
+// Histograms, same contract: the failed-retry count per completed
+// remote-fetch call (Table 3); outstanding calls sampled at each SubmitCall
+// and WRs per doorbell batch (window=1 channels record neither).
+#define RFP_CHANNEL_HISTOGRAMS(X)          \
+  X(retries_per_call, true)                \
+  X(submit_window, s.doorbell_batches > 0) \
+  X(batch_occupancy, s.doorbell_batches > 0)
+
 class Channel {
  public:
   struct Stats {
-    uint64_t calls = 0;
-    uint64_t request_writes = 0;   // client_send RDMA WRITEs
-    uint64_t fetch_reads = 0;      // all client_recv RDMA READs
-    uint64_t failed_fetches = 0;   // READs that found no matching response
-    uint64_t extra_fetches = 0;    // second READs because size > fetch size
-    uint64_t reply_pushes = 0;     // server out-bound reply WRITEs
-    uint64_t switches_to_reply = 0;
-    uint64_t switches_to_fetch = 0;
-    // Fault-recovery events (all zero unless faults were injected or the
-    // fault-tolerance options are enabled; see docs/fault_injection.md).
-    uint64_t reconnects = 0;       // RC pair replaced after a QP error
-    uint64_t reissues = 0;         // request re-sent (timeout, corruption, busy)
-    uint64_t corrupt_fetches = 0;  // checksum-mismatching responses observed
-    uint64_t fetch_timeouts = 0;   // calls whose fetch deadline expired
-    // Recovery traffic, accounted separately from the primary-path counters
-    // above so RoundTripsPerCall keeps the paper's Table-3 semantics (it
-    // used to fold re-issued WRITEs and their abandoned fetch READs into the
-    // numerator, inflating the metric whenever fault tolerance was active).
-    // Invariant: request_writes counts exactly one WRITE per issued call.
-    uint64_t recovery_request_writes = 0;  // re-issued request WRITEs
-    uint64_t recovery_fetch_reads = 0;     // READs of attempts abandoned by a re-issue
-    // Overload-protection events (docs/overload.md).
-    uint64_t busy_responses = 0;  // BUSY shed notices observed by the client
-    uint64_t shed_admission = 0;  // requests shed by admission control (server side)
-    uint64_t shed_deadline = 0;   // requests shed as already expired (server side)
-    uint64_t breaker_opens = 0;   // circuit-breaker closed/half-open -> open
-    // Replication / failover (docs/replication.md).
-    uint64_t redirects = 0;       // REDIRECT responses observed by the client
-    uint64_t shed_redirect = 0;   // requests rejected with REDIRECT (server side)
-    // Pipelining (docs/pipelining.md; all zero on window=1 channels).
-    uint64_t doorbell_batches = 0;  // posting sweeps (one leader doorbell each)
-    uint64_t batched_ops = 0;       // follower WRs that rode a leader's doorbell
-    // Coalesced fetching (docs/multicore.md; zero unless coalesced_fetch).
-    uint64_t coalesced_fetches = 0;  // spanning READs issued by fetch sweeps
-    uint64_t coalesced_slots = 0;    // pending slots those spans covered
-    // Zero-copy GET (docs/memory.md; zero unless ServerSendZeroCopy is used).
-    uint64_t zero_copy_sends = 0;      // indirect descriptors published
-    uint64_t zero_copy_fetches = 0;    // client entry READs issued
-    uint64_t zero_copy_bytes = 0;      // value bytes moved without a server copy
-    uint64_t zero_copy_fallbacks = 0;  // sends materialized via the copy path
-                                       // (client was in server-reply mode)
-    // Failed-retry count per completed remote-fetch call (Table 3).
-    sim::Histogram retries_per_call;
-    // Outstanding calls (posted + staged) sampled at each SubmitCall, and
-    // WRs per doorbell batch (window=1 channels record neither).
-    sim::Histogram submit_window;
-    sim::Histogram batch_occupancy;
+#define RFP_CHANNEL_DECLARE_COUNTER(field, gate) uint64_t field = 0;
+#define RFP_CHANNEL_DECLARE_HISTOGRAM(field, gate) sim::Histogram field;
+    RFP_CHANNEL_COUNTERS(RFP_CHANNEL_DECLARE_COUNTER)
+    RFP_CHANNEL_HISTOGRAMS(RFP_CHANNEL_DECLARE_HISTOGRAM)
+#undef RFP_CHANNEL_DECLARE_COUNTER
+#undef RFP_CHANNEL_DECLARE_HISTOGRAM
+
+    // Adds every field of `other` (aggregating several channels' stats).
+    void Merge(const Stats& other);
 
     // Average RDMA round trips needed per completed call (paper Section 4.3
     // reports 2.005 for Jakiro). Counts only primary-path traffic; recovery
@@ -200,12 +221,14 @@ class Channel {
   // server in the request header; 0 falls back to now + call_deadline_ns
   // when that option is set (else no deadline). With the breaker open, the
   // send first waits out the remaining open interval (half-open probe).
+  // Paper Table 2's primitive: SubmitCall + FlushCalls, keeping the handle.
   sim::Task<void> ClientSend(std::span<const std::byte> msg, sim::Time deadline_ns = 0);
 
   // Receives the response for the last ClientSend into `out`; returns the
   // payload size. `out` must hold at least max_message_bytes. Throws
   // DeadlineExceeded when the call's deadline expired (see class above);
-  // transparently backs off and re-issues on BUSY(admission).
+  // transparently backs off and re-issues on BUSY(admission). AwaitCall on
+  // the handle ClientSend kept.
   sim::Task<size_t> ClientRecv(std::span<std::byte> out);
 
   // ---- Pipelined call surface (docs/pipelining.md) -------------------------
@@ -218,8 +241,8 @@ class Channel {
   };
 
   // Stages one request into a free slot and returns its handle. On a
-  // window=1 channel this is exactly ClientSend (the request is written
-  // immediately); with window > 1 the request stays staged until the next
+  // window=1 channel there is nothing to coalesce with, so the request is
+  // written immediately; with window > 1 it stays staged until the next
   // FlushCalls/AwaitCall, so a burst of submits coalesces into one
   // doorbell-batched posting sweep. Throws when all `window` slots hold
   // in-flight calls.
@@ -227,8 +250,8 @@ class Channel {
                                    const CallOptions& opts = {});
 
   // Posts every staged request in one doorbell batch (the first WRITE pays
-  // the full out-bound issue cost, followers the batched marginal). No-op on
-  // window=1 channels or when nothing is staged; AwaitCall flushes
+  // the full out-bound issue cost, followers the batched marginal). No-op
+  // when nothing is staged (always, on window=1 channels); AwaitCall flushes
   // implicitly.
   sim::Task<void> FlushCalls();
 
@@ -237,7 +260,8 @@ class Channel {
   // slot onto the awaited slot's doorbell, so responses land regardless of
   // await order. Same failure semantics as ClientRecv (DeadlineExceeded,
   // BUSY re-issue, checksum re-issue, mode switching — the paradigm switch
-  // stays channel-level).
+  // stays channel-level). The call's slot is free again once this returns
+  // or throws.
   sim::Task<size_t> AwaitCall(CallHandle handle, std::span<std::byte> out);
 
   // Outstanding-call capacity of this channel (RfpOptions::window).
@@ -249,9 +273,8 @@ class Channel {
   // Sweep loops use it to estimate backlog before deciding admission.
   bool HasPendingRequest() const;
 
-  // Pending (written but not yet consumed) requests across all slots; equals
-  // HasPendingRequest() ? 1 : 0 on window=1 channels. Sweep loops use it to
-  // estimate backlog on pipelined channels.
+  // Pending (written but not yet consumed) requests across all slots. Sweep
+  // loops use it to estimate backlog on pipelined channels.
   int PendingRequests() const;
 
   // Non-blocking poll of the request block. On success copies the payload
@@ -297,13 +320,12 @@ class Channel {
 
   // True when a response was stored locally but never pushed while the
   // client is (now) in server-reply mode — the switch race. Cheap; sweep
-  // loops use it to gate MaybeResendAfterSwitch. Checks every slot on a
-  // pipelined channel.
+  // loops use it to gate MaybeResendAfterSwitch. Checks every slot.
   bool NeedsReplyResend() const;
 
-  // Re-pushes the last response if the client switched to server-reply after
-  // the response was stored locally (closing the switch race). Server sweep
-  // loops call this when NeedsReplyResend() is true.
+  // Re-pushes every response stored locally before the client switched to
+  // server-reply (closing the switch race). Server sweep loops call this
+  // when NeedsReplyResend() is true.
   sim::Task<void> MaybeResendAfterSwitch();
 
   // ---- Batched reply publication (docs/multicore.md) -----------------------
@@ -430,8 +452,7 @@ class Channel {
     return resp_offset_ + static_cast<size_t>(slot) * block_bytes_;
   }
 
-  // Per-slot client call state, used only when window > 1 (window=1 calls
-  // run the original scalar-state paths untouched).
+  // Per-slot client call state.
   struct ClientSlot {
     enum class State : uint8_t { kFree, kStaged, kPosted };
     State state = State::kFree;
@@ -450,7 +471,7 @@ class Channel {
     uint64_t breaker_epoch = 0;  // breaker epoch at submit (verdict filter)
   };
 
-  // Per-slot server state, used only when window > 1.
+  // Per-slot server state.
   struct ServerSlot {
     uint16_t last_recv_seq = 0;
     uint16_t last_resp_seq = 0;
@@ -463,37 +484,51 @@ class Channel {
     std::shared_ptr<const void> pin;
   };
 
-  // One WR of a doorbell batch (see RcBatch).
+  // One WR of a doorbell batch (see RcBatch): the slot it serves, the bytes
+  // it moves, and — once RcBatch returns — its completion.
   struct BatchOp {
+    int slot = 0;
     bool is_read = false;
     size_t local_off = 0;
     size_t remote_off = 0;
     uint32_t len = 0;
+    rdma::WorkCompletion wc{};
   };
 
   uint32_t EffectiveFetch(uint32_t override_f) const;
   void FreeSlot(int slot);
+  // AwaitCall's body; AwaitCall frees the slot when this throws.
+  sim::Task<size_t> AwaitSlot(int slot, std::span<std::byte> out);
   // Posts all `ops` on the channel's RC pair in one doorbell batch (the
   // first WR pays the full issue cost, followers the batched marginal) and
   // collects their completions, reconnecting and re-posting unfinished ops
-  // on a QP error. Returns completions indexed like `ops`.
-  sim::Task<std::vector<rdma::WorkCompletion>> RcBatch(bool from_client,
-                                                       const std::vector<BatchOp>& ops,
-                                                       const char* what);
+  // on a QP error. Stores each op's completion in its `wc`. A window=1
+  // channel has nothing to batch: its ops go out one by one through RcOp
+  // and book no doorbell batch.
+  sim::Task<void> RcBatch(bool from_client, std::vector<BatchOp>& ops, const char* what);
   // One batched fetch sweep: READs the awaited slot first (it leads the
   // doorbell), piggybacking READs for every other in-flight fetch-mode slot.
   sim::Task<void> FetchSweep(int primary);
-  sim::Task<size_t> AwaitReplySlot(int slot, std::span<std::byte> out);
-  sim::Task<void> ReissueRequestSlot(int slot);
-  bool SlotChecksumOk(int slot, uint32_t size) const;
-  bool TryServerRecvSlot(std::span<std::byte> out, size_t* size);
-  sim::Task<void> ServerSendSlot(std::span<const std::byte> msg);
-  sim::Task<void> ServerSendBusySlot(BusyReason reason, uint16_t retry_after_us);
-  sim::Task<void> ServerSendRedirectSlot(uint32_t epoch, uint16_t leader_hint);
-  sim::Task<void> PushReplySlot(int slot);
+  // Polls the local landing block of `slot` until its reply arrives.
+  sim::Task<size_t> AwaitReply(int slot, std::span<std::byte> out);
+  // Re-sends the request of `slot` under a fresh sequence tag. The server
+  // re-executes it (handlers are idempotent by the RFP contract: one request
+  // block, one response block, last write wins).
+  sim::Task<void> ReissueRequest(int slot);
+  // Validates the checksum trailer of the response landed in `slot`.
+  bool ChecksumOk(int slot, uint32_t size) const;
+  // Publishes a header-only response (BUSY or REDIRECT) for the last
+  // received request, pushing it like ServerSend: the single 8-byte store is
+  // its own publication point, so a racing fetch sees either the old header
+  // or the complete notice.
+  sim::Task<void> ServerSendHeaderOnly(ResponseHeader header);
+  // Books the response just stored in `slot`; true when it must be pushed
+  // now (the client is in server-reply mode and pushes are not deferred).
+  bool BookResponse(int slot, uint32_t size, bool header_only);
+  // Pushes the response stored in `slot` to the client.
+  sim::Task<void> PushReply(int slot);
   // Stages the indirect descriptor + prefix into response slot `slot` with
-  // the regular publication order and publishes the entry range. Shared by
-  // the scalar and pipelined ServerSendZeroCopy paths.
+  // the regular publication order and publishes the entry range.
   void StageIndirect(int slot, uint16_t seq, uint16_t time_us,
                      std::span<const std::byte> prefix, const ZeroCopyRef& ref);
   // Client side of an indirect response: parses the descriptor staged at
@@ -508,24 +543,16 @@ class Channel {
                                              uint32_t rkey, size_t remote_off, uint32_t len,
                                              const char* what);
 
-  ResponseHeader LandingHeader() const;
   // Flips the channel to server-reply and tells the server (1-byte WRITE).
   sim::Task<void> SwitchToReply();
-  // Polls the local landing buffer until the reply for `seq_` arrives.
-  sim::Task<size_t> AwaitReply(std::span<std::byte> out);
   // Books completion of a reply-mode call and evaluates switch-back.
   void FinishReplyCall(const ResponseHeader& header, uint64_t sent_epoch);
-  // Pushes the response stored for `last_resp_seq_` to the client.
-  sim::Task<void> PushReply();
 
   // ---- Fault recovery ------------------------------------------------------
 
   uint32_t ChecksumBytes() const {
     return options_.checksum_responses ? kChecksumBytes : 0;
   }
-  // Validates the checksum trailer of the response currently in the landing
-  // block against the current call sequence.
-  bool LandingChecksumOk(uint32_t size) const;
   // One RC op (read or write) between the channel's fixed regions with
   // transparent reconnect-and-retry on a QP-error completion. Throws after
   // max_reconnect_attempts or on any non-QP-error failure. Offsets are
@@ -536,10 +563,6 @@ class Channel {
   // when another actor already replaced it; concurrent callers wait for the
   // in-flight reconnect instead of racing a second one.
   sim::Task<void> EnsureConnected(rdma::QueuePair* failed);
-  // Re-sends the current request under a fresh sequence tag. The server
-  // re-executes it (handlers are idempotent by the RFP contract: one request
-  // block, one response block, last write wins).
-  sim::Task<void> ReissueRequest();
 
   // ---- Overload protection (docs/overload.md) ------------------------------
 
@@ -555,7 +578,7 @@ class Channel {
   }
   // Books one call outcome into the breaker window (bad = BUSY or fetch
   // timeout) and drives the state machine. `sent_epoch` is the breaker
-  // epoch the call was sent under (stamped at ClientSend/SubmitCall): in
+  // epoch the call was sent under (stamped at SubmitCall): in
   // the half-open state only a call sent since the last open — the probe —
   // may deliver the verdict, so a stale call still draining from before
   // the outage can neither re-open the breaker a second time for the same
@@ -597,8 +620,7 @@ class Channel {
   // Client state.
   uint16_t seq_ = 0;
   uint32_t request_epoch_ = 0;  // stamped into every request header (0 = legacy)
-  uint32_t last_req_size_ = 0;  // payload bytes still staged for re-issue
-  uint32_t fetch_override_ = 0;  // window=1 SubmitCall per-call fetch size
+  CallHandle last_call_;        // the call ClientSend issued, for ClientRecv
   bool reconnect_in_progress_ = false;
   Mode mode_ = Mode::kRemoteFetch;
   sim::Time reply_mode_since_ = 0;  // trace: start of the current reply-mode span
@@ -608,18 +630,16 @@ class Channel {
   sim::BusyMeter client_busy_;
 
   // Overload-protection client state.
-  sim::Time call_deadline_ = 0;  // absolute; 0 = none (current call)
   int calls_since_busy_ = 1 << 30;  // effectively "never saw BUSY"
   BreakerState breaker_state_ = BreakerState::kClosed;
   sim::Time breaker_open_until_ = 0;
   int breaker_window_calls_ = 0;
   int breaker_window_bad_ = 0;
-  uint64_t breaker_epoch_ = 0;         // bumped on every open
-  uint64_t scalar_breaker_epoch_ = 0;  // epoch the scalar call was sent under
+  uint64_t breaker_epoch_ = 0;  // bumped on every open
   uint16_t last_retry_after_us_ = 0;
   sim::Rng rng_{0x4252};  // re-seeded per channel in the ctor
 
-  // Pipelined-call state (empty / unused when window == 1).
+  // Slot state, one entry per window slot on each side.
   std::vector<ClientSlot> cslots_;
   std::vector<ServerSlot> sslots_;
   ClientSlot& cslot(int s) { return cslots_[static_cast<size_t>(s)]; }
@@ -632,19 +652,11 @@ class Channel {
   int recv_rr_ = 0;         // round-robin start of the server's slot scan
 
   // Server state.
-  uint16_t last_recv_seq_ = 0;
-  uint16_t last_resp_seq_ = 0;
-  bool response_pushed_ = true;  // no unsent response outstanding
-  sim::Time recv_time_ = 0;
-  uint32_t last_resp_size_ = 0;
   uint64_t last_recv_deadline_ns_ = 0;
   uint32_t last_recv_epoch_ = 0;  // epoch of the last received request
-  bool last_resp_busy_ = false;  // BUSY responses push the header only
   bool defer_server_pushes_ = false;  // see set_defer_server_pushes
   bool unsafe_accept_stale_seq_ = false;  // TEST ONLY, see setter
   bool unsafe_switch_race_ = false;       // TEST ONLY, see setter
-  // Zero-copy entry pin for the scalar path's outstanding response.
-  std::shared_ptr<const void> resp_pin_;
 
   Stats stats_;
 };

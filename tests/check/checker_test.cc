@@ -516,6 +516,10 @@ TEST_F(CheckerCorpusTest, PinnedEntryCowPutIsRaceFreeUnderStrict) {
 
 // ---- RFP protocol pairing -----------------------------------------------------
 
+// A window=1 channel refuses a second send while the first call is still
+// outstanding (its only slot is taken) before anything reaches the wire;
+// the checker's pairing rule flags the same overlap on any channel that
+// reports it.
 TEST_F(CheckerCorpusTest, OverlappingCallFlagged) {
   Fabric fabric(engine_);
   Node& client = fabric.AddNode("client");
@@ -523,12 +527,24 @@ TEST_F(CheckerCorpusTest, OverlappingCallFlagged) {
   rfp::Channel channel(fabric, client, server, rfp::RfpOptions{});
   const uint64_t before = MetricValue(ViolationKind::kRfpOverlappingCall);
 
-  engine_.Spawn([](rfp::Channel* ch) -> sim::Task<void> {
+  bool refused = false;
+  engine_.Spawn([](rfp::Channel* ch, bool* refused_out) -> sim::Task<void> {
     co_await ch->ClientSend(AsBytes("first"));
-    co_await ch->ClientSend(AsBytes("second"));  // previous call never received
-  }(&channel));
+    try {
+      co_await ch->ClientSend(AsBytes("second"));  // previous call never received
+    } catch (const std::runtime_error&) {
+      *refused_out = true;
+    }
+  }(&channel, &refused));
   engine_.Run();
-  ExpectViolations(fabric, ViolationKind::kRfpOverlappingCall, 1, before);
+  EXPECT_TRUE(refused);
+  ExpectViolations(fabric, ViolationKind::kRfpOverlappingCall, 0, before);
+
+  FabricChecker checker(nullptr, Mode::kReport);
+  int channel_tag = 0;
+  checker.OnClientSend(&channel_tag);
+  checker.OnClientSend(&channel_tag);
+  EXPECT_EQ(checker.violations(ViolationKind::kRfpOverlappingCall), 1u);
 }
 
 TEST_F(CheckerCorpusTest, RecvWithoutSendFlagged) {

@@ -198,19 +198,5 @@ TEST(ConfigBuilderTest, ConflictingParadigmsAreRejectedAtBuildTime) {
   EXPECT_NO_THROW(kv::JakiroConfig::Build().NoSwitch().Pipelined(4).NoSwitch());
 }
 
-TEST(ConfigBuilderTest, DeprecatedWrappersMatchTheBuilder) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const kv::JakiroConfig wrapped = kv::FaultTolerantConfig();
-  const kv::JakiroConfig piped = kv::PipelinedConfig({}, 4);
-#pragma GCC diagnostic pop
-  const kv::JakiroConfig built = kv::JakiroConfig::Build().FaultTolerant();
-  EXPECT_EQ(wrapped.channel_options.fetch_timeout_ns,
-            built.channel_options.fetch_timeout_ns);
-  EXPECT_EQ(wrapped.channel_options.checksum_responses,
-            built.channel_options.checksum_responses);
-  EXPECT_EQ(piped.channel_options.window, 4);
-}
-
 }  // namespace
 }  // namespace conn

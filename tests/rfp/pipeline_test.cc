@@ -245,8 +245,8 @@ TEST_F(PipelineTest, StaleHandleThrows) {
 }
 
 // Table 2's Endpoint wrappers drive ClientSend/ClientRecv, which on a
-// windowed channel is exactly the slot-0 path: legacy code keeps working on
-// a pipelined channel with no recompilation of its call sites.
+// windowed channel submit into slot 0 and await it: legacy code keeps
+// working on a pipelined channel with no recompilation of its call sites.
 TEST_F(PipelineTest, LegacyEndpointRidesSlotZeroOfWindowedChannel) {
   RfpOptions options;
   options.window = 4;
@@ -267,9 +267,10 @@ TEST_F(PipelineTest, LegacyEndpointRidesSlotZeroOfWindowedChannel) {
   }(client_node_, ch));
   engine_.Run();
   EXPECT_EQ(ch->stats().calls, 3u);
-  // Slot-0 sequential calls never stage more than one request, so no
-  // doorbell batch ever forms.
-  EXPECT_EQ(ch->stats().doorbell_batches, 0u);
+  // Slot-0 sequential calls never stage more than one request, so every
+  // doorbell rings for a single WR: nothing ever rides a leader's doorbell.
+  EXPECT_EQ(ch->stats().batched_ops, 0u);
+  EXPECT_EQ(ch->stats().batch_occupancy.max(), 1);
 }
 
 // ---- RpcClient surface --------------------------------------------------------
