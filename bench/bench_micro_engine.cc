@@ -1,7 +1,10 @@
 // Micro-benchmarks of the simulator itself (google-benchmark): event
 // dispatch, coroutine round trips, resource handoffs, and a full simulated
 // RDMA READ. These track the cost of the substrate — useful when deciding
-// how long a simulated window a bench can afford.
+// how long a simulated window a bench can afford. The populated-heap,
+// fan-out and nested-task cases have the shape of a real bench's traffic:
+// hundreds of actors asleep at once, same-instant wake-ups, and short-lived
+// task frames per simulated call.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +13,7 @@
 #include "src/rdma/fabric.h"
 #include "src/sim/engine.h"
 #include "src/sim/resource.h"
+#include "src/sim/signal.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
 
@@ -57,6 +61,75 @@ void BM_ResourceHandoff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_ResourceHandoff);
+
+// 256 actors sleeping on staggered delays keep ~256 events in the heap: the
+// shape of a bench with hundreds of client, server and NIC actors.
+void BM_PopulatedHeapSleep(benchmark::State& state) {
+  constexpr int kActors = 256;
+  constexpr int kSleeps = 40;
+  for (auto _ : state) {
+    sim::Engine engine;
+    for (int a = 0; a < kActors; ++a) {
+      engine.Spawn([](sim::Engine& eng, sim::Time delay) -> sim::Task<void> {
+        for (int i = 0; i < kSleeps; ++i) {
+          co_await eng.Sleep(delay);
+        }
+      }(engine, 100 + 7 * a));
+    }
+    engine.Run();
+    benchmark::DoNotOptimize(engine.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * kActors * kSleeps);
+}
+BENCHMARK(BM_PopulatedHeapSleep);
+
+// One notifier wakes 64 waiters at one instant: every wake-up is an event
+// for the current instant.
+void BM_NotifyAllFanOut(benchmark::State& state) {
+  constexpr int kWaiters = 64;
+  constexpr int kRounds = 50;
+  for (auto _ : state) {
+    sim::Engine engine;
+    sim::Notifier notifier(engine);
+    for (int w = 0; w < kWaiters; ++w) {
+      engine.Spawn([](sim::Notifier& n) -> sim::Task<void> {
+        for (int i = 0; i < kRounds; ++i) {
+          co_await n.Wait();
+        }
+      }(notifier));
+    }
+    engine.Spawn([](sim::Engine& eng, sim::Notifier& n) -> sim::Task<void> {
+      for (int i = 0; i < kRounds; ++i) {
+        co_await eng.Sleep(1);
+        n.NotifyAll();
+      }
+    }(engine, notifier));
+    engine.Run();
+    benchmark::DoNotOptimize(engine.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * kWaiters * kRounds);
+}
+BENCHMARK(BM_NotifyAllFanOut);
+
+// Two nested tasks per iteration, the innermost sleeping: the frame churn
+// of a simulated call's helper coroutines.
+void BM_NestedTaskChurn(benchmark::State& state) {
+  constexpr int kCalls = 1000;
+  for (auto _ : state) {
+    sim::Engine engine;
+    engine.Spawn([](sim::Engine& eng) -> sim::Task<void> {
+      for (int i = 0; i < kCalls; ++i) {
+        co_await [](sim::Engine& e) -> sim::Task<void> {
+          co_await [](sim::Engine& e2) -> sim::Task<void> { co_await e2.Sleep(1); }(e);
+        }(eng);
+      }
+    }(engine));
+    engine.Run();
+    benchmark::DoNotOptimize(engine.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * kCalls);
+}
+BENCHMARK(BM_NestedTaskChurn);
 
 void BM_SimulatedRdmaRead(benchmark::State& state) {
   sim::Engine engine;

@@ -15,6 +15,8 @@
 #include <optional>
 #include <span>
 
+#include "src/rdma/memory.h"
+
 namespace kv {
 
 constexpr uint16_t kRpcGet = 1;
@@ -65,9 +67,10 @@ inline size_t EncodePut(std::span<std::byte> out, std::span<const std::byte> key
   n += sizeof(ks);
   std::memcpy(out.data() + n, &vs, sizeof(vs));
   n += sizeof(vs);
-  std::memcpy(out.data() + n, key.data(), key.size());
+  rdma::CopyBytes(out.subspan(n, key.size()), key);
   n += key.size();
-  std::memcpy(out.data() + n, value.data(), value.size());
+  // CopyBytes, not memcpy: an empty value may carry a null data pointer.
+  rdma::CopyBytes(out.subspan(n, value.size()), value);
   n += value.size();
   return n;
 }

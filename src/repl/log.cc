@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/rdma/memory.h"
+
 namespace repl {
 
 size_t EncodedSize(const Record& record) {
@@ -20,9 +22,10 @@ size_t EncodeRecord(std::span<std::byte> out, const Record& record) {
   n += sizeof(ks);
   std::memcpy(out.data() + n, &vs, sizeof(vs));
   n += sizeof(vs);
-  std::memcpy(out.data() + n, record.key.data(), ks);
+  // CopyBytes, not memcpy: a delete's empty value has a null data pointer.
+  rdma::CopyBytes(out.subspan(n, ks), record.key);
   n += ks;
-  std::memcpy(out.data() + n, record.value.data(), vs);
+  rdma::CopyBytes(out.subspan(n, vs), record.value);
   n += vs;
   return n;
 }

@@ -11,9 +11,14 @@ namespace {
 
 // Fire-and-forget wrapper coroutine used by Engine::Spawn. It starts eagerly,
 // runs the wrapped task to completion, and self-destructs (final_suspend is
-// suspend_never), so the engine never has to track frames explicitly.
+// suspend_never), so the engine never has to track frames explicitly. Its
+// frame is recycled through FramePool like every Task frame.
 struct Detached {
   struct promise_type {
+    static void* operator new(std::size_t bytes) { return internal::FramePool::Allocate(bytes); }
+    static void operator delete(void* frame, std::size_t bytes) noexcept {
+      internal::FramePool::Deallocate(frame, bytes);
+    }
     Detached get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }
@@ -40,10 +45,86 @@ Detached RunDetached(Engine* engine, Task<void> task, uint64_t actor_id, Time sp
 }  // namespace
 
 void Engine::ScheduleAt(Time when, std::function<void()> fn) {
-  if (when < now_) {
-    when = now_;
+  size_t slot;
+  if (free_callbacks_.empty()) {
+    slot = callbacks_.size();
+    callbacks_.push_back(std::move(fn));
+  } else {
+    slot = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    callbacks_[slot] = std::move(fn);
   }
-  queue_.push(PendingEvent{when, next_seq_++, std::move(fn)});
+  Push(when, Target{.slot = slot}, kCallbackTag);
+}
+
+void Engine::Lane::Grow() {
+  std::vector<PendingEvent> grown(ring_.empty() ? 64 : 2 * ring_.size());
+  for (size_t i = 0; i < size_; ++i) {
+    grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
+  }
+  ring_.swap(grown);
+  head_ = 0;
+}
+
+// A 4-ary min-heap: half the depth of a binary heap, and the four children
+// of a node share a cache line or two.
+void Engine::PushHeap(const PendingEvent& ev) {
+  size_t hole = heap_.size();
+  heap_.push_back(ev);
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 4;
+    if (!Before(ev, heap_[parent])) {
+      break;
+    }
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = ev;
+}
+
+Engine::PendingEvent Engine::PopHeap() {
+  const PendingEvent top = heap_.front();
+  const PendingEvent last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return top;
+  }
+  size_t hole = 0;
+  for (;;) {
+    const size_t first = 4 * hole + 1;
+    if (first >= n) {
+      break;
+    }
+    size_t best = first;
+    const size_t end = first + 4 < n ? first + 4 : n;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (Before(heap_[c], heap_[best])) {
+        best = c;
+      }
+    }
+    if (!Before(heap_[best], last)) {
+      break;
+    }
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = last;
+  return top;
+}
+
+void Engine::Fire(const PendingEvent& ev) {
+  if ((ev.seq & kCallbackTag) == 0) {
+    std::coroutine_handle<>::from_address(ev.target.frame).resume();
+    return;
+  }
+  // The slot is freed before the call, so a callback that schedules another
+  // one may be handed its own slot back.
+  const size_t slot = ev.target.slot;
+  std::function<void()> fn = std::move(callbacks_[slot]);
+  callbacks_[slot] = nullptr;
+  free_callbacks_.push_back(slot);
+  fn();
 }
 
 void Engine::Spawn(Task<void> task) {
@@ -63,49 +144,47 @@ void Engine::DispatchOne() {
     DispatchOneWithPolicy();
     return;
   }
-  // Moving out of the const top() is not allowed; copy the function handle
-  // out through a const_cast-free path by re-popping into a local.
-  PendingEvent ev = queue_.top();
-  queue_.pop();
+  const PendingEvent ev = LaneIsNext() ? lane_.pop_front() : PopHeap();
   now_ = ev.when;
   ++events_processed_;
-  ev.fn();
+  Fire(ev);
 }
 
 void Engine::DispatchOneWithPolicy() {
-  // Drain the full ready set for the next instant. Heap order yields the
-  // same-timestamp events in ascending seq, so the ready set the policy sees
-  // is indexed in FIFO order: choice 0 always means "what FIFO would do".
+  // Drain the full ready set for the next instant. The lane's events for it
+  // join the heap first, so the heap yields the whole set in ascending seq
+  // and the ready set the policy sees is indexed in FIFO order: choice 0
+  // always means "what FIFO would do".
+  const Time instant = NextWhen();
+  while (!lane_.empty() && lane_.front().when == instant) {
+    PushHeap(lane_.pop_front());
+  }
   ready_scratch_.clear();
-  ready_scratch_.push_back(queue_.top());
-  queue_.pop();
-  const Time instant = ready_scratch_.front().when;
-  while (!queue_.empty() && queue_.top().when == instant) {
-    ready_scratch_.push_back(queue_.top());
-    queue_.pop();
+  while (!heap_.empty() && heap_.front().when == instant) {
+    ready_scratch_.push_back(PopHeap());
   }
   size_t pick = 0;
   if (ready_scratch_.size() > 1) {
     pick = policy_->ChooseAndRecord(ready_scratch_.size());
   }
-  PendingEvent chosen = std::move(ready_scratch_[pick]);
-  // Unchosen events go back with their original seq: relative FIFO order
-  // among them is preserved, so the next decision point sees a ready set
-  // that differs from this one only by the removal of `chosen` (plus
-  // whatever `chosen` itself schedules at this instant).
+  const PendingEvent chosen = ready_scratch_[pick];
+  // Unchosen events go back to the heap with their original seq: relative
+  // FIFO order among them is preserved, so the next decision point sees a
+  // ready set that differs from this one only by the removal of `chosen`
+  // (plus whatever `chosen` itself schedules at this instant).
   for (size_t i = 0; i < ready_scratch_.size(); ++i) {
     if (i != pick) {
-      queue_.push(std::move(ready_scratch_[i]));
+      PushHeap(ready_scratch_[i]);
     }
   }
   ready_scratch_.clear();
   now_ = chosen.when;
   ++events_processed_;
-  chosen.fn();
+  Fire(chosen);
 }
 
 void Engine::Run() {
-  while (!queue_.empty() && !actor_failure_) {
+  while (HasPending() && !actor_failure_) {
     DispatchOne();
   }
   if (actor_failure_) {
@@ -115,8 +194,8 @@ void Engine::Run() {
 }
 
 bool Engine::RunUntil(Time deadline) {
-  while (!queue_.empty() && !actor_failure_) {
-    if (queue_.top().when > deadline) {
+  while (HasPending() && !actor_failure_) {
+    if (NextWhen() > deadline) {
       now_ = deadline;
       return false;
     }

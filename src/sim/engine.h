@@ -1,11 +1,19 @@
 // Discrete-event simulation engine.
 //
-// The engine owns a virtual clock and a priority queue of pending events.
-// Actors are coroutines (see task.h) that suspend on awaitables — Sleep(),
+// The engine owns a virtual clock and a queue of pending events. Actors are
+// coroutines (see task.h) that suspend on awaitables — Sleep(),
 // Resource::Acquire(), Event::Wait() — and are resumed by the engine when
 // their wake-up event fires. Events at equal timestamps run in FIFO order
 // (a monotonically increasing sequence number breaks ties), which makes
 // every simulation fully deterministic for a given seed.
+//
+// An event is a 24-byte {when, seq, target} record: the target is the frame
+// address of the coroutine to resume, or a slot of the callback slab that
+// ScheduleAt() fills. Events for a later instant wait in a 4-ary heap;
+// events for the current instant (every wake-up by Resource::Release,
+// Event/Notifier and Yield) go to a FIFO lane that bypasses the heap.
+// Dispatch takes the lower (when, seq) of the lane front and the heap top,
+// so the order is exactly the (when, seq) order of a single queue.
 //
 // The FIFO tie-break can be overridden with a SchedulePolicy (schedule.h):
 // when a policy is installed, every instant with more than one ready event
@@ -17,10 +25,11 @@
 #define SRC_SIM_ENGINE_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/task.h"
@@ -73,9 +82,9 @@ class Engine {
     ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  // Resumes `handle` at absolute virtual time `when`.
+  // Resumes `handle` at absolute virtual time `when` (clamped to now()).
   void ResumeAt(Time when, std::coroutine_handle<> handle) {
-    ScheduleAt(when, [handle] { handle.resume(); });
+    Push(when, Target{.frame = handle.address()}, 0);
   }
 
   // Awaitable: suspends the current coroutine for `delay` virtual nanoseconds.
@@ -131,23 +140,85 @@ class Engine {
   void ActorDone(std::exception_ptr e);
 
  private:
+  union Target {
+    void* frame;  // coroutine to resume
+    size_t slot;  // callback in callbacks_
+  };
+
+  // `seq` is the scheduling order shifted left by one; its low bit is
+  // kCallbackTag when `target` names a callback slot rather than a frame.
   struct PendingEvent {
     Time when;
     uint64_t seq;
-    std::function<void()> fn;
+    Target target;
+  };
+  static_assert(sizeof(PendingEvent) == 24 && std::is_trivially_copyable_v<PendingEvent>);
+
+  static constexpr uint64_t kCallbackTag = 1;
+
+  static bool Before(const PendingEvent& a, const PendingEvent& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+
+  // FIFO ring of events for the current instant. Grows by doubling and never
+  // shrinks, so a steady-state lane allocates nothing.
+  class Lane {
+   public:
+    bool empty() const { return size_ == 0; }
+    const PendingEvent& front() const { return ring_[head_]; }
+    const PendingEvent& back() const { return ring_[(head_ + size_ - 1) & (ring_.size() - 1)]; }
+    void push_back(const PendingEvent& ev) {
+      if (size_ == ring_.size()) {
+        Grow();
+      }
+      ring_[(head_ + size_) & (ring_.size() - 1)] = ev;
+      ++size_;
+    }
+    PendingEvent pop_front() {
+      const PendingEvent ev = ring_[head_];
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --size_;
+      return ev;
+    }
+
+   private:
+    void Grow();
+
+    std::vector<PendingEvent> ring_;  // size is zero or a power of two
+    size_t head_ = 0;
+    size_t size_ = 0;
   };
 
-  struct EventOrder {
-    bool operator()(const PendingEvent& a, const PendingEvent& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;  // min-heap on time
+  // Queues `target` at `when` (clamped to now()). The lane takes it if it is
+  // for the current instant and the lane holds only current-instant events
+  // (a RunUntil() deadline before now() can move the clock back under a
+  // non-empty lane; such events go to the heap, which orders anything).
+  void Push(Time when, Target target, uint64_t tag) {
+    const uint64_t seq = (next_seq_++ << 1) | tag;
+    if (when <= now_) {
+      const PendingEvent ev{now_, seq, target};
+      if (lane_.empty() || lane_.back().when == now_) {
+        lane_.push_back(ev);
+      } else {
+        PushHeap(ev);
       }
-      return a.seq > b.seq;  // FIFO within an instant
+      return;
     }
-  };
+    PushHeap(PendingEvent{when, seq, target});
+  }
+
+  void PushHeap(const PendingEvent& ev);
+  PendingEvent PopHeap();
+  bool HasPending() const { return !lane_.empty() || !heap_.empty(); }
+  // True if the next event comes from the lane (requires HasPending()).
+  bool LaneIsNext() const {
+    return !lane_.empty() && (heap_.empty() || Before(lane_.front(), heap_.front()));
+  }
+  Time NextWhen() const { return LaneIsNext() ? lane_.front().when : heap_.front().when; }
 
   void DispatchOne();
   void DispatchOneWithPolicy();
+  void Fire(const PendingEvent& ev);
 
   Time now_ = 0;
   TraceSink* trace_ = nullptr;
@@ -157,8 +228,11 @@ class Engine {
   uint64_t events_processed_ = 0;
   int live_actors_ = 0;
   std::exception_ptr actor_failure_;
-  std::priority_queue<PendingEvent, std::vector<PendingEvent>, EventOrder> queue_;
-  std::vector<PendingEvent> ready_scratch_;  // policy path: same-instant ready set
+  std::vector<PendingEvent> heap_;  // 4-ary min-heap on (when, seq)
+  Lane lane_;
+  std::vector<std::function<void()>> callbacks_;  // ScheduleAt slab
+  std::vector<size_t> free_callbacks_;            // recycled slab slots
+  std::vector<PendingEvent> ready_scratch_;       // policy path: same-instant ready set
 };
 
 }  // namespace sim

@@ -10,6 +10,9 @@
 // Exceptions thrown inside a task propagate to the awaiter; exceptions that
 // escape a detached actor are captured by the Engine and rethrown from
 // Engine::Run(), so tests fail loudly instead of deadlocking.
+//
+// Task frames are recycled through FramePool (frame_pool.h), so creating and
+// finishing a task in steady state does not call malloc.
 
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
@@ -17,6 +20,8 @@
 #include <coroutine>
 #include <exception>
 #include <utility>
+
+#include "src/sim/frame_pool.h"
 
 namespace sim {
 
@@ -27,6 +32,11 @@ namespace internal {
 
 class PromiseBase {
  public:
+  static void* operator new(std::size_t bytes) { return FramePool::Allocate(bytes); }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    FramePool::Deallocate(frame, bytes);
+  }
+
   // Resumes whoever co_awaited this task once the task's body finishes.
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }

@@ -1,5 +1,7 @@
 #include "src/workload/ycsb.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <stdexcept>
 
@@ -55,17 +57,32 @@ void MakeKey(uint64_t key_id, std::span<std::byte> out) {
   }
 }
 
+// Byte i of a value is (base + 131 i) mod 256, a sequence with period 256:
+// FillValue computes one period and copies it forward, and CheckValue
+// compares against one period, so long values cost memcpy/memcmp speed.
+constexpr size_t kValuePeriod = 256;
+
 void FillValue(uint64_t key_id, std::span<std::byte> out) {
   const uint64_t base = sim::Mix64(key_id ^ 0x56414c55u);  // "VALU"
-  for (size_t i = 0; i < out.size(); ++i) {
+  const size_t head = std::min(out.size(), kValuePeriod);
+  for (size_t i = 0; i < head; ++i) {
     out[i] = static_cast<std::byte>((base + i * 131) & 0xff);
+  }
+  // `done` stays a multiple of the period, so each copy continues it.
+  for (size_t done = head; done < out.size();) {
+    const size_t n = std::min(done, out.size() - done);
+    std::memcpy(out.data() + done, out.data(), n);
+    done += n;
   }
 }
 
 bool CheckValue(uint64_t key_id, std::span<const std::byte> bytes) {
-  const uint64_t base = sim::Mix64(key_id ^ 0x56414c55u);
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    if (bytes[i] != static_cast<std::byte>((base + i * 131) & 0xff)) {
+  std::array<std::byte, kValuePeriod> period{};
+  const std::span<std::byte> expected(period.data(), std::min(bytes.size(), kValuePeriod));
+  FillValue(key_id, expected);
+  for (size_t off = 0; off < bytes.size(); off += kValuePeriod) {
+    const size_t n = std::min(bytes.size() - off, kValuePeriod);
+    if (std::memcmp(bytes.data() + off, expected.data(), n) != 0) {
       return false;
     }
   }

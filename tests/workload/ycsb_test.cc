@@ -152,6 +152,22 @@ TEST(ValueTest, FillAndCheckRoundTrip) {
   EXPECT_FALSE(CheckValue(99, value));
 }
 
+// FillValue copies one 256-byte period forward; every length, including
+// partial trailing periods, must match the per-byte formula.
+TEST(ValueTest, FillMatchesBytePatternAtEveryLength) {
+  for (size_t len : {1u, 31u, 255u, 256u, 257u, 700u, 1024u, 8192u, 8193u}) {
+    std::vector<std::byte> value(len);
+    FillValue(42, value);
+    const uint64_t base = sim::Mix64(uint64_t{42} ^ 0x56414c55u);
+    for (size_t i = 0; i < len; ++i) {
+      ASSERT_EQ(value[i], static_cast<std::byte>((base + i * 131) & 0xff)) << len << " @" << i;
+    }
+    EXPECT_TRUE(CheckValue(42, value)) << len;
+    value[len - 1] ^= std::byte{0x01};
+    EXPECT_FALSE(CheckValue(42, value)) << len;
+  }
+}
+
 TEST(ValueTest, EmptyValueAlwaysChecks) {
   EXPECT_TRUE(CheckValue(1, {}));
 }
