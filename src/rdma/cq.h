@@ -70,6 +70,12 @@ class CompletionQueue {
     }
   }
 
+  // Suspends until the next Push or WakeAll; by then another waiter may have
+  // drained the queue. For consumers that demultiplex one CQ among several
+  // waiters and must also wake on completions handed over out of band.
+  auto WaitArrival() { return arrival_.Wait(); }
+  void WakeAll() { arrival_.NotifyAll(); }
+
   size_t depth() const { return queue_.size(); }
   uint64_t total_completions() const { return total_; }
 

@@ -1,6 +1,7 @@
 #include "src/rfp/channel.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -142,10 +143,6 @@ void Channel::Detach() {
 void Channel::set_fetch_size(uint32_t f) {
   options_.fetch_size =
       std::clamp<uint32_t>(f, kHeaderBytes, static_cast<uint32_t>(block_bytes_));
-}
-
-Mode Channel::server_visible_mode() const {
-  return static_cast<Mode>(server_.Load<uint8_t>(kRequestModeOffset));
 }
 
 // ---- Client side ---------------------------------------------------------------
@@ -772,20 +769,6 @@ void Channel::FreeSlot(int slot) {
 
 // ---- Server side ---------------------------------------------------------------
 
-bool Channel::HasPendingRequest() const { return PendingRequests() > 0; }
-
-int Channel::PendingRequests() const {
-  int pending = 0;
-  for (int s = 0; s < options_.window; ++s) {
-    const RequestHeader header = server_.Load<RequestHeader>(req_off(s));
-    if (wire::UnpackStatus(header.size_status) && header.slot == s &&
-        header.seq != sslot(s).last_recv_seq) {
-      ++pending;
-    }
-  }
-  return pending;
-}
-
 bool Channel::TryServerRecv(std::span<std::byte> out, size_t* size) {
   for (int i = 0; i < options_.window; ++i) {
     const int s = (recv_rr_ + i) % options_.window;
@@ -1005,18 +988,6 @@ sim::Task<void> Channel::PushReply(int slot) {
   ++stats_.reply_pushes;
 }
 
-bool Channel::NeedsReplyResend() const {
-  if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
-    return false;
-  }
-  for (const ServerSlot& ss : sslots_) {
-    if (!ss.response_pushed && ss.last_resp_seq != 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 sim::Task<void> Channel::MaybeResendAfterSwitch() {
   if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
     co_return;
@@ -1196,28 +1167,43 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
   if (ops.empty()) {
     co_return;
   }
+  BatchWaiter self;
+  batch_waiters_.push_back(&self);
+  // Deregisters on every exit, a throwing CheckOk included.
+  struct Deregister {
+    std::vector<BatchWaiter*>& waiters;
+    BatchWaiter* self;
+    ~Deregister() { std::erase(waiters, self); }
+  } deregister{batch_waiters_, &self};
   std::vector<char> done(ops.size(), 0);
   size_t remaining = ops.size();
   for (int attempt = 0; remaining > 0; ++attempt) {
     // Re-resolve the QP each attempt: a reconnect replaces it. Offsets in
     // `ops` are ring-relative; the pooled span base is applied here.
     rdma::QueuePair* qp = from_client ? client_qp_ : server_qp_;
+    rdma::CompletionQueue* cq = qp->send_cq();
     const RingView& local = from_client ? client_ : server_;
     const RingView& remote = from_client ? server_ : client_;
+    // Op i posts as wr_id first_wr_id + i: unique on the QP even while
+    // another batch of this channel is in flight.
+    self.first_wr_id = next_wr_id_;
+    self.count = ops.size();
+    next_wr_id_ += ops.size();
     size_t posted = 0;
     for (size_t i = 0; i < ops.size(); ++i) {
       if (done[i]) {
         continue;
       }
       const BatchOp& op = ops[i];
+      const uint64_t wr_id = self.first_wr_id + i;
       // Every WR after the first rides the leader's doorbell at the batched
       // marginal issue cost (see rdma::NicConfig::outbound_batch_marginal_ns).
       if (op.is_read) {
-        qp->PostRead(i, *local.mr, local.abs(op.local_off), remote.remote_key(),
+        qp->PostRead(wr_id, *local.mr, local.abs(op.local_off), remote.remote_key(),
                      remote.abs(op.remote_off), op.len,
                      /*batch_follower=*/posted > 0);
       } else {
-        qp->PostWrite(i, *local.mr, local.abs(op.local_off), remote.remote_key(),
+        qp->PostWrite(wr_id, *local.mr, local.abs(op.local_off), remote.remote_key(),
                       remote.abs(op.remote_off), op.len,
                       /*batch_follower=*/posted > 0);
       }
@@ -1227,15 +1213,30 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
     stats_.batch_occupancy.Record(static_cast<int64_t>(posted));
     stats_.batched_ops += posted - 1;
     bool qp_error = false;
-    for (size_t c = 0; c < posted; ++c) {
-      const rdma::WorkCompletion wc = co_await qp->send_cq()->Wait();
-      ops[wc.wr_id].wc = wc;
+    for (size_t c = 0; c < posted;) {
+      rdma::WorkCompletion wc;
+      if (!self.inbox.empty()) {
+        wc = self.inbox.front();
+        self.inbox.erase(self.inbox.begin());
+      } else if (std::optional<rdma::WorkCompletion> polled = cq->Poll()) {
+        wc = *polled;
+      } else {
+        co_await cq->WaitArrival();
+        continue;
+      }
+      if (wc.wr_id - self.first_wr_id >= ops.size()) {
+        RouteForeignCompletion(wc, cq);
+        continue;
+      }
+      ++c;
+      const size_t i = wc.wr_id - self.first_wr_id;
+      ops[i].wc = wc;
       if (wc.status == rdma::WcStatus::kQpError) {
         qp_error = true;
         continue;
       }
       CheckOk(wc, what);
-      done[wc.wr_id] = 1;
+      done[i] = 1;
       --remaining;
     }
     if (remaining == 0) {
@@ -1249,6 +1250,18 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
       }
     }
     co_await EnsureConnected(qp);
+  }
+}
+
+void Channel::RouteForeignCompletion(const rdma::WorkCompletion& wc,
+                                     rdma::CompletionQueue* cq) {
+  for (BatchWaiter* waiter : batch_waiters_) {
+    if (wc.wr_id - waiter->first_wr_id < waiter->count) {
+      waiter->inbox.push_back(wc);
+      // The owner may be parked on this CQ with nothing left to arrive.
+      cq->WakeAll();
+      return;
+    }
   }
 }
 

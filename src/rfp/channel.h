@@ -269,13 +269,21 @@ class Channel {
 
   // ---- Server-side primitives ----------------------------------------------
 
-  // Non-consuming peek: true when a request is pending in the request block.
-  // Sweep loops use it to estimate backlog before deciding admission.
-  bool HasPendingRequest() const;
-
-  // Pending (written but not yet consumed) requests across all slots. Sweep
-  // loops use it to estimate backlog on pipelined channels.
-  int PendingRequests() const;
+  // Pending (written but not yet consumed) requests across all slots: a
+  // non-consuming peek sweep loops use to estimate backlog. Inline, like
+  // NeedsReplyResend and server_visible_mode: sweeps call it per owned
+  // channel.
+  int PendingRequests() const {
+    int pending = 0;
+    for (int s = 0; s < options_.window; ++s) {
+      const RequestHeader header = server_.Load<RequestHeader>(req_off(s));
+      if (wire::UnpackStatus(header.size_status) && header.slot == s &&
+          header.seq != sslot(s).last_recv_seq) {
+        ++pending;
+      }
+    }
+    return pending;
+  }
 
   // Non-blocking poll of the request block. On success copies the payload
   // into `out`, stores its size in `*size`, and returns true.
@@ -321,7 +329,17 @@ class Channel {
   // True when a response was stored locally but never pushed while the
   // client is (now) in server-reply mode — the switch race. Cheap; sweep
   // loops use it to gate MaybeResendAfterSwitch. Checks every slot.
-  bool NeedsReplyResend() const;
+  bool NeedsReplyResend() const {
+    if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
+      return false;
+    }
+    for (const ServerSlot& ss : sslots_) {
+      if (!ss.response_pushed && ss.last_resp_seq != 0) {
+        return true;
+      }
+    }
+    return false;
+  }
 
   // Re-pushes every response stored locally before the client switched to
   // server-reply (closing the switch race). Server sweep loops call this
@@ -348,7 +366,9 @@ class Channel {
 
   Mode client_mode() const { return mode_; }
   // Mode as currently visible to the server (via the request-block flag).
-  Mode server_visible_mode() const;
+  Mode server_visible_mode() const {
+    return static_cast<Mode>(server_.Load<uint8_t>(kRequestModeOffset));
+  }
   BreakerState breaker_state() const { return breaker_state_; }
   const Stats& stats() const { return stats_; }
   // Retry-after hint (µs) carried by the last BUSY response this client
@@ -495,6 +515,14 @@ class Channel {
     rdma::WorkCompletion wc{};
   };
 
+  // An RcBatch collecting completions: the wr_ids of its current posting
+  // and the completions another batch on the same CQ popped for it.
+  struct BatchWaiter {
+    uint64_t first_wr_id = 0;
+    size_t count = 0;
+    std::vector<rdma::WorkCompletion> inbox;
+  };
+
   uint32_t EffectiveFetch(uint32_t override_f) const;
   void FreeSlot(int slot);
   // AwaitCall's body; AwaitCall frees the slot when this throws.
@@ -504,8 +532,14 @@ class Channel {
   // collects their completions, reconnecting and re-posting unfinished ops
   // on a QP error. Stores each op's completion in its `wc`. A window=1
   // channel has nothing to batch: its ops go out one by one through RcOp
-  // and book no doorbell batch.
+  // and book no doorbell batch. Concurrent batches on one channel (two
+  // actors awaiting calls) share the send CQ: wr_ids come from the
+  // channel-wide counter, and a completion one batch pops for another is
+  // handed to its owner through batch_waiters_.
   sim::Task<void> RcBatch(bool from_client, std::vector<BatchOp>& ops, const char* what);
+  // Hands `wc`, popped from `cq` by a batch it does not belong to, to the
+  // batch that posted it; dropped when that batch already threw.
+  void RouteForeignCompletion(const rdma::WorkCompletion& wc, rdma::CompletionQueue* cq);
   // One batched fetch sweep: READs the awaited slot first (it leads the
   // doorbell), piggybacking READs for every other in-flight fetch-mode slot.
   sim::Task<void> FetchSweep(int primary);
@@ -648,6 +682,8 @@ class Channel {
   const ServerSlot& sslot(int s) const { return sslots_[static_cast<size_t>(s)]; }
   int staged_count_ = 0;
   int posted_count_ = 0;
+  uint64_t next_wr_id_ = 0;                   // RcBatch wr_ids, never reused
+  std::vector<BatchWaiter*> batch_waiters_;   // RcBatch calls collecting now
   int last_recv_slot_ = 0;  // slot of the request TryServerRecv returned
   int recv_rr_ = 0;         // round-robin start of the server's slot scan
 

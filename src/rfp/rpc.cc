@@ -22,6 +22,15 @@ uint64_t NextServerOrdinal() {
   return ++next;
 }
 
+// Owned lists (ThreadState::owned) are kept ascending.
+void EraseSorted(std::vector<size_t>& list, size_t value) {
+  list.erase(std::lower_bound(list.begin(), list.end(), value));
+}
+
+void InsertSorted(std::vector<size_t>& list, size_t value) {
+  list.insert(std::lower_bound(list.begin(), list.end(), value), value);
+}
+
 }  // namespace
 
 RpcServer::RpcServer(rdma::Fabric& fabric, rdma::Node& node, int num_threads,
@@ -81,18 +90,9 @@ RpcServer::~RpcServer() {
   }
 }
 
-int RpcServer::channels_owned_by(int thread) const {
-  int owned = 0;
-  for (const ChannelEntry& entry : endpoints_) {
-    if (entry.channel != nullptr && entry.owner == thread) {
-      ++owned;
-    }
-  }
-  return owned;
-}
-
 bool RpcServer::CloseChannel(Channel* channel) {
-  for (ChannelEntry& entry : endpoints_) {
+  for (size_t ci = 0; ci < endpoints_.size(); ++ci) {
+    ChannelEntry& entry = endpoints_[ci];
     if (entry.channel != channel || channel == nullptr) {
       continue;
     }
@@ -102,18 +102,20 @@ bool RpcServer::CloseChannel(Channel* channel) {
       entry.closing = true;
       return true;
     }
-    DestroyChannel(entry);
+    DestroyChannel(ci);
     return true;
   }
   return false;
 }
 
-void RpcServer::DestroyChannel(ChannelEntry& entry) {
+void RpcServer::DestroyChannel(size_t index) {
+  ChannelEntry& entry = endpoints_[index];
   Channel* channel = entry.channel;
-  // Tombstone first: sweeps skip null-channel entries, and the entry must
-  // stay in place because suspended sweeps iterate endpoints_ by index.
+  // Tombstone rather than erase: owned lists and suspended sweeps hold
+  // endpoints_ indices, which must not shift.
   entry.channel = nullptr;
   entry.closing = false;
+  EraseSorted(threads_[static_cast<size_t>(entry.owner)].owned, index);
   for (auto it = owned_channels_.begin(); it != owned_channels_.end(); ++it) {
     if (it->get() == channel) {
       // ~Channel flushes its stats and returns the ring spans to the node
@@ -138,7 +140,12 @@ void RpcServer::RecordMalformedRequest(int thread_index, const char* why) {
   }
 }
 
-void RpcServer::StealChannel(ChannelEntry& entry, int thief, const char* why) {
+void RpcServer::StealChannel(size_t index, int thief, const char* why) {
+  ChannelEntry& entry = endpoints_[index];
+  // The thief's list stays ascending, so it visits the stolen channel in
+  // acceptance order among its own, exactly where an all-endpoints scan would.
+  EraseSorted(threads_[static_cast<size_t>(entry.owner)].owned, index);
+  InsertSorted(threads_[static_cast<size_t>(thief)].owned, index);
   entry.owner = thief;
   ++channel_steals_;
   ++threads_[static_cast<size_t>(thief)].steals;
@@ -154,6 +161,7 @@ void RpcServer::CrashThread(int thread) {
   }
   state.crashed = true;
   ++thread_crashes_;
+  ++crashed_threads_;
   if (sim::TraceSink* trace = fabric_.engine().trace_sink()) {
     trace->Instant("fault", "server_thread_crash", worker_track_id(thread),
                    fabric_.engine().now());
@@ -166,6 +174,7 @@ void RpcServer::RestartThread(int thread) {
     return;
   }
   state.crashed = false;
+  --crashed_threads_;
   if (sim::TraceSink* trace = fabric_.engine().trace_sink()) {
     trace->Instant("fault", "server_thread_restart", worker_track_id(thread),
                    fabric_.engine().now());
@@ -197,19 +206,24 @@ void RpcServer::RegisterAsyncHandler(uint16_t rpc_id, AsyncHandler handler) {
 }
 
 Channel* RpcServer::AcceptChannel(rdma::Node& client, const RfpOptions& options, int thread) {
-  owned_channels_.push_back(std::make_unique<Channel>(fabric_, client, node_, options));
-  Channel* channel = owned_channels_.back().get();
-  ThreadState& state = threads_.at(static_cast<size_t>(thread));
+  // Validate before building: a rejected accept must leave no channel (rings,
+  // QPs) behind.
+  if (thread < 0 || thread >= num_threads()) {
+    throw std::out_of_range("rfp rpc: AcceptChannel thread out of range");
+  }
   // Dispatch buffers are fixed-size (suspended handlers hold spans into
   // them), so every channel's messages must fit the server-wide bound.
-  if (options.max_message_bytes > state.request_buf.size()) {
+  if (options.max_message_bytes > options_.max_message_bytes) {
     throw std::invalid_argument(
         "rfp rpc: channel max_message_bytes exceeds ServerOptions.max_message_bytes");
   }
+  owned_channels_.push_back(std::make_unique<Channel>(fabric_, client, node_, options));
+  Channel* channel = owned_channels_.back().get();
   if (options_.multicore && options_.batch_reply_publication) {
     channel->set_defer_server_pushes(true);
   }
   endpoints_.push_back(ChannelEntry{channel, thread, false});
+  threads_[static_cast<size_t>(thread)].owned.push_back(endpoints_.size() - 1);
   return channel;
 }
 
@@ -236,12 +250,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       continue;
     }
     bool any = false;
-    size_t owned = 0;
-    for (const ChannelEntry& entry : endpoints_) {
-      if (entry.channel != nullptr && entry.owner == thread_index) {
-        ++owned;
-      }
-    }
+    const size_t owned = state.owned.size();
     // One scan over this worker's channels costs CPU whether or not
     // anything arrived (the server busy-polls, paper Section 4.1). Under
     // multicore the charge runs on the worker's pinned core, so workers
@@ -265,10 +274,8 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
     // shedding is live without admission_control, and a hard-coded 1 us hint
     // there told clients to retry straight into the backlog.
     size_t pending = 0;
-    for (const ChannelEntry& entry : endpoints_) {
-      if (entry.channel != nullptr && entry.owner == thread_index) {
-        pending += static_cast<size_t>(entry.channel->PendingRequests());
-      }
+    for (const size_t ci : state.owned) {
+      pending += static_cast<size_t>(endpoints_[ci].channel->PendingRequests());
     }
     const double per_request =
         std::max(state.process_ewma_ns, static_cast<double>(options_.dispatch_cpu_ns));
@@ -292,18 +299,25 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       }
     }
     int admitted = 0;
-    // Index-based iteration: AcceptChannel may push_back to this vector from
-    // another actor while this loop is suspended mid-body, which would
-    // invalidate range-for iterators. Ownership is re-checked per entry —
-    // a steal can only retarget channels this visit has not fenced busy.
-    for (size_t ci = 0; ci < endpoints_.size(); ++ci) {
+    // Visits suspend, and meanwhile AcceptChannel, steals and closes edit
+    // this worker's owned list, so no iterator survives a visit: each step
+    // re-finds the first owned index past the last one considered. A channel
+    // accepted or stolen in beyond that point is visited this sweep; one
+    // stolen out or closed is not — the order an ascending scan of all
+    // endpoints with a per-entry owner check gives.
+    for (size_t next = 0;;) {
+      const auto pos = std::lower_bound(state.owned.begin(), state.owned.end(), next);
+      if (pos == state.owned.end()) {
+        break;
+      }
+      const size_t ci = *pos;
+      next = ci + 1;
       // The busy skip below and the fences in the steal scans are one
       // invariant with one mutant knob: unsafe_steal_busy_ models a
       // dispatcher that forgot visits suspend, so it both steals fenced
       // channels and sweeps a stolen channel whose old owner is still
       // mid-visit (tests/explore corpus pins the resulting double-serve).
-      if (endpoints_[ci].channel == nullptr || endpoints_[ci].owner != thread_index ||
-          (endpoints_[ci].busy && !unsafe_steal_busy_)) {
+      if (endpoints_[ci].busy && !unsafe_steal_busy_) {
         continue;
       }
       Channel* channel = endpoints_[ci].channel;
@@ -449,7 +463,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       if (endpoints_[ci].closing) {
         // A CloseChannel raced this visit; destroy now that the visit's
         // spans into the channel are dead.
-        DestroyChannel(endpoints_[ci]);
+        DestroyChannel(ci);
       }
     }
     // ---- Work stealing (docs/multicore.md) -------------------------------
@@ -457,10 +471,12 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
     // sweep found nothing at all, also relieve a backlogged live worker.
     // Bounded per sweep so ownership churn stays low, and never across a
     // busy fence. Synchronous (no co_await), so the scan is atomic in the
-    // cooperative scheduler.
+    // cooperative scheduler. Every condition is a pure read, so the cheap
+    // ones go first: the orphan scan runs only while some worker is down,
+    // and the O(1) balance test precedes the request-block peek.
     if (options_.multicore && options_.work_stealing) {
       int budget = options_.max_steals_per_sweep;
-      for (size_t ci = 0; ci < endpoints_.size() && budget > 0; ++ci) {
+      for (size_t ci = 0; crashed_threads_ > 0 && ci < endpoints_.size() && budget > 0; ++ci) {
         ChannelEntry& entry = endpoints_[ci];
         if (entry.channel == nullptr || entry.owner == thread_index ||
             (entry.busy && !unsafe_steal_busy_)) {
@@ -469,7 +485,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         if (!threads_[static_cast<size_t>(entry.owner)].crashed) {
           continue;
         }
-        StealChannel(entry, thread_index, "orphan_claim");
+        StealChannel(ci, thread_index, "orphan_claim");
         --budget;
       }
       if (!any) {
@@ -480,9 +496,6 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
               threads_[static_cast<size_t>(entry.owner)].crashed) {
             continue;
           }
-          if (entry.channel->PendingRequests() < options_.steal_min_backlog) {
-            continue;
-          }
           // A load steal must strictly improve ownership balance, so two
           // idle workers cannot ping-pong a channel between their sweep
           // phases forever (each re-stealing before the new owner's visit):
@@ -490,7 +503,10 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
           if (channels_owned_by(entry.owner) <= channels_owned_by(thread_index) + 1) {
             continue;
           }
-          StealChannel(entry, thread_index, "channel_steal");
+          if (entry.channel->PendingRequests() < options_.steal_min_backlog) {
+            continue;
+          }
+          StealChannel(ci, thread_index, "channel_steal");
           --budget;
         }
       }

@@ -96,7 +96,9 @@ class RpcServer {
 
   // Creates a channel from `client` to this server, served by `thread`.
   // The returned channel is owned by the server and lives as long as it
-  // (or until CloseChannel).
+  // (or until CloseChannel). Throws std::out_of_range for a thread outside
+  // [0, num_threads()) and std::invalid_argument when the channel's
+  // max_message_bytes exceeds the server's; a rejected accept builds nothing.
   Channel* AcceptChannel(rdma::Node& client, const RfpOptions& options, int thread);
 
   // ---- Connection tier (src/conn, docs/connections.md) ---------------------
@@ -212,7 +214,9 @@ class RpcServer {
     return threads_[static_cast<size_t>(thread)].steals;
   }
   // Channels currently owned by `thread`'s sweep.
-  int channels_owned_by(int thread) const;
+  int channels_owned_by(int thread) const {
+    return static_cast<int>(threads_[static_cast<size_t>(thread)].owned.size());
+  }
   // Core the worker is pinned to under multicore (-1 when not multicore).
   int thread_core(int thread) const {
     return threads_[static_cast<size_t>(thread)].core;
@@ -240,16 +244,20 @@ class RpcServer {
     // Multi-core dispatch state:
     int core = -1;        // CpuSet core this worker is pinned to
     uint64_t steals = 0;  // channels this worker claimed from others
+    // endpoints_ indices of the live channels this worker owns, ascending
+    // (= acceptance order). Kept by AcceptChannel, StealChannel and
+    // DestroyChannel, so a sweep costs O(owned), not O(all endpoints).
+    std::vector<size_t> owned;
   };
 
   // A served channel and the worker that currently sweeps it. EREW at any
   // instant: `owner` names the only worker that may touch the channel, and
   // `busy` fences a visit in progress (visits suspend, so a steal decided
   // mid-visit would otherwise hand two workers the same channel).
-  // `channel == nullptr` marks a closed entry: it stays in endpoints_ (sweep
-  // visits are index-based and may be suspended mid-iteration, so erasing
-  // would shift indices under them) and every scan skips it. `closing`
-  // defers a CloseChannel that raced an in-progress visit.
+  // `channel == nullptr` marks a closed entry: it stays in endpoints_ (owned
+  // lists and suspended visits hold indices, so erasing would shift them) but
+  // is in no worker's owned list. `closing` defers a CloseChannel that raced
+  // an in-progress visit.
   struct ChannelEntry {
     Channel* channel = nullptr;
     int owner = 0;
@@ -258,12 +266,13 @@ class RpcServer {
   };
 
   sim::Task<void> ServeLoop(int thread_index);
-  // Frees entry's channel (rings back to the pools) and tombstones the entry.
-  void DestroyChannel(ChannelEntry& entry);
+  // Frees endpoints_[index]'s channel (rings back to the pools), tombstones
+  // the entry and drops it from its owner's list.
+  void DestroyChannel(size_t index);
   void RecordMalformedRequest(int thread_index, const char* why);
-  // Claims `entry` for `thief`; `why` labels the trace instant
-  // ("orphan_claim" / "channel_steal").
-  void StealChannel(ChannelEntry& entry, int thief, const char* why);
+  // Moves endpoints_[index] from its owner's list into `thief`'s; `why`
+  // labels the trace instant ("orphan_claim" / "channel_steal").
+  void StealChannel(size_t index, int thief, const char* why);
 
   rdma::Fabric& fabric_;
   rdma::Node& node_;
@@ -275,6 +284,7 @@ class RpcServer {
   uint64_t server_ordinal_ = 0;
   uint64_t requests_served_ = 0;
   uint64_t thread_crashes_ = 0;
+  int crashed_threads_ = 0;  // workers crashed right now (gates the orphan scan)
   uint64_t requests_shed_admission_ = 0;
   uint64_t requests_shed_deadline_ = 0;
   uint64_t overload_enters_ = 0;
@@ -291,7 +301,8 @@ class RpcServer {
   std::unordered_map<uint16_t, AsyncHandler> handlers_;
   std::vector<ThreadState> threads_;
   // All accepted channels in acceptance order; each worker's sweep visits
-  // the subsequence it owns, preserving the legacy per-thread order.
+  // the subsequence its owned list names, preserving the legacy per-thread
+  // order.
   std::vector<ChannelEntry> endpoints_;
   std::vector<std::unique_ptr<Channel>> owned_channels_;
 };

@@ -1,12 +1,15 @@
 // Multi-core server dispatch (docs/multicore.md): worker/core pinning via
 // rdma::Node::ReserveWorkerCore, work stealing around worker crashes and
 // restarts, doorbell-batched reply publication, coalesced fetch sweeps, the
-// backlog-derived BUSY retry hint without admission control, and pipelined
-// latency accounting across slot reuse.
+// backlog-derived BUSY retry hint without admission control, pipelined
+// latency accounting across slot reuse, and the per-worker owned-channel
+// lists (visit order after steals, ownership census).
 
+#include <cstddef>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -43,6 +46,34 @@ sim::Task<void> CallLoop(Channel* channel, int calls, uint64_t* done) {
     co_await client.Call(kEcho, AsBytes("payload-" + std::to_string(i)), resp);
     ++*done;
   }
+}
+
+constexpr uint16_t kSlowEcho = 2;
+
+// One call tagged with `tag`, so a recording handler can tell channels apart.
+sim::Task<void> TaggedCall(Channel* channel, uint16_t rpc_id, std::string tag) {
+  RpcClient client(channel);
+  std::vector<std::byte> resp(16384);
+  co_await client.Call(rpc_id, AsBytes(tag), resp);
+}
+
+// (worker, request tag) of every dispatched request, in dispatch order. A
+// sweep dispatches in the order it visits its channels, so this is the
+// visit order.
+using ServedLog = std::vector<std::pair<int, std::string>>;
+
+void RegisterRecorders(RpcServer& server, ServedLog* log) {
+  const auto record = [log](sim::Time process_ns) {
+    return [log, process_ns](const HandlerContext& ctx, std::span<const std::byte> req,
+                             std::span<std::byte> resp) {
+      log->emplace_back(ctx.thread_index,
+                        std::string(reinterpret_cast<const char*>(req.data()), req.size()));
+      std::memcpy(resp.data(), req.data(), req.size());
+      return HandlerResult{req.size(), process_ns};
+    };
+  };
+  server.RegisterHandler(kEcho, record(sim::Nanos(300)));
+  server.RegisterHandler(kSlowEcho, record(sim::Micros(30)));
 }
 
 class MulticoreTest : public ::testing::Test {
@@ -315,6 +346,163 @@ TEST_F(MulticoreTest, OverloadStateIsPerWorkerUnderMulticore) {
   EXPECT_GE(server.requests_shed_admission(), 1u);
   // The idle worker never tripped its detector.
   EXPECT_FALSE(server.thread_overloaded(1));
+}
+
+// Owned lists stay in acceptance order through an orphan claim: the
+// survivor inserts each claimed channel at its acceptance position, so with
+// every channel pending it visits them in acceptance order, not in the order
+// it acquired them (which would be ch1, ch3, ch0, ch2).
+TEST_F(MulticoreTest, VisitOrderIsAcceptanceOrderAfterOrphanClaims) {
+  ServerOptions so;
+  so.multicore = true;
+  RpcServer server(*fabric_, *server_node_, 2, so);
+  ServedLog log;
+  RegisterRecorders(server, &log);
+  std::vector<Channel*> ch;
+  for (int i = 0; i < 4; ++i) {
+    ch.push_back(server.AcceptChannel(*client_node_, RfpOptions{}, i % 2));
+  }
+  server.Start();
+  engine_.ScheduleAt(sim::Micros(1), [&] { server.CrashThread(0); });
+  int owned_by_survivor = -1;
+  engine_.ScheduleAt(sim::Micros(50), [&] {
+    owned_by_survivor = server.channels_owned_by(1);
+    // Freeze both workers, queue one request per channel, then revive the
+    // survivor: its first sweep finds all four pending.
+    server.CrashThread(1);
+  });
+  engine_.ScheduleAt(sim::Micros(60), [&] {
+    for (int i = 0; i < 4; ++i) {
+      engine_.Spawn(TaggedCall(ch[static_cast<size_t>(i)], kEcho, "ch" + std::to_string(i)));
+    }
+  });
+  engine_.ScheduleAt(sim::Micros(100), [&] { server.RestartThread(1); });
+  engine_.RunUntil(sim::Millis(1));
+  server.Stop();
+  EXPECT_EQ(owned_by_survivor, 4);
+  EXPECT_EQ(server.thread_steals(1), 2u);
+  const ServedLog want{{1, "ch0"}, {1, "ch1"}, {1, "ch2"}, {1, "ch3"}};
+  EXPECT_EQ(log, want);
+}
+
+// Same after a load steal: an idle worker takes a backlogged channel from a
+// worker stuck in a long visit, and the stolen channel sorts ahead of the
+// thief's own later-accepted one.
+TEST_F(MulticoreTest, VisitOrderIsAcceptanceOrderAfterLoadSteal) {
+  ServerOptions so;
+  so.multicore = true;
+  so.steal_min_backlog = 1;
+  RpcServer server(*fabric_, *server_node_, 2, so);
+  ServedLog log;
+  RegisterRecorders(server, &log);
+  // Worker 0 owns ch0, ch2, ch3; worker 1 owns ch1.
+  std::vector<Channel*> ch;
+  for (const int owner : {0, 1, 0, 0}) {
+    ch.push_back(server.AcceptChannel(*client_node_, RfpOptions{}, owner));
+  }
+  server.Start();
+  // Worker 0 sits 30 us in ch3's handler; ch0's request arrives meanwhile,
+  // behind it in worker 0's sweep, and idle worker 1 steals ch0.
+  engine_.Spawn(TaggedCall(ch[3], kSlowEcho, "slow"));
+  engine_.ScheduleAt(sim::Micros(5), [&] { engine_.Spawn(TaggedCall(ch[0], kEcho, "stolen")); });
+  std::ptrdiff_t frozen_at = 0;
+  int owned_by_thief = -1;
+  uint64_t thief_steals = 0;
+  engine_.ScheduleAt(sim::Micros(60), [&] {
+    owned_by_thief = server.channels_owned_by(1);
+    thief_steals = server.thread_steals(1);
+    server.CrashThread(0);
+    server.CrashThread(1);
+    frozen_at = static_cast<std::ptrdiff_t>(log.size());
+  });
+  engine_.ScheduleAt(sim::Micros(70), [&] {
+    engine_.Spawn(TaggedCall(ch[1], kEcho, "ch1"));
+    engine_.Spawn(TaggedCall(ch[0], kEcho, "ch0"));
+  });
+  engine_.ScheduleAt(sim::Micros(100), [&] { server.RestartThread(1); });
+  engine_.RunUntil(sim::Millis(1));
+  server.Stop();
+  EXPECT_EQ(thief_steals, 1u);
+  EXPECT_EQ(owned_by_thief, 2);
+  const ServedLog before{{0, "slow"}, {1, "stolen"}};
+  EXPECT_EQ(ServedLog(log.begin(), log.begin() + frozen_at), before);
+  // With worker 0 still down, worker 1's first sweep serves its own list
+  // (ch0 before ch1); only then does it claim ch2 and ch3 as orphans.
+  const ServedLog after{{1, "ch0"}, {1, "ch1"}};
+  EXPECT_EQ(ServedLog(log.begin() + frozen_at, log.end()), after);
+}
+
+// The owned lists partition the live channels at every instant: the sum of
+// channels_owned_by over all workers equals the live channel count through
+// accepts, orphan claims, load steals and closes.
+TEST_F(MulticoreTest, OwnedListsPartitionLiveChannelsThroughStealsAndCloses) {
+  ServerOptions so;
+  so.multicore = true;
+  so.steal_min_backlog = 1;
+  so.max_steals_per_sweep = 2;
+  constexpr int kWorkers = 3;
+  RpcServer server(*fabric_, *server_node_, kWorkers, so);
+  RegisterEcho(server);
+  int accepted = 0;
+  int mismatches = 0;
+  int probes = 0;
+  const auto check = [&] {
+    int sum = 0;
+    for (int t = 0; t < kWorkers; ++t) {
+      sum += server.channels_owned_by(t);
+    }
+    ++probes;
+    if (sum != accepted - static_cast<int>(server.channels_closed())) {
+      ++mismatches;
+    }
+  };
+  std::vector<Channel*> ch;
+  std::vector<uint64_t> done(6, 0);
+  const auto accept = [&](int owner) {
+    ch.push_back(server.AcceptChannel(*client_node_, RfpOptions{}, owner));
+    ++accepted;
+    check();
+  };
+  for (int i = 0; i < 4; ++i) {
+    accept(i % 2);  // worker 2 starts empty, so it load-steals
+  }
+  server.Start();
+  for (size_t i = 0; i < 4; ++i) {
+    engine_.Spawn(CallLoop(ch[i], 40, &done[i]));
+  }
+  engine_.ScheduleAt(sim::Micros(20), [&] {
+    accept(0);
+    accept(1);
+    engine_.Spawn(CallLoop(ch[4], 40, &done[4]));
+    engine_.Spawn(CallLoop(ch[5], 40, &done[5]));
+  });
+  engine_.ScheduleAt(sim::Micros(30), [&] { server.CrashThread(0); });
+  engine_.ScheduleAt(sim::Micros(120), [&] { server.RestartThread(0); });
+  // Close channels whose clients are done (CloseChannel's contract).
+  engine_.ScheduleAt(sim::Millis(2), [&] {
+    EXPECT_TRUE(server.CloseChannel(ch[1]));
+    check();
+    EXPECT_TRUE(server.CloseChannel(ch[4]));
+    check();
+  });
+  // Probe between events all along the run.
+  for (sim::Time t = 0; t < sim::Millis(3); t += sim::Nanos(250)) {
+    engine_.ScheduleAt(t, check);
+  }
+  engine_.RunUntil(sim::Millis(3));
+  server.Stop();
+  for (const uint64_t n : done) {
+    EXPECT_EQ(n, 40u);
+  }
+  EXPECT_GE(server.channel_steals(), 2u);
+  EXPECT_EQ(server.channels_closed(), 2u);
+  EXPECT_GT(probes, 10000);
+  EXPECT_EQ(mismatches, 0);
+  int sum = 0;
+  for (int t = 0; t < kWorkers; ++t) {
+    sum += server.channels_owned_by(t);
+  }
+  EXPECT_EQ(sum, 4);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // surface (SubmitCall/AwaitCall must be schedule-identical to
 // ClientSend/ClientRecv), per-call CallOptions knobs, window-full and
 // stale-handle errors, the Table-2 legacy API riding slot 0 of a windowed
-// channel, and the pipelined Jakiro MultiGet.
+// channel, concurrent awaiters sharing one channel's completion queue, and
+// the pipelined Jakiro MultiGet.
 
 #include <cstring>
 #include <functional>
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/check/checker.h"
 #include "src/kv/jakiro.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/channel.h"
@@ -356,6 +358,45 @@ TEST_F(PipelineRpcTest, CallOptionsDesignatedInitializerReplacesOldOverload) {
 }
 
 // ---- Pipelined Jakiro ---------------------------------------------------------
+
+// Two actors awaiting calls on one windowed channel run their fetch sweeps
+// concurrently, posting on one QP and waiting on its one send CQ. Each
+// batch must consume exactly its own completions: wr_ids are unique per
+// channel, and a completion one batch pops for the other is handed over.
+// With reused wr_ids 0..n-1 the checker saw completions "overtake" their
+// post order, and a batch could finish on the other's completion.
+TEST(PipelineConcurrencyTest, ConcurrentAwaitersOnOneChannelKeepTheirCompletions) {
+  check::ScopedMode mode(check::Mode::kReport);
+  sim::Engine engine;
+  rdma::Fabric fabric(engine);
+  rdma::Node& client = fabric.AddNode("client");
+  rdma::Node& server = fabric.AddNode("server");
+  RfpOptions options;
+  options.window = 4;
+  options.force_mode = RfpOptions::ForceMode::kForceFetch;
+  Channel ch(fabric, client, server, options);
+  constexpr int kCallsPerActor = 25;
+  engine.Spawn(EchoServer(engine, &ch, 2 * kCallsPerActor));
+  int matched = 0;
+  for (int actor = 0; actor < 2; ++actor) {
+    engine.Spawn([](Channel* c, int id, int* ok) -> sim::Task<void> {
+      std::vector<std::byte> out(16384);
+      for (int i = 0; i < kCallsPerActor; ++i) {
+        const std::string tag = "actor" + std::to_string(id) + "-" + std::to_string(i);
+        const Channel::CallHandle handle = co_await c->SubmitCall(AsBytes(tag));
+        const size_t got = co_await c->AwaitCall(handle, out);
+        if (std::string(reinterpret_cast<const char*>(out.data()), got) == tag) {
+          ++*ok;
+        }
+      }
+    }(&ch, actor, &matched));
+  }
+  engine.RunUntil(sim::Millis(5));
+  EXPECT_EQ(matched, 2 * kCallsPerActor);
+  EXPECT_GE(ch.stats().doorbell_batches, 2u * kCallsPerActor);
+  ASSERT_NE(fabric.checker(), nullptr);
+  EXPECT_EQ(fabric.checker()->total_violations(), 0u);
+}
 
 TEST(PipelineJakiroTest, PipelinedMultiGetMatchesSequential) {
   auto run = [](const kv::JakiroConfig& config, std::vector<std::optional<std::string>>* got) {

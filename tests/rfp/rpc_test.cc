@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/mem/pool.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
@@ -247,11 +248,126 @@ TEST_F(RpcTest, LatencyHistogramPopulated) {
 TEST_F(RpcTest, OversizedChannelRejectedAtAccept) {
   RpcServer* server = MakeServer(1);
   rdma::Node& client_node = fabric_.AddNode("client");
+  const size_t server_bytes = mem::Pool::Shared(*server_node_)->in_use_bytes();
+  const size_t client_bytes = mem::Pool::Shared(client_node)->in_use_bytes();
   RfpOptions big;
   big.max_message_bytes = ServerOptions{}.max_message_bytes + 1;
   // Dispatch buffers are fixed-size; a channel that could outgrow them must
   // be rejected up front, not corrupt memory later.
   EXPECT_THROW(server->AcceptChannel(client_node, big, 0), std::invalid_argument);
+  // A rejected accept builds no channel: no rings are left drawn from either
+  // node's pool.
+  EXPECT_EQ(mem::Pool::Shared(*server_node_)->in_use_bytes(), server_bytes);
+  EXPECT_EQ(mem::Pool::Shared(client_node)->in_use_bytes(), client_bytes);
+  for (const int thread : {-1, 1}) {
+    EXPECT_THROW(server->AcceptChannel(client_node, RfpOptions{}, thread), std::out_of_range)
+        << "thread " << thread;
+    EXPECT_EQ(mem::Pool::Shared(*server_node_)->in_use_bytes(), server_bytes);
+    EXPECT_EQ(mem::Pool::Shared(client_node)->in_use_bytes(), client_bytes);
+  }
+  EXPECT_EQ(server->channels_owned_by(0), 0);
+}
+
+// A channel accepted while the sweep is suspended inside another channel's
+// visit is served in that same sweep: the visit loop re-finds its place in
+// the owned list after every visit instead of iterating a snapshot. A poll
+// charge of 100 us per owned channel makes a next-sweep service at least
+// 200 us late, so a short gap proves the same sweep served it.
+TEST_F(RpcTest, ChannelAcceptedDuringSuspendedSweepIsServedInThatSweep) {
+  ServerOptions so;
+  so.poll_cpu_per_channel_ns = sim::Micros(100);
+  RpcServer server(fabric_, *server_node_, 1, so);
+  rdma::Node& first_node = fabric_.AddNode("client0");
+  rdma::Node& late_node = fabric_.AddNode("client1");
+  std::vector<std::pair<std::string, sim::Time>> served;
+  server.RegisterHandler(kSlow, [&](const HandlerContext&, std::span<const std::byte> req,
+                                    std::span<std::byte> resp) {
+    served.emplace_back(std::string(reinterpret_cast<const char*>(req.data()), req.size()),
+                        engine_.now());
+    if (served.size() == 1) {
+      // Mid-visit: accept a second channel and have it call at once; its
+      // request lands while this 20 us handler still holds the sweep.
+      Channel* late = server.AcceptChannel(late_node, RfpOptions{}, 0);
+      engine_.Spawn([](Channel* channel) -> sim::Task<void> {
+        RpcClient client(channel);
+        std::vector<std::byte> out(1024);
+        co_await client.Call(kEcho, AsBytes("late"), out);
+      }(late));
+    }
+    std::memcpy(resp.data(), req.data(), req.size());
+    return HandlerResult{req.size(), sim::Micros(20)};
+  });
+  server.RegisterHandler(kEcho, [&](const HandlerContext&, std::span<const std::byte> req,
+                                    std::span<std::byte> resp) {
+    served.emplace_back(std::string(reinterpret_cast<const char*>(req.data()), req.size()),
+                        engine_.now());
+    std::memcpy(resp.data(), req.data(), req.size());
+    return HandlerResult{req.size(), sim::Nanos(300)};
+  });
+  Channel* first = server.AcceptChannel(first_node, RfpOptions{}, 0);
+  server.Start();
+  engine_.Spawn([](Channel* channel) -> sim::Task<void> {
+    RpcClient client(channel);
+    std::vector<std::byte> out(1024);
+    co_await client.Call(kSlow, AsBytes("first"), out);
+  }(first));
+  engine_.RunUntil(sim::Millis(2));
+  server.Stop();
+  ASSERT_EQ(served.size(), 2u);
+  EXPECT_EQ(served[0].first, "first");
+  EXPECT_EQ(served[1].first, "late");
+  EXPECT_LT(served[1].second - served[0].second, sim::Micros(100));
+  EXPECT_EQ(server.channels_owned_by(0), 2);
+}
+
+// CloseChannel on a channel whose visit is suspended mid-handler is
+// deferred: the channel stays owned (the handler still holds spans into it)
+// until the visit ends, then leaves the owned list and returns its rings.
+TEST_F(RpcTest, CloseDuringVisitIsDeferredThenRemovesTheChannel) {
+  RpcServer* server = MakeServer(1);
+  rdma::Node& client_node = fabric_.AddNode("client");
+  const size_t server_bytes = mem::Pool::Shared(*server_node_)->in_use_bytes();
+  const size_t client_bytes = mem::Pool::Shared(client_node)->in_use_bytes();
+  Channel* keep = server->AcceptChannel(client_node, RfpOptions{}, 0);
+  Channel* doomed = server->AcceptChannel(client_node, RfpOptions{}, 0);
+  EXPECT_EQ(server->channels_owned_by(0), 2);
+  server->Start();
+  bool closed_mid_visit = false;
+  int owned_mid_visit = -1;
+  uint64_t closed_count_mid_visit = 99;
+  // Fire-and-forget request: no client actor touches the channel once the
+  // WRITE completed, which CloseChannel's contract requires.
+  engine_.Spawn([](Channel* channel) -> sim::Task<void> {
+    RpcClient client(channel);
+    (void)co_await client.SubmitCall(kSlow, AsBytes("slow"));
+  }(doomed));
+  // The kSlow handler runs for 20 us of process time; close 10 us into it.
+  engine_.ScheduleAt(sim::Micros(12), [&] {
+    closed_mid_visit = server->CloseChannel(doomed);
+    owned_mid_visit = server->channels_owned_by(0);
+    closed_count_mid_visit = server->channels_closed();
+  });
+  uint64_t keep_calls = 0;
+  engine_.Spawn([](Channel* channel, uint64_t* calls) -> sim::Task<void> {
+    RpcClient client(channel);
+    std::vector<std::byte> out(1024);
+    co_await client.Call(kEcho, AsBytes("after"), out);
+    *calls = client.calls();
+  }(keep, &keep_calls));
+  engine_.RunUntil(sim::Millis(1));
+  server->Stop();
+  EXPECT_TRUE(closed_mid_visit);
+  EXPECT_EQ(owned_mid_visit, 2);  // deferred: the visit still holds it
+  EXPECT_EQ(closed_count_mid_visit, 0u);
+  EXPECT_EQ(server->channels_closed(), 1u);
+  EXPECT_EQ(server->channels_owned_by(0), 1);
+  EXPECT_EQ(server->requests_served(), 2u);
+  EXPECT_EQ(keep_calls, 1u);
+  EXPECT_FALSE(server->CloseChannel(doomed));  // already gone
+  EXPECT_TRUE(server->CloseChannel(keep));
+  EXPECT_EQ(server->channels_owned_by(0), 0);
+  EXPECT_EQ(mem::Pool::Shared(*server_node_)->in_use_bytes(), server_bytes);
+  EXPECT_EQ(mem::Pool::Shared(client_node)->in_use_bytes(), client_bytes);
 }
 
 TEST_F(RpcTest, ChannelsAcceptedMidRunAreServed) {
