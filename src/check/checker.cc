@@ -138,6 +138,8 @@ const char* ViolationKindName(ViolationKind kind) {
       return "rfp.overlapping_call";
     case ViolationKind::kRfpRecvWithoutSend:
       return "rfp.recv_without_send";
+    case ViolationKind::kRfpSweepMissedRequest:
+      return "rfp.sweep_missed_request";
     case ViolationKind::kReplEpochRegression:
       return "repl.epoch_regression";
     case ViolationKind::kConnCidAssign:
@@ -601,6 +603,14 @@ void FabricChecker::OnClientRecvDone(const void* channel) {
   if (pairing.outstanding > 0) {
     --pairing.outstanding;
   }
+}
+
+void FabricChecker::OnSweepMissedRequest(const void* channel, int pending, bool unpushed_reply) {
+  NextTick();
+  std::ostringstream os;
+  os << "sweep skipped channel " << channel << " outside its ready set with " << pending
+     << " pending request(s)" << (unpushed_reply ? " and an unpushed reply-mode response" : "");
+  Report(ViolationKind::kRfpSweepMissedRequest, os.str());
 }
 
 }  // namespace check

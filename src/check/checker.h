@@ -130,6 +130,7 @@ enum class ViolationKind : uint8_t {
   kRaceRecvStore,       // accepted request bytes overlapped a local store
   kRfpOverlappingCall,  // ClientSend while the previous call is outstanding
   kRfpRecvWithoutSend,  // ClientRecv with no call outstanding
+  kRfpSweepMissedRequest,  // sweep's ready set lacks a channel with work
   kReplEpochRegression, // replication group's epoch moved backwards
   kConnCidAssign,       // pooled connection id assigned while still live
   kConnCidRelease,      // pooled connection id released while not live
@@ -306,6 +307,15 @@ class FabricChecker {
   void OnClientSend(const void* channel);
   void OnClientRecvStart(const void* channel);
   void OnClientRecvDone(const void* channel);
+
+  // ---- RFP server sweep (RpcServer) -----------------------------------------
+
+  // A server sweep found `channel`, one of its owned channels, outside its
+  // ready set although a visit would find work there: `pending` requests
+  // waiting, or (`unpushed_reply`) a stored response unpushed while the
+  // client is in server-reply mode. Bytes reached the request ring without
+  // marking the channel (docs/multicore.md §2).
+  void OnSweepMissedRequest(const void* channel, int pending, bool unpushed_reply);
 
   // ---- Introspection (tests) -----------------------------------------------
 

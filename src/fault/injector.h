@@ -10,6 +10,12 @@
 //   kQpError       Fabric::FailRcQps on the node pair
 //   kCorruptRegion XOR of a byte range in the rkey's registered region
 //
+// A server sweep visits only channels in its ready set, which request
+// WRITEs mark. Corruption flips bytes outside that path, so Corrupt marks
+// ready every channel whose request ring it touched, on the RpcServer bound
+// to the region's node (BindServer): the sweep sees request-ring corruption
+// only through a bound server.
+//
 // Every injected fault emits a trace span/instant (category "fault") and a
 // `fault.injected{kind}` counter, so injected causes line up with the
 // channels' detected/recovered events in the same dump.
@@ -39,7 +45,8 @@ class FaultInjector {
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   // Associates `server` with the node it runs on, making that node a valid
-  // target for kServerCrash events. Must happen before Arm().
+  // target for kServerCrash events and letting kCorruptRegion events in its
+  // request rings reach its sweep. Must happen before Arm().
   void BindServer(uint32_t node_id, rfp::RpcServer* server);
 
   // Validates `plan` against the fabric topology and schedules every event.

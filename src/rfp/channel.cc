@@ -7,6 +7,7 @@
 
 #include "src/check/checker.h"
 #include "src/obs/metrics.h"
+#include "src/rfp/rpc.h"
 
 namespace rfp {
 
@@ -1083,14 +1084,22 @@ sim::Task<rdma::WorkCompletion> Channel::RcOp(bool from_client, bool is_read, si
   // the MR boundary.
   const RingView& local = from_client ? client_ : server_;
   const RingView& remote = from_client ? server_ : client_;
+  const bool request_write = from_client && !is_read;
   for (int attempt = 0;; ++attempt) {
     // Re-resolve the QP each attempt: a reconnect replaces it.
     rdma::QueuePair* qp = from_client ? client_qp_ : server_qp_;
+    if (request_write) {
+      BeginRequestWrite();
+    }
     const rdma::WorkCompletion wc =
         is_read ? co_await qp->Read(*local.mr, local.abs(local_off), remote.remote_key(),
                                     remote.abs(remote_off), len)
                 : co_await qp->Write(*local.mr, local.abs(local_off), remote.remote_key(),
                                      remote.abs(remote_off), len);
+    if (request_write) {
+      // An RC WRITE completes only after its bytes landed.
+      --request_writes_in_flight_;
+    }
     if (wc.status != rdma::WcStatus::kQpError) {
       CheckOk(wc, what);
       co_return wc;
@@ -1196,6 +1205,9 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
       }
       const BatchOp& op = ops[i];
       const uint64_t wr_id = self.first_wr_id + i;
+      if (from_client && !op.is_read) {
+        BeginRequestWrite();
+      }
       // Every WR after the first rides the leader's doorbell at the batched
       // marginal issue cost (see rdma::NicConfig::outbound_batch_marginal_ns).
       if (op.is_read) {
@@ -1231,6 +1243,12 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
       ++c;
       const size_t i = wc.wr_id - self.first_wr_id;
       ops[i].wc = wc;
+      if (from_client && !ops[i].is_read) {
+        // Counted down only as collected: a batch that throws first leaves
+        // its other WRITEs counted, so the channel stays ready (a wasted
+        // visit, never a missed request).
+        --request_writes_in_flight_;
+      }
       if (wc.status == rdma::WcStatus::kQpError) {
         qp_error = true;
         continue;
@@ -1250,6 +1268,13 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
       }
     }
     co_await EnsureConnected(qp);
+  }
+}
+
+void Channel::BeginRequestWrite() {
+  ++request_writes_in_flight_;
+  if (sweep_server_ != nullptr) {
+    sweep_server_->MarkReady(sweep_index_);
   }
 }
 

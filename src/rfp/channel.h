@@ -52,6 +52,8 @@
 
 namespace rfp {
 
+class RpcServer;
+
 // Thrown by ClientRecv when the call's propagated deadline expired: either
 // the server shed the request with BUSY(deadline), or the deadline passed
 // while the client was backing off from BUSY(admission). The request was not
@@ -329,8 +331,13 @@ class Channel {
   // True when a response was stored locally but never pushed while the
   // client is (now) in server-reply mode — the switch race. Cheap; sweep
   // loops use it to gate MaybeResendAfterSwitch. Checks every slot.
-  bool NeedsReplyResend() const {
-    if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
+  bool NeedsReplyResend() const { return !unsafe_switch_race_ && HasUnpushedReply(); }
+
+  // NeedsReplyResend without the test-only switch-race knob: some stored
+  // response is unpushed while the client is in server-reply mode, so a
+  // sweep visit (resend or FlushServerPushes) would push it.
+  bool HasUnpushedReply() const {
+    if (server_visible_mode() != Mode::kServerReply) {
       return false;
     }
     for (const ServerSlot& ss : sslots_) {
@@ -361,6 +368,25 @@ class Channel {
   // No-op in remote-fetch mode (responses are local stores) or when nothing
   // is unpushed; a lone push goes out unbatched.
   sim::Task<void> FlushServerPushes();
+
+  // ---- Sweep ready set (docs/multicore.md §2) -------------------------------
+
+  // Names the server sweep that must hear of every client WRITE into this
+  // channel's request ring (request, re-issue, mode flip): RcOp and RcBatch
+  // mark endpoint `index` of `server` ready when they post one. Installed
+  // by RpcServer::AcceptChannel; unset, posting marks nothing.
+  void set_sweep_hook(RpcServer* server, size_t index) {
+    sweep_server_ = server;
+    sweep_index_ = index;
+  }
+
+  // True when a sweep visit could find nothing to do here, now or later
+  // without another WRITE: no request WRITE is posted but uncompleted, no
+  // request is pending and no reply-mode response is unpushed. A sweep
+  // drops the channel from its ready set after a visit that ends idle.
+  bool SweepIdle() const {
+    return request_writes_in_flight_ == 0 && PendingRequests() == 0 && !HasUnpushedReply();
+  }
 
   // ---- Introspection ---------------------------------------------------------
 
@@ -582,6 +608,11 @@ class Channel {
   // Books completion of a reply-mode call and evaluates switch-back.
   void FinishReplyCall(const ResponseHeader& header, uint64_t sent_epoch);
 
+  // Books a client WRITE into the request ring as posted and marks the
+  // channel ready on its sweep; the poster decrements
+  // request_writes_in_flight_ once it holds the completion.
+  void BeginRequestWrite();
+
   // ---- Fault recovery ------------------------------------------------------
 
   uint32_t ChecksumBytes() const {
@@ -693,6 +724,11 @@ class Channel {
   bool defer_server_pushes_ = false;  // see set_defer_server_pushes
   bool unsafe_accept_stale_seq_ = false;  // TEST ONLY, see setter
   bool unsafe_switch_race_ = false;       // TEST ONLY, see setter
+
+  // Sweep ready-set hook (see set_sweep_hook).
+  RpcServer* sweep_server_ = nullptr;
+  size_t sweep_index_ = 0;
+  int request_writes_in_flight_ = 0;  // posted, completion not yet collected
 
   Stats stats_;
 };

@@ -1,10 +1,12 @@
 #include "src/rfp/rpc.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "src/check/checker.h"
 #include "src/obs/metrics.h"
 #include "src/rfp/wire.h"
 
@@ -22,13 +24,37 @@ uint64_t NextServerOrdinal() {
   return ++next;
 }
 
-// Owned lists (ThreadState::owned) are kept ascending.
-void EraseSorted(std::vector<size_t>& list, size_t value) {
-  list.erase(std::lower_bound(list.begin(), list.end(), value));
+// Ready sets (ThreadState::ready) are bitsets over endpoints_ indices, sized
+// by AcceptChannel to cover every endpoint.
+constexpr size_t kNoBit = ~size_t{0};
+
+bool TestBit(const std::vector<uint64_t>& bits, size_t i) {
+  return (bits[i / 64] >> (i % 64)) & 1;
 }
 
-void InsertSorted(std::vector<size_t>& list, size_t value) {
-  list.insert(std::lower_bound(list.begin(), list.end(), value), value);
+void SetBit(std::vector<uint64_t>& bits, size_t i) { bits[i / 64] |= uint64_t{1} << (i % 64); }
+
+// Clears bit `i`; returns whether it was set.
+bool ClearBit(std::vector<uint64_t>& bits, size_t i) {
+  const bool was = TestBit(bits, i);
+  bits[i / 64] &= ~(uint64_t{1} << (i % 64));
+  return was;
+}
+
+// The lowest set bit at or above `from`, or kNoBit.
+size_t NextBit(const std::vector<uint64_t>& bits, size_t from) {
+  size_t w = from / 64;
+  if (w >= bits.size()) {
+    return kNoBit;
+  }
+  uint64_t word = bits[w] & (~uint64_t{0} << (from % 64));
+  while (word == 0) {
+    if (++w == bits.size()) {
+      return kNoBit;
+    }
+    word = bits[w];
+  }
+  return w * 64 + static_cast<size_t>(std::countr_zero(word));
 }
 
 }  // namespace
@@ -111,11 +137,13 @@ bool RpcServer::CloseChannel(Channel* channel) {
 void RpcServer::DestroyChannel(size_t index) {
   ChannelEntry& entry = endpoints_[index];
   Channel* channel = entry.channel;
-  // Tombstone rather than erase: owned lists and suspended sweeps hold
+  // Tombstone rather than erase: ready sets and suspended sweeps hold
   // endpoints_ indices, which must not shift.
   entry.channel = nullptr;
   entry.closing = false;
-  EraseSorted(threads_[static_cast<size_t>(entry.owner)].owned, index);
+  ThreadState& owner = threads_[static_cast<size_t>(entry.owner)];
+  --owner.owned;
+  ClearBit(owner.ready, index);
   for (auto it = owned_channels_.begin(); it != owned_channels_.end(); ++it) {
     if (it->get() == channel) {
       // ~Channel flushes its stats and returns the ring spans to the node
@@ -142,15 +170,52 @@ void RpcServer::RecordMalformedRequest(int thread_index, const char* why) {
 
 void RpcServer::StealChannel(size_t index, int thief, const char* why) {
   ChannelEntry& entry = endpoints_[index];
-  // The thief's list stays ascending, so it visits the stolen channel in
-  // acceptance order among its own, exactly where an all-endpoints scan would.
-  EraseSorted(threads_[static_cast<size_t>(entry.owner)].owned, index);
-  InsertSorted(threads_[static_cast<size_t>(thief)].owned, index);
+  // A ready channel stays ready under its new owner. Ready sets are ordered
+  // by index, so the thief visits the stolen channel in acceptance order
+  // among its own, exactly where an all-endpoints scan would.
+  ThreadState& victim = threads_[static_cast<size_t>(entry.owner)];
+  ThreadState& taker = threads_[static_cast<size_t>(thief)];
+  --victim.owned;
+  ++taker.owned;
+  if (ClearBit(victim.ready, index)) {
+    SetBit(taker.ready, index);
+  }
   entry.owner = thief;
   ++channel_steals_;
   ++threads_[static_cast<size_t>(thief)].steals;
   if (sim::TraceSink* trace = fabric_.engine().trace_sink()) {
     trace->Instant("rfp", why, worker_track_id(thief), fabric_.engine().now());
+  }
+}
+
+void RpcServer::MarkReady(size_t index) {
+  SetBit(threads_[static_cast<size_t>(endpoints_[index].owner)].ready, index);
+}
+
+void RpcServer::MarkRequestRingsTouched(uint32_t rkey, size_t offset, size_t len) {
+  for (size_t ci = 0; ci < endpoints_.size(); ++ci) {
+    const Channel* channel = endpoints_[ci].channel;
+    // The request ring is [request_offset, response_offset) of the region.
+    if (channel != nullptr && channel->server_rkey() == rkey &&
+        offset < channel->response_offset() && channel->request_offset() < offset + len) {
+      MarkReady(ci);
+    }
+  }
+}
+
+void RpcServer::CheckReadySet(int thread_index) {
+  const ThreadState& state = threads_[static_cast<size_t>(thread_index)];
+  for (size_t ci = 0; ci < endpoints_.size(); ++ci) {
+    const Channel* channel = endpoints_[ci].channel;
+    if (channel == nullptr || endpoints_[ci].owner != thread_index || TestBit(state.ready, ci)) {
+      continue;
+    }
+    const int pending = channel->PendingRequests();
+    const bool unpushed_reply = channel->HasUnpushedReply();
+    if (pending > 0 || unpushed_reply) {
+      fabric_.checker()->OnSweepMissedRequest(channel, pending, unpushed_reply);
+      MarkReady(ci);
+    }
   }
 }
 
@@ -223,7 +288,14 @@ Channel* RpcServer::AcceptChannel(rdma::Node& client, const RfpOptions& options,
     channel->set_defer_server_pushes(true);
   }
   endpoints_.push_back(ChannelEntry{channel, thread, false});
-  threads_[static_cast<size_t>(thread)].owned.push_back(endpoints_.size() - 1);
+  const size_t index = endpoints_.size() - 1;
+  ++threads_[static_cast<size_t>(thread)].owned;
+  // Every worker's ready set covers every endpoint, so marking and steals
+  // never resize one. A fresh channel is idle (zeroed rings): not ready.
+  for (ThreadState& state : threads_) {
+    state.ready.resize(index / 64 + 1);
+  }
+  channel->set_sweep_hook(this, index);
   return channel;
 }
 
@@ -250,7 +322,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       continue;
     }
     bool any = false;
-    const size_t owned = state.owned.size();
+    const int owned = state.owned;
     // One scan over this worker's channels costs CPU whether or not
     // anything arrived (the server busy-polls, paper Section 4.1). Under
     // multicore the charge runs on the worker's pinned core, so workers
@@ -264,17 +336,22 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         co_await engine.Sleep(poll_cpu);
       }
     }
+    if (fabric_.checker() != nullptr) {
+      CheckReadySet(thread_index);
+    }
     // ---- Overload detector (docs/overload.md) ----------------------------
     // Estimated queued work for this sweep = pending requests x EWMA of the
     // measured per-request process time (floored at the dispatch cost).
     // Watermark hysteresis keeps the overloaded flag from flapping on a
-    // single busy sweep. The pending peek reads the same header the sweep
-    // poll already paid for, so it costs no extra CPU. The backlog-derived
-    // retry hint is computed whenever ANY shedding path can fire — deadline
-    // shedding is live without admission_control, and a hard-coded 1 us hint
-    // there told clients to retry straight into the backlog.
+    // single busy sweep. The pending peek is part of the poll charged above,
+    // so it costs no extra simulated CPU; it reads only the ready set, since
+    // every owned channel outside it has no pending request. The
+    // backlog-derived retry hint is computed whenever ANY shedding path can
+    // fire — deadline shedding is live without admission_control, and a
+    // hard-coded 1 us hint there told clients to retry straight into the
+    // backlog.
     size_t pending = 0;
-    for (const size_t ci : state.owned) {
+    for (size_t ci = NextBit(state.ready, 0); ci != kNoBit; ci = NextBit(state.ready, ci + 1)) {
       pending += static_cast<size_t>(endpoints_[ci].channel->PendingRequests());
     }
     const double per_request =
@@ -299,19 +376,14 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       }
     }
     int admitted = 0;
-    // Visits suspend, and meanwhile AcceptChannel, steals and closes edit
-    // this worker's owned list, so no iterator survives a visit: each step
-    // re-finds the first owned index past the last one considered. A channel
-    // accepted or stolen in beyond that point is visited this sweep; one
-    // stolen out or closed is not — the order an ascending scan of all
-    // endpoints with a per-entry owner check gives.
-    for (size_t next = 0;;) {
-      const auto pos = std::lower_bound(state.owned.begin(), state.owned.end(), next);
-      if (pos == state.owned.end()) {
-        break;
-      }
-      const size_t ci = *pos;
-      next = ci + 1;
+    // The sweep visits the ready set in ascending index order; every owned
+    // channel outside it is one a visit would leave untouched, so skipping
+    // it keeps the visit order and every simulated event of a scan over all
+    // owned channels. Visits suspend, and meanwhile request WRITEs, steals
+    // and closes edit the set, so each step re-finds the first ready index
+    // past the last one considered: a channel marked or stolen in beyond
+    // that point is visited this sweep; one stolen out or closed is not.
+    for (size_t ci = NextBit(state.ready, 0); ci != kNoBit; ci = NextBit(state.ready, ci + 1)) {
       // The busy skip below and the fences in the steal scans are one
       // invariant with one mutant knob: unsafe_steal_busy_ models a
       // dispatcher that forgot visits suspend, so it both steals fenced
@@ -464,6 +536,10 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         // A CloseChannel raced this visit; destroy now that the visit's
         // spans into the channel are dead.
         DestroyChannel(ci);
+      } else if (channel->SweepIdle()) {
+        // Nothing left for a later visit until the client's next WRITE
+        // marks the channel again.
+        ClearBit(threads_[static_cast<size_t>(endpoints_[ci].owner)].ready, ci);
       }
     }
     // ---- Work stealing (docs/multicore.md) -------------------------------

@@ -213,9 +213,15 @@ class RpcServer {
   uint64_t thread_steals(int thread) const {
     return threads_[static_cast<size_t>(thread)].steals;
   }
+  // Marks ready every channel of this server whose request ring overlaps
+  // bytes [offset, offset + len) of registered region `rkey`, so the sweep
+  // re-reads what a write outside the WRITE path changed there
+  // (fault::FaultInjector::Corrupt). Scans all endpoints: fault path only.
+  void MarkRequestRingsTouched(uint32_t rkey, size_t offset, size_t len);
+
   // Channels currently owned by `thread`'s sweep.
   int channels_owned_by(int thread) const {
-    return static_cast<int>(threads_[static_cast<size_t>(thread)].owned.size());
+    return threads_[static_cast<size_t>(thread)].owned;
   }
   // Core the worker is pinned to under multicore (-1 when not multicore).
   int thread_core(int thread) const {
@@ -244,20 +250,24 @@ class RpcServer {
     // Multi-core dispatch state:
     int core = -1;        // CpuSet core this worker is pinned to
     uint64_t steals = 0;  // channels this worker claimed from others
-    // endpoints_ indices of the live channels this worker owns, ascending
-    // (= acceptance order). Kept by AcceptChannel, StealChannel and
-    // DestroyChannel, so a sweep costs O(owned), not O(all endpoints).
-    std::vector<size_t> owned;
+    // Live channels this worker owns, kept by AcceptChannel, StealChannel
+    // and DestroyChannel; sets the poll charge and the steal balance.
+    int owned = 0;
+    // Ready set: a bitset over endpoints_ indices holding every owned
+    // channel a visit could find work on (see docs/multicore.md §2). The
+    // sweep visits only these, in index (= acceptance) order, so its host
+    // work is O(ready), not O(owned).
+    std::vector<uint64_t> ready;
   };
 
   // A served channel and the worker that currently sweeps it. EREW at any
   // instant: `owner` names the only worker that may touch the channel, and
   // `busy` fences a visit in progress (visits suspend, so a steal decided
   // mid-visit would otherwise hand two workers the same channel).
-  // `channel == nullptr` marks a closed entry: it stays in endpoints_ (owned
-  // lists and suspended visits hold indices, so erasing would shift them) but
-  // is in no worker's owned list. `closing` defers a CloseChannel that raced
-  // an in-progress visit.
+  // `channel == nullptr` marks a closed entry: it stays in endpoints_ (ready
+  // sets and suspended visits hold indices, so erasing would shift them) but
+  // no worker owns it. `closing` defers a CloseChannel that raced an
+  // in-progress visit.
   struct ChannelEntry {
     Channel* channel = nullptr;
     int owner = 0;
@@ -265,13 +275,23 @@ class RpcServer {
     bool closing = false;
   };
 
+  friend class Channel;  // posts request WRITEs through MarkReady
+
   sim::Task<void> ServeLoop(int thread_index);
+  // Adds endpoints_[index] to its owner's ready set. O(1): called on every
+  // request WRITE post (Channel::BeginRequestWrite).
+  void MarkReady(size_t index);
+  // Under a fabric checker: reports every owned channel outside the ready
+  // set that a visit would find work on, then marks it ready so the sweep
+  // still serves it. Scans the whole table, which only checked runs pay.
+  void CheckReadySet(int thread_index);
   // Frees endpoints_[index]'s channel (rings back to the pools), tombstones
-  // the entry and drops it from its owner's list.
+  // the entry and drops it from its owner's count and ready set.
   void DestroyChannel(size_t index);
   void RecordMalformedRequest(int thread_index, const char* why);
-  // Moves endpoints_[index] from its owner's list into `thief`'s; `why`
-  // labels the trace instant ("orphan_claim" / "channel_steal").
+  // Moves endpoints_[index] (its count and ready bit) from its owner to
+  // `thief`; `why` labels the trace instant ("orphan_claim" /
+  // "channel_steal").
   void StealChannel(size_t index, int thief, const char* why);
 
   rdma::Fabric& fabric_;
@@ -301,7 +321,7 @@ class RpcServer {
   std::unordered_map<uint16_t, AsyncHandler> handlers_;
   std::vector<ThreadState> threads_;
   // All accepted channels in acceptance order; each worker's sweep visits
-  // the subsequence its owned list names, preserving the legacy per-thread
+  // the subsequence its ready set names, preserving the legacy per-thread
   // order.
   std::vector<ChannelEntry> endpoints_;
   std::vector<std::unique_ptr<Channel>> owned_channels_;

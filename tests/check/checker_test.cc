@@ -16,6 +16,7 @@
 #include "src/obs/metrics.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/channel.h"
+#include "src/rfp/rpc.h"
 #include "src/rfp/wire.h"
 #include "src/sim/engine.h"
 #include "src/sim/schedule.h"
@@ -571,6 +572,46 @@ TEST_F(CheckerCorpusTest, SubmitBeyondWindowFlagged) {
   EXPECT_EQ(checker.violations(ViolationKind::kRfpOverlappingCall), 0u);
   checker.OnClientSend(&channel_tag);
   EXPECT_EQ(checker.violations(ViolationKind::kRfpOverlappingCall), 1u);
+}
+
+// The server sweep visits only channels in its ready set, which request
+// WRITEs mark (docs/multicore.md §2). A valid request header stored
+// straight into an idle channel's request slot bypasses the WRITE path, so
+// the sweep's cross-check finds a pending request outside the set: exactly
+// one violation, after which the channel joins the set and is served.
+TEST_F(CheckerCorpusTest, SweepMissedRequestFlagged) {
+  Fabric fabric(engine_);
+  Node& client = fabric.AddNode("client");
+  Node& server_node = fabric.AddNode("server");
+  rfp::RpcServer server(fabric, server_node, 1);
+  server.RegisterHandler(1, [](const rfp::HandlerContext&, std::span<const std::byte> req,
+                               std::span<std::byte> resp) {
+    std::memcpy(resp.data(), req.data(), req.size());
+    return rfp::HandlerResult{req.size(), sim::Nanos(300)};
+  });
+  rfp::Channel* channel = server.AcceptChannel(client, rfp::RfpOptions{}, 0);
+  server.Start();
+  const uint64_t before = MetricValue(ViolationKind::kRfpSweepMissedRequest);
+
+  engine_.ScheduleAt(sim::Micros(5), [&] {
+    MemoryRegion* mr = fabric.FindRemote(RemoteKey{channel->server_rkey()});
+    const uint16_t rpc_id = 1;
+    const std::string payload = "sneak";
+    const size_t slot = channel->request_offset();
+    std::memcpy(mr->bytes().data() + slot + rfp::kReqHeaderBytes, &rpc_id, sizeof(rpc_id));
+    std::memcpy(mr->bytes().data() + slot + rfp::kReqHeaderBytes + sizeof(rpc_id),
+                payload.data(), payload.size());
+    rfp::RequestHeader header;
+    header.size_status = rfp::wire::PackRequestSizeStatus(
+        static_cast<uint32_t>(sizeof(rpc_id) + payload.size()), true, 0);
+    header.seq = 1;
+    mr->Store(slot, header);
+  });
+  engine_.RunUntil(sim::Micros(50));
+  server.Stop();
+  ExpectViolations(fabric, ViolationKind::kRfpSweepMissedRequest, 1, before);
+  EXPECT_EQ(fabric.checker()->total_violations(), 1u);
+  EXPECT_EQ(server.requests_served(), 1u);
 }
 
 // The fetch/store race on a *pipelined* channel, slot-granular: the server

@@ -2,8 +2,8 @@
 // rdma::Node::ReserveWorkerCore, work stealing around worker crashes and
 // restarts, doorbell-batched reply publication, coalesced fetch sweeps, the
 // backlog-derived BUSY retry hint without admission control, pipelined
-// latency accounting across slot reuse, and the per-worker owned-channel
-// lists (visit order after steals, ownership census).
+// latency accounting across slot reuse, and per-worker channel ownership
+// (visit order after steals, ownership census).
 
 #include <cstddef>
 #include <cstring>
@@ -432,7 +432,7 @@ TEST_F(MulticoreTest, VisitOrderIsAcceptanceOrderAfterLoadSteal) {
   EXPECT_EQ(ServedLog(log.begin() + frozen_at, log.end()), after);
 }
 
-// The owned lists partition the live channels at every instant: the sum of
+// The owned counts partition the live channels at every instant: the sum of
 // channels_owned_by over all workers equals the live channel count through
 // accepts, orphan claims, load steals and closes.
 TEST_F(MulticoreTest, OwnedListsPartitionLiveChannelsThroughStealsAndCloses) {

@@ -270,7 +270,7 @@ TEST_F(RpcTest, OversizedChannelRejectedAtAccept) {
 
 // A channel accepted while the sweep is suspended inside another channel's
 // visit is served in that same sweep: the visit loop re-finds its place in
-// the owned list after every visit instead of iterating a snapshot. A poll
+// the sweep after every visit instead of iterating a snapshot. A poll
 // charge of 100 us per owned channel makes a next-sweep service at least
 // 200 us late, so a short gap proves the same sweep served it.
 TEST_F(RpcTest, ChannelAcceptedDuringSuspendedSweepIsServedInThatSweep) {
@@ -322,7 +322,7 @@ TEST_F(RpcTest, ChannelAcceptedDuringSuspendedSweepIsServedInThatSweep) {
 
 // CloseChannel on a channel whose visit is suspended mid-handler is
 // deferred: the channel stays owned (the handler still holds spans into it)
-// until the visit ends, then leaves the owned list and returns its rings.
+// until the visit ends, then leaves the sweep and returns its rings.
 TEST_F(RpcTest, CloseDuringVisitIsDeferredThenRemovesTheChannel) {
   RpcServer* server = MakeServer(1);
   rdma::Node& client_node = fabric_.AddNode("client");
