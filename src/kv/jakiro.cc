@@ -276,6 +276,65 @@ sim::Task<bool> JakiroClient::Delete(std::span<const std::byte> key) {
   co_return found;
 }
 
+size_t JakiroClient::EncodeMultiGet(std::span<const std::span<const std::byte>> keys,
+                                    std::span<const size_t> idxs, std::vector<uint64_t>& hids) {
+  const uint16_t count = static_cast<uint16_t>(idxs.size());
+  size_t n = 0;
+  std::memcpy(scratch_.data(), &count, sizeof(count));
+  n += sizeof(count);
+  for (size_t idx : idxs) {
+    const uint16_t key_size = static_cast<uint16_t>(keys[idx].size());
+    std::memcpy(scratch_.data() + n, &key_size, sizeof(key_size));
+    n += sizeof(key_size);
+    std::memcpy(scratch_.data() + n, keys[idx].data(), key_size);
+    n += key_size;
+    if (recorder_ != nullptr) {
+      hids.push_back(recorder_->OnInvoke(explore::OpKind::kGet, keys[idx]));
+    }
+  }
+  return n;
+}
+
+void JakiroClient::DecodeMultiGet(
+    std::span<const std::byte> resp, std::span<const size_t> idxs,
+    std::span<const uint64_t> hids, std::span<std::byte> value_arena, size_t& arena_used,
+    std::span<std::optional<std::span<const std::byte>>> values_out) {
+  ++operations_;
+  if (resp.size() < 3 || DecodeStatus(resp) != Status::kOk) {
+    throw std::runtime_error("jakiro multiget: malformed response");
+  }
+  size_t out = 1 + sizeof(uint16_t);
+  for (size_t b = 0; b < idxs.size(); ++b) {
+    const size_t idx = idxs[b];
+    uint32_t size = 0;
+    if (resp.size() - out < sizeof(size)) {
+      throw std::runtime_error("jakiro multiget: truncated response");
+    }
+    std::memcpy(&size, resp.data() + out, sizeof(size));
+    out += sizeof(size);
+    if (size == kMultiGetMiss) {
+      values_out[idx] = std::nullopt;
+      if (recorder_ != nullptr) {
+        recorder_->OnGetResponse(hids[b], false, std::span<const std::byte>());
+      }
+      continue;
+    }
+    if (resp.size() - out < size) {
+      throw std::runtime_error("jakiro multiget: truncated response");
+    }
+    if (arena_used + size > value_arena.size()) {
+      throw std::length_error("jakiro multiget: value arena exhausted");
+    }
+    rdma::CopyBytes(value_arena.subspan(arena_used, size), resp.subspan(out, size));
+    values_out[idx] = std::span<const std::byte>(value_arena.data() + arena_used, size);
+    if (recorder_ != nullptr) {
+      recorder_->OnGetResponse(hids[b], true, *values_out[idx]);
+    }
+    arena_used += size;
+    out += size;
+  }
+}
+
 sim::Task<void> JakiroClient::MultiGet(
     std::span<const std::span<const std::byte>> keys, std::span<std::byte> value_arena,
     std::span<std::optional<std::span<const std::byte>>> values_out) {
@@ -287,81 +346,34 @@ sim::Task<void> JakiroClient::MultiGet(
   for (size_t i = 0; i < keys.size(); ++i) {
     by_owner[static_cast<size_t>(server_.OwnerThread(keys[i]))].push_back(i);
   }
-  if (server_.config().channel_options.window > 1) {
-    co_await MultiGetPipelined(keys, by_owner, value_arena, values_out);
-    co_return;
-  }
+  const size_t window = static_cast<size_t>(server_.config().channel_options.window);
   size_t arena_used = 0;
-  for (size_t owner = 0; owner < by_owner.size(); ++owner) {
-    const std::vector<size_t>& batch = by_owner[owner];
-    if (batch.empty()) {
-      continue;
-    }
-    // Encode the sub-batch request.
-    const uint16_t count = static_cast<uint16_t>(batch.size());
-    size_t n = 0;
-    std::memcpy(scratch_.data(), &count, sizeof(count));
-    n += sizeof(count);
-    std::vector<uint64_t> hids;
-    for (size_t idx : batch) {
-      const uint16_t key_size = static_cast<uint16_t>(keys[idx].size());
-      std::memcpy(scratch_.data() + n, &key_size, sizeof(key_size));
-      n += sizeof(key_size);
-      std::memcpy(scratch_.data() + n, keys[idx].data(), key_size);
-      n += key_size;
-      if (recorder_ != nullptr) {
-        hids.push_back(recorder_->OnInvoke(explore::OpKind::kGet, keys[idx]));
-      }
-    }
-    const size_t resp_size = co_await endpoints_[owner].stub()->Call(
-        kRpcMultiGet, std::span<const std::byte>(scratch_.data(), n), scratch_);
-    ++operations_;
-    if (resp_size < 3 ||
-        DecodeStatus(std::span<const std::byte>(scratch_.data(), resp_size)) != Status::kOk) {
-      throw std::runtime_error("jakiro multiget: malformed response");
-    }
-    // Decode results back into caller order, copying values into the arena.
-    size_t out = 1 + sizeof(uint16_t);
-    for (size_t b = 0; b < batch.size(); ++b) {
-      const size_t idx = batch[b];
-      uint32_t size = 0;
-      std::memcpy(&size, scratch_.data() + out, sizeof(size));
-      out += sizeof(size);
-      if (size == kMultiGetMiss) {
-        values_out[idx] = std::nullopt;
-        if (recorder_ != nullptr) {
-          recorder_->OnGetResponse(hids[b], false, std::span<const std::byte>());
-        }
+  if (window <= 1) {
+    // One call per owner, each completed before the next goes out.
+    for (size_t owner = 0; owner < by_owner.size(); ++owner) {
+      const std::vector<size_t>& batch = by_owner[owner];
+      if (batch.empty()) {
         continue;
       }
-      if (arena_used + size > value_arena.size()) {
-        throw std::length_error("jakiro multiget: value arena exhausted");
-      }
-      rdma::CopyBytes(value_arena.subspan(arena_used, size),
-                      std::span<const std::byte>(scratch_.data() + out, size));
-      values_out[idx] = std::span<const std::byte>(value_arena.data() + arena_used, size);
-      if (recorder_ != nullptr) {
-        recorder_->OnGetResponse(hids[b], true, *values_out[idx]);
-      }
-      arena_used += size;
-      out += size;
+      std::vector<uint64_t> hids;
+      const size_t n = EncodeMultiGet(keys, batch, hids);
+      const size_t resp_size = co_await endpoints_[owner].stub()->Call(
+          kRpcMultiGet, std::span<const std::byte>(scratch_.data(), n), scratch_);
+      DecodeMultiGet(std::span<const std::byte>(scratch_.data(), resp_size), batch, hids,
+                     value_arena, arena_used, values_out);
     }
+    co_return;
   }
-}
-
-sim::Task<void> JakiroClient::MultiGetPipelined(
-    std::span<const std::span<const std::byte>> keys,
-    const std::vector<std::vector<size_t>>& by_owner, std::span<std::byte> value_arena,
-    std::span<std::optional<std::span<const std::byte>>> values_out) {
+  // Pipelined channels (RfpOptions::window > 1): every chunk is submitted
+  // before the first response is awaited.
   struct Pending {
     size_t stub = 0;
     rfp::Channel::CallHandle handle;
-    std::vector<size_t> idxs;        // key indices in this chunk, caller order
+    std::span<const size_t> idxs;    // key indices in this chunk, caller order
     std::vector<uint64_t> hids;      // history op ids (when recording)
     std::vector<std::byte> resp;     // landing buffer: responses overlap, so
                                      // the shared scratch_ cannot hold them
   };
-  const size_t window = static_cast<size_t>(server_.config().channel_options.window);
   std::vector<Pending> pending;
   for (size_t owner = 0; owner < by_owner.size(); ++owner) {
     const std::vector<size_t>& batch = by_owner[owner];
@@ -375,65 +387,21 @@ sim::Task<void> JakiroClient::MultiGetPipelined(
     const size_t chunks = std::min(batch.size(), window);
     const size_t per_chunk = (batch.size() + chunks - 1) / chunks;
     for (size_t begin = 0; begin < batch.size(); begin += per_chunk) {
-      const size_t end = std::min(begin + per_chunk, batch.size());
       Pending p;
       p.stub = owner;
-      p.idxs.assign(batch.begin() + static_cast<ptrdiff_t>(begin),
-                    batch.begin() + static_cast<ptrdiff_t>(end));
-      const uint16_t count = static_cast<uint16_t>(p.idxs.size());
-      size_t n = 0;
-      std::memcpy(scratch_.data(), &count, sizeof(count));
-      n += sizeof(count);
-      for (size_t idx : p.idxs) {
-        const uint16_t key_size = static_cast<uint16_t>(keys[idx].size());
-        std::memcpy(scratch_.data() + n, &key_size, sizeof(key_size));
-        n += sizeof(key_size);
-        std::memcpy(scratch_.data() + n, keys[idx].data(), key_size);
-        n += key_size;
-        if (recorder_ != nullptr) {
-          p.hids.push_back(recorder_->OnInvoke(explore::OpKind::kGet, keys[idx]));
-        }
-      }
+      p.idxs = std::span<const size_t>(batch).subspan(
+          begin, std::min(per_chunk, batch.size() - begin));
+      const size_t n = EncodeMultiGet(keys, p.idxs, p.hids);
       p.handle = co_await endpoints_[owner].stub()->SubmitCall(
           kRpcMultiGet, std::span<const std::byte>(scratch_.data(), n));
       p.resp.resize(server_.config().channel_options.max_message_bytes);
       pending.push_back(std::move(p));
     }
   }
-  size_t arena_used = 0;
   for (Pending& p : pending) {
     const size_t resp_size = co_await endpoints_[p.stub].stub()->AwaitCall(p.handle, p.resp);
-    ++operations_;
-    if (resp_size < 3 ||
-        DecodeStatus(std::span<const std::byte>(p.resp.data(), resp_size)) != Status::kOk) {
-      throw std::runtime_error("jakiro multiget: malformed response");
-    }
-    // Decode this chunk's results back into caller order.
-    size_t out = 1 + sizeof(uint16_t);
-    for (size_t b = 0; b < p.idxs.size(); ++b) {
-      const size_t idx = p.idxs[b];
-      uint32_t size = 0;
-      std::memcpy(&size, p.resp.data() + out, sizeof(size));
-      out += sizeof(size);
-      if (size == kMultiGetMiss) {
-        values_out[idx] = std::nullopt;
-        if (recorder_ != nullptr) {
-          recorder_->OnGetResponse(p.hids[b], false, std::span<const std::byte>());
-        }
-        continue;
-      }
-      if (arena_used + size > value_arena.size()) {
-        throw std::length_error("jakiro multiget: value arena exhausted");
-      }
-      rdma::CopyBytes(value_arena.subspan(arena_used, size),
-                      std::span<const std::byte>(p.resp.data() + out, size));
-      values_out[idx] = std::span<const std::byte>(value_arena.data() + arena_used, size);
-      if (recorder_ != nullptr) {
-        recorder_->OnGetResponse(p.hids[b], true, *values_out[idx]);
-      }
-      arena_used += size;
-      out += size;
-    }
+    DecodeMultiGet(std::span<const std::byte>(p.resp.data(), resp_size), p.idxs, p.hids,
+                   value_arena, arena_used, values_out);
   }
 }
 

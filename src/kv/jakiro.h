@@ -206,12 +206,17 @@ class JakiroClient {
   int num_channels() const { return static_cast<int>(endpoints_.size()); }
 
  private:
-  // MultiGet over pipelined channels (RfpOptions::window > 1): each owner's
-  // sub-batch is split into up to `window` chunks submitted back to back.
-  sim::Task<void> MultiGetPipelined(std::span<const std::span<const std::byte>> keys,
-                                    const std::vector<std::vector<size_t>>& by_owner,
-                                    std::span<std::byte> value_arena,
-                                    std::span<std::optional<std::span<const std::byte>>> values_out);
+  // Encodes the MultiGet request for keys[idxs] into scratch_ and returns
+  // its size; with a recorder attached, books each GET's invocation in
+  // `hids`.
+  size_t EncodeMultiGet(std::span<const std::span<const std::byte>> keys,
+                        std::span<const size_t> idxs, std::vector<uint64_t>& hids);
+  // Decodes the MultiGet response `resp` for keys[idxs] back into caller
+  // order, copying each value into value_arena from `arena_used` on.
+  void DecodeMultiGet(std::span<const std::byte> resp, std::span<const size_t> idxs,
+                      std::span<const uint64_t> hids, std::span<std::byte> value_arena,
+                      size_t& arena_used,
+                      std::span<std::optional<std::span<const std::byte>>> values_out);
 
   JakiroServer& server_;
   // One leased channel + stub per server thread, from the constructor's

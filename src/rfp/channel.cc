@@ -1057,8 +1057,9 @@ sim::Task<size_t> Channel::CompleteIndirect(size_t land, uint32_t staged_size,
   mem::Span bounce = client_pool_->Alloc(desc.value_len);
   try {
     const rdma::WorkCompletion wc =
-        co_await FetchEntry(*bounce.mr, bounce.offset, desc.rkey,
-                            static_cast<size_t>(desc.value_offset), desc.value_len, what);
+        co_await RcOpAt(/*from_client=*/true, /*is_read=*/true, *bounce.mr, bounce.offset,
+                        rdma::RemoteKey{desc.rkey}, static_cast<size_t>(desc.value_offset),
+                        desc.value_len, what);
     ++stats_.fetch_reads;
     ++stats_.zero_copy_fetches;
     stats_.zero_copy_bytes += desc.value_len;
@@ -1084,6 +1085,14 @@ sim::Task<rdma::WorkCompletion> Channel::RcOp(bool from_client, bool is_read, si
   // the MR boundary.
   const RingView& local = from_client ? client_ : server_;
   const RingView& remote = from_client ? server_ : client_;
+  return RcOpAt(from_client, is_read, *local.mr, local.abs(local_off), remote.remote_key(),
+                remote.abs(remote_off), len, what);
+}
+
+sim::Task<rdma::WorkCompletion> Channel::RcOpAt(bool from_client, bool is_read,
+                                                rdma::MemoryRegion& local_mr, size_t local_off,
+                                                rdma::RemoteKey remote_key, size_t remote_off,
+                                                uint32_t len, const char* what) {
   const bool request_write = from_client && !is_read;
   for (int attempt = 0;; ++attempt) {
     // Re-resolve the QP each attempt: a reconnect replaces it.
@@ -1092,36 +1101,12 @@ sim::Task<rdma::WorkCompletion> Channel::RcOp(bool from_client, bool is_read, si
       BeginRequestWrite();
     }
     const rdma::WorkCompletion wc =
-        is_read ? co_await qp->Read(*local.mr, local.abs(local_off), remote.remote_key(),
-                                    remote.abs(remote_off), len)
-                : co_await qp->Write(*local.mr, local.abs(local_off), remote.remote_key(),
-                                     remote.abs(remote_off), len);
+        is_read ? co_await qp->Read(local_mr, local_off, remote_key, remote_off, len)
+                : co_await qp->Write(local_mr, local_off, remote_key, remote_off, len);
     if (request_write) {
       // An RC WRITE completes only after its bytes landed.
       --request_writes_in_flight_;
     }
-    if (wc.status != rdma::WcStatus::kQpError) {
-      CheckOk(wc, what);
-      co_return wc;
-    }
-    if (attempt >= options_.max_reconnect_attempts) {
-      CheckOk(wc, what);  // throws, reporting QP_ERROR
-    }
-    co_await EnsureConnected(qp);
-  }
-}
-
-sim::Task<rdma::WorkCompletion> Channel::FetchEntry(rdma::MemoryRegion& local_mr,
-                                                    size_t local_off, uint32_t rkey,
-                                                    size_t remote_off, uint32_t len,
-                                                    const char* what) {
-  // The zero-copy entry READ: the remote target is a raw (rkey, absolute
-  // offset) pair naming a store-owned registered entry, not the peer ring;
-  // the local landing is a pool bounce span. Same reconnect contract as RcOp.
-  for (int attempt = 0;; ++attempt) {
-    rdma::QueuePair* qp = client_qp_;
-    const rdma::WorkCompletion wc =
-        co_await qp->Read(local_mr, local_off, rdma::RemoteKey{rkey}, remote_off, len);
     if (wc.status != rdma::WcStatus::kQpError) {
       CheckOk(wc, what);
       co_return wc;

@@ -597,11 +597,6 @@ class Channel {
   // assembles prefix+value into `out`. Returns the total payload size.
   sim::Task<size_t> CompleteIndirect(size_t land, uint32_t staged_size,
                                      std::span<std::byte> out, const char* what);
-  // One client READ of a raw (rkey, absolute offset) target outside the
-  // rings, with the same reconnect-and-retry contract as RcOp.
-  sim::Task<rdma::WorkCompletion> FetchEntry(rdma::MemoryRegion& local_mr, size_t local_off,
-                                             uint32_t rkey, size_t remote_off, uint32_t len,
-                                             const char* what);
 
   // Flips the channel to server-reply and tells the server (1-byte WRITE).
   sim::Task<void> SwitchToReply();
@@ -624,6 +619,13 @@ class Channel {
   // ring-relative and shifted by the pooled span base at the MR boundary.
   sim::Task<rdma::WorkCompletion> RcOp(bool from_client, bool is_read, size_t local_off,
                                        size_t remote_off, uint32_t len, const char* what);
+  // RcOp's loop on absolute targets: `local_mr` at `local_off` and the
+  // remote region `remote_key` at `remote_off`. The zero-copy entry READ
+  // uses it directly, from a pool bounce span to a store-owned entry.
+  sim::Task<rdma::WorkCompletion> RcOpAt(bool from_client, bool is_read,
+                                         rdma::MemoryRegion& local_mr, size_t local_off,
+                                         rdma::RemoteKey remote_key, size_t remote_off,
+                                         uint32_t len, const char* what);
   // Replaces the RC pair after `failed` completed with a QP error. A no-op
   // when another actor already replaced it; concurrent callers wait for the
   // in-flight reconnect instead of racing a second one.

@@ -213,12 +213,13 @@ struct ServerOptions {
   sim::Time shed_cpu_ns = 60;
 
   // ---- Multi-core dispatch (docs/multicore.md) -----------------------------
-  // Default-off: legacy sweep actors model CPU as pure virtual-time sleeps
-  // and never contend for cores — bit-for-bit the pre-multicore server.
+  // Every worker charges all sweep CPU (poll, dispatch, copy, process, shed)
+  // to a core of its own. Default off: that core is private to the worker,
+  // so workers never contend, bit-for-bit the pre-multicore server.
 
-  // Pin each worker to a core reserved via rdma::Node::ReserveWorkerCore and
-  // charge all sweep CPU (poll, dispatch, copy, process, shed) through
-  // sim::CpuSet::ComputeOn, so workers sharing a core contend realistically.
+  // Make the worker cores real: pin each worker to a node core reserved via
+  // rdma::Node::ReserveWorkerCore, so workers sharing a core contend.
+  // work_stealing and batch_reply_publication below take effect only here.
   bool multicore = false;
   // (multicore) Let workers claim channels owned by crashed workers and, when
   // idle, steal backlogged channels from loaded workers between sweeps.

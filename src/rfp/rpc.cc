@@ -72,8 +72,13 @@ RpcServer::RpcServer(rdma::Fabric& fabric, rdma::Node& node, int num_threads,
     if (options_.multicore) {
       // Pin each worker to a core from the node's worker range (above the
       // NIC-station reservation); with more workers than cores, workers
-      // share cores and contend through CpuSet::ComputeOn.
+      // share cores and contend on them.
       state.core = node_.ReserveWorkerCore();
+      state.cpu = &node_.cpus().core(state.core);
+    } else {
+      // A dedicated core nothing else charges: the worker never waits for it.
+      state.own_cpu = std::make_unique<sim::Resource>(fabric_.engine(), 1);
+      state.cpu = state.own_cpu.get();
     }
   }
   if (sim::TraceSink* trace = fabric_.engine().trace_sink()) {
@@ -322,20 +327,12 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       continue;
     }
     bool any = false;
-    const int owned = state.owned;
     // One scan over this worker's channels costs CPU whether or not
-    // anything arrived (the server busy-polls, paper Section 4.1). Under
-    // multicore the charge runs on the worker's pinned core, so workers
-    // sharing a core queue behind each other.
-    {
-      const sim::Time poll_cpu =
-          options_.poll_cpu_per_channel_ns * static_cast<sim::Time>(owned ? owned : 1);
-      if (options_.multicore) {
-        co_await node_.cpus().ComputeOn(state.core, poll_cpu);
-      } else {
-        co_await engine.Sleep(poll_cpu);
-      }
-    }
+    // anything arrived (the server busy-polls, paper Section 4.1). Like
+    // every CPU charge of the sweep it runs on the worker's core, so workers
+    // sharing a pinned core queue behind each other.
+    co_await state.cpu->Use(options_.poll_cpu_per_channel_ns *
+                            static_cast<sim::Time>(std::max(state.owned, 1)));
     if (fabric_.checker() != nullptr) {
       CheckReadySet(thread_index);
     }
@@ -428,11 +425,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         if (request_deadline != 0 && static_cast<uint64_t>(engine.now()) > request_deadline) {
           ++requests_shed_deadline_;
           if (options_.shed_cpu_ns > 0) {
-            if (options_.multicore) {
-              co_await node_.cpus().ComputeOn(state.core, options_.shed_cpu_ns);
-            } else {
-              co_await engine.Sleep(options_.shed_cpu_ns);
-            }
+            co_await state.cpu->Use(options_.shed_cpu_ns);
           }
           co_await channel->ServerSendBusy(BusyReason::kDeadline, retry_hint_us);
           continue;  // a shed slot still leaves the rest of the window to serve
@@ -444,11 +437,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
             admitted >= options_.admission_budget) {
           ++requests_shed_admission_;
           if (options_.shed_cpu_ns > 0) {
-            if (options_.multicore) {
-              co_await node_.cpus().ComputeOn(state.core, options_.shed_cpu_ns);
-            } else {
-              co_await engine.Sleep(options_.shed_cpu_ns);
-            }
+            co_await state.cpu->Use(options_.shed_cpu_ns);
           }
           co_await channel->ServerSendBusy(BusyReason::kAdmission, retry_hint_us);
           continue;
@@ -500,11 +489,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
             straggler_rng_.NextBernoulli(options_.straggler_prob)) {
           process += options_.straggler_extra_ns;
         }
-        if (options_.multicore) {
-          co_await node_.cpus().ComputeOn(state.core, process);
-        } else {
-          co_await engine.Sleep(process);
-        }
+        co_await state.cpu->Use(process);
         {
           // Feed the measured process time into the detector's EWMA. Updated
           // unconditionally: the retry hint above needs it even when the

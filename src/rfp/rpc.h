@@ -8,12 +8,15 @@
 // exactly as they would with a socket-based RPC library; this is the
 // "legacy interface" property the paper claims.
 //
-// With ServerOptions::multicore the workers are scheduled on the node's
-// sim::CpuSet (one pinned core each, reserved via Node::ReserveWorkerCore
-// with NIC-station affinity), hot or orphaned channels migrate between
-// workers between sweeps, and each channel visit publishes its completed
-// reply-mode slots in one doorbell batch — see docs/multicore.md. Default
-// off: the legacy per-thread sweep with virtual-time-sleep CPU modelling.
+// Each worker busy-polls on a core of its own (paper Section 4.1) and
+// charges all sweep CPU (poll, shed, dispatch + process) to it with
+// sim::Resource::Use. By default that core is private to the worker, so
+// workers never contend. With ServerOptions::multicore it is a pinned node
+// core from the sim::CpuSet (reserved via Node::ReserveWorkerCore with
+// NIC-station affinity, shared when workers outnumber cores), hot or
+// orphaned channels migrate between workers between sweeps, and each
+// channel visit publishes its completed reply-mode slots in one doorbell
+// batch — see docs/multicore.md.
 //
 // Message format: request = [uint16 rpc_id][payload]; response = [payload].
 
@@ -32,6 +35,7 @@
 #include "src/rfp/channel.h"
 #include "src/rfp/options.h"
 #include "src/sim/random.h"
+#include "src/sim/resource.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
 
@@ -247,6 +251,10 @@ class RpcServer {
     // Overload detector state (ServerOptions admission_control):
     double process_ewma_ns = 0;  // EWMA of measured per-request process time
     bool overloaded = false;
+    // The core every CPU charge of this worker's sweep (poll, shed,
+    // process) runs on: the pinned node core under multicore, else own_cpu.
+    sim::Resource* cpu = nullptr;
+    std::unique_ptr<sim::Resource> own_cpu;
     // Multi-core dispatch state:
     int core = -1;        // CpuSet core this worker is pinned to
     uint64_t steals = 0;  // channels this worker claimed from others

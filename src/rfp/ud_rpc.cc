@@ -92,7 +92,8 @@ sim::Task<void> UdRpcServer::ServeLoop(int thread) {
 
     auto it = handlers_.find(header.rpc_id);
     if (it == handlers_.end()) {
-      throw std::runtime_error("ud rpc: no handler for id " + std::to_string(header.rpc_id));
+      ++malformed_requests_;  // the RECV is already reposted
+      continue;
     }
     // The handler writes the response payload directly into the TX slot.
     std::byte* tx = mr->bytes().data() + tx_offset;

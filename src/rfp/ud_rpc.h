@@ -64,6 +64,9 @@ class UdRpcServer {
   uint64_t requests_served() const { return requests_served_; }
   // Requests dropped because the recv pool was empty (burst overflow).
   uint64_t recv_overflows() const;
+  // Requests dropped for an unknown rpc id. Wire input never kills a server
+  // actor: the RECV is reposted and the client's retransmit timer decides.
+  uint64_t malformed_requests() const { return malformed_requests_; }
 
  private:
   sim::Task<void> ServeLoop(int thread);
@@ -75,6 +78,7 @@ class UdRpcServer {
   bool stop_ = false;
   bool started_ = false;
   uint64_t requests_served_ = 0;
+  uint64_t malformed_requests_ = 0;
   std::unordered_map<uint16_t, Handler> handlers_;
   std::vector<rdma::QueuePair*> qps_;
   // One registered region per thread: [recv_pool slots][tx staging].

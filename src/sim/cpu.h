@@ -1,10 +1,8 @@
 // CPU modelling helpers.
 //
-// CpuSet time-shares a fixed number of cores among actor "threads": an actor
-// charges compute time with `co_await cpus.Compute(ns)` and is serialized
-// against other compute on the same node when all cores are busy. Pinned
-// actors instead charge a *specific* core with `ComputeOn(core, ns)`, so two
-// workers affinitized to the same core contend while workers on distinct
+// CpuSet holds a node's cores. A pinned actor charges compute time to one
+// specific core with `co_await cpus.ComputeOn(core, ns)`, so two workers
+// affinitized to the same core contend (FIFO) while workers on distinct
 // cores run in parallel (docs/multicore.md). BusyMeter accumulates per-actor
 // busy time so client CPU utilization (paper Fig. 15) can be reported as
 // busy-time over wall-time.
@@ -17,56 +15,42 @@
 
 #include "src/sim/engine.h"
 #include "src/sim/resource.h"
-#include "src/sim/task.h"
 #include "src/sim/time.h"
 
 namespace sim {
 
 class CpuSet {
  public:
-  CpuSet(Engine& engine, int cores) : engine_(engine), cores_(engine, cores) {
+  CpuSet(Engine& engine, int cores) {
     per_core_.reserve(static_cast<size_t>(cores));
     for (int i = 0; i < cores; ++i) {
       per_core_.push_back(std::make_unique<Resource>(engine, 1));
     }
   }
 
-  int cores() const { return cores_.capacity(); }
+  int cores() const { return static_cast<int>(per_core_.size()); }
 
-  // Occupies one core for `cpu_time` of computation (FIFO when oversubscribed).
-  Task<void> Compute(Time cpu_time) { return cores_.Use(cpu_time); }
+  // Core `index` as a single-permit station.
+  Resource& core(int index) { return *per_core_.at(static_cast<size_t>(index)); }
 
-  // Occupies core `core` specifically: pinned compute. Actors pinned to the
-  // same core serialize in FIFO order; distinct cores never contend. The
-  // pooled Compute() and the pinned ComputeOn() draw from separate permit
-  // accounting, so a node should charge each actor class through one
-  // discipline consistently (pinned server workers vs pooled client threads).
-  Task<void> ComputeOn(int core, Time cpu_time) {
-    return per_core_.at(static_cast<size_t>(core))->Use(cpu_time);
-  }
+  // Occupies core `core` for `cpu_time`: pinned compute. Actors pinned to
+  // the same core serialize in FIFO order; distinct cores never contend.
+  auto ComputeOn(int core, Time cpu_time) { return this->core(core).Use(cpu_time); }
 
-  double Utilization(Time window_start, Time window_end) const {
-    return cores_.Utilization(window_start, window_end);
-  }
-
-  // Busy fraction of one pinned core over the window (ComputeOn charges only).
+  // Busy fraction of one core over the window.
   double CoreUtilization(int core, Time window_start, Time window_end) const {
     return per_core_.at(static_cast<size_t>(core))->Utilization(window_start, window_end);
   }
 
-  // Arms an exact utilization window on the pool and every pinned core
-  // (Resource::WatchFrom), so (Core)Utilization(at, end) reports the busy
-  // fraction of [at, end] alone.
+  // Arms an exact utilization window on every core (Resource::WatchFrom), so
+  // CoreUtilization(at, end) reports the busy fraction of [at, end] alone.
   void WatchUtilization(Time at) {
-    cores_.WatchFrom(at);
     for (const auto& core : per_core_) {
       core->WatchFrom(at);
     }
   }
 
  private:
-  Engine& engine_;
-  Resource cores_;
   std::vector<std::unique_ptr<Resource>> per_core_;
 };
 

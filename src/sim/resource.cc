@@ -18,7 +18,7 @@ void Resource::Release() {
   ++available_;
 }
 
-Task<void> Resource::Use(Time service) {
+Task<void> Resource::UseContended(Time service) {
   co_await Acquire();
   co_await engine_.Sleep(service);
   Release();

@@ -5,6 +5,7 @@
 // latency accounting across slot reuse, and per-worker channel ownership
 // (visit order after steals, ownership census).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -108,6 +109,55 @@ TEST_F(MulticoreTest, WorkersPinAboveNicStationCores) {
   RpcServer legacy(*fabric_, *server_node_, 2);
   EXPECT_EQ(legacy.thread_core(0), -1);
   EXPECT_EQ(legacy.thread_core(1), -1);
+}
+
+// Latest completion instant of `workers` concurrent 30 us calls, one per
+// worker, on a node with two compute cores; *node_busy gets the node cores'
+// summed busy fraction over the run.
+sim::Time SlowCallsOnePerWorker(bool multicore, int workers, double* node_busy) {
+  sim::Engine engine;
+  rdma::FabricConfig fc;
+  fc.nic.cores = 4;
+  fc.nic.nic_station_cores = 2;
+  rdma::Fabric fabric(engine, fc);
+  rdma::Node& server_node = fabric.AddNode("server");
+  rdma::Node& client_node = fabric.AddNode("client");
+  ServerOptions so;
+  so.multicore = multicore;
+  RpcServer server(fabric, server_node, workers, so);
+  ServedLog log;
+  RegisterRecorders(server, &log);
+  sim::Time last_done = 0;
+  for (int w = 0; w < workers; ++w) {
+    Channel* channel = server.AcceptChannel(client_node, RfpOptions{}, w);
+    engine.Spawn([](sim::Engine& e, Channel* ch, sim::Time* last) -> sim::Task<void> {
+      co_await TaggedCall(ch, kSlowEcho, "slow");
+      *last = std::max(*last, e.now());
+    }(engine, channel, &last_done));
+  }
+  server.Start();
+  engine.RunUntil(sim::Millis(1));
+  server.Stop();
+  EXPECT_EQ(static_cast<int>(log.size()), workers);
+  *node_busy = 0;
+  for (int core = 0; core < server_node.cpus().cores(); ++core) {
+    *node_busy += server_node.cpus().CoreUtilization(core, 0, engine.now());
+  }
+  return last_done;
+}
+
+// A default worker charges a dedicated core of its own, so eight of them on
+// a node with two compute cores still serve in parallel and charge no node
+// core; pinned under multicore, the same eight time-share the two cores.
+TEST_F(MulticoreTest, DefaultServerWithMoreWorkersThanCoresServesInParallel) {
+  double default_busy = 0;
+  double pinned_busy = 0;
+  const sim::Time parallel = SlowCallsOnePerWorker(false, 8, &default_busy);
+  const sim::Time pinned = SlowCallsOnePerWorker(true, 8, &pinned_busy);
+  EXPECT_LT(parallel, sim::Micros(60));  // one 30 us handler deep
+  EXPECT_GE(pinned, sim::Micros(120));   // four 30 us handlers per core
+  EXPECT_EQ(default_busy, 0.0);
+  EXPECT_GT(pinned_busy, 0.0);
 }
 
 // Two pinned workers each sweep their own channels and all traffic

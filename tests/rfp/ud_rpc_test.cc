@@ -1,6 +1,7 @@
 #include "src/rfp/ud_rpc.h"
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -86,6 +87,31 @@ TEST_F(UdRpcTest, ManySequentialCalls) {
   server->Stop();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(server->requests_served(), 100u);
+}
+
+TEST_F(UdRpcTest, UnknownRpcIdIsCountedDropAndServerServesOn) {
+  UdRpcServer* server = MakeServer();
+  UdRpcClient client(*fabric_, *client_node_, server->address(0));
+  bool unknown_failed = false;
+  std::string got;
+  engine_.Spawn([](UdRpcClient* c, bool* failed, std::string* out) -> sim::Task<void> {
+    std::vector<std::byte> resp(1024);
+    try {
+      co_await c->Call(/*rpc_id=*/99, AsBytes("nobody home"), resp);
+    } catch (const std::runtime_error&) {
+      *failed = true;  // every transmit was dropped, so the client gives up
+    }
+    const size_t n = co_await c->Call(kEcho, AsBytes("still serving"), resp);
+    out->assign(reinterpret_cast<const char*>(resp.data()), n);
+  }(&client, &unknown_failed, &got));
+  engine_.RunUntil(sim::Millis(2));
+  server->Stop();
+  EXPECT_TRUE(unknown_failed);
+  EXPECT_EQ(got, "still serving");
+  // One drop per transmit of the unknown-id call: the first send plus every
+  // retransmit.
+  EXPECT_EQ(server->malformed_requests(), 1u + static_cast<uint64_t>(UdRpcOptions{}.max_retransmits));
+  EXPECT_EQ(server->requests_served(), 1u);
 }
 
 class LossyUdRpcTest : public UdRpcTest {

@@ -9,11 +9,16 @@
 namespace sim {
 namespace {
 
+// An actor that charges `cpu_time` to core `core` once.
+Task<void> ComputeOnce(CpuSet& cpus, int core, Time cpu_time) {
+  co_await cpus.ComputeOn(core, cpu_time);
+}
+
 TEST(CpuSetTest, ParallelComputeOnFreeCores) {
   Engine engine;
   CpuSet cpus(engine, 4);
   for (int i = 0; i < 4; ++i) {
-    engine.Spawn(cpus.Compute(Micros(10)));
+    engine.Spawn(ComputeOnce(cpus, i, Micros(10)));
   }
   engine.Run();
   EXPECT_EQ(engine.now(), Micros(10));
@@ -23,7 +28,7 @@ TEST(CpuSetTest, OversubscriptionSerializes) {
   Engine engine;
   CpuSet cpus(engine, 2);
   for (int i = 0; i < 6; ++i) {
-    engine.Spawn(cpus.Compute(Micros(10)));
+    engine.Spawn(ComputeOnce(cpus, i % 2, Micros(10)));  // three actors per core
   }
   engine.Run();
   EXPECT_EQ(engine.now(), Micros(30));
@@ -32,9 +37,10 @@ TEST(CpuSetTest, OversubscriptionSerializes) {
 TEST(CpuSetTest, UtilizationReflectsLoad) {
   Engine engine;
   CpuSet cpus(engine, 2);
-  engine.Spawn(cpus.Compute(Micros(10)));
+  engine.Spawn(ComputeOnce(cpus, 1, Micros(10)));
   engine.Run();
-  EXPECT_DOUBLE_EQ(cpus.Utilization(0, engine.now()), 0.5);
+  EXPECT_DOUBLE_EQ(cpus.CoreUtilization(0, 0, engine.now()), 0.0);
+  EXPECT_DOUBLE_EQ(cpus.CoreUtilization(1, 0, engine.now()), 1.0);
 }
 
 TEST(CpuSetTest, WatchedWindowReportsPerCoreBusyFractionExactly) {
