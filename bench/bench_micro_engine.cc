@@ -11,7 +11,11 @@
 #include "bench/common.h"
 
 #include "src/rdma/fabric.h"
+#include <memory>
+#include <vector>
+
 #include "src/sim/engine.h"
+#include "src/sim/poller.h"
 #include "src/sim/resource.h"
 #include "src/sim/signal.h"
 #include "src/sim/stats.h"
@@ -44,6 +48,74 @@ void BM_CoroutineSleepLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_CoroutineSleepLoop);
+
+// N poll loops on one period, each woken once per M periods, written as
+// Sleep loops and as parked pollers. Items are polls (events_processed(),
+// which counts a skipped poll as the event it stands for), so the parked
+// row's time per item is what a skipped poll costs.
+sim::Task<void> PollLoop(sim::Engine& engine, sim::Poller& poller, const int& pending,
+                         const bool& stop, bool park, sim::Time period, sim::Time phase) {
+  co_await engine.Sleep(phase);
+  int seen = 0;
+  while (!stop) {
+    if (pending != seen) {
+      seen = pending;
+      continue;
+    }
+    if (park) {
+      co_await poller.Park(period);
+    } else {
+      co_await engine.Sleep(period);
+    }
+  }
+}
+
+void BM_ParkedPollers(benchmark::State& state) {
+  const int pollers = static_cast<int>(state.range(0));
+  const int wake_every = static_cast<int>(state.range(1));
+  const bool park = state.range(2) != 0;
+  constexpr sim::Time kPeriod = 200;
+  constexpr int kPeriods = 400;
+  uint64_t polls = 0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    std::vector<std::unique_ptr<sim::Poller>> loops;
+    loops.reserve(static_cast<size_t>(pollers));
+    std::vector<int> pending(static_cast<size_t>(pollers), 0);
+    bool stop = false;
+    for (int p = 0; p < pollers; ++p) {
+      loops.push_back(std::make_unique<sim::Poller>(engine));
+      engine.Spawn(PollLoop(engine, *loops.back(), pending[static_cast<size_t>(p)], stop, park,
+                            kPeriod, p % kPeriod));
+    }
+    engine.Spawn([](sim::Engine& e, std::vector<std::unique_ptr<sim::Poller>>& ls,
+                    std::vector<int>& work, bool& done, int every) -> sim::Task<void> {
+      const size_t n = ls.size();
+      const size_t per_period = (n + static_cast<size_t>(every) - 1) / static_cast<size_t>(every);
+      size_t next = 0;
+      for (int t = 0; t < kPeriods; ++t) {
+        co_await e.Sleep(kPeriod);
+        for (size_t k = 0; k < per_period; ++k, next = (next + 1) % n) {
+          ++work[next];
+          ls[next]->Wake();
+        }
+      }
+      done = true;
+      for (const auto& l : ls) {
+        l->Wake();
+      }
+    }(engine, loops, pending, stop, wake_every));
+    engine.Run();
+    polls += engine.events_processed();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(polls));
+}
+BENCHMARK(BM_ParkedPollers)
+    ->ArgNames({"pollers", "wake_every", "park"})
+    ->Args({64, 16, 0})
+    ->Args({64, 16, 1})
+    ->Args({64, 1, 0})
+    ->Args({64, 1, 1});
 
 void BM_ResourceHandoff(benchmark::State& state) {
   for (auto _ : state) {

@@ -74,6 +74,9 @@ PooledServer::~PooledServer() {
   if (dropped_requests_ > 0) {
     reg.GetCounter("conn.pooled.dropped_requests", labels)->Add(dropped_requests_);
   }
+  for (size_t q = 0; q < pollers_.size(); ++q) {
+    qps_[q]->recv_cq()->Unwatch(pollers_[q].get());
+  }
   for (rdma::QueuePair* qp : qps_) {
     fabric_.RetireQp(qp);
   }
@@ -104,17 +107,30 @@ uint64_t PooledServer::recv_overflows() const {
   return total;
 }
 
+size_t PooledServer::recv_target() const {
+  return std::max<size_t>(
+      1, static_cast<size_t>(options_.recv_slots) / static_cast<size_t>(num_qps()));
+}
+
 void PooledServer::TopUpRecv(int qp_index) {
   rdma::QueuePair* qp = qps_[static_cast<size_t>(qp_index)];
   // Fair-share target; the shared free list is what makes this an SRQ: a QP
   // that drains faster frees more slots and re-arms first, so slots flow to
   // wherever the burst lands instead of being strip-owned per QP.
-  const size_t target = std::max<size_t>(
-      1, static_cast<size_t>(options_.recv_slots) / static_cast<size_t>(num_qps()));
+  const size_t target = recv_target();
   while (!free_slots_.empty() && qp->recv_queue_depth() < target) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     qp->PostRecv(slot, *arena_.mr, rx_offset(slot), static_cast<uint32_t>(slot_bytes()));
+  }
+}
+
+void PooledServer::FreeSlot(uint32_t slot) {
+  free_slots_.push_back(slot);
+  for (size_t q = 0; q < pollers_.size(); ++q) {
+    if (qps_[q]->recv_queue_depth() < recv_target()) {
+      pollers_[q]->Wake();
+    }
   }
 }
 
@@ -137,8 +153,19 @@ void PooledServer::Start() {
   }
   started_ = true;
   for (int q = 0; q < num_qps(); ++q) {
+    pollers_.push_back(std::make_unique<sim::Poller>(fabric_.engine()));
+    qps_[static_cast<size_t>(q)]->recv_cq()->Watch(pollers_.back().get());
+  }
+  for (int q = 0; q < num_qps(); ++q) {
     TopUpRecv(q);
     fabric_.engine().Spawn(ServeLoop(q));
+  }
+}
+
+void PooledServer::Stop() {
+  stop_ = true;
+  for (const auto& poller : pollers_) {
+    poller->Wake();
   }
 }
 
@@ -171,11 +198,12 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
   const int thread_index = rpc_.num_threads() > 0 ? qp_index % rpc_.num_threads() : 0;
   std::vector<std::byte> request(options_.max_message_bytes);
   std::vector<std::byte> response(options_.max_message_bytes);
+  sim::Poller& poller = *pollers_[static_cast<size_t>(qp_index)];
   while (!stop_) {
     TopUpRecv(qp_index);
     const auto wc = qp->recv_cq()->Poll();
     if (!wc.has_value()) {
-      co_await engine.Sleep(options_.server_poll_ns);
+      co_await poller.Park(options_.server_poll_ns);
       continue;
     }
     const uint32_t slot = static_cast<uint32_t>(wc->wr_id);
@@ -199,7 +227,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     }
     // The slot is consumed either way; the next top-up re-arms it on
     // whichever QP runs dry first.
-    free_slots_.push_back(slot);
+    FreeSlot(slot);
     if (!ok) {
       ++dropped_requests_;
       continue;
@@ -386,6 +414,9 @@ sim::Task<size_t> PooledClient::Transact(uint32_t body_bytes, std::span<std::byt
   const uint32_t wire_bytes = rfp::kReqHeaderBytes + body_bytes;
   int transmits = 0;
   sim::Time deadline = 0;
+  // Between a response landing and the retransmit deadline every poll finds
+  // an empty CQ, so the loop parks until one of them.
+  sim::Poller poller(engine);
   while (true) {
     if (transmits == 0 || engine.now() >= deadline) {
       if (transmits > options_.max_retransmits) {
@@ -416,7 +447,9 @@ sim::Task<size_t> PooledClient::Transact(uint32_t body_bytes, std::span<std::byt
       }
       ++stats_.duplicates;
     }
-    co_await engine.Sleep(options_.client_poll_ns);
+    qp_->recv_cq()->Watch(&poller);
+    co_await poller.Park(options_.client_poll_ns, deadline);
+    qp_->recv_cq()->Unwatch(&poller);
   }
 }
 

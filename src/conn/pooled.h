@@ -45,6 +45,7 @@
 #include "src/mem/pool.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/rpc.h"
+#include "src/sim/poller.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
 
@@ -88,7 +89,7 @@ class PooledServer {
   PooledServer& operator=(const PooledServer&) = delete;
 
   void Start();
-  void Stop() { stop_ = true; }
+  void Stop();
 
   int num_qps() const { return static_cast<int>(qps_.size()); }
   // Datagram address of QP `qp_index`, what clients send to.
@@ -119,6 +120,10 @@ class PooledServer {
   // Called every loop iteration, so a QP that drains faster re-arms with
   // more of the shared pool — the SRQ effect.
   void TopUpRecv(int qp_index);
+  size_t recv_target() const;
+  // Returns a consumed slot to the shared free list, waking every parked
+  // loop whose next TopUpRecv would take it.
+  void FreeSlot(uint32_t slot);
   size_t slot_bytes() const;
   size_t rx_offset(uint32_t slot) const;
   size_t tx_offset(int qp_index) const;
@@ -131,6 +136,9 @@ class PooledServer {
   bool stop_ = false;
   bool started_ = false;
   std::vector<rdma::QueuePair*> qps_;
+  // One per ServeLoop: an idle loop parks until its CQ gets a completion, a
+  // freed slot would top it up, or Stop().
+  std::vector<std::unique_ptr<sim::Poller>> pollers_;
   std::shared_ptr<mem::Pool> pool_;
   // One pool span: [recv_slots shared slots][one tx slot per QP]. Receive
   // slots are a shared free list; wr_id = slot index.

@@ -156,6 +156,7 @@ void FaultInjector::Corrupt(const FaultEvent& event) {
     // XOR with a nonzero byte guarantees every targeted byte really changes.
     b ^= static_cast<std::byte>(1 + rng.NextBounded(255));
   }
+  mr->Touched(event.offset, len);
   auto it = servers_.find(mr->node()->id());
   if (it != servers_.end()) {
     it->second->MarkRequestRingsTouched(event.rkey, event.offset, len);

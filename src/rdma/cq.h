@@ -11,10 +11,12 @@
 #include <deque>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "src/check/checker.h"
 #include "src/rdma/types.h"
 #include "src/sim/engine.h"
+#include "src/sim/poller.h"
 #include "src/sim/signal.h"
 #include "src/sim/task.h"
 
@@ -38,7 +40,15 @@ class CompletionQueue {
       checker_->OnCqPush(this, wc, queue_.size());
     }
     arrival_.NotifyOne();
+    for (sim::Poller* poller : pollers_) {
+      poller->Wake();
+    }
   }
+
+  // Wakes `poller` on every Push until Unwatch(poller): a parked loop
+  // polling this queue (sim/poller.h).
+  void Watch(sim::Poller* poller) { pollers_.push_back(poller); }
+  void Unwatch(sim::Poller* poller) { std::erase(pollers_, poller); }
 
   // Non-blocking poll; std::nullopt when the queue is empty.
   std::optional<WorkCompletion> Poll() {
@@ -85,6 +95,7 @@ class CompletionQueue {
   check::FabricChecker* checker_ = nullptr;
   std::deque<WorkCompletion> queue_;
   uint64_t total_ = 0;
+  std::vector<sim::Poller*> pollers_;
 };
 
 }  // namespace rdma

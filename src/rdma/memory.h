@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/rdma/types.h"
+#include "src/sim/poller.h"
 
 namespace rdma {
 
@@ -83,10 +84,40 @@ class MemoryRegion {
   template <typename T>
   void Store(size_t offset, const T& value) {
     std::memcpy(data_.data() + offset, &value, sizeof(T));
+    if (!watches_.empty()) {
+      Touched(offset, sizeof(T));
+    }
   }
 
   void WriteBytes(size_t offset, std::span<const std::byte> src) {
     CopyBytes(std::span<std::byte>(data_).subspan(offset, src.size()), src);
+    if (!watches_.empty()) {
+      Touched(offset, src.size());
+    }
+  }
+
+  // Wakes `poller` on every write that overlaps [offset, offset + len) until
+  // Unwatch(poller): a parked loop polling those bytes (sim/poller.h).
+  void Watch(size_t offset, size_t len, sim::Poller* poller) {
+    watches_.push_back(WatchRange{offset, len, poller});
+  }
+  void Unwatch(sim::Poller* poller) {
+    for (size_t i = 0; i < watches_.size(); ++i) {
+      if (watches_[i].poller == poller) {
+        watches_[i] = watches_.back();
+        watches_.pop_back();
+        return;
+      }
+    }
+  }
+
+  // Store() and WriteBytes() call this; a write through bytes() must too.
+  void Touched(size_t offset, size_t len) {
+    for (const WatchRange& w : watches_) {
+      if (offset < w.offset + w.len && w.offset < offset + len) {
+        w.poller->Wake();
+      }
+    }
   }
 
   void ReadBytes(size_t offset, std::span<std::byte> dst) const {
@@ -99,6 +130,12 @@ class MemoryRegion {
   uint32_t rkey_;
   uint32_t access_;
   std::vector<std::byte> data_;
+  struct WatchRange {
+    size_t offset;
+    size_t len;
+    sim::Poller* poller;
+  };
+  std::vector<WatchRange> watches_;
 };
 
 }  // namespace rdma

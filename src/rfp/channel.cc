@@ -8,6 +8,7 @@
 #include "src/check/checker.h"
 #include "src/obs/metrics.h"
 #include "src/rfp/rpc.h"
+#include "src/sim/poller.h"
 
 namespace rfp {
 
@@ -231,8 +232,8 @@ sim::Task<void> Channel::FlushCalls() {
     co_return;
   }
   const sim::Time start = engine_.now();
-  std::vector<BatchOp> ops;
-  ops.reserve(static_cast<size_t>(staged_count_));
+  const ScratchLease scratch(*this);
+  std::vector<BatchOp>& ops = scratch->ops;
   check::FabricChecker* chk = fabric_->checker();
   for (int s = 0; s < options_.window; ++s) {
     const ClientSlot& cs = cslot(s);
@@ -490,7 +491,8 @@ sim::Task<void> Channel::FetchSweep(int primary) {
     // Slots still awaiting a response. Response slots are contiguous in the
     // ring ([resp 0..W-1], block_bytes_ apart), so one spanning READ from the
     // lowest pending slot through the highest covers them all.
-    std::vector<int> pending;
+    const ScratchLease scratch(*this);
+    std::vector<int>& pending = scratch->slots;
     int lo = options_.window;
     int hi = -1;
     for (int s = 0; s < options_.window; ++s) {
@@ -510,7 +512,8 @@ sim::Task<void> Channel::FetchSweep(int primary) {
       // instead of one 89 ns gap per slot — the per-call in-bound cost drops
       // toward the single request WRITE (docs/multicore.md).
       const uint32_t len = static_cast<uint32_t>(static_cast<size_t>(hi - lo + 1) * block_bytes_);
-      std::vector<BatchOp> span{{primary, /*is_read=*/true, land_off(lo), land_off(lo), len}};
+      std::vector<BatchOp>& span = scratch->ops;
+      span.push_back({primary, /*is_read=*/true, land_off(lo), land_off(lo), len});
       co_await RcBatch(/*from_client=*/true, span, "coalesced fetch");
       ++stats_.fetch_reads;
       ++stats_.coalesced_fetches;
@@ -535,8 +538,8 @@ sim::Task<void> Channel::FetchSweep(int primary) {
     // A single pending slot falls through to the per-slot READ below (which
     // honors fetch_size and per-call overrides).
   }
-  std::vector<BatchOp> ops;
-  ops.reserve(static_cast<size_t>(posted_count_));
+  const ScratchLease scratch(*this);
+  std::vector<BatchOp>& ops = scratch->ops;
   const auto add = [&](int s) {
     const ClientSlot& cs = cslot(s);
     if (cs.state != ClientSlot::State::kPosted || cs.landing_ready) {
@@ -595,6 +598,9 @@ sim::Task<void> Channel::SwitchToReply() {
 
 sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
   ClientSlot& cs = cslot(slot);
+  // An empty poll only charges reply_poll_cpu_ns, so the loop parks until
+  // the landing block changes or the call deadline passes.
+  sim::Poller poller(engine_, &client_busy_, options_.reply_poll_cpu_ns);
   while (true) {
     const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slot));
     if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
@@ -687,7 +693,9 @@ sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
       }
       throw DeadlineExceeded("rfp channel: call deadline exceeded awaiting reply");
     }
-    co_await engine_.Sleep(options_.reply_poll_interval_ns);
+    client_.mr->Watch(client_.abs(land_off(slot)), block_bytes_, &poller);
+    co_await poller.Park(options_.reply_poll_interval_ns, cs.deadline);
+    client_.mr->Unwatch(&poller);
   }
 }
 
@@ -1004,7 +1012,8 @@ sim::Task<void> Channel::FlushServerPushes() {
   if (server_visible_mode() != Mode::kServerReply) {
     co_return;  // remote fetch: responses are local stores, nothing to push
   }
-  std::vector<BatchOp> ops;
+  const ScratchLease scratch(*this);
+  std::vector<BatchOp>& ops = scratch->ops;
   for (int s = 0; s < options_.window; ++s) {
     const ServerSlot& ss = sslot(s);
     if (ss.response_pushed || ss.last_resp_seq == 0) {
@@ -1148,6 +1157,19 @@ sim::Task<void> Channel::EnsureConnected(rdma::QueuePair* failed) {
   reconnect_in_progress_ = false;
 }
 
+Channel::ScratchLease::ScratchLease(Channel& channel) : channel_(channel) {
+  if (channel_.scratch_pool_.empty()) {
+    scratch_ = std::make_unique<BatchScratch>();
+    return;
+  }
+  scratch_ = std::move(channel_.scratch_pool_.back());
+  channel_.scratch_pool_.pop_back();
+  scratch_->ops.clear();
+  scratch_->slots.clear();
+}
+
+Channel::ScratchLease::~ScratchLease() { channel_.scratch_pool_.push_back(std::move(scratch_)); }
+
 sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
                                 const char* what) {
   if (options_.window == 1) {
@@ -1169,7 +1191,9 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
     BatchWaiter* self;
     ~Deregister() { std::erase(waiters, self); }
   } deregister{batch_waiters_, &self};
-  std::vector<char> done(ops.size(), 0);
+  for (BatchOp& op : ops) {
+    op.done = false;
+  }
   size_t remaining = ops.size();
   for (int attempt = 0; remaining > 0; ++attempt) {
     // Re-resolve the QP each attempt: a reconnect replaces it. Offsets in
@@ -1185,7 +1209,7 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
     next_wr_id_ += ops.size();
     size_t posted = 0;
     for (size_t i = 0; i < ops.size(); ++i) {
-      if (done[i]) {
+      if (ops[i].done) {
         continue;
       }
       const BatchOp& op = ops[i];
@@ -1239,7 +1263,7 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
         continue;
       }
       CheckOk(wc, what);
-      done[i] = 1;
+      ops[i].done = true;
       --remaining;
     }
     if (remaining == 0) {
@@ -1247,7 +1271,7 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
     }
     if (!qp_error || attempt >= options_.max_reconnect_attempts) {
       for (size_t i = 0; i < ops.size(); ++i) {
-        if (!done[i]) {
+        if (!ops[i].done) {
           CheckOk(ops[i].wc, what);  // throws, reporting the failure
         }
       }

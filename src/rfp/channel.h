@@ -539,6 +539,28 @@ class Channel {
     size_t remote_off = 0;
     uint32_t len = 0;
     rdma::WorkCompletion wc{};
+    bool done = false;  // RcBatch: completed successfully
+  };
+
+  // Per-batch working storage. A batch leases one from the channel's pool
+  // and returns it, capacity intact, when it ends, so a warmed channel
+  // builds its batches without allocating and two batches in flight on one
+  // channel never share one.
+  struct BatchScratch {
+    std::vector<BatchOp> ops;
+    std::vector<int> slots;
+  };
+  class ScratchLease {
+   public:
+    explicit ScratchLease(Channel& channel);
+    ~ScratchLease();
+    ScratchLease(const ScratchLease&) = delete;
+    ScratchLease& operator=(const ScratchLease&) = delete;
+    BatchScratch* operator->() const { return scratch_.get(); }
+
+   private:
+    Channel& channel_;
+    std::unique_ptr<BatchScratch> scratch_;
   };
 
   // An RcBatch collecting completions: the wr_ids of its current posting
@@ -717,6 +739,7 @@ class Channel {
   int posted_count_ = 0;
   uint64_t next_wr_id_ = 0;                   // RcBatch wr_ids, never reused
   std::vector<BatchWaiter*> batch_waiters_;   // RcBatch calls collecting now
+  std::vector<std::unique_ptr<BatchScratch>> scratch_pool_;  // ScratchLease
   int last_recv_slot_ = 0;  // slot of the request TryServerRecv returned
   int recv_rr_ = 0;         // round-robin start of the server's slot scan
 

@@ -31,6 +31,12 @@ UdRpcServer::UdRpcServer(rdma::Fabric& fabric, rdma::Node& node, int num_threads
   }
 }
 
+UdRpcServer::~UdRpcServer() {
+  for (size_t t = 0; t < pollers_.size(); ++t) {
+    qps_[t]->recv_cq()->Unwatch(pollers_[t].get());
+  }
+}
+
 void UdRpcServer::RegisterHandler(uint16_t rpc_id, Handler handler) {
   handlers_[rpc_id] = std::move(handler);
 }
@@ -60,10 +66,21 @@ void UdRpcServer::Start() {
   }
   started_ = true;
   for (int t = 0; t < num_threads(); ++t) {
+    pollers_.push_back(std::make_unique<sim::Poller>(fabric_.engine()));
+    qps_[static_cast<size_t>(t)]->recv_cq()->Watch(pollers_.back().get());
+  }
+  for (int t = 0; t < num_threads(); ++t) {
     for (int i = 0; i < options_.recv_pool; ++i) {
       RepostRecv(t, static_cast<uint64_t>(i));
     }
     fabric_.engine().Spawn(ServeLoop(t));
+  }
+}
+
+void UdRpcServer::Stop() {
+  stop_ = true;
+  for (const auto& poller : pollers_) {
+    poller->Wake();
   }
 }
 
@@ -74,10 +91,11 @@ sim::Task<void> UdRpcServer::ServeLoop(int thread) {
   const size_t slot = SlotBytes(options_);
   const size_t tx_offset = slot * static_cast<size_t>(options_.recv_pool);
   std::vector<std::byte> request(options_.max_message_bytes);
+  sim::Poller& poller = *pollers_[static_cast<size_t>(thread)];
   while (!stop_) {
     const auto wc = qp->recv_cq()->Poll();
     if (!wc.has_value()) {
-      co_await engine.Sleep(sim::Nanos(200));
+      co_await poller.Park(sim::Nanos(200));
       continue;
     }
     if (!wc->ok() || wc->byte_len < kHdr) {
@@ -155,6 +173,9 @@ sim::Task<size_t> UdRpcClient::Call(uint16_t rpc_id, std::span<const std::byte> 
   ++stats_.calls;
   int transmits = 0;
   sim::Time deadline = 0;
+  // Between a response landing and the retransmit deadline every poll finds
+  // an empty CQ, so the loop parks until one of them.
+  sim::Poller poller(engine);
   while (true) {
     if (transmits == 0 || engine.now() >= deadline) {
       if (transmits > options_.max_retransmits) {
@@ -185,7 +206,9 @@ sim::Task<size_t> UdRpcClient::Call(uint16_t rpc_id, std::span<const std::byte> 
       }
       ++stats_.duplicates;  // stale reply to an earlier (retransmitted) seq
     }
-    co_await engine.Sleep(options_.client_poll_ns);
+    qp_->recv_cq()->Watch(&poller);
+    co_await poller.Park(options_.client_poll_ns, deadline);
+    qp_->recv_cq()->Unwatch(&poller);
   }
 }
 

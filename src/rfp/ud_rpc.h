@@ -24,6 +24,7 @@
 
 #include "src/rdma/fabric.h"
 #include "src/rfp/rpc.h"
+#include "src/sim/poller.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
 
@@ -51,6 +52,10 @@ class UdRpcServer {
   // One UD QP (and one service actor) per thread.
   UdRpcServer(rdma::Fabric& fabric, rdma::Node& node, int num_threads,
               UdRpcOptions options = {});
+  ~UdRpcServer();
+
+  UdRpcServer(const UdRpcServer&) = delete;
+  UdRpcServer& operator=(const UdRpcServer&) = delete;
 
   void RegisterHandler(uint16_t rpc_id, Handler handler);
 
@@ -59,7 +64,7 @@ class UdRpcServer {
   int num_threads() const { return static_cast<int>(qps_.size()); }
 
   void Start();
-  void Stop() { stop_ = true; }
+  void Stop();
 
   uint64_t requests_served() const { return requests_served_; }
   // Requests dropped because the recv pool was empty (burst overflow).
@@ -81,6 +86,9 @@ class UdRpcServer {
   uint64_t malformed_requests_ = 0;
   std::unordered_map<uint16_t, Handler> handlers_;
   std::vector<rdma::QueuePair*> qps_;
+  // One per ServeLoop: an idle loop parks until its CQ gets a completion or
+  // Stop().
+  std::vector<std::unique_ptr<sim::Poller>> pollers_;
   // One registered region per thread: [recv_pool slots][tx staging].
   std::vector<rdma::MemoryRegion*> regions_;
 };

@@ -56,11 +56,12 @@ class CpuSet {
 
 // Accumulates the virtual time an actor spent busy (computing or spinning).
 // Utilization over a window is busy / (end - start); callers snapshot the
-// meter at window boundaries.
+// meter at window boundaries. A parked Poller charging this meter adds its
+// skipped polls lazily: busy() counts every one that has run by now.
 class BusyMeter {
  public:
   void AddBusy(Time t) { busy_ += t; }
-  Time busy() const { return busy_; }
+  Time busy() const { return engine_ != nullptr ? busy_ + engine_->PendingCharge(this) : busy_; }
 
   double Utilization(Time window_start, Time window_end) const {
     if (window_end <= window_start) {
@@ -70,10 +71,13 @@ class BusyMeter {
     return u > 1.0 ? 1.0 : u;
   }
 
-  void Reset() { busy_ = 0; }
+  void Reset() { busy_ = engine_ != nullptr ? -engine_->PendingCharge(this) : 0; }
 
  private:
+  friend class Engine;
+
   Time busy_ = 0;
+  const Engine* engine_ = nullptr;  // set once a Poller charging it parks
 };
 
 }  // namespace sim

@@ -15,6 +15,13 @@
 // Dispatch takes the lower (when, seq) of the lane front and the heap top,
 // so the order is exactly the (when, seq) order of a single queue.
 //
+// A poll loop that found nothing can park instead of sleeping (poller.h):
+// the engine queues no event for the polls it skips and, when a wake source
+// fires, resumes the loop at its first poll instant at or after the wake
+// with the exact seq that poll would have drawn. The skipped polls still
+// count in events_processed(), so a run with parked loops is bit-for-bit
+// the run that slept them (DESIGN.md §5, "Parked pollers").
+//
 // The FIFO tie-break can be overridden with a SchedulePolicy (schedule.h):
 // when a policy is installed, every instant with more than one ready event
 // becomes a recorded decision point, which is what explore::Explorer uses to
@@ -30,6 +37,7 @@
 #include <exception>
 #include <functional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/task.h"
@@ -38,6 +46,7 @@
 
 namespace sim {
 
+class BusyMeter;
 class SchedulePolicy;
 
 class Engine {
@@ -50,8 +59,14 @@ class Engine {
   // Current virtual time.
   Time now() const { return now_; }
 
-  // Total events dispatched so far (useful for progress accounting in tests).
-  uint64_t events_processed() const { return events_processed_; }
+  // Total events dispatched so far (useful for progress accounting in tests),
+  // counting every poll a parked loop skipped as the event it would have
+  // been.
+  uint64_t events_processed() const;
+
+  // Events the engine really dispatched: events_processed() minus the
+  // skipped polls of parked loops.
+  uint64_t dispatches() const { return dispatches_; }
 
   // Attaches (or detaches, with nullptr) a trace sink. While attached, the
   // engine emits virtual-time spans for actor lifetimes and sleeps, and
@@ -93,14 +108,7 @@ class Engine {
       Engine* engine;
       Time delay;
       bool await_ready() const noexcept { return delay <= 0; }
-      void await_suspend(std::coroutine_handle<> h) {
-        if (engine->trace_ != nullptr) {
-          engine->trace_->Span("actor", "sleep",
-                               reinterpret_cast<uint64_t>(h.address()), engine->now_,
-                               engine->now_ + delay);
-        }
-        engine->ResumeAt(engine->now_ + delay, h);
-      }
+      void await_suspend(std::coroutine_handle<> h) { engine->SleepFrame(h, delay); }
       void await_resume() const noexcept {}
     };
     return Awaiter{this, delay};
@@ -140,13 +148,83 @@ class Engine {
   void ActorDone(std::exception_ptr e);
 
  private:
+  friend class BusyMeter;
+  friend class Poller;
+
+  // A poll loop's park state (poller.h). The loop polls at `next`,
+  // `next + period`, ...; `next_seq` is the seq the poll at `next` was
+  // queued with, so every later poll's seq follows from the dispatch log.
+  struct ParkRecord {
+    // kParked: polls skipped; kWaking: a wake event is queued for the poll
+    // at wake_at; kScheduled: that poll is queued under its exact seq or
+    // running; until the loop resumes, its grid stays held.
+    enum class State : uint8_t { kFree, kIdle, kParked, kWaking, kScheduled };
+    std::coroutine_handle<> frame;
+    Time period = 0;
+    Time phase = 0;  // next % period
+    Time next = 0;
+    uint64_t next_seq = 0;
+    uint64_t skipped = 0;  // polls skipped before `next` in this park
+    Time wake_at = -1;  // kParked/kWaking: the live wake event's instant, if
+                        // any; kScheduled: the queued poll's instant
+    BusyMeter* meter = nullptr;
+    Time charge = 0;       // meter charge per skipped poll
+    uint32_t episode = 0;  // parks so far; a wake event names its park
+    uint32_t rank = 0;     // order among held records on one grid
+    uint32_t parked_at = 0;  // index in parked_ while parked()
+    uint32_t held_at = 0;    // index in held_ unless kIdle
+    State state = State::kFree;
+
+    bool parked() const { return state == State::kParked || state == State::kWaking; }
+  };
+
+  // One logged dispatch: its key and next_seq_ once it finished.
+  struct LogEntry {
+    Time when;
+    uint64_t seq;
+    uint64_t counter_after;
+  };
+  // Seqs drawn between runs, after every poll at or before `at`.
+  struct Boundary {
+    Time at;
+    uint64_t counter;
+  };
+
+  // How many held records poll on each (period, phase) grid, keyed
+  // period << kSeqShift | phase: an open-addressing map (key 0 = empty
+  // slot), so a park or a wake event tells in O(1) whether other loops poll
+  // on a grid, however many are parked.
+  class GridCounts {
+   public:
+    static uint64_t Key(Time period, Time phase) {
+      return (static_cast<uint64_t>(period) << kSeqShift) | static_cast<uint64_t>(phase);
+    }
+    int count(uint64_t key) const;
+    void add(uint64_t key);
+    void remove(uint64_t key);
+
+   private:
+    struct Slot {
+      uint64_t key = 0;
+      int count = 0;
+    };
+    size_t Home(uint64_t key) const { return (key * 0x9e3779b97f4a7c15ULL) >> shift_; }
+    void Insert(Slot slot);
+    std::vector<Slot> slots_;  // size is zero or a power of two
+    size_t size_ = 0;
+    int shift_ = 64;
+  };
+
   union Target {
     void* frame;  // coroutine to resume
     size_t slot;  // callback in callbacks_
   };
 
-  // `seq` is the scheduling order shifted left by one; its low bit is
+  // `seq` is the scheduling order shifted left by kSeqShift; its low bit is
   // kCallbackTag when `target` names a callback slot rather than a frame.
+  // The bits between order parked polls (ParkSeq), leaving 40 bits of
+  // scheduling order; seq 0 is a wake event for a parked poll, resolved on
+  // arrival.
   struct PendingEvent {
     Time when;
     uint64_t seq;
@@ -155,6 +233,24 @@ class Engine {
   static_assert(sizeof(PendingEvent) == 24 && std::is_trivially_copyable_v<PendingEvent>);
 
   static constexpr uint64_t kCallbackTag = 1;
+  static constexpr int kSeqShift = 24;
+  static constexpr int kRankBits = 10;
+  static constexpr uint32_t kRankLimit = 1U << kRankBits;
+  // Parking needs a period below this; longer waits just sleep.
+  static constexpr Time kMaxParkPeriod = Time{1} << (kSeqShift - 1 - kRankBits);
+  static constexpr uint64_t kWakeSeq = 0;
+  static constexpr uint64_t kOutsideDispatch = ~uint64_t{0};
+
+  // The seq of a poll queued by a draw made while next_seq_ was `window`
+  // (no counter value consumed): after every seq drawn before it, before
+  // every seq drawn after it. Two such draws in one window that land on one
+  // instant came from polls of different periods, and the longer period
+  // drew first; or from loops polling on one grid, whose order never
+  // changes while they stay parked and is their rank.
+  static uint64_t ParkSeq(uint64_t window, Time period, uint32_t rank) {
+    const auto sub = (static_cast<uint64_t>(kMaxParkPeriod - period) << kRankBits) | rank;
+    return ((window - 1) << kSeqShift) | (sub << 1);
+  }
 
   static bool Before(const PendingEvent& a, const PendingEvent& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
@@ -194,7 +290,7 @@ class Engine {
   // (a RunUntil() deadline before now() can move the clock back under a
   // non-empty lane; such events go to the heap, which orders anything).
   void Push(Time when, Target target, uint64_t tag) {
-    const uint64_t seq = (next_seq_++ << 1) | tag;
+    const uint64_t seq = (next_seq_++ << kSeqShift) | tag;
     if (when <= now_) {
       const PendingEvent ev{now_, seq, target};
       if (lane_.empty() || lane_.back().when == now_) {
@@ -209,7 +305,18 @@ class Engine {
 
   void PushHeap(const PendingEvent& ev);
   PendingEvent PopHeap();
-  bool HasPending() const { return !lane_.empty() || !heap_.empty(); }
+  // Drops wake events that a park no longer waits for, so they neither move
+  // the clock nor keep a run from draining.
+  bool HasPending() {
+    while (!heap_.empty() && heap_.front().seq == kWakeSeq && StaleWake(heap_.front())) {
+      PopHeap();
+    }
+    return !lane_.empty() || !heap_.empty();
+  }
+  bool StaleWake(const PendingEvent& ev) const {
+    const ParkRecord& r = parks_[static_cast<uint32_t>(ev.target.slot)];
+    return !r.parked() || r.episode != ev.target.slot >> 32 || r.wake_at != ev.when;
+  }
   // True if the next event comes from the lane (requires HasPending()).
   bool LaneIsNext() const {
     return !lane_.empty() && (heap_.empty() || Before(lane_.front(), heap_.front()));
@@ -217,15 +324,51 @@ class Engine {
   Time NextWhen() const { return LaneIsNext() ? lane_.front().when : heap_.front().when; }
 
   void DispatchOne();
+  void DispatchOneLogged();
   void DispatchOneWithPolicy();
   void Fire(const PendingEvent& ev);
+
+  void SleepFrame(std::coroutine_handle<> h, Time delay) {
+    if (trace_ != nullptr) {
+      trace_->Span("actor", "sleep", reinterpret_cast<uint64_t>(h.address()), now_, now_ + delay);
+    }
+    ResumeAt(now_ + delay, h);
+  }
+
+  // Parking (poller.h).
+  uint32_t NewPark(BusyMeter* meter, Time charge);
+  void FreePark(uint32_t id);
+  void Park(uint32_t id, std::coroutine_handle<> h, Time period, Time deadline);
+  void Unparked(uint32_t id);
+  void Wake(uint32_t id);
+  bool Join(uint32_t id);
+  bool DrewBefore(const ParkRecord& r) const;
+  bool Respace(std::vector<uint32_t>& members);
+  void Release(uint32_t id);
+  bool OthersPollAt(const ParkRecord& self, Time at) const;
+  void PushWake(uint32_t id, Time at);
+  void Arrive(uint32_t id);
+  void Resume(uint32_t id, Time at, uint64_t seq);
+  void Settle(ParkRecord& r, Time at);
+  void Unpark(ParkRecord& r);
+  void Unlist(std::vector<uint32_t>& list, uint32_t at, uint32_t ParkRecord::*index);
+  uint64_t SeqAt(const ParkRecord& r, Time q) const;
+  size_t LogLowerBound(Time when, uint64_t seq) const;
+  uint64_t WindowBefore(Time when, uint64_t seq) const;
+  bool LoggedAt(Time when) const;
+  uint64_t SkippedSoFar(const ParkRecord& r) const;
+  Time PendingCharge(const BusyMeter* meter) const;
+  void NoteBoundary();
+  void TrimLog();
 
   Time now_ = 0;
   TraceSink* trace_ = nullptr;
   SchedulePolicy* policy_ = nullptr;
   uint64_t next_actor_id_ = 1;
-  uint64_t next_seq_ = 0;
-  uint64_t events_processed_ = 0;
+  uint64_t next_seq_ = 1;  // ParkSeq needs every window >= 1
+  uint64_t dispatches_ = 0;
+  uint64_t skipped_polls_ = 0;  // settled skipped polls of parked loops
+  uint64_t current_seq_ = kOutsideDispatch;  // seq of the event being fired
   int live_actors_ = 0;
   std::exception_ptr actor_failure_;
   std::vector<PendingEvent> heap_;  // 4-ary min-heap on (when, seq)
@@ -233,6 +376,23 @@ class Engine {
   std::vector<std::function<void()>> callbacks_;  // ScheduleAt slab
   std::vector<size_t> free_callbacks_;            // recycled slab slots
   std::vector<PendingEvent> ready_scratch_;       // policy path: same-instant ready set
+
+  std::vector<ParkRecord> parks_;
+  std::vector<uint32_t> free_parks_;
+  std::vector<uint32_t> parked_;  // parked() records
+  std::vector<uint32_t> held_;    // records whose grid is taken
+  GridCounts grids_;              // grids of held_
+  std::vector<uint32_t> members_scratch_;  // Join: held records on one grid
+  std::vector<std::pair<Time, int>> held_periods_;  // period, held records on it
+  // Dispatch log, kept only while a record is parked: the dispatches that
+  // drew a seq, entries [log_head_, end) in (when, seq) order, whatever came
+  // before folded into log_base_. A dispatch is logged once it finishes.
+  static constexpr size_t kMinTrim = 2048;
+  std::vector<LogEntry> log_;
+  size_t log_head_ = 0;
+  uint64_t log_base_ = 0;
+  size_t trim_at_ = 0;
+  std::vector<Boundary> boundaries_;
 };
 
 }  // namespace sim

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "src/explore/history.h"
+#include "src/kv/common.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
@@ -512,6 +513,58 @@ TEST_F(JakiroTest, MultiGetArenaExhaustionThrows) {
     co_await c->MultiGet(keys, arena, results);
   }(&client));
   EXPECT_THROW(engine_.RunUntil(sim::Millis(5)), std::length_error);
+}
+
+// A server whose MultiGet handler answers with fewer bytes than its count
+// claims: the decoder throws instead of reading past the response, in the
+// window-1 sequential order and in the pipelined order.
+TEST_F(JakiroTest, MultiGetTruncatedResponseThrows) {
+  for (const size_t window : {size_t{1}, size_t{4}}) {
+    // Cut inside the first entry's value, or before its size field.
+    for (const bool cut_in_value : {true, false}) {
+      sim::Engine engine;
+      rdma::Fabric fabric(engine);
+      rdma::Node& server_node = fabric.AddNode("server");
+      rdma::Node& client_node = fabric.AddNode("client");
+      JakiroConfig config;
+      config.server_threads = 1;
+      config.channel_options.window = static_cast<int>(window);
+      JakiroServer server(fabric, server_node, config);
+      server.rpc().RegisterHandler(
+          kRpcMultiGet, [cut_in_value](const rfp::HandlerContext&, std::span<const std::byte> req,
+                                       std::span<std::byte> resp) {
+            uint16_t count = 0;
+            std::memcpy(&count, req.data(), sizeof(count));
+            resp[0] = static_cast<std::byte>(Status::kOk);
+            std::memcpy(resp.data() + 1, &count, sizeof(count));
+            size_t size = 1 + sizeof(count);
+            if (cut_in_value) {
+              const uint32_t claimed = 8;  // only 3 value bytes follow
+              std::memcpy(resp.data() + size, &claimed, sizeof(claimed));
+              size += sizeof(claimed) + 3;
+            }
+            return rfp::HandlerResult{size, sim::Nanos(100)};
+          });
+      JakiroClient client(server, client_node);
+      server.Start();
+      std::string error;
+      engine.Spawn([](JakiroClient* c, std::string* out) -> sim::Task<void> {
+        std::vector<std::vector<std::byte>> storage{Bytes("a"), Bytes("b"), Bytes("c")};
+        std::vector<std::span<const std::byte>> keys(storage.begin(), storage.end());
+        std::vector<std::byte> arena(256);
+        std::vector<std::optional<std::span<const std::byte>>> results(keys.size());
+        try {
+          co_await c->MultiGet(keys, arena, results);
+        } catch (const std::runtime_error& e) {
+          *out = e.what();
+        }
+      }(&client, &error));
+      engine.RunUntil(sim::Millis(5));
+      EXPECT_EQ(error, "jakiro multiget: truncated response")
+          << "window " << window << (cut_in_value ? ", cut in value" : ", cut before size");
+      server.Stop();
+    }
+  }
 }
 
 }  // namespace
