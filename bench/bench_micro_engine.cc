@@ -1,7 +1,8 @@
 // Micro-benchmarks of the simulator itself (google-benchmark): event
-// dispatch, coroutine round trips, resource handoffs, and a full simulated
-// RDMA READ. These track the cost of the substrate — useful when deciding
-// how long a simulated window a bench can afford. The populated-heap,
+// dispatch, coroutine round trips, resource handoffs, a full simulated
+// RDMA READ, and Jakiro's BucketTable GET and PUT. These track the cost of
+// the substrate — useful when deciding how long a simulated window a bench
+// can afford. The populated-heap,
 // fan-out and nested-task cases have the shape of a real bench's traffic:
 // hundreds of actors asleep at once, same-instant wake-ups, and short-lived
 // task frames per simulated call.
@@ -10,16 +11,21 @@
 
 #include "bench/common.h"
 
-#include "src/rdma/fabric.h"
 #include <memory>
 #include <vector>
 
+#include "src/kv/bucket_table.h"
+#include "src/kv/common.h"
+#include "src/rdma/fabric.h"
+
 #include "src/sim/engine.h"
 #include "src/sim/poller.h"
+#include "src/sim/random.h"
 #include "src/sim/resource.h"
 #include "src/sim/signal.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
+#include "src/workload/ycsb.h"
 
 namespace {
 
@@ -233,6 +239,65 @@ void BM_HistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistogramRecord);
+
+// Jakiro's partition tables at kv_small_get's shape: 2^18 16-byte keys
+// spread over 6 tables of 2^16 buckets (routed as JakiroServer does), 32 B
+// values, GETs of uniformly drawn keys. Each GET costs a bucket line and a
+// key/value line, so the time per item is mostly two cache misses.
+struct TableSet {
+  TableSet(uint64_t key_count, uint32_t value_bytes) : keys(key_count * 16) {
+    for (int t = 0; t < kTables; ++t) {
+      tables.push_back(std::make_unique<kv::BucketTable>(size_t{1} << 16));
+    }
+    std::vector<std::byte> value(value_bytes);
+    for (uint64_t id = 0; id < key_count; ++id) {
+      const std::span<std::byte> k = key(id);
+      workload::MakeKey(id, k);
+      workload::FillValue(id, value);
+      owners.push_back(static_cast<uint8_t>(sim::Mix64(kv::HashBytes(k)) % kTables));
+      tables[owners.back()]->Put(k, value);
+    }
+  }
+  std::span<std::byte> key(uint64_t id) { return std::span<std::byte>(keys).subspan(id * 16, 16); }
+  kv::BucketTable& owner(uint64_t id) { return *tables[owners[id]]; }
+
+  static constexpr int kTables = 6;
+  std::vector<std::byte> keys;
+  std::vector<uint8_t> owners;
+  std::vector<std::unique_ptr<kv::BucketTable>> tables;
+};
+
+void BM_BucketTableGet(benchmark::State& state) {
+  constexpr uint64_t kKeys = uint64_t{1} << 18;
+  static TableSet set(kKeys, 32);
+  sim::Rng rng(7);
+  for (auto _ : state) {
+    const uint64_t id = rng.NextBounded(kKeys);
+    benchmark::DoNotOptimize(set.owner(id).Get(set.key(id)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BucketTableGet);
+
+// Overwrites with log-uniform 32 B-8 KiB values (kv_mixed_put's sizes) over
+// 2^13 keys in the same six tables. A PUT that fits the key's storage
+// overwrites in place and a larger one moves it, so once each key has held
+// an 8 KiB value every PUT is an in-place copy.
+void BM_BucketTablePut(benchmark::State& state) {
+  constexpr uint64_t kKeys = uint64_t{1} << 13;
+  static TableSet set(kKeys, 32);
+  sim::Rng rng(11);
+  std::vector<std::byte> value(8192);
+  workload::FillValue(1, value);
+  for (auto _ : state) {
+    const uint64_t id = rng.NextBounded(kKeys);
+    const size_t size = size_t{32} << rng.NextBounded(9);
+    set.owner(id).Put(set.key(id), std::span<const std::byte>(value.data(), size));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BucketTablePut);
 
 }  // namespace
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <utility>
 
@@ -32,6 +35,104 @@ BucketTable::BucketTable(size_t num_buckets, rdma::Node& node) : BucketTable(num
   node_ = &node;
 }
 
+BucketTable::~BucketTable() { DropHandles(); }
+
+uint32_t BucketTable::Arena::NewChunk(size_t bytes) {
+  Chunk chunk(static_cast<std::byte*>(::operator new(bytes, kChunkAlign)));
+  if (!free_chunks_.empty()) {
+    const uint32_t idx = free_chunks_.back();
+    free_chunks_.pop_back();
+    chunks_[idx] = std::move(chunk);
+    return idx;
+  }
+  if (chunks_.size() >= kMaxChunks) {
+    throw std::length_error("bucket table: cell arena exhausted");
+  }
+  chunks_.push_back(std::move(chunk));
+  return static_cast<uint32_t>(chunks_.size() - 1);
+}
+
+void BucketTable::Arena::Push(uint32_t ref, size_t cls) {
+  uint32_t& head = free_heads_[cls];
+  std::memcpy(At(ref), &head, sizeof(head));
+  head = ref;
+  class_bits_[cls / 64] |= uint64_t{1} << (cls % 64);
+  summary_bits_[cls / 64 / 64] |= uint64_t{1} << (cls / 64 % 64);
+}
+
+uint32_t BucketTable::Arena::Pop(size_t cls) {
+  uint32_t& head = free_heads_[cls];
+  const uint32_t ref = head;
+  std::memcpy(&head, At(ref), sizeof(head));
+  if (head == kNone && (class_bits_[cls / 64] &= ~(uint64_t{1} << (cls % 64))) == 0) {
+    summary_bits_[cls / 64 / 64] &= ~(uint64_t{1} << (cls / 64 % 64));
+  }
+  return ref;
+}
+
+size_t BucketTable::Arena::FirstFree(size_t cls) const {
+  const size_t word = cls / 64;
+  if (const uint64_t bits = class_bits_[word] & (~uint64_t{0} << (cls % 64)); bits != 0) {
+    return word * 64 + static_cast<size_t>(std::countr_zero(bits));
+  }
+  // The next non-empty word after `word`, found through the summary.
+  for (size_t s = (word + 1) / 64; s < kSummaryWords; ++s) {
+    uint64_t summary = summary_bits_[s];
+    if (s == (word + 1) / 64) {
+      summary &= ~uint64_t{0} << ((word + 1) % 64);
+    }
+    if (summary != 0) {
+      const size_t next = s * 64 + static_cast<size_t>(std::countr_zero(summary));
+      return next * 64 + static_cast<size_t>(std::countr_zero(class_bits_[next]));
+    }
+  }
+  return kClasses;
+}
+
+uint32_t BucketTable::Arena::Alloc(size_t bytes) {
+  if (bytes > kChunkBytes) {
+    return NewChunk(bytes) << kOffsetBits;
+  }
+  const size_t cls = bytes / kAlign;
+  if (const size_t from = FirstFree(cls); from != kClasses) {
+    const uint32_t ref = Pop(from);
+    if (from > cls) {
+      // Cells never cross a chunk, so the rest stays inside this one.
+      Push(ref + static_cast<uint32_t>(cls), from - cls);
+    }
+    return ref;
+  }
+  if (kChunkBytes - bump_offset_ < bytes) {
+    if (bump_offset_ < kChunkBytes) {
+      Push(BumpRef(), (kChunkBytes - bump_offset_) / kAlign);
+    }
+    bump_chunk_ = NewChunk(kChunkBytes);
+    bump_offset_ = 0;
+  }
+  const uint32_t ref = BumpRef();
+  bump_offset_ += bytes;
+  return ref;
+}
+
+void BucketTable::Arena::Free(uint32_t ref, size_t bytes) {
+  if (bytes > kChunkBytes) {
+    const uint32_t idx = ref >> kOffsetBits;
+    chunks_[idx].reset();
+    free_chunks_.push_back(idx);
+    return;
+  }
+  Push(ref, bytes / kAlign);
+}
+
+void BucketTable::Arena::Clear() {
+  chunks_.clear();
+  free_chunks_.clear();
+  std::fill(free_heads_.begin(), free_heads_.end(), kNone);
+  std::fill(class_bits_.begin(), class_bits_.end(), 0);
+  summary_bits_.fill(0);
+  bump_offset_ = kChunkBytes;
+}
+
 void BucketTable::NoteCpuStore(const ValueCell& cell) {
   if (cell.len == 0 || node_ == nullptr) {
     return;
@@ -41,8 +142,8 @@ void BucketTable::NoteCpuStore(const ValueCell& cell) {
   }
 }
 
-std::shared_ptr<BucketTable::ValueCell> BucketTable::MakeCell(std::span<const std::byte> value,
-                                                              uint32_t epoch) {
+BucketTable::ValueHandle BucketTable::MakeValueCell(std::span<const std::byte> value,
+                                                   uint32_t epoch) {
   auto cell = std::make_shared<ValueCell>();
   cell->pool = pool_;
   cell->span = pool_->Alloc(value.size());
@@ -70,32 +171,55 @@ int BucketTable::FindSlot(const Bucket& bucket, uint16_t tag,
     if (slot.used == 0 || slot.tag != tag) {
       continue;
     }
-    const Entry& entry = entries_[slot.entry];
-    if (entry.key.size() == key.size() &&
-        std::equal(entry.key.begin(), entry.key.end(), key.begin())) {
+    const std::byte* stored = Key(slot.entry);
+    if (Header(slot.entry).key_len == key.size() &&
+        std::equal(key.begin(), key.end(), stored)) {
       return i;
     }
   }
   return -1;
 }
 
-uint32_t BucketTable::AllocEntry() {
-  if (!free_entries_.empty()) {
-    const uint32_t idx = free_entries_.back();
-    free_entries_.pop_back();
-    return idx;
+uint32_t BucketTable::NewCell(std::span<const std::byte> key, std::span<const std::byte> value) {
+  // Pool mode draws the span first, so a throwing Pool::Alloc leaves no cell.
+  ValueHandle handle = pool_ ? MakeValueCell(value, 0) : nullptr;
+  const size_t capacity = pool_ ? sizeof(ValueHandle) : Arena::RoundUp(value.size());
+  const uint32_t ref = arena_.Alloc(ValueOffset(key.size()) + capacity);
+  new (arena_.At(ref)) CellHeader{
+      static_cast<uint32_t>(key.size()),
+      static_cast<uint32_t>(pool_ ? capacity : value.size()),
+      static_cast<uint32_t>(capacity),
+  };
+  rdma::CopyBytes(std::span<std::byte>(Key(ref), key.size()), key);
+  if (pool_) {
+    new (Value(ref)) ValueHandle(std::move(handle));
+  } else {
+    rdma::CopyBytes(std::span<std::byte>(Value(ref), value.size()), value);
   }
-  entries_.emplace_back();
-  return static_cast<uint32_t>(entries_.size() - 1);
+  return ref;
 }
 
-void BucketTable::FreeEntry(uint32_t idx) {
-  entries_[idx].key.clear();
-  entries_[idx].value.clear();
-  // Deferred free: if a zero-copy pin still holds the cell, the span
-  // returns to the pool when that pin drops, not here.
-  entries_[idx].cell.reset();
-  free_entries_.push_back(idx);
+void BucketTable::FreeCell(uint32_t ref) {
+  if (pool_) {
+    // Deferred free: if a zero-copy pin still holds the span, it returns to
+    // the pool when that pin drops, not here.
+    std::destroy_at(&Handle(ref));
+  }
+  const CellHeader& header = Header(ref);
+  arena_.Free(ref, ValueOffset(header.key_len) + header.capacity);
+}
+
+void BucketTable::DropHandles() {
+  if (!pool_) {
+    return;
+  }
+  for (const Bucket& bucket : buckets_) {
+    for (const Slot& slot : bucket.slots) {
+      if (slot.used != 0) {
+        std::destroy_at(&Handle(slot.entry));
+      }
+    }
+  }
 }
 
 std::optional<std::span<const std::byte>> BucketTable::Get(std::span<const std::byte> key) {
@@ -111,11 +235,12 @@ std::optional<std::span<const std::byte>> BucketTable::Get(std::span<const std::
   }
   Touch(bucket, idx);
   ++stats_.hits;
-  const Entry& entry = entries_[bucket.slots[static_cast<size_t>(idx)].entry];
+  const uint32_t ref = bucket.slots[static_cast<size_t>(idx)].entry;
   if (pool_) {
-    return std::span<const std::byte>(entry.cell->bytes().data(), entry.cell->len);
+    const ValueCell& cell = *Handle(ref);
+    return std::span<const std::byte>(cell.bytes().data(), cell.len);
   }
-  return std::span<const std::byte>(entry.value);
+  return std::span<const std::byte>(Value(ref), Header(ref).value_len);
 }
 
 std::optional<BucketTable::PinnedValue> BucketTable::GetPinned(std::span<const std::byte> key) {
@@ -134,8 +259,7 @@ std::optional<BucketTable::PinnedValue> BucketTable::GetPinned(std::span<const s
   }
   Touch(bucket, idx);
   ++stats_.hits;
-  const std::shared_ptr<ValueCell>& cell =
-      entries_[bucket.slots[static_cast<size_t>(idx)].entry].cell;
+  const ValueHandle& cell = Handle(bucket.slots[static_cast<size_t>(idx)].entry);
   return PinnedValue{cell->span.rkey(), cell->span.offset, cell->len, cell->epoch,
                      std::shared_ptr<const void>(cell)};
 }
@@ -150,15 +274,15 @@ void BucketTable::Put(std::span<const std::byte> key, std::span<const std::byte>
 
   int idx = FindSlot(bucket, tag, key);
   if (idx >= 0) {
-    Entry& entry = entries_[bucket.slots[static_cast<size_t>(idx)].entry];
+    Slot& slot = bucket.slots[static_cast<size_t>(idx)];
     if (pool_) {
       // Overwrite in place only when no zero-copy pin could still READ the
       // old bytes (and the new value fits the reserved span); otherwise
-      // copy-on-write into a fresh cell and let the pin's release free the
-      // old span.
-      std::shared_ptr<ValueCell>& cell = entry.cell;
-      const bool pinned = cell && cell.use_count() > 1;
-      if (cell && value.size() <= cell->span.size && (!pinned || unsafe_inplace_put_)) {
+      // copy-on-write into a fresh span and let the pin's release free the
+      // old one.
+      ValueHandle& cell = Handle(slot.entry);
+      const bool pinned = cell.use_count() > 1;
+      if (value.size() <= cell->span.size && (!pinned || unsafe_inplace_put_)) {
         cell->len = static_cast<uint32_t>(value.size());
         rdma::CopyBytes(cell->bytes(), value);
         ++cell->epoch;
@@ -167,11 +291,17 @@ void BucketTable::Put(std::span<const std::byte> key, std::span<const std::byte>
         if (pinned) {
           ++stats_.cow_puts;
         }
-        entry.cell = MakeCell(value, cell ? cell->epoch + 1 : 0);
+        cell = MakeValueCell(value, cell->epoch + 1);
       }
-    } else {
+    } else if (CellHeader& header = Header(slot.entry); value.size() <= header.capacity) {
       // Overwrite in place.
-      entry.value.assign(value.begin(), value.end());
+      header.value_len = static_cast<uint32_t>(value.size());
+      rdma::CopyBytes(std::span<std::byte>(Value(slot.entry), value.size()), value);
+    } else {
+      // Outgrew the cell: move to a bigger one.
+      const uint32_t old = slot.entry;
+      slot.entry = NewCell(key, value);
+      FreeCell(old);
     }
     Touch(bucket, idx);
     ++stats_.updates;
@@ -194,27 +324,21 @@ void BucketTable::Put(std::span<const std::byte> key, std::span<const std::byte>
         victim = i;
       }
     }
-    FreeEntry(bucket.slots[static_cast<size_t>(victim)].entry);
+    // The victim held the oldest rank, kSlotsPerBucket - 1, which is the
+    // rank a fresh slot starts from below.
+    FreeCell(bucket.slots[static_cast<size_t>(victim)].entry);
+    bucket.slots[static_cast<size_t>(victim)].used = 0;
     --size_;
     ++stats_.evictions;
   }
 
+  // A throwing allocation leaves the slot free and the ranks dense.
   Slot& slot = bucket.slots[static_cast<size_t>(victim)];
-  const uint32_t entry_idx = AllocEntry();
-  entries_[entry_idx].key.assign(key.begin(), key.end());
-  if (pool_) {
-    entries_[entry_idx].cell = MakeCell(value, 0);
-  } else {
-    entries_[entry_idx].value.assign(value.begin(), value.end());
-  }
-  const bool was_used = slot.used != 0;
+  slot.entry = NewCell(key, value);
   slot.tag = tag;
-  slot.entry = entry_idx;
   slot.used = 1;
-  if (!was_used) {
-    // Fresh slot starts as oldest; Touch below promotes it.
-    slot.lru = kSlotsPerBucket - 1;
-  }
+  // Fresh slot starts as oldest; Touch below promotes it.
+  slot.lru = kSlotsPerBucket - 1;
   Touch(bucket, victim);
   ++size_;
   ++stats_.inserts;
@@ -228,14 +352,15 @@ size_t BucketTable::SnapshotChunk(size_t cursor, size_t max_buckets,
       if (slot.used == 0) {
         continue;
       }
-      const Entry& entry = entries_[slot.entry];
       SnapshotItem item;
-      item.key = entry.key;
+      const std::byte* key = Key(slot.entry);
+      item.key.assign(key, key + Header(slot.entry).key_len);
       if (pool_) {
-        const std::span<std::byte> bytes = entry.cell->bytes();
+        const std::span<std::byte> bytes = Handle(slot.entry)->bytes();
         item.value.assign(bytes.begin(), bytes.end());
       } else {
-        item.value = entry.value;
+        const std::byte* value = Value(slot.entry);
+        item.value.assign(value, value + Header(slot.entry).value_len);
       }
       out->push_back(std::move(item));
     }
@@ -244,12 +369,16 @@ size_t BucketTable::SnapshotChunk(size_t cursor, size_t max_buckets,
 }
 
 void BucketTable::Clear() {
+  DropHandles();
   for (Bucket& bucket : buckets_) {
     bucket = Bucket{};
   }
-  entries_.clear();
-  free_entries_.clear();
+  arena_.Clear();
   size_ = 0;
+}
+
+void BucketTable::Prefetch(std::span<const std::byte> key) const {
+  __builtin_prefetch(&buckets_[BucketIndex(HashBytes(key))]);
 }
 
 bool BucketTable::Erase(std::span<const std::byte> key) {
@@ -263,7 +392,7 @@ bool BucketTable::Erase(std::span<const std::byte> key) {
     return false;
   }
   Slot& slot = bucket.slots[static_cast<size_t>(idx)];
-  FreeEntry(slot.entry);
+  FreeCell(slot.entry);
   // Keep remaining ranks dense: demote nothing, just age out the hole.
   const uint8_t gone_rank = slot.lru;
   slot = Slot{};

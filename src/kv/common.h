@@ -14,6 +14,7 @@
 #include <cstring>
 #include <optional>
 #include <span>
+#include <stdexcept>
 
 #include "src/rdma/memory.h"
 
@@ -47,7 +48,20 @@ inline uint64_t HashBytes(std::span<const std::byte> bytes) {
 
 // ---- Request encoding -------------------------------------------------------
 
+// Every encoder throws std::length_error, before writing anything, when a key
+// does not fit its u16 size field or the request does not fit `capacity`
+// bytes of output.
+inline void CheckRequestFits(size_t capacity, size_t key_size, size_t request_size) {
+  if (key_size > UINT16_MAX) {
+    throw std::length_error("kv: key longer than 65535 bytes");
+  }
+  if (request_size > capacity) {
+    throw std::length_error("kv: request larger than the message buffer");
+  }
+}
+
 inline size_t EncodeGet(std::span<std::byte> out, std::span<const std::byte> key) {
+  CheckRequestFits(out.size(), key.size(), sizeof(uint16_t) + key.size());
   const uint16_t ks = static_cast<uint16_t>(key.size());
   std::memcpy(out.data(), &ks, sizeof(ks));
   std::memcpy(out.data() + sizeof(ks), key.data(), key.size());
@@ -60,6 +74,8 @@ inline size_t EncodeDelete(std::span<std::byte> out, std::span<const std::byte> 
 
 inline size_t EncodePut(std::span<std::byte> out, std::span<const std::byte> key,
                         std::span<const std::byte> value) {
+  CheckRequestFits(out.size(), key.size(),
+                   sizeof(uint16_t) + sizeof(uint32_t) + key.size() + value.size());
   const uint16_t ks = static_cast<uint16_t>(key.size());
   const uint32_t vs = static_cast<uint32_t>(value.size());
   size_t n = 0;

@@ -214,9 +214,18 @@ JakiroClient::JakiroClient(JakiroServer& server, rdma::Node& client_node,
   scratch_.resize(server.config().channel_options.max_message_bytes);
 }
 
+int JakiroClient::Route(std::span<const std::byte> key) const {
+  const int owner = server_.OwnerThread(key);
+  // A host-side hint with no simulated effect: the owner's partition looks
+  // the key up once the request lands, so its bucket line starts loading
+  // while the engine runs the request's transfer.
+  server_.partition(owner).Prefetch(key);
+  return owner;
+}
+
 sim::Task<std::optional<size_t>> JakiroClient::Get(std::span<const std::byte> key,
                                                    std::span<std::byte> value_out) {
-  const int owner = server_.OwnerThread(key);
+  const int owner = Route(key);
   const uint64_t hid =
       recorder_ == nullptr ? 0 : recorder_->OnInvoke(explore::OpKind::kGet, key);
   const size_t req = EncodeGet(scratch_, key);
@@ -243,7 +252,7 @@ sim::Task<std::optional<size_t>> JakiroClient::Get(std::span<const std::byte> ke
 
 sim::Task<bool> JakiroClient::Put(std::span<const std::byte> key,
                                   std::span<const std::byte> value) {
-  const int owner = server_.OwnerThread(key);
+  const int owner = Route(key);
   const uint64_t hid =
       recorder_ == nullptr ? 0 : recorder_->OnInvoke(explore::OpKind::kPut, key, value);
   const size_t req = EncodePut(scratch_, key, value);
@@ -261,7 +270,7 @@ sim::Task<bool> JakiroClient::Put(std::span<const std::byte> key,
 }
 
 sim::Task<bool> JakiroClient::Delete(std::span<const std::byte> key) {
-  const int owner = server_.OwnerThread(key);
+  const int owner = Route(key);
   const uint64_t hid =
       recorder_ == nullptr ? 0 : recorder_->OnInvoke(explore::OpKind::kDelete, key);
   const size_t req = EncodeDelete(scratch_, key);
@@ -274,6 +283,21 @@ sim::Task<bool> JakiroClient::Delete(std::span<const std::byte> key) {
     recorder_->OnDeleteResponse(hid, found);
   }
   co_return found;
+}
+
+size_t JakiroClient::MultiGetRequestBytes(std::span<const std::span<const std::byte>> keys,
+                                          std::span<const size_t> idxs) const {
+  if (idxs.size() > UINT16_MAX) {
+    throw std::length_error("jakiro multiget: more than 65535 keys for one server thread");
+  }
+  size_t n = sizeof(uint16_t);
+  size_t longest = 0;
+  for (size_t idx : idxs) {
+    n += sizeof(uint16_t) + keys[idx].size();
+    longest = std::max(longest, keys[idx].size());
+  }
+  CheckRequestFits(scratch_.size(), longest, n);
+  return n;
 }
 
 size_t JakiroClient::EncodeMultiGet(std::span<const std::span<const std::byte>> keys,
@@ -346,57 +370,64 @@ sim::Task<void> JakiroClient::MultiGet(
   for (size_t i = 0; i < keys.size(); ++i) {
     by_owner[static_cast<size_t>(server_.OwnerThread(keys[i]))].push_back(i);
   }
-  const size_t window = static_cast<size_t>(server_.config().channel_options.window);
-  size_t arena_used = 0;
-  if (window <= 1) {
-    // One call per owner, each completed before the next goes out.
-    for (size_t owner = 0; owner < by_owner.size(); ++owner) {
-      const std::vector<size_t>& batch = by_owner[owner];
-      if (batch.empty()) {
-        continue;
-      }
-      std::vector<uint64_t> hids;
-      const size_t n = EncodeMultiGet(keys, batch, hids);
-      const size_t resp_size = co_await endpoints_[owner].stub()->Call(
-          kRpcMultiGet, std::span<const std::byte>(scratch_.data(), n), scratch_);
-      DecodeMultiGet(std::span<const std::byte>(scratch_.data(), resp_size), batch, hids,
-                     value_arena, arena_used, values_out);
-    }
-    co_return;
-  }
-  // Pipelined channels (RfpOptions::window > 1): every chunk is submitted
-  // before the first response is awaited.
-  struct Pending {
+  // One call per owner, split into up to `window` contiguous chunks. Every
+  // request is sized before the first goes out, so a key set that cannot be
+  // encoded throws with nothing in flight.
+  struct Chunk {
     size_t stub = 0;
-    rfp::Channel::CallHandle handle;
-    std::span<const size_t> idxs;    // key indices in this chunk, caller order
-    std::vector<uint64_t> hids;      // history op ids (when recording)
-    std::vector<std::byte> resp;     // landing buffer: responses overlap, so
-                                     // the shared scratch_ cannot hold them
+    std::span<const size_t> idxs;  // key indices in this chunk, caller order
   };
-  std::vector<Pending> pending;
+  const size_t window =
+      std::max<size_t>(1, static_cast<size_t>(server_.config().channel_options.window));
+  std::vector<Chunk> chunks;
   for (size_t owner = 0; owner < by_owner.size(); ++owner) {
     const std::vector<size_t>& batch = by_owner[owner];
     if (batch.empty()) {
       continue;
     }
-    // Split the owner's keys into up to `window` contiguous chunks and stage
-    // one MultiGet call per chunk. The staged requests go out in a single
-    // doorbell batch when the first await flushes the channel, and their
-    // server-side lookups and response fetches overlap across slots.
-    const size_t chunks = std::min(batch.size(), window);
-    const size_t per_chunk = (batch.size() + chunks - 1) / chunks;
+    const size_t parts = std::min(batch.size(), window);
+    const size_t per_chunk = (batch.size() + parts - 1) / parts;
     for (size_t begin = 0; begin < batch.size(); begin += per_chunk) {
-      Pending p;
-      p.stub = owner;
-      p.idxs = std::span<const size_t>(batch).subspan(
-          begin, std::min(per_chunk, batch.size() - begin));
-      const size_t n = EncodeMultiGet(keys, p.idxs, p.hids);
-      p.handle = co_await endpoints_[owner].stub()->SubmitCall(
-          kRpcMultiGet, std::span<const std::byte>(scratch_.data(), n));
-      p.resp.resize(server_.config().channel_options.max_message_bytes);
-      pending.push_back(std::move(p));
+      chunks.push_back({owner, std::span<const size_t>(batch).subspan(
+                                   begin, std::min(per_chunk, batch.size() - begin))});
+      MultiGetRequestBytes(keys, chunks.back().idxs);
     }
+  }
+  size_t arena_used = 0;
+  if (window == 1) {
+    // Each call completes before the next goes out.
+    for (const Chunk& chunk : chunks) {
+      std::vector<uint64_t> hids;
+      const size_t n = EncodeMultiGet(keys, chunk.idxs, hids);
+      const size_t resp_size = co_await endpoints_[chunk.stub].stub()->Call(
+          kRpcMultiGet, std::span<const std::byte>(scratch_.data(), n), scratch_);
+      DecodeMultiGet(std::span<const std::byte>(scratch_.data(), resp_size), chunk.idxs, hids,
+                     value_arena, arena_used, values_out);
+    }
+    co_return;
+  }
+  // Pipelined channels (RfpOptions::window > 1): every chunk is staged before
+  // the first response is awaited. The staged requests go out in a single
+  // doorbell batch when the first await flushes the channel, and their
+  // server-side lookups and response fetches overlap across slots.
+  struct Pending {
+    size_t stub = 0;
+    rfp::Channel::CallHandle handle;
+    std::span<const size_t> idxs;
+    std::vector<uint64_t> hids;      // history op ids (when recording)
+    std::vector<std::byte> resp;     // landing buffer: responses overlap, so
+                                     // the shared scratch_ cannot hold them
+  };
+  std::vector<Pending> pending;
+  for (const Chunk& chunk : chunks) {
+    Pending p;
+    p.stub = chunk.stub;
+    p.idxs = chunk.idxs;
+    const size_t n = EncodeMultiGet(keys, p.idxs, p.hids);
+    p.handle = co_await endpoints_[chunk.stub].stub()->SubmitCall(
+        kRpcMultiGet, std::span<const std::byte>(scratch_.data(), n));
+    p.resp.resize(server_.config().channel_options.max_message_bytes);
+    pending.push_back(std::move(p));
   }
   for (Pending& p : pending) {
     const size_t resp_size = co_await endpoints_[p.stub].stub()->AwaitCall(p.handle, p.resp);

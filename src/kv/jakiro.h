@@ -206,9 +206,16 @@ class JakiroClient {
   int num_channels() const { return static_cast<int>(endpoints_.size()); }
 
  private:
-  // Encodes the MultiGet request for keys[idxs] into scratch_ and returns
-  // its size; with a recorder attached, books each GET's invocation in
-  // `hids`.
+  // The server thread that owns `key` (BucketTable::Prefetch-ing its bucket).
+  int Route(std::span<const std::byte> key) const;
+  // Size of the MultiGet request for keys[idxs]. Throws std::length_error
+  // when it would not fit scratch_, a key does not fit its u16 size field,
+  // or there are more than 65535 keys.
+  size_t MultiGetRequestBytes(std::span<const std::span<const std::byte>> keys,
+                              std::span<const size_t> idxs) const;
+  // Encodes the MultiGet request for keys[idxs], which MultiGetRequestBytes
+  // has accepted, into scratch_ and returns its size; with a recorder
+  // attached, books each GET's invocation in `hids`.
   size_t EncodeMultiGet(std::span<const std::span<const std::byte>> keys,
                         std::span<const size_t> idxs, std::vector<uint64_t>& hids);
   // Decodes the MultiGet response `resp` for keys[idxs] back into caller

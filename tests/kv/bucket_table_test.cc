@@ -1,12 +1,16 @@
 #include "src/kv/bucket_table.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/rdma/fabric.h"
+#include "src/kv/common.h"
 #include "src/sim/engine.h"
 #include "src/sim/random.h"
 
@@ -278,6 +282,231 @@ TEST_F(PoolBucketTableTest, PoolModeMatchesOracleUnderChurn) {
   }
   EXPECT_EQ(table.size(), oracle.size());
 }
+
+// ---- Eviction-heavy oracle -----------------------------------------------------
+//
+// 1-4 buckets hold 8-32 keys, so most inserts evict. The model keeps each
+// bucket (chosen by kv::HashBytes, as the table does) as a most-recent-first
+// list of at most kSlotsPerBucket entries: strict per-bucket LRU. Values run
+// from 0 B to 8 KiB, overwrites grow and shrink them, and Erase, Clear and
+// SnapshotChunk are mixed in. After every op the test checks the op's result,
+// size() and every Stats counter. Pool mode also holds zero-copy pins, which
+// must turn a PUT on the pinned key into a copy-on-write and keep the pinned
+// bytes intact until the pin drops.
+
+struct LruModel {
+  struct Item {
+    std::string key;
+    std::string value;
+    uint64_t cell = 0;  // bumps whenever the key's pool-mode span changes
+  };
+
+  explicit LruModel(size_t buckets) : lists(buckets) {}
+
+  std::vector<Item>& ListFor(const std::string& key) {
+    return lists[HashBytes(Bytes(key)) & (lists.size() - 1)];
+  }
+  // Position of `key` in its bucket's list, or -1.
+  static int Find(const std::vector<Item>& list, const std::string& key) {
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (list[i].key == key) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  }
+  static void MoveToFront(std::vector<Item>& list, int i) {
+    std::rotate(list.begin(), list.begin() + i, list.begin() + i + 1);
+  }
+  size_t size() const {
+    size_t n = 0;
+    for (const auto& list : lists) {
+      n += list.size();
+    }
+    return n;
+  }
+
+  std::vector<std::vector<Item>> lists;
+  BucketTable::Stats stats;
+  uint64_t next_cell = 1;
+};
+
+void ExpectStats(const BucketTable::Stats& got, const BucketTable::Stats& want, int step) {
+  EXPECT_EQ(got.hits, want.hits) << "step " << step;
+  EXPECT_EQ(got.misses, want.misses) << "step " << step;
+  EXPECT_EQ(got.inserts, want.inserts) << "step " << step;
+  EXPECT_EQ(got.updates, want.updates) << "step " << step;
+  EXPECT_EQ(got.evictions, want.evictions) << "step " << step;
+  EXPECT_EQ(got.erases, want.erases) << "step " << step;
+  EXPECT_EQ(got.cow_puts, want.cow_puts) << "step " << step;
+}
+
+std::string AsString(std::span<const std::byte> bytes) {
+  return std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+}
+
+// Snapshots the whole table in small chunks and returns its contents.
+std::map<std::string, std::string> SnapshotAll(const BucketTable& table) {
+  std::vector<BucketTable::SnapshotItem> items;
+  size_t cursor = 0;
+  while (cursor < table.num_buckets()) {
+    cursor = table.SnapshotChunk(cursor, 1, &items);
+  }
+  std::map<std::string, std::string> out;
+  for (const BucketTable::SnapshotItem& item : items) {
+    EXPECT_TRUE(out.emplace(AsString(item.key), AsString(item.value)).second);
+  }
+  return out;
+}
+
+class BucketTableEvictionOracleTest
+    : public ::testing::TestWithParam<std::tuple<bool, size_t>> {
+ protected:
+  sim::Engine engine_;
+  rdma::Fabric fabric_{engine_};
+  rdma::Node& node_{fabric_.AddNode("server")};
+};
+
+TEST_P(BucketTableEvictionOracleTest, MatchesStrictLruModel) {
+  const auto [pool_mode, buckets] = GetParam();
+  BucketTable table = pool_mode ? BucketTable(buckets, node_) : BucketTable(buckets);
+  LruModel model(buckets);
+  sim::Rng rng(pool_mode ? 91 : 19);
+
+  // Keys of 1-24 bytes, so value offsets take every 8-byte rounding.
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < 3 * buckets * BucketTable::kSlotsPerBucket; ++i) {
+    keys.push_back(std::string(1 + i % 24, static_cast<char>('a' + i % 26)) + std::to_string(i));
+  }
+  struct Pin {
+    BucketTable::PinnedValue value;
+    std::string key;
+    std::string bytes;
+    uint64_t cell = 0;
+  };
+  std::vector<Pin> pins;
+  auto pinned_bytes = [this](const BucketTable::PinnedValue& p) {
+    rdma::MemoryRegion* mr = fabric_.FindRemote(rdma::RemoteKey{p.rkey});
+    return AsString(mr->bytes().subspan(p.offset, p.len));
+  };
+  auto pins_on = [&pins](const LruModel::Item& item) {
+    return std::any_of(pins.begin(), pins.end(), [&item](const Pin& p) {
+      return p.key == item.key && p.cell == item.cell;
+    });
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    const std::string& key = keys[rng.NextBounded(keys.size())];
+    std::vector<LruModel::Item>& list = model.ListFor(key);
+    const int at = LruModel::Find(list, key);
+    table.Prefetch(Bytes(key));  // a hint: moves no rank and no counter
+    const uint64_t action = rng.NextBounded(100);
+    if (action < 40) {
+      // PUT: small values mostly, some up to 8 KiB.
+      const size_t size = rng.NextBounded(4) == 0 ? rng.NextBounded(8193) : rng.NextBounded(65);
+      std::string value(size, '\0');
+      for (size_t i = 0; i < size; ++i) {
+        value[i] = static_cast<char>('A' + (static_cast<size_t>(step) + i) % 50);
+      }
+      table.Put(Bytes(key), Bytes(value));
+      if (at >= 0) {
+        LruModel::Item& item = list[static_cast<size_t>(at)];
+        if (pins_on(item)) {
+          ++model.stats.cow_puts;
+          item.cell = model.next_cell++;
+        }
+        item.value = value;
+        LruModel::MoveToFront(list, at);
+        ++model.stats.updates;
+      } else {
+        if (list.size() == BucketTable::kSlotsPerBucket) {
+          list.pop_back();
+          ++model.stats.evictions;
+        }
+        list.insert(list.begin(), LruModel::Item{key, value, model.next_cell++});
+        ++model.stats.inserts;
+      }
+    } else if (action < 80) {
+      // GET, or in pool mode sometimes a pinned GET that is kept a while.
+      const bool pin = pool_mode && action < 55;
+      std::optional<std::string> got;
+      if (pin) {
+        if (auto p = table.GetPinned(Bytes(key))) {
+          got = pinned_bytes(*p);
+          const uint64_t cell = at >= 0 ? list[static_cast<size_t>(at)].cell : 0;
+          pins.push_back(Pin{std::move(*p), key, *got, cell});
+        }
+      } else if (auto v = table.Get(Bytes(key))) {
+        got = AsString(*v);
+      }
+      if (at >= 0) {
+        ASSERT_TRUE(got.has_value()) << "step " << step << " key " << key;
+        EXPECT_EQ(*got, list[static_cast<size_t>(at)].value) << "step " << step;
+        LruModel::MoveToFront(list, at);
+        ++model.stats.hits;
+      } else {
+        EXPECT_FALSE(got.has_value()) << "step " << step << " key " << key;
+        ++model.stats.misses;
+      }
+    } else if (action < 88) {
+      EXPECT_EQ(table.Erase(Bytes(key)), at >= 0) << "step " << step;
+      if (at >= 0) {
+        list.erase(list.begin() + at);
+        ++model.stats.erases;
+      }
+    } else if (action < 99) {
+      // A pin drops; its bytes must not have changed while it was held.
+      if (!pins.empty()) {
+        const size_t i = rng.NextBounded(pins.size());
+        EXPECT_EQ(pinned_bytes(pins[i].value), pins[i].bytes) << "step " << step;
+        pins.erase(pins.begin() + static_cast<std::ptrdiff_t>(i));
+      }
+    } else if (rng.NextBounded(4) == 0) {
+      table.Clear();
+      for (auto& l : model.lists) {
+        l.clear();
+      }
+    } else {
+      // Snapshot round trip: the table's contents as the model has them, and
+      // a fresh table loaded from the snapshot serves the same pairs. The
+      // sweep itself touches no stats.
+      const std::map<std::string, std::string> snap = SnapshotAll(table);
+      std::map<std::string, std::string> want;
+      for (const auto& l : model.lists) {
+        for (const LruModel::Item& item : l) {
+          want[item.key] = item.value;
+        }
+      }
+      EXPECT_EQ(snap, want) << "step " << step;
+      BucketTable copy = pool_mode ? BucketTable(buckets, node_) : BucketTable(buckets);
+      for (const auto& [k, v] : snap) {
+        copy.Put(Bytes(k), Bytes(v));
+      }
+      EXPECT_EQ(SnapshotAll(copy), snap) << "step " << step;
+      EXPECT_EQ(copy.stats().evictions, 0u);
+    }
+    EXPECT_EQ(table.size(), model.size()) << "step " << step;
+    ExpectStats(table.stats(), model.stats, step);
+    if (HasFatalFailure() || HasFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(model.stats.evictions, 1000u);
+  if (pool_mode) {
+    EXPECT_GE(model.stats.cow_puts, 10u);
+  }
+  for (const Pin& p : pins) {
+    EXPECT_EQ(pinned_bytes(p.value), p.bytes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndBuckets, BucketTableEvictionOracleTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(size_t{1}, size_t{2}, size_t{4})),
+    [](const ::testing::TestParamInfo<std::tuple<bool, size_t>>& param) {
+      return std::string(std::get<0>(param.param) ? "pool" : "heap") + "_" +
+             std::to_string(std::get<1>(param.param)) + "_buckets";
+    });
 
 // Property sweep: under heavy overfill the table never exceeds its slot
 // capacity and keeps serving consistent data.

@@ -1,6 +1,8 @@
 #include "src/kv/jakiro.h"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <optional>
 #include <string>
 #include <vector>
@@ -513,6 +515,116 @@ TEST_F(JakiroTest, MultiGetArenaExhaustionThrows) {
     co_await c->MultiGet(keys, arena, results);
   }(&client));
   EXPECT_THROW(engine_.RunUntil(sim::Millis(5)), std::length_error);
+}
+
+// The request encoders size a request before writing it: a key over the u16
+// size field or a request over the output buffer throws std::length_error
+// and leaves the buffer untouched.
+TEST(KvEncodeTest, OversizedRequestsThrowBeforeWriting) {
+  std::vector<std::byte> out(64, std::byte{0x5a});
+  const std::vector<std::byte> fits(62);
+  const std::vector<std::byte> too_long(63);
+  const std::vector<std::byte> huge_key(65536);
+  EXPECT_EQ(EncodeGet(out, fits), 64u);
+  std::fill(out.begin(), out.end(), std::byte{0x5a});
+  EXPECT_THROW(EncodeGet(out, too_long), std::length_error);
+  EXPECT_THROW(EncodeDelete(out, too_long), std::length_error);
+  EXPECT_THROW(EncodePut(out, Bytes("k"), fits), std::length_error);
+  EXPECT_THROW(EncodeGet(out, huge_key), std::length_error);
+  std::vector<std::byte> roomy(70000);
+  try {
+    EncodePut(roomy, huge_key, {});
+    ADD_FAILURE() << "a 65536-byte key must not truncate its u16 size field";
+  } catch (const std::length_error& e) {
+    EXPECT_STREQ(e.what(), "kv: key longer than 65535 bytes");
+  }
+  for (std::byte b : out) {
+    EXPECT_EQ(b, std::byte{0x5a});
+  }
+}
+
+// Requests that cannot fit the client's message buffer (8256 bytes by
+// default) throw std::length_error at the client before anything is sent,
+// on window-1 and pipelined channels, and the client stays usable.
+TEST_F(JakiroTest, OversizedRequestsThrowLengthError) {
+  for (const int window : {1, 4}) {
+    sim::Engine engine;
+    rdma::Fabric fabric(engine);
+    rdma::Node& server_node = fabric.AddNode("server");
+    rdma::Node& client_node = fabric.AddNode("client");
+    JakiroConfig config;
+    config.server_threads = 1;  // every key has one owner
+    config.channel_options.window = window;
+    JakiroServer server(fabric, server_node, config);
+    JakiroClient client(server, client_node);
+    server.Start();
+    std::vector<std::string> errors;
+    bool done = false;
+    engine.Spawn([](JakiroClient* c, int calls_per_owner, std::vector<std::string>* caught,
+                    bool* finished) -> sim::Task<void> {
+      const std::vector<std::byte> key_9k(9 * 1024, std::byte{'k'});
+      const std::vector<std::byte> key_64k(65536, std::byte{'k'});
+      std::vector<std::byte> value(64);
+      auto record = [caught](std::string what) { caught->push_back(std::move(what)); };
+      try {
+        co_await c->Get(key_9k, value);
+      } catch (const std::length_error& e) {
+        record(std::string("get: ") + e.what());
+      }
+      try {
+        co_await c->Put(key_9k, Bytes("v"));
+      } catch (const std::length_error& e) {
+        record(std::string("put: ") + e.what());
+      }
+      try {
+        co_await c->Put(Bytes("k"), std::vector<std::byte>(9 * 1024));
+      } catch (const std::length_error& e) {
+        record(std::string("put value: ") + e.what());
+      }
+      try {
+        co_await c->Delete(key_64k);
+      } catch (const std::length_error& e) {
+        record(std::string("delete: ") + e.what());
+      }
+      // 16-byte keys, 18 request bytes each: 500 per call overrun 8256 (a
+      // window-W MultiGet splits one owner's keys into W calls).
+      std::vector<std::vector<std::byte>> storage;
+      for (int i = 0; i < 500 * calls_per_owner; ++i) {
+        std::string key = "key-" + std::to_string(i);
+        key.resize(16, '.');
+        storage.push_back(Bytes(key));
+      }
+      std::vector<std::span<const std::byte>> keys(storage.begin(), storage.end());
+      std::vector<std::byte> arena(1 << 16);
+      std::vector<std::optional<std::span<const std::byte>>> results(keys.size());
+      try {
+        co_await c->MultiGet(keys, arena, results);
+      } catch (const std::length_error& e) {
+        record(std::string("multiget: ") + e.what());
+      }
+      const std::vector<std::span<const std::byte>> long_key{key_9k};
+      try {
+        co_await c->MultiGet(long_key, arena, results);
+      } catch (const std::length_error& e) {
+        record(std::string("multiget key: ") + e.what());
+      }
+      EXPECT_EQ(c->operations(), 0u) << "a rejected request must not be sent";
+      // The client still works.
+      EXPECT_TRUE(co_await c->Put(Bytes("k"), Bytes("v")));
+      const auto got = co_await c->Get(Bytes("k"), value);
+      EXPECT_TRUE(got.has_value());
+      *finished = true;
+    }(&client, window, &errors, &done));
+    engine.RunUntil(sim::Millis(10));
+    server.Stop();
+    EXPECT_TRUE(done) << "window " << window;
+    const std::string buffer = "kv: request larger than the message buffer";
+    EXPECT_EQ(errors, (std::vector<std::string>{
+                          "get: " + buffer, "put: " + buffer, "put value: " + buffer,
+                          "delete: kv: key longer than 65535 bytes", "multiget: " + buffer,
+                          "multiget key: " + buffer}))
+        << "window " << window;
+  }
 }
 
 // A server whose MultiGet handler answers with fewer bytes than its count
