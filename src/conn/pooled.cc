@@ -16,6 +16,12 @@ namespace {
 
 constexpr size_t kRpcIdBytes = sizeof(uint16_t);
 
+// Poll cadence of an idle server QP loop and of a client awaiting a reply.
+constexpr sim::Time kPollNs = 200;
+
+// Server CPU cost of unpacking, dispatching and packing one request.
+constexpr sim::Time kDispatchCpuNs = 150;
+
 // One slot fits the larger (request) direction: header + rpc id + max body.
 size_t SlotBytesFor(const PooledOptions& options) {
   return rfp::kReqHeaderBytes + kRpcIdBytes + options.max_message_bytes;
@@ -37,11 +43,8 @@ void ValidateOptions(const PooledOptions& options) {
   if (options.max_message_bytes + kRpcIdBytes > rfp::wire::kPooledSizeMask) {
     Reject("max_message_bytes must fit the pooled 16-bit size field");
   }
-  if (options.server_poll_ns <= 0) Reject("server_poll_ns must be > 0");
-  if (options.client_poll_ns <= 0) Reject("client_poll_ns must be > 0");
   if (options.retry_timeout_ns <= 0) Reject("retry_timeout_ns must be > 0");
   if (options.max_retransmits < 0) Reject("max_retransmits must be >= 0");
-  if (options.dispatch_cpu_ns < 0) Reject("dispatch_cpu_ns must be >= 0");
 }
 
 // ---- Server -------------------------------------------------------------------
@@ -203,7 +206,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     TopUpRecv(qp_index);
     const auto wc = qp->recv_cq()->Poll();
     if (!wc.has_value()) {
-      co_await poller.Park(options_.server_poll_ns);
+      co_await poller.Park(kPollNs);
       continue;
     }
     const uint32_t slot = static_cast<uint32_t>(wc->wr_id);
@@ -286,7 +289,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     const rfp::HandlerResult result =
         co_await (*handler)(ctx, std::span<const std::byte>(request.data(), body_bytes),
                             std::span<std::byte>(response.data(), response.size()));
-    co_await engine.Sleep(options_.dispatch_cpu_ns + result.process_ns);
+    co_await engine.Sleep(kDispatchCpuNs + result.process_ns);
     size_t resp_size = result.response_size;
     if (result.zero_copy.valid()) {
       // Pooled responses are pushed datagrams — there is no client-READ leg
@@ -438,17 +441,21 @@ sim::Task<size_t> PooledClient::Transact(uint32_t body_bytes, std::span<std::byt
       const size_t payload =
           wc->byte_len >= rfp::kHeaderBytes ? wc->byte_len - rfp::kHeaderBytes : 0;
       const bool match = wc->ok() && reply.seq == seq;
-      if (match && payload <= response.size()) {
+      const bool fits = payload <= response.size();
+      if (match && fits) {
         span_.mr->ReadBytes(rx + rfp::kHeaderBytes, response.subspan(0, payload));
       }
       RepostRecv(wc->wr_id);
       if (match) {
+        if (!fits) {
+          throw std::length_error("conn pooled: response larger than output buffer");
+        }
         co_return payload;
       }
       ++stats_.duplicates;
     }
     qp_->recv_cq()->Watch(&poller);
-    co_await poller.Park(options_.client_poll_ns, deadline);
+    co_await poller.Park(kPollNs, deadline);
     qp_->recv_cq()->Unwatch(&poller);
   }
 }

@@ -61,11 +61,8 @@ struct PooledOptions {
   int recv_slots = 256;        // shared receive slots across all server QPs
   int client_recv_slots = 8;   // posted RECVs per client QP
   uint32_t max_message_bytes = 8192;
-  sim::Time server_poll_ns = 200;   // server CQ poll cadence when idle
-  sim::Time client_poll_ns = 200;   // client response poll cadence
   sim::Time retry_timeout_ns = 20'000;
   int max_retransmits = 10;
-  sim::Time dispatch_cpu_ns = 150;  // per-request unpack/dispatch/pack cost
 };
 
 // Throws std::invalid_argument on inconsistent options (qps < 1, fewer
@@ -189,7 +186,8 @@ class PooledClient {
   sim::Task<void> Disconnect();
 
   // Invokes `rpc_id` through the pooled path; returns the response payload
-  // size. Throws std::runtime_error after max_retransmits timeouts and
+  // size. Throws std::runtime_error after max_retransmits timeouts,
+  // std::length_error when the reply does not fit `response`, and
   // std::logic_error when not connected.
   sim::Task<size_t> Call(uint16_t rpc_id, std::span<const std::byte> request,
                          std::span<std::byte> response);

@@ -179,7 +179,7 @@ Scenario StealBusyScenario(bool mutant) {
     rdma::Node& client_node = fabric.AddNode("client");
 
     rfp::ServerOptions so;
-    so.multicore = true;  // work_stealing defaults on
+    so.multicore = true;  // multicore workers steal work
     rfp::RpcServer server(fabric, server_node, 2, so);
     if (mutant) {
       server.set_unsafe_steal_busy_channels(true);

@@ -174,6 +174,11 @@ void JakiroServer::RegisterHandlers() {
       in += key_size;
       const uint32_t size =
           value.has_value() ? static_cast<uint32_t>(value->size()) : kMultiGetMiss;
+      // A legal request can ask for more than the dispatch buffer holds:
+      // answer kError (the client's decode throws) instead of overrunning it.
+      if (resp.size() - out < sizeof(size) + (value.has_value() ? value->size() : 0)) {
+        return {EncodeStatus(resp, Status::kError), config_.get_process_ns};
+      }
       std::memcpy(resp.data() + out, &size, sizeof(size));
       out += sizeof(size);
       if (value.has_value()) {

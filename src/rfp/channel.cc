@@ -14,6 +14,32 @@ namespace rfp {
 
 namespace {
 
+// Switch back to remote fetching once kFastCallsBeforeSwitchBack consecutive
+// replies report a server process time at or below kSwitchBackUs. 7 us is
+// the paper's fetch-vs-reply crossover.
+constexpr uint16_t kSwitchBackUs = 7;
+constexpr int kFastCallsBeforeSwitchBack = 2;
+
+// Client-side polling cadence while waiting in server-reply mode: the client
+// checks its local response landing every interval, costing kReplyPollCpuNs
+// of CPU per check (this is what drops client CPU below 30% in Fig 15).
+constexpr sim::Time kReplyPollIntervalNs = 1000;
+constexpr sim::Time kReplyPollCpuNs = 30;
+
+// With RfpOptions::checksum_responses, the client re-issues a request after
+// this many consecutive corrupt observations of its response.
+constexpr int kCorruptFetchesBeforeReissue = 2;
+
+// Bound on request re-issues (timeout, corruption or BUSY triggered) before
+// the call gives up and throws.
+constexpr int kMaxReissueAttempts = 8;
+
+// Jittered backoff before re-issuing a request the server shed with
+// BUSY(admission): sleep ~hint * 2^(n-1) for the n-th consecutive BUSY of the
+// call, capped here, jittered by +/-25% to de-synchronize retry stampedes
+// across clients.
+constexpr sim::Time kBusyBackoffMaxNs = 2 * 1000 * 1000;
+
 void CheckOk(const rdma::WorkCompletion& wc, const char* what) {
   if (!wc.ok()) {
     throw std::runtime_error(std::string("rfp channel: ") + what + " failed: " +
@@ -35,7 +61,7 @@ Channel::Channel(rdma::Fabric& fabric, rdma::Node& client, rdma::Node& server,
   // checksum trailer after the max-sized payload; the response block simply
   // carries a little slack. A pipelined channel repeats the layout per slot:
   // [req slot 0..W-1][resp slot 0..W-1] (W=1 is the paper's single pair).
-  block_bytes_ = kReqHeaderBytes + options_.max_message_bytes + ChecksumBytes();
+  block_bytes_ = ChannelSlotBytes(options_);
   const size_t window = static_cast<size_t>(options_.window);
   resp_offset_ = window * block_bytes_;
   auto [cqp, sqp] = fabric.ConnectRc(client, server);
@@ -46,7 +72,7 @@ Channel::Channel(rdma::Fabric& fabric, rdma::Node& client, rdma::Node& server,
   // churn and reconnects recycle registered memory. The pool arenas allow
   // remote read+write, which covers both the remotely-written request ring
   // and the remotely-read response ring.
-  const size_t ring_bytes = 2 * window * block_bytes_;
+  const size_t ring_bytes = ChannelRingBytes(options_);
   server_pool_ = mem::Pool::Shared(server);
   client_pool_ = mem::Pool::Shared(client);
   // Rings that can never fit a node's registered-memory cap fail here with
@@ -331,7 +357,7 @@ sim::Task<size_t> Channel::AwaitSlot(int slot, std::span<std::byte> out) {
           client_busy_.AddBusy(engine_.now() - start - slept);
           throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
         }
-        if (++cs.reissues > options_.max_reissue_attempts) {
+        if (++cs.reissues > kMaxReissueAttempts) {
           throw std::runtime_error("rfp channel: request shed after max reissues");
         }
         TransferAttemptReads(&cs.attempt_reads);
@@ -380,8 +406,8 @@ sim::Task<size_t> Channel::AwaitSlot(int slot, std::span<std::byte> out) {
         // and fetch the re-executed result.
         ++stats_.corrupt_fetches;
         cs.landing_ready = false;
-        if (++cs.corrupt >= options_.corrupt_fetches_before_reissue) {
-          if (++cs.reissues > options_.max_reissue_attempts) {
+        if (++cs.corrupt >= kCorruptFetchesBeforeReissue) {
+          if (++cs.reissues > kMaxReissueAttempts) {
             throw std::runtime_error("rfp channel: response corrupt after max reissues");
           }
           TransferAttemptReads(&cs.attempt_reads);
@@ -457,7 +483,7 @@ sim::Task<size_t> Channel::AwaitSlot(int slot, std::span<std::byte> out) {
         co_await SwitchToReply();
         co_return co_await AwaitReply(slot, out);
       }
-      if (++cs.reissues > options_.max_reissue_attempts) {
+      if (++cs.reissues > kMaxReissueAttempts) {
         throw std::runtime_error("rfp channel: fetch timed out after max reissues");
       }
       TransferAttemptReads(&cs.attempt_reads);
@@ -598,9 +624,9 @@ sim::Task<void> Channel::SwitchToReply() {
 
 sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
   ClientSlot& cs = cslot(slot);
-  // An empty poll only charges reply_poll_cpu_ns, so the loop parks until
+  // An empty poll only charges kReplyPollCpuNs, so the loop parks until
   // the landing block changes or the call deadline passes.
-  sim::Poller poller(engine_, &client_busy_, options_.reply_poll_cpu_ns);
+  sim::Poller poller(engine_, &client_busy_, kReplyPollCpuNs);
   while (true) {
     const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slot));
     if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
@@ -616,7 +642,7 @@ sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
           if (check::FabricChecker* chk = fabric_->checker()) {
             chk->OnClientRecvDone(this);
           }
-          client_busy_.AddBusy(options_.reply_poll_cpu_ns);
+          client_busy_.AddBusy(kReplyPollCpuNs);
           throw DeadlineExceeded("rfp channel: call deadline exceeded (request shed)");
         }
         const sim::Time delay = BusyRetryDelay(header.time_us, ++cs.busy_streak);
@@ -625,14 +651,14 @@ sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
           if (check::FabricChecker* chk = fabric_->checker()) {
             chk->OnClientRecvDone(this);
           }
-          client_busy_.AddBusy(options_.reply_poll_cpu_ns);
+          client_busy_.AddBusy(kReplyPollCpuNs);
           throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
         }
-        if (++cs.reissues > options_.max_reissue_attempts) {
+        if (++cs.reissues > kMaxReissueAttempts) {
           throw std::runtime_error("rfp channel: request shed after max reissues");
         }
         co_await ReissueRequest(slot);
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
+        client_busy_.AddBusy(kReplyPollCpuNs);
         continue;
       }
       if (wire::UnpackRedirect(header.size_status)) {
@@ -642,7 +668,7 @@ sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
           chk->OnClientRecvDone(this);
         }
         ++stats_.redirects;
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
+        client_busy_.AddBusy(kReplyPollCpuNs);
         throw Redirected(wire::UnpackRedirectEpoch(header.size_status), header.time_us);
       }
       const uint32_t size = wire::UnpackSize(header.size_status);
@@ -654,12 +680,12 @@ sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
         // wait for the re-executed push (the stale header can no longer
         // match the bumped sequence).
         ++stats_.corrupt_fetches;
-        if (++cs.reissues > options_.max_reissue_attempts) {
+        if (++cs.reissues > kMaxReissueAttempts) {
           throw std::runtime_error("rfp channel: pushed reply corrupt after max reissues");
         }
         co_await ReissueRequest(slot);
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-        co_await engine_.Sleep(options_.reply_poll_interval_ns);
+        client_busy_.AddBusy(kReplyPollCpuNs);
+        co_await engine_.Sleep(kReplyPollIntervalNs);
         continue;
       }
       if (check::FabricChecker* chk = fabric_->checker()) {
@@ -680,11 +706,11 @@ sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
       if (check::FabricChecker* chk = fabric_->checker()) {
         chk->OnClientRecvDone(this);
       }
-      client_busy_.AddBusy(options_.reply_poll_cpu_ns);
+      client_busy_.AddBusy(kReplyPollCpuNs);
       FinishReplyCall(header, cs.breaker_epoch);
       co_return delivered;
     }
-    client_busy_.AddBusy(options_.reply_poll_cpu_ns);
+    client_busy_.AddBusy(kReplyPollCpuNs);
     if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
       // No reply before the call deadline (saturated or dark server): give
       // up. A stale push that lands later is ignored by the bumped seq.
@@ -694,7 +720,7 @@ sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
       throw DeadlineExceeded("rfp channel: call deadline exceeded awaiting reply");
     }
     client_.mr->Watch(client_.abs(land_off(slot)), block_bytes_, &poller);
-    co_await poller.Park(options_.reply_poll_interval_ns, cs.deadline);
+    co_await poller.Park(kReplyPollIntervalNs, cs.deadline);
     client_.mr->Unwatch(&poller);
   }
 }
@@ -708,8 +734,8 @@ void Channel::FinishReplyCall(const ResponseHeader& header, uint64_t sent_epoch)
   if (!adaptive()) {
     return;
   }
-  if (header.time_us <= options_.switch_back_us) {
-    if (++fast_streak_ >= options_.fast_calls_before_switch_back) {
+  if (header.time_us <= kSwitchBackUs) {
+    if (++fast_streak_ >= kFastCallsBeforeSwitchBack) {
       mode_ = Mode::kRemoteFetch;
       fast_streak_ = 0;
       slow_streak_ = 0;
@@ -1384,7 +1410,7 @@ sim::Time Channel::BusyRetryDelay(uint16_t hint_us, int nth_busy) {
   // Exponential from the server's hint (floored at 1 us), capped, jittered.
   sim::Time base = std::max<sim::Time>(static_cast<sim::Time>(hint_us) * 1000, 1000);
   const int shift = std::min(nth_busy - 1, 10);
-  base = std::min<sim::Time>(base << shift, options_.busy_backoff_max_ns);
+  base = std::min<sim::Time>(base << shift, kBusyBackoffMaxNs);
   const double jitter = 0.75 + 0.5 * rng_.NextDouble();
   sim::Time delay = static_cast<sim::Time>(static_cast<double>(base) * jitter);
   if (options_.breaker_enabled && breaker_state_ == BreakerState::kOpen) {

@@ -26,9 +26,9 @@
 // `retry_threshold` failed fetches, the client flips the channel to
 // server-reply (a one-byte RDMA WRITE updates the server-visible mode flag
 // mid-call). While replying, the server stamps its process time into each
-// response header; once `fast_calls_before_switch_back` consecutive replies
-// report a process time at or below `switch_back_us`, the client returns to
-// remote fetching (the next request header carries the new mode).
+// response header; once kFastCallsBeforeSwitchBack consecutive replies
+// report a process time at or below kSwitchBackUs (channel.cc), the client
+// returns to remote fetching (the next request header carries the new mode).
 
 #ifndef SRC_RFP_CHANNEL_H_
 #define SRC_RFP_CHANNEL_H_

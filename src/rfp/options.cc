@@ -17,10 +17,6 @@ void CheckNonNegative(sim::Time v, const char* what) {
   if (v < 0) Reject(what);
 }
 
-void CheckPositive(sim::Time v, const char* what) {
-  if (v <= 0) Reject(what);
-}
-
 // Negated compares so NaN rejects too.
 void CheckUnitInterval(double v, const char* what) {
   if (!(v > 0.0 && v <= 1.0)) Reject(what);
@@ -32,55 +28,44 @@ void ValidateOptions(const RfpOptions& options) {
   if (options.retry_threshold < 0) Reject("retry_threshold must be >= 0");
   if (options.fetch_size == 0) Reject("fetch_size must be > 0");
   if (options.slow_calls_before_switch < 1) Reject("slow_calls_before_switch must be >= 1");
-  if (options.fast_calls_before_switch_back < 1) {
-    Reject("fast_calls_before_switch_back must be >= 1");
-  }
   if (options.max_message_bytes == 0) Reject("max_message_bytes must be > 0");
   if (options.window < 1) Reject("window must be >= 1");
   if (options.window > kMaxWindow) Reject("window must be <= wire::kMaxWindow");
   if (options.max_registered_bytes == 0) Reject("max_registered_bytes must be > 0");
-  {
-    // Request ring + response ring must fit in the per-channel registration
-    // budget; the response slot grows by the checksum trailer when enabled.
-    const uint64_t slot = static_cast<uint64_t>(kReqHeaderBytes) + options.max_message_bytes +
-                          (options.checksum_responses ? kChecksumBytes : 0);
-    if (uint64_t{2} * static_cast<uint64_t>(options.window) * slot >
-        options.max_registered_bytes) {
-      Reject("window * slot size exceeds max_registered_bytes");
-    }
+  if (ChannelRingBytes(options) > options.max_registered_bytes) {
+    Reject("window * slot size exceeds max_registered_bytes");
   }
-  CheckPositive(options.reply_poll_interval_ns, "reply_poll_interval_ns must be > 0");
-  CheckNonNegative(options.reply_poll_cpu_ns, "reply_poll_cpu_ns must be >= 0");
   CheckNonNegative(options.fetch_timeout_ns, "fetch_timeout_ns must be >= 0");
   CheckNonNegative(options.fetch_backoff_initial_ns, "fetch_backoff_initial_ns must be >= 0");
   CheckNonNegative(options.fetch_backoff_max_ns, "fetch_backoff_max_ns must be >= 0");
-  if (options.corrupt_fetches_before_reissue < 1) {
-    Reject("corrupt_fetches_before_reissue must be >= 1");
-  }
   if (options.max_reconnect_attempts < 0) Reject("max_reconnect_attempts must be >= 0");
   CheckNonNegative(options.reconnect_delay_ns, "reconnect_delay_ns must be >= 0");
-  if (options.max_reissue_attempts < 1) Reject("max_reissue_attempts must be >= 1");
   CheckNonNegative(options.call_deadline_ns, "call_deadline_ns must be >= 0");
   if (options.breaker_window < 1) Reject("breaker_window must be >= 1");
   CheckUnitInterval(options.breaker_failure_rate, "breaker_failure_rate must be in (0, 1]");
   CheckNonNegative(options.breaker_open_ns, "breaker_open_ns must be >= 0");
-  CheckNonNegative(options.busy_backoff_max_ns, "busy_backoff_max_ns must be >= 0");
   if (options.overload_override_calls < 0) Reject("overload_override_calls must be >= 0");
+}
+
+size_t ChannelSlotBytes(const RfpOptions& options) {
+  return size_t{kReqHeaderBytes} + options.max_message_bytes +
+         (options.checksum_responses ? kChecksumBytes : 0);
+}
+
+size_t ChannelRingBytes(const RfpOptions& options) {
+  return 2 * static_cast<size_t>(options.window) * ChannelSlotBytes(options);
 }
 
 void ValidateOptions(const RfpOptions& options, size_t pool_cap_bytes,
                      const std::string& node_name) {
-  ValidateOptions(options);
   if (pool_cap_bytes == 0) {
     return;  // unbounded pool
   }
-  const uint64_t slot = static_cast<uint64_t>(kReqHeaderBytes) + options.max_message_bytes +
-                        (options.checksum_responses ? kChecksumBytes : 0);
-  const uint64_t ring = uint64_t{2} * static_cast<uint64_t>(options.window) * slot;
+  const size_t ring = ChannelRingBytes(options);
   if (ring > pool_cap_bytes) {
     throw std::invalid_argument(
         "rfp options: channel rings need " + std::to_string(ring) + " bytes (2 rings x window " +
-        std::to_string(options.window) + " x " + std::to_string(slot) +
+        std::to_string(options.window) + " x " + std::to_string(ChannelSlotBytes(options)) +
         "-byte slots) but node '" + node_name + "' caps registered memory at " +
         std::to_string(pool_cap_bytes) +
         " bytes (NicConfig mem_max_registered_bytes); shrink window or max_message_bytes, or "
@@ -91,23 +76,13 @@ void ValidateOptions(const RfpOptions& options, size_t pool_cap_bytes,
 void ValidateOptions(const ServerOptions& options) {
   if (options.max_message_bytes == 0) Reject("max_message_bytes must be > 0");
   CheckNonNegative(options.dispatch_cpu_ns, "dispatch_cpu_ns must be >= 0");
-  if (!(options.straggler_prob >= 0.0 && options.straggler_prob <= 1.0)) {
-    Reject("straggler_prob must be in [0, 1]");
-  }
-  CheckNonNegative(options.straggler_extra_ns, "straggler_extra_ns must be >= 0");
   CheckNonNegative(options.poll_cpu_per_channel_ns, "poll_cpu_per_channel_ns must be >= 0");
-  // 0 would let an idle (or crashed) ServeLoop spin without advancing
-  // virtual time, wedging the whole simulation.
-  CheckPositive(options.idle_sleep_ns, "idle_sleep_ns must be > 0");
-  if (!(options.copy_cpu_ns_per_byte >= 0.0)) Reject("copy_cpu_ns_per_byte must be >= 0");
   if (options.admission_budget < 1) Reject("admission_budget must be >= 1");
   CheckNonNegative(options.overload_lo_watermark_ns, "overload_lo_watermark_ns must be >= 0");
   CheckNonNegative(options.overload_hi_watermark_ns, "overload_hi_watermark_ns must be >= 0");
   if (options.overload_lo_watermark_ns > options.overload_hi_watermark_ns) {
     Reject("overload watermarks must satisfy lo <= hi");
   }
-  CheckUnitInterval(options.process_ewma_alpha, "process_ewma_alpha must be in (0, 1]");
-  CheckNonNegative(options.shed_cpu_ns, "shed_cpu_ns must be >= 0");
   if (options.max_steals_per_sweep < 0) Reject("max_steals_per_sweep must be >= 0");
   if (options.steal_min_backlog < 1) Reject("steal_min_backlog must be >= 1");
 }

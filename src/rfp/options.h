@@ -27,12 +27,6 @@ struct RfpOptions {
   // stragglers do not flap the mode.
   int slow_calls_before_switch = 2;
 
-  // Switch back to remote fetching when the server-reported process time
-  // drops to or below this bound for `fast_calls_before_switch_back`
-  // consecutive replies. 7 us is the paper's fetch-vs-reply crossover.
-  uint16_t switch_back_us = 7;
-  int fast_calls_before_switch_back = 2;
-
   // Largest message (request or response payload) a channel can carry.
   uint32_t max_message_bytes = 8192 + 64;
 
@@ -69,13 +63,6 @@ struct RfpOptions {
   enum class ForceMode : uint8_t { kAdaptive, kForceFetch, kForceReply };
   ForceMode force_mode = ForceMode::kAdaptive;
 
-  // Client-side polling cadence while waiting in server-reply mode: the
-  // client checks its local response landing every interval, costing
-  // `reply_poll_cpu_ns` of CPU per check (this is what drops client CPU
-  // below 30% in Fig 15).
-  sim::Time reply_poll_interval_ns = 1000;
-  sim::Time reply_poll_cpu_ns = 30;
-
   // ---- Fault tolerance (docs/fault_injection.md) ---------------------------
   // Everything below defaults to *off* / neutral: a channel built with
   // default options behaves bit-for-bit like one built before the fault
@@ -96,21 +83,16 @@ struct RfpOptions {
 
   // Appends an 8-byte checksum trailer to every response (see
   // wire::Checksum64). A mismatching fetch counts as corrupt; after
-  // `corrupt_fetches_before_reissue` consecutive corrupt observations the
-  // client re-issues the request (idempotent re-execution keyed by the wire
-  // seq tag). Grows each response block by kChecksumBytes.
+  // kCorruptFetchesBeforeReissue (channel.cc) consecutive corrupt
+  // observations the client re-issues the request (idempotent re-execution
+  // keyed by the wire seq tag). Grows each response block by kChecksumBytes.
   bool checksum_responses = false;
-  int corrupt_fetches_before_reissue = 2;
 
   // A QP-error completion triggers transparent reconnection (tear down the
   // RC pair, wait out the re-establishment handshake, retry the op). An op
   // that still fails after `max_reconnect_attempts` reconnects throws.
   int max_reconnect_attempts = 8;
   sim::Time reconnect_delay_ns = 20 * 1000;
-
-  // Bound on request re-issues (timeout or corruption triggered) before the
-  // call gives up and throws.
-  int max_reissue_attempts = 8;
 
   // ---- Overload protection (docs/overload.md) ------------------------------
   // Also default-off / neutral. BUSY responses can only appear when the
@@ -136,12 +118,6 @@ struct RfpOptions {
   double breaker_failure_rate = 0.5;  // in (0, 1]
   sim::Time breaker_open_ns = 50 * 1000;
   uint64_t breaker_seed = 0x4252;  // "BR": jitter RNG, mixed per channel
-
-  // Jittered backoff before re-issuing a request the server shed with
-  // BUSY(admission): sleep ~hint * 2^(n-1) for the n-th consecutive BUSY of
-  // the call, capped here, jittered by +/-25% to de-synchronize retry
-  // stampedes across clients.
-  sim::Time busy_backoff_max_ns = 2 * 1000 * 1000;
 
   // Overload override of the R-based switch hysteresis: after observing a
   // BUSY response, suppress the switch to server-reply for this many
@@ -178,20 +154,10 @@ struct ServerOptions {
   // CPU cost of unpacking a request, dispatching, and packing the response
   // (excluding the handler's own process time).
   sim::Time dispatch_cpu_ns = 150;
-  // Straggler model: a small fraction of requests take unexpectedly long on
-  // the server (cache misses, interrupts — the paper's Section 3.2 reports
-  // ~0.2% of requests with unexpectedly long process time, which is what
-  // produces the 4-9 fetch-retry tail of Table 3 and the 15-17 us latency
-  // outliers of Section 4.4.2).
-  double straggler_prob = 0.0004;
-  sim::Time straggler_extra_ns = 9000;
+  // Seeds the straggler model (rpc.cc kStragglerProb), mixed with the node id.
   uint64_t straggler_seed = 0x5247;  // "RG"
   // CPU cost of scanning one channel's request header during a poll sweep.
   sim::Time poll_cpu_per_channel_ns = 10;
-  // Idle back-off between sweeps that found no request.
-  sim::Time idle_sleep_ns = 200;
-  // Per-byte cost of copying payloads in and out of RFP buffers.
-  double copy_cpu_ns_per_byte = 0.02;
 
   // ---- Admission control / overload shedding (docs/overload.md) ------------
   // Default-off: a server built with default options serves exactly as
@@ -208,9 +174,6 @@ struct ServerOptions {
   // leave at <= lo (lo <= hi enforced by ValidateOptions).
   sim::Time overload_hi_watermark_ns = 40 * 1000;
   sim::Time overload_lo_watermark_ns = 10 * 1000;
-  double process_ewma_alpha = 0.25;  // in (0, 1]
-  // CPU cost of publishing one BUSY response: shedding is cheap, not free.
-  sim::Time shed_cpu_ns = 60;
 
   // ---- Multi-core dispatch (docs/multicore.md) -----------------------------
   // Every worker charges all sweep CPU (poll, dispatch, copy, process, shed)
@@ -218,14 +181,11 @@ struct ServerOptions {
   // so workers never contend, bit-for-bit the pre-multicore server.
 
   // Make the worker cores real: pin each worker to a node core reserved via
-  // rdma::Node::ReserveWorkerCore, so workers sharing a core contend.
-  // work_stealing and batch_reply_publication below take effect only here.
+  // rdma::Node::ReserveWorkerCore, so workers sharing a core contend. Only
+  // a multicore server steals work and batches reply publication (rpc.cc).
   bool multicore = false;
-  // (multicore) Let workers claim channels owned by crashed workers and, when
-  // idle, steal backlogged channels from loaded workers between sweeps.
-  bool work_stealing = true;
-  // Channels one worker may claim per sweep (orphan claims and load steals
-  // combined); bounds rebalancing churn.
+  // (multicore) Channels one worker may claim per sweep (orphan claims and
+  // load steals combined); bounds rebalancing churn. 0 turns stealing off.
   int max_steals_per_sweep = 1;
   // A live worker's channel is stealable only when it has at least this many
   // pending requests — a cold channel is not worth migrating. Load steals
@@ -233,11 +193,6 @@ struct ServerOptions {
   // the thief, so migration strictly improves balance and two idle workers
   // cannot ping-pong a hot channel between sweeps.
   int steal_min_backlog = 2;
-  // (multicore) Defer server-reply pushes during a channel visit and publish
-  // every completed slot in one doorbell batch when the visit ends (the first
-  // WRITE pays the full out-bound issue cost, followers the batched marginal
-  // — mirroring the client-side posting batch of docs/pipelining.md).
-  bool batch_reply_publication = true;
 };
 
 // Throw std::invalid_argument when an option set is inconsistent (negative
@@ -246,11 +201,16 @@ struct ServerOptions {
 void ValidateOptions(const RfpOptions& options);
 void ValidateOptions(const ServerOptions& options);
 
-// Additionally cross-checks the window x slot ring footprint against a node
-// pool's registered-memory cap (mem::PoolOptions::max_registered_bytes, i.e.
-// the NicConfig mem_max_registered_bytes knob; 0 = unbounded, always passes).
-// Without this, an oversized window only surfaces deep inside mem::Pool as a
-// generic ExhaustedError; the Channel constructor calls this up front so a
+// A channel slot (request header + max payload + optional checksum trailer),
+// and the 2 * window slots a channel registers on each side.
+size_t ChannelSlotBytes(const RfpOptions& options);
+size_t ChannelRingBytes(const RfpOptions& options);
+
+// Checks only ChannelRingBytes against a node pool's registered-memory cap
+// (mem::PoolOptions::max_registered_bytes, i.e. the NicConfig
+// mem_max_registered_bytes knob; 0 = unbounded, always passes). Without this,
+// an oversized window only surfaces deep inside mem::Pool as a generic
+// ExhaustedError; the Channel constructor calls this up front so a
 // misconfiguration reads as "shrink the window", not "pool exhausted".
 // `node_name` labels the offending node in the message.
 void ValidateOptions(const RfpOptions& options, size_t pool_cap_bytes,

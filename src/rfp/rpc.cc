@@ -16,6 +16,28 @@ namespace {
 
 constexpr size_t kRpcIdBytes = sizeof(uint16_t);
 
+// Straggler model: a small fraction of requests take unexpectedly long on
+// the server (cache misses, interrupts — the paper's Section 3.2 reports
+// ~0.2% of requests with unexpectedly long process time, which is what
+// produces the 4-9 fetch-retry tail of Table 3 and the 15-17 us latency
+// outliers of Section 4.4.2). ServerOptions::straggler_seed seeds the draw.
+constexpr double kStragglerProb = 0.0004;
+constexpr sim::Time kStragglerExtraNs = 9000;
+
+// Back-off between sweeps that found no request, and of a crashed worker.
+// Positive, so an idle ServeLoop always advances virtual time.
+constexpr sim::Time kIdleSleepNs = 200;
+
+// Per-byte cost of copying payloads in and out of RFP buffers.
+constexpr double kCopyCpuNsPerByte = 0.02;
+
+// Weight of the newest measured process time in the overload detector's
+// EWMA (docs/overload.md).
+constexpr double kProcessEwmaAlpha = 0.25;
+
+// CPU cost of publishing one BUSY response: shedding is cheap, not free.
+constexpr sim::Time kShedCpuNs = 60;
+
 // Process-unique server ordinal for worker trace-track ids (see
 // RpcServer::worker_track_id). Monotonic, never reused — unlike heap
 // addresses, which the old this-pointer-derived ids leaned on.
@@ -289,7 +311,11 @@ Channel* RpcServer::AcceptChannel(rdma::Node& client, const RfpOptions& options,
   }
   owned_channels_.push_back(std::make_unique<Channel>(fabric_, client, node_, options));
   Channel* channel = owned_channels_.back().get();
-  if (options_.multicore && options_.batch_reply_publication) {
+  if (options_.multicore) {
+    // Defer server-reply pushes during a visit and publish every completed
+    // slot in one doorbell batch when the visit ends (the first WRITE pays
+    // the full out-bound issue cost, followers the batched marginal —
+    // mirroring the client-side posting batch of docs/pipelining.md).
     channel->set_defer_server_pushes(true);
   }
   endpoints_.push_back(ChannelEntry{channel, thread, false});
@@ -323,7 +349,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       // request headers stay in the channels' request blocks (NIC and memory
       // are alive — only the core is gone) and are served after restart or,
       // under multicore work stealing, when a surviving worker claims them.
-      co_await engine.Sleep(options_.idle_sleep_ns);
+      co_await engine.Sleep(kIdleSleepNs);
       continue;
     }
     bool any = false;
@@ -424,9 +450,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         const uint64_t request_deadline = channel->last_request_deadline_ns();
         if (request_deadline != 0 && static_cast<uint64_t>(engine.now()) > request_deadline) {
           ++requests_shed_deadline_;
-          if (options_.shed_cpu_ns > 0) {
-            co_await state.cpu->Use(options_.shed_cpu_ns);
-          }
+          co_await state.cpu->Use(kShedCpuNs);
           co_await channel->ServerSendBusy(BusyReason::kDeadline, retry_hint_us);
           continue;  // a shed slot still leaves the rest of the window to serve
         }
@@ -436,9 +460,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         if (options_.admission_control && state.overloaded &&
             admitted >= options_.admission_budget) {
           ++requests_shed_admission_;
-          if (options_.shed_cpu_ns > 0) {
-            co_await state.cpu->Use(options_.shed_cpu_ns);
-          }
+          co_await state.cpu->Use(kShedCpuNs);
           co_await channel->ServerSendBusy(BusyReason::kAdmission, retry_hint_us);
           continue;
         }
@@ -481,25 +503,21 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         // the pack cost naturally excludes the value — it never crosses the
         // server's CPU, which is the point of the indirect path
         // (docs/memory.md).
-        const double copy_cost = options_.copy_cpu_ns_per_byte *
+        const double copy_cost = kCopyCpuNsPerByte *
                                  static_cast<double>(request_size + result.response_size);
         sim::Time process = options_.dispatch_cpu_ns + static_cast<sim::Time>(copy_cost) +
                             result.process_ns;
-        if (options_.straggler_prob > 0.0 &&
-            straggler_rng_.NextBernoulli(options_.straggler_prob)) {
-          process += options_.straggler_extra_ns;
+        if (straggler_rng_.NextBernoulli(kStragglerProb)) {
+          process += kStragglerExtraNs;
         }
         co_await state.cpu->Use(process);
-        {
-          // Feed the measured process time into the detector's EWMA. Updated
-          // unconditionally: the retry hint above needs it even when the
-          // watermark machine (admission_control) is off.
-          const double alpha = options_.process_ewma_alpha;
-          state.process_ewma_ns =
-              state.process_ewma_ns == 0.0
-                  ? static_cast<double>(process)
-                  : alpha * static_cast<double>(process) + (1.0 - alpha) * state.process_ewma_ns;
-        }
+        // Feed the measured process time into the detector's EWMA. Updated
+        // unconditionally: the retry hint above needs it even when the
+        // watermark machine (admission_control) is off.
+        state.process_ewma_ns = state.process_ewma_ns == 0.0
+                                    ? static_cast<double>(process)
+                                    : kProcessEwmaAlpha * static_cast<double>(process) +
+                                          (1.0 - kProcessEwmaAlpha) * state.process_ewma_ns;
         if (result.zero_copy.valid()) {
           co_await channel->ServerSendZeroCopy(
               std::span<const std::byte>(state.response_buf.data(), result.response_size),
@@ -511,7 +529,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         ++state.served;
         ++requests_served_;
       }
-      if (options_.multicore && options_.batch_reply_publication) {
+      if (options_.multicore) {
         // Publish every slot this visit completed in one doorbell batch
         // (reply mode only; fetch-mode responses are already local stores).
         co_await channel->FlushServerPushes();
@@ -535,7 +553,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
     // cooperative scheduler. Every condition is a pure read, so the cheap
     // ones go first: the orphan scan runs only while some worker is down,
     // and the O(1) balance test precedes the request-block peek.
-    if (options_.multicore && options_.work_stealing) {
+    if (options_.multicore) {
       int budget = options_.max_steals_per_sweep;
       for (size_t ci = 0; crashed_threads_ > 0 && ci < endpoints_.size() && budget > 0; ++ci) {
         ChannelEntry& entry = endpoints_[ci];
@@ -573,7 +591,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       }
     }
     if (!any) {
-      co_await engine.Sleep(options_.idle_sleep_ns);
+      co_await engine.Sleep(kIdleSleepNs);
     }
   }
 }

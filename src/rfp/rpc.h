@@ -139,9 +139,9 @@ class RpcServer {
   // on the client's fault-tolerance options) until RestartThread. A request
   // already mid-handler completes first; the crash takes effect between
   // requests, which models a worker whose core is lost, not one whose
-  // memory is torn mid-write. Under multicore + work_stealing the surviving
-  // workers claim the crashed worker's channels at their next sweeps, so the
-  // dark window lasts sweeps, not the whole outage. Idempotent.
+  // memory is torn mid-write. Under multicore the surviving workers claim
+  // the crashed worker's channels at their next sweeps, so the dark window
+  // lasts sweeps, not the whole outage. Idempotent.
   void CrashThread(int thread);
 
   // Brings a crashed worker back. Its next sweep picks up whatever request

@@ -10,6 +10,9 @@ namespace {
 constexpr size_t kHdr = sizeof(UdHeader);
 constexpr uint16_t kReplyFlag = 1;
 
+// Poll cadence of an idle server loop and of a client awaiting a reply.
+constexpr sim::Time kPollNs = 200;
+
 size_t SlotBytes(const UdRpcOptions& options) { return kHdr + options.max_message_bytes; }
 
 UdHeader LoadHeader(const rdma::MemoryRegion& mr, size_t offset) {
@@ -95,10 +98,11 @@ sim::Task<void> UdRpcServer::ServeLoop(int thread) {
   while (!stop_) {
     const auto wc = qp->recv_cq()->Poll();
     if (!wc.has_value()) {
-      co_await poller.Park(sim::Nanos(200));
+      co_await poller.Park(kPollNs);
       continue;
     }
     if (!wc->ok() || wc->byte_len < kHdr) {
+      ++malformed_requests_;  // too large for the slot, or shorter than the header
       RepostRecv(thread, wc->wr_id);
       continue;
     }
@@ -196,18 +200,22 @@ sim::Task<size_t> UdRpcClient::Call(uint16_t rpc_id, std::span<const std::byte> 
       const UdHeader reply = LoadHeader(*region_, rx_offset);
       const size_t payload = wc->byte_len >= kHdr ? wc->byte_len - kHdr : 0;
       const bool match = wc->ok() && reply.seq == seq;
-      if (match && payload <= response.size()) {
+      const bool fits = payload <= response.size();
+      if (match && fits) {
         region_->ReadBytes(rx_offset + kHdr, response.subspan(0, payload));
       }
       RepostRecv(wc->wr_id);
       if (match) {
+        if (!fits) {
+          throw std::length_error("ud rpc: response larger than output buffer");
+        }
         latency_.Record(engine.now() - start);
         co_return payload;
       }
       ++stats_.duplicates;  // stale reply to an earlier (retransmitted) seq
     }
     qp_->recv_cq()->Watch(&poller);
-    co_await poller.Park(options_.client_poll_ns, deadline);
+    co_await poller.Park(kPollNs, deadline);
     qp_->recv_cq()->Unwatch(&poller);
   }
 }

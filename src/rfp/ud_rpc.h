@@ -42,7 +42,6 @@ static_assert(sizeof(UdHeader) == 16, "UD header layout is part of the wire form
 struct UdRpcOptions {
   int recv_pool = 64;              // posted RECVs per QP
   uint32_t max_message_bytes = 8192 + 64;
-  sim::Time client_poll_ns = 200;  // response poll cadence
   sim::Time retry_timeout_ns = 20'000;
   int max_retransmits = 10;
 };
@@ -69,8 +68,9 @@ class UdRpcServer {
   uint64_t requests_served() const { return requests_served_; }
   // Requests dropped because the recv pool was empty (burst overflow).
   uint64_t recv_overflows() const;
-  // Requests dropped for an unknown rpc id. Wire input never kills a server
-  // actor: the RECV is reposted and the client's retransmit timer decides.
+  // Requests dropped as malformed (unknown rpc id, runt or oversized
+  // datagram). Wire input never kills a server actor: the RECV is reposted
+  // and the client's retransmit timer decides.
   uint64_t malformed_requests() const { return malformed_requests_; }
 
  private:
@@ -106,8 +106,9 @@ class UdRpcClient {
   UdRpcClient(rdma::Fabric& fabric, rdma::Node& node, rdma::AddressHandle server,
               UdRpcOptions options = {});
 
-  // Returns the response payload size; throws after max_retransmits
-  // timeouts (the datagram analogue of a broken connection).
+  // Returns the response payload size. Throws std::runtime_error after
+  // max_retransmits timeouts (the datagram analogue of a broken connection),
+  // std::length_error when the reply does not fit `response`.
   sim::Task<size_t> Call(uint16_t rpc_id, std::span<const std::byte> request,
                          std::span<std::byte> response);
 

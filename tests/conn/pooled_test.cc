@@ -23,6 +23,7 @@
 #include "src/check/checker.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/rpc.h"
+#include "src/rfp/wire.h"
 #include "src/sim/engine.h"
 #include "src/sim/time.h"
 
@@ -240,6 +241,67 @@ TEST_F(PooledTest, UnknownRpcIdIsDroppedAndCallFails) {
   EXPECT_TRUE(threw);
   EXPECT_GT(pooled_->dropped_requests(), 0u);
   EXPECT_EQ(client.stats().failures, 1u);
+}
+
+// A reply larger than the caller's buffer throws std::length_error instead
+// of reporting bytes it did not copy; the client's next call succeeds.
+TEST_F(PooledTest, OversizedReplyThrowsLengthErrorAndClientServesOn) {
+  PooledServer* server = MakeServer();
+  rdma::Node& node = fabric_.AddNode("client");
+  PooledClient client(fabric_, node, *server);
+  std::string error;
+  std::string got;
+  engine_.Spawn([](PooledClient* c, std::string* caught, std::string* out) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> small(16);
+    try {
+      co_await c->Call(kEcho, AsBytes(std::string(64, 'x')), small);
+    } catch (const std::length_error& e) {
+      *caught = e.what();
+    }
+    std::vector<std::byte> resp(64);
+    const size_t n = co_await c->Call(kEcho, AsBytes("fits"), resp);
+    out->assign(reinterpret_cast<const char*>(resp.data()), n);
+  }(&client, &error, &got));
+  engine_.RunUntil(sim::Millis(2));
+  EXPECT_EQ(error, "conn pooled: response larger than output buffer");
+  EXPECT_EQ(got, "fits");
+  EXPECT_EQ(client.stats().retransmits, 0u);
+}
+
+// Junk datagrams from a raw UD QP — 0 bytes, 3 bytes, a header whose size
+// field claims more than the datagram carries, and one a byte larger than a
+// receive slot — are each counted as a dropped request, and a real client's
+// call succeeds after them.
+TEST_F(PooledTest, RuntDatagramsAreCountedDropsAndServerServesOn) {
+  PooledServer* server = MakeServer();
+  rdma::Node& node = fabric_.AddNode("client");
+  rdma::QueuePair* raw = fabric_.CreateUd(node);
+  const size_t oversized =
+      rfp::kReqHeaderBytes + sizeof(uint16_t) + PooledOptions{}.max_message_bytes + 1;
+  rdma::MemoryRegion* junk = node.RegisterMemory(oversized, rdma::kAccessLocal);
+  rfp::RequestHeader header;
+  rfp::wire::PackPooledRequest(header, /*size=*/100, /*cid=*/1, /*seq=*/1);
+  junk->Store(0, header);
+  PooledClient client(fabric_, node, *server);
+  std::string got;
+  engine_.Spawn([](rdma::QueuePair* qp, rdma::MemoryRegion* mr, rdma::AddressHandle to,
+                   PooledClient* c, std::string* out) -> sim::Task<void> {
+    const uint32_t short_of_size = rfp::kReqHeaderBytes + sizeof(uint16_t);
+    for (const uint32_t len :
+         {uint32_t{0}, uint32_t{3}, short_of_size, static_cast<uint32_t>(mr->size())}) {
+      const rdma::WorkCompletion wc = co_await qp->SendTo(to, *mr, 0, len);
+      EXPECT_TRUE(wc.ok());
+    }
+    co_await c->Connect();
+    std::vector<std::byte> resp(64);
+    const size_t n = co_await c->Call(kEcho, AsBytes("after junk"), resp);
+    out->assign(reinterpret_cast<const char*>(resp.data()), n);
+  }(raw, junk, server->address(0), &client, &got));
+  engine_.RunUntil(sim::Millis(2));
+  EXPECT_EQ(server->dropped_requests(), 4u);
+  EXPECT_EQ(got, "after junk");
+  EXPECT_EQ(server->requests_served(), 1u);
 }
 
 TEST_F(PooledTest, StrictCheckerAcceptsTheConnectionLifecycle) {

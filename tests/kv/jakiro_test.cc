@@ -627,6 +627,46 @@ TEST_F(JakiroTest, OversizedRequestsThrowLengthError) {
   }
 }
 
+// A legal window-1 MultiGet whose response cannot fit the server's 8256-byte
+// dispatch buffer: 300 16-byte keys make a 5.4 KB request, but their 32-byte
+// values would make a 10.8 KB response. The server answers kError instead of
+// writing past the buffer, the client's decode throws, and both sides serve
+// on.
+TEST_F(JakiroTest, MultiGetResponseOverDispatchBufferThrows) {
+  JakiroConfig config;
+  config.server_threads = 1;  // every key has one owner: one call
+  JakiroServer* server = MakeServer(config);
+  JakiroClient client(*server, *client_node_);
+  server->Start();
+  std::string error;
+  bool done = false;
+  engine_.Spawn([](JakiroClient* c, std::string* out, bool* finished) -> sim::Task<void> {
+    std::vector<std::vector<std::byte>> storage;
+    for (int i = 0; i < 300; ++i) {
+      std::string key = "key-" + std::to_string(i);
+      key.resize(16, '.');
+      storage.push_back(Bytes(key));
+      EXPECT_TRUE(co_await c->Put(storage.back(), Bytes(std::string(32, 'v'))));
+    }
+    std::vector<std::span<const std::byte>> keys(storage.begin(), storage.end());
+    std::vector<std::byte> arena(1 << 16);
+    std::vector<std::optional<std::span<const std::byte>>> results(keys.size());
+    try {
+      co_await c->MultiGet(keys, arena, results);
+    } catch (const std::runtime_error& e) {
+      *out = e.what();
+    }
+    std::vector<std::byte> value(64);
+    const auto got = co_await c->Get(storage.front(), value);
+    EXPECT_EQ(got, std::optional<size_t>(32));
+    *finished = true;
+  }(&client, &error, &done));
+  engine_.RunUntil(sim::Millis(20));
+  server->Stop();
+  EXPECT_EQ(error, "jakiro multiget: malformed response");
+  EXPECT_TRUE(done);
+}
+
 // A server whose MultiGet handler answers with fewer bytes than its count
 // claims: the decoder throws instead of reading past the response, in the
 // window-1 sequential order and in the pipelined order.

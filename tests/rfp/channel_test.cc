@@ -183,8 +183,6 @@ TEST_F(ChannelTest, FastRepliesSwitchBackToFetching) {
   RfpOptions options;
   options.retry_threshold = 5;
   options.slow_calls_before_switch = 2;
-  options.switch_back_us = 7;
-  options.fast_calls_before_switch_back = 2;
   Channel* ch = MakeChannel(options);
   // Phase 1 (calls 0-3): slow, driving the channel into reply mode.
   // Phase 2 (calls 4+): fast, driving it back to remote fetching.

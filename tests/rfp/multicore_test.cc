@@ -222,12 +222,11 @@ TEST_F(MulticoreTest, CrashedWorkerChannelsAreStolenServedAndRejoinAfterRestart)
   EXPECT_GT(server.requests_served_by(0), served_by_0_at_restart);
 }
 
-// With multicore batch_reply_publication, a visit that completes a window of
-// reply-mode slots publishes them in one doorbell batch instead of one WRITE
-// posting per slot.
+// On a multicore server, a visit that completes a window of reply-mode slots
+// publishes them in one doorbell batch instead of one WRITE posting per slot.
 TEST_F(MulticoreTest, BatchedReplyPublicationCoalescesDoorbells) {
   ServerOptions so;
-  so.multicore = true;  // batch_reply_publication defaults on
+  so.multicore = true;  // multicore batches reply publication
   RpcServer server(*fabric_, *server_node_, 1, so);
   RegisterEcho(server);
   RfpOptions opts;

@@ -24,9 +24,7 @@ TEST(OptionsValidationTest, RejectsBadChannelCoreOptions) {
            +[](RfpOptions& o) { o.retry_threshold = -1; },
            +[](RfpOptions& o) { o.fetch_size = 0; },
            +[](RfpOptions& o) { o.slow_calls_before_switch = 0; },
-           +[](RfpOptions& o) { o.fast_calls_before_switch_back = 0; },
            +[](RfpOptions& o) { o.max_message_bytes = 0; },
-           +[](RfpOptions& o) { o.reply_poll_interval_ns = 0; },
        }) {
     RfpOptions options;
     mutate(options);
@@ -62,10 +60,8 @@ TEST(OptionsValidationTest, RejectsBadFaultToleranceOptions) {
            +[](RfpOptions& o) { o.fetch_timeout_ns = -1; },
            +[](RfpOptions& o) { o.fetch_backoff_initial_ns = -1; },
            +[](RfpOptions& o) { o.fetch_backoff_max_ns = -1; },
-           +[](RfpOptions& o) { o.corrupt_fetches_before_reissue = 0; },
            +[](RfpOptions& o) { o.max_reconnect_attempts = -1; },
            +[](RfpOptions& o) { o.reconnect_delay_ns = -1; },
-           +[](RfpOptions& o) { o.max_reissue_attempts = 0; },
        }) {
     RfpOptions options;
     mutate(options);
@@ -81,7 +77,6 @@ TEST(OptionsValidationTest, RejectsBadOverloadOptions) {
            +[](RfpOptions& o) { o.breaker_failure_rate = 1.5; },
            +[](RfpOptions& o) { o.breaker_failure_rate = -0.5; },
            +[](RfpOptions& o) { o.breaker_open_ns = -1; },
-           +[](RfpOptions& o) { o.busy_backoff_max_ns = -1; },
            +[](RfpOptions& o) { o.overload_override_calls = -1; },
        }) {
     RfpOptions options;
@@ -100,18 +95,10 @@ TEST(OptionsValidationTest, RejectsBadServerOptions) {
   for (auto mutate : {
            +[](ServerOptions& o) { o.max_message_bytes = 0; },
            +[](ServerOptions& o) { o.dispatch_cpu_ns = -1; },
-           +[](ServerOptions& o) { o.straggler_prob = -0.1; },
-           +[](ServerOptions& o) { o.straggler_prob = 1.1; },
-           +[](ServerOptions& o) { o.straggler_extra_ns = -1; },
            +[](ServerOptions& o) { o.poll_cpu_per_channel_ns = -1; },
-           +[](ServerOptions& o) { o.idle_sleep_ns = 0; },  // would wedge the sim
-           +[](ServerOptions& o) { o.copy_cpu_ns_per_byte = -0.01; },
            +[](ServerOptions& o) { o.admission_budget = 0; },
            +[](ServerOptions& o) { o.overload_hi_watermark_ns = -1; },
            +[](ServerOptions& o) { o.overload_lo_watermark_ns = -1; },
-           +[](ServerOptions& o) { o.process_ewma_alpha = 0.0; },
-           +[](ServerOptions& o) { o.process_ewma_alpha = 1.5; },
-           +[](ServerOptions& o) { o.shed_cpu_ns = -1; },
        }) {
     ServerOptions options;
     mutate(options);

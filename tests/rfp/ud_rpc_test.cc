@@ -114,6 +114,58 @@ TEST_F(UdRpcTest, UnknownRpcIdIsCountedDropAndServerServesOn) {
   EXPECT_EQ(server->requests_served(), 1u);
 }
 
+// A reply larger than the caller's buffer throws std::length_error instead
+// of reporting bytes it did not copy; the client's next call succeeds.
+TEST_F(UdRpcTest, OversizedReplyThrowsLengthErrorAndClientServesOn) {
+  UdRpcServer* server = MakeServer();
+  UdRpcClient client(*fabric_, *client_node_, server->address(0));
+  std::string error;
+  std::string got;
+  engine_.Spawn([](UdRpcClient* c, std::string* caught, std::string* out) -> sim::Task<void> {
+    std::vector<std::byte> small(16);
+    try {
+      co_await c->Call(kEcho, AsBytes(std::string(64, 'x')), small);
+    } catch (const std::length_error& e) {
+      *caught = e.what();
+    }
+    std::vector<std::byte> resp(64);
+    const size_t n = co_await c->Call(kEcho, AsBytes("fits"), resp);
+    out->assign(reinterpret_cast<const char*>(resp.data()), n);
+  }(&client, &error, &got));
+  engine_.RunUntil(sim::Millis(2));
+  server->Stop();
+  EXPECT_EQ(error, "ud rpc: response larger than output buffer");
+  EXPECT_EQ(got, "fits");
+  EXPECT_EQ(client.stats().retransmits, 0u);
+}
+
+// Datagrams shorter than UdHeader (0 and 3 bytes from a raw UD QP), and one
+// a byte larger than a receive slot, are counted as malformed, their RECVs
+// reposted, and the server serves on.
+TEST_F(UdRpcTest, RuntDatagramsAreCountedDropsAndServerServesOn) {
+  UdRpcServer* server = MakeServer();
+  rdma::QueuePair* raw = fabric_->CreateUd(*client_node_);
+  const uint32_t oversized = sizeof(UdHeader) + UdRpcOptions{}.max_message_bytes + 1;
+  rdma::MemoryRegion* junk = client_node_->RegisterMemory(oversized, rdma::kAccessLocal);
+  UdRpcClient client(*fabric_, *client_node_, server->address(0));
+  std::string got;
+  engine_.Spawn([](rdma::QueuePair* qp, rdma::MemoryRegion* mr, rdma::AddressHandle to,
+                   UdRpcClient* c, std::string* out) -> sim::Task<void> {
+    for (const uint32_t len : {uint32_t{0}, uint32_t{3}, static_cast<uint32_t>(mr->size())}) {
+      const rdma::WorkCompletion wc = co_await qp->SendTo(to, *mr, 0, len);
+      EXPECT_TRUE(wc.ok());
+    }
+    std::vector<std::byte> resp(64);
+    const size_t n = co_await c->Call(kEcho, AsBytes("after junk"), resp);
+    out->assign(reinterpret_cast<const char*>(resp.data()), n);
+  }(raw, junk, server->address(0), &client, &got));
+  engine_.RunUntil(sim::Millis(2));
+  server->Stop();
+  EXPECT_EQ(server->malformed_requests(), 3u);
+  EXPECT_EQ(got, "after junk");
+  EXPECT_EQ(server->requests_served(), 1u);
+}
+
 class LossyUdRpcTest : public UdRpcTest {
  protected:
   LossyUdRpcTest() : UdRpcTest(0.2) {}  // 20% loss each way
