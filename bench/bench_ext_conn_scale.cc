@@ -47,7 +47,6 @@ constexpr int kClientNodes = 4;
 constexpr int kEndpointsPerNode = 8;
 constexpr int kEndpoints = kClientNodes * kEndpointsPerNode;
 constexpr int kServerThreads = 2;
-constexpr int kPooledQps = 4;
 
 void RegisterEcho(rfp::RpcServer& server) {
   server.RegisterHandler(kEcho, [](const rfp::HandlerContext&,
@@ -94,9 +93,7 @@ ScaleResult RunScale(uint64_t logical_clients) {
   rfp::RpcServer rpc(fabric, server_node, kServerThreads);
   RegisterEcho(rpc);
 
-  conn::PooledOptions popts;
-  popts.qps = kPooledQps;
-  conn::PooledServer server(fabric, rpc, popts);
+  conn::PooledServer server(fabric, rpc);
   server.Start();
 
   std::vector<rdma::Node*> nodes;
@@ -106,7 +103,7 @@ ScaleResult RunScale(uint64_t logical_clients) {
   std::vector<std::unique_ptr<conn::PooledClient>> endpoints;
   for (int e = 0; e < kEndpoints; ++e) {
     endpoints.push_back(std::make_unique<conn::PooledClient>(
-        fabric, *nodes[static_cast<size_t>(e % kClientNodes)], server, popts));
+        fabric, *nodes[static_cast<size_t>(e % kClientNodes)], server));
   }
 
   uint64_t done = 0;
@@ -233,7 +230,7 @@ int main(int argc, char** argv) {
   const size_t per_channel = DedicatedFootprintPerChannel();
   bench::PrintTitle("Extension: pooled connection scale-out (" +
                     std::to_string(kEndpoints) + " endpoints, " +
-                    std::to_string(kPooledQps) + " server UD QPs)");
+                    std::to_string(conn::kPooledQps) + " server UD QPs)");
   bench::PrintHeader({"clients", "conn_per_sec", "server_qps", "server_KB", "dedicated_MB",
                       "mr_regs", "retransmits"});
   for (const uint64_t clients : {uint64_t{1'000}, uint64_t{10'000}, uint64_t{100'000},
@@ -252,7 +249,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(server census is flat in M: %d QPs and one shared slot arena serve every\n"
               "row, while per-client RC channels would pin dedicated_MB of rings)\n\n",
-              kPooledQps);
+              conn::kPooledQps);
 
   conn::ConnectorOptions dedicated;  // kDirect
   conn::ConnectorOptions warm;

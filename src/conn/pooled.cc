@@ -1,6 +1,5 @@
 #include "src/conn/pooled.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <stdexcept>
@@ -16,54 +15,35 @@ namespace {
 
 constexpr size_t kRpcIdBytes = sizeof(uint16_t);
 
-// Poll cadence of an idle server QP loop and of a client awaiting a reply.
-constexpr sim::Time kPollNs = 200;
-
-// Server CPU cost of unpacking, dispatching and packing one request.
-constexpr sim::Time kDispatchCpuNs = 150;
+// The pooled size field shares size_status with the cid's high byte, so a
+// message (rpc id + body) must fit 16 bits.
+static_assert(kPooledMaxMessageBytes + kRpcIdBytes <= rfp::wire::kPooledSizeMask,
+              "kPooledMaxMessageBytes must fit the pooled 16-bit size field");
+static_assert(kPooledRecvSlots >= kPooledQps, "every server QP needs a receive slot");
+static_assert(kPooledClientRecvSlots >= 1, "a client needs a receive slot");
 
 // One slot fits the larger (request) direction: header + rpc id + max body.
-size_t SlotBytesFor(const PooledOptions& options) {
-  return rfp::kReqHeaderBytes + kRpcIdBytes + options.max_message_bytes;
-}
+constexpr size_t kSlotBytes = rfp::kReqHeaderBytes + kRpcIdBytes + kPooledMaxMessageBytes;
 
-void Reject(const char* what) {
-  throw std::invalid_argument(std::string("conn pooled: ") + what);
-}
+// Each server QP's fair share of the shared receive slots.
+constexpr size_t kRecvTarget = kPooledRecvSlots / kPooledQps;
 
 }  // namespace
 
-void ValidateOptions(const PooledOptions& options) {
-  if (options.qps < 1) Reject("qps must be >= 1");
-  if (options.recv_slots < options.qps) Reject("recv_slots must be >= qps");
-  if (options.client_recv_slots < 1) Reject("client_recv_slots must be >= 1");
-  if (options.max_message_bytes == 0) Reject("max_message_bytes must be > 0");
-  // The pooled size field shares size_status with the cid's high byte, so a
-  // message (rpc id + body) must fit 16 bits (wire::kPooledSizeMask).
-  if (options.max_message_bytes + kRpcIdBytes > rfp::wire::kPooledSizeMask) {
-    Reject("max_message_bytes must fit the pooled 16-bit size field");
-  }
-  if (options.retry_timeout_ns <= 0) Reject("retry_timeout_ns must be > 0");
-  if (options.max_retransmits < 0) Reject("max_retransmits must be >= 0");
-}
-
 // ---- Server -------------------------------------------------------------------
 
-PooledServer::PooledServer(rdma::Fabric& fabric, rfp::RpcServer& rpc, PooledOptions options)
-    : fabric_(fabric), rpc_(rpc), node_(rpc.node()), options_(options) {
-  ValidateOptions(options_);
-  for (int q = 0; q < options_.qps; ++q) {
+PooledServer::PooledServer(rdma::Fabric& fabric, rfp::RpcServer& rpc)
+    : fabric_(fabric), rpc_(rpc), node_(rpc.node()) {
+  for (int q = 0; q < kPooledQps; ++q) {
     qps_.push_back(fabric.CreateUd(node_));
   }
   // The shared receive arena and the per-QP tx staging come from the node's
   // registered-memory pool: bringing the tier up (and every client connect
   // after it) performs zero MR registrations.
   pool_ = mem::Pool::Shared(node_);
-  arena_ = pool_->Alloc(slot_bytes() *
-                        (static_cast<size_t>(options_.recv_slots) +
-                         static_cast<size_t>(options_.qps)));
-  free_slots_.reserve(static_cast<size_t>(options_.recv_slots));
-  for (int s = 0; s < options_.recv_slots; ++s) {
+  arena_ = pool_->Alloc(kSlotBytes * (kPooledRecvSlots + kPooledQps));
+  free_slots_.reserve(kPooledRecvSlots);
+  for (int s = 0; s < kPooledRecvSlots; ++s) {
     free_slots_.push_back(static_cast<uint32_t>(s));
   }
 }
@@ -86,16 +66,12 @@ PooledServer::~PooledServer() {
   pool_->Free(arena_);
 }
 
-size_t PooledServer::slot_bytes() const { return SlotBytesFor(options_); }
-
 size_t PooledServer::rx_offset(uint32_t slot) const {
-  return arena_.offset + static_cast<size_t>(slot) * slot_bytes();
+  return arena_.offset + static_cast<size_t>(slot) * kSlotBytes;
 }
 
 size_t PooledServer::tx_offset(int qp_index) const {
-  return arena_.offset +
-         slot_bytes() * (static_cast<size_t>(options_.recv_slots) +
-                         static_cast<size_t>(qp_index));
+  return arena_.offset + kSlotBytes * (kPooledRecvSlots + static_cast<size_t>(qp_index));
 }
 
 rdma::AddressHandle PooledServer::address(int qp_index) const {
@@ -110,28 +86,22 @@ uint64_t PooledServer::recv_overflows() const {
   return total;
 }
 
-size_t PooledServer::recv_target() const {
-  return std::max<size_t>(
-      1, static_cast<size_t>(options_.recv_slots) / static_cast<size_t>(num_qps()));
-}
-
 void PooledServer::TopUpRecv(int qp_index) {
   rdma::QueuePair* qp = qps_[static_cast<size_t>(qp_index)];
   // Fair-share target; the shared free list is what makes this an SRQ: a QP
   // that drains faster frees more slots and re-arms first, so slots flow to
   // wherever the burst lands instead of being strip-owned per QP.
-  const size_t target = recv_target();
-  while (!free_slots_.empty() && qp->recv_queue_depth() < target) {
+  while (!free_slots_.empty() && qp->recv_queue_depth() < kRecvTarget) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-    qp->PostRecv(slot, *arena_.mr, rx_offset(slot), static_cast<uint32_t>(slot_bytes()));
+    qp->PostRecv(slot, *arena_.mr, rx_offset(slot), static_cast<uint32_t>(kSlotBytes));
   }
 }
 
 void PooledServer::FreeSlot(uint32_t slot) {
   free_slots_.push_back(slot);
   for (size_t q = 0; q < pollers_.size(); ++q) {
-    if (qps_[q]->recv_queue_depth() < recv_target()) {
+    if (qps_[q]->recv_queue_depth() < kRecvTarget) {
       pollers_[q]->Wake();
     }
   }
@@ -199,14 +169,14 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
   rdma::MemoryRegion* mr = arena_.mr;
   const size_t tx = tx_offset(qp_index);
   const int thread_index = rpc_.num_threads() > 0 ? qp_index % rpc_.num_threads() : 0;
-  std::vector<std::byte> request(options_.max_message_bytes);
-  std::vector<std::byte> response(options_.max_message_bytes);
+  std::vector<std::byte> request(kPooledMaxMessageBytes);
+  std::vector<std::byte> response(kPooledMaxMessageBytes);
   sim::Poller& poller = *pollers_[static_cast<size_t>(qp_index)];
   while (!stop_) {
     TopUpRecv(qp_index);
     const auto wc = qp->recv_cq()->Poll();
     if (!wc.has_value()) {
-      co_await poller.Park(kPollNs);
+      co_await poller.Park(rfp::kDatagramPollNs);
       continue;
     }
     const uint32_t slot = static_cast<uint32_t>(wc->wr_id);
@@ -289,7 +259,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     const rfp::HandlerResult result =
         co_await (*handler)(ctx, std::span<const std::byte>(request.data(), body_bytes),
                             std::span<std::byte>(response.data(), response.size()));
-    co_await engine.Sleep(kDispatchCpuNs + result.process_ns);
+    co_await engine.Sleep(rfp::kDispatchCpuNs + result.process_ns);
     size_t resp_size = result.response_size;
     if (result.zero_copy.valid()) {
       // Pooled responses are pushed datagrams — there is no client-READ leg
@@ -314,18 +284,19 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
 
 // ---- Client -------------------------------------------------------------------
 
-PooledClient::PooledClient(rdma::Fabric& fabric, rdma::Node& node, PooledServer& server,
-                           PooledOptions options)
-    : fabric_(fabric), node_(node), server_(server), options_(options) {
-  ValidateOptions(options_);
+PooledClient::PooledClient(rdma::Fabric& fabric, rdma::Node& node, PooledServer& server)
+    : fabric_(fabric), node_(node), server_(server) {
   server_addr_ = server.address(server.PickQp());
-  qp_ = fabric.CreateUd(node);
+  slots_.qp = fabric.CreateUd(node);
   // Client buffers come from the node pool too: connecting a logical client
   // costs zero MR registrations end to end (the setup fast path).
   pool_ = mem::Pool::Shared(node);
-  span_ = pool_->Alloc(slot_bytes() * (static_cast<size_t>(options_.client_recv_slots) + 1));
-  for (int i = 0; i < options_.client_recv_slots; ++i) {
-    RepostRecv(static_cast<uint64_t>(i));
+  span_ = pool_->Alloc(kSlotBytes * (kPooledClientRecvSlots + 1));
+  slots_.mr = span_.mr;
+  slots_.base = span_.offset;
+  slots_.slot_bytes = kSlotBytes;
+  for (int i = 0; i < kPooledClientRecvSlots; ++i) {
+    slots_.PostRecv(static_cast<uint64_t>(i));
   }
 }
 
@@ -343,20 +314,11 @@ PooledClient::~PooledClient() {
   if (stats_.failures > 0) {
     reg.GetCounter("conn.pooled.client_failures", labels)->Add(stats_.failures);
   }
-  fabric_.RetireQp(qp_);
+  fabric_.RetireQp(slots_.qp);
   pool_->Free(span_);
 }
 
-size_t PooledClient::slot_bytes() const { return SlotBytesFor(options_); }
-
-size_t PooledClient::tx_off() const {
-  return span_.offset + slot_bytes() * static_cast<size_t>(options_.client_recv_slots);
-}
-
-void PooledClient::RepostRecv(uint64_t wr_id) {
-  qp_->PostRecv(wr_id, *span_.mr, span_.offset + static_cast<size_t>(wr_id) * slot_bytes(),
-                static_cast<uint32_t>(slot_bytes()));
-}
+size_t PooledClient::tx_off() const { return slots_.offset(kPooledClientRecvSlots); }
 
 sim::Task<void> PooledClient::Connect() {
   if (connected()) {
@@ -366,7 +328,8 @@ sim::Task<void> PooledClient::Connect() {
   const size_t tx = tx_off();
   span_.mr->Store(tx + rfp::kReqHeaderBytes, kRpcConnect);
   span_.mr->Store(tx + rfp::kReqHeaderBytes + kRpcIdBytes, node_.id());
-  span_.mr->Store(tx + rfp::kReqHeaderBytes + kRpcIdBytes + sizeof(uint32_t), qp_->qp_num());
+  span_.mr->Store(tx + rfp::kReqHeaderBytes + kRpcIdBytes + sizeof(uint32_t),
+                  slots_.qp->qp_num());
   std::array<std::byte, sizeof(uint32_t)> out{};
   const size_t n = co_await Transact(
       static_cast<uint32_t>(kRpcIdBytes + 2 * sizeof(uint32_t)),
@@ -395,8 +358,8 @@ sim::Task<size_t> PooledClient::Call(uint16_t rpc_id, std::span<const std::byte>
   if (!connected()) {
     throw std::logic_error("conn pooled: Call before Connect");
   }
-  if (request.size() > options_.max_message_bytes) {
-    throw std::invalid_argument("conn pooled: request exceeds max_message_bytes");
+  if (request.size() > kPooledMaxMessageBytes) {
+    throw std::invalid_argument("conn pooled: request exceeds kPooledMaxMessageBytes");
   }
   const size_t tx = tx_off();
   span_.mr->Store(tx + rfp::kReqHeaderBytes, rpc_id);
@@ -408,56 +371,14 @@ sim::Task<size_t> PooledClient::Call(uint16_t rpc_id, std::span<const std::byte>
 }
 
 sim::Task<size_t> PooledClient::Transact(uint32_t body_bytes, std::span<std::byte> response) {
-  sim::Engine& engine = fabric_.engine();
   const size_t tx = tx_off();
   const uint16_t seq = ++next_seq_;
   rfp::RequestHeader header;
   rfp::wire::PackPooledRequest(header, body_bytes, cid_, seq);
   span_.mr->Store(tx, header);
-  const uint32_t wire_bytes = rfp::kReqHeaderBytes + body_bytes;
-  int transmits = 0;
-  sim::Time deadline = 0;
-  // Between a response landing and the retransmit deadline every poll finds
-  // an empty CQ, so the loop parks until one of them.
-  sim::Poller poller(engine);
-  while (true) {
-    if (transmits == 0 || engine.now() >= deadline) {
-      if (transmits > options_.max_retransmits) {
-        ++stats_.failures;
-        throw std::runtime_error("conn pooled: call timed out after retransmits");
-      }
-      if (transmits > 0) {
-        ++stats_.retransmits;
-      }
-      ++transmits;
-      ++stats_.sends;
-      co_await qp_->SendTo(server_addr_, *span_.mr, tx, wire_bytes);
-      deadline = engine.now() + options_.retry_timeout_ns;
-    }
-    // Drain arrived responses, filtering stale replies by sequence tag.
-    while (auto wc = qp_->recv_cq()->Poll()) {
-      const size_t rx = span_.offset + static_cast<size_t>(wc->wr_id) * slot_bytes();
-      const rfp::ResponseHeader reply = span_.mr->Load<rfp::ResponseHeader>(rx);
-      const size_t payload =
-          wc->byte_len >= rfp::kHeaderBytes ? wc->byte_len - rfp::kHeaderBytes : 0;
-      const bool match = wc->ok() && reply.seq == seq;
-      const bool fits = payload <= response.size();
-      if (match && fits) {
-        span_.mr->ReadBytes(rx + rfp::kHeaderBytes, response.subspan(0, payload));
-      }
-      RepostRecv(wc->wr_id);
-      if (match) {
-        if (!fits) {
-          throw std::length_error("conn pooled: response larger than output buffer");
-        }
-        co_return payload;
-      }
-      ++stats_.duplicates;
-    }
-    qp_->recv_cq()->Watch(&poller);
-    co_await poller.Park(kPollNs, deadline);
-    qp_->recv_cq()->Unwatch(&poller);
-  }
+  co_return co_await rfp::DatagramCall<rfp::ResponseHeader>(
+      fabric_.engine(), slots_, server_addr_, tx, rfp::kReqHeaderBytes + body_bytes, seq,
+      response, stats_, "conn pooled");
 }
 
 }  // namespace conn

@@ -23,7 +23,9 @@
 // channels and pooled clients alike. The transport is unreliable: clients
 // carry a sequence tag, retransmit on timeout, and filter duplicate replies;
 // the server executes every arrival (handlers are idempotent by the RFP
-// contract).
+// contract). A pooled request carries no replication epoch (those bits hold
+// the cid), so an epoch-gated rpc id (RpcServer::GateRpc) is never served
+// here: it counts as a dropped request.
 //
 // Wire format:
 //   request   [rfp::RequestHeader (16 B, cid in mode/slot/size bits)]
@@ -45,6 +47,7 @@
 #include "src/mem/pool.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/rpc.h"
+#include "src/rfp/ud_rpc.h"
 #include "src/sim/poller.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
@@ -56,19 +59,12 @@ namespace conn {
 constexpr uint16_t kRpcConnect = 0xfff0;
 constexpr uint16_t kRpcDisconnect = 0xfff1;
 
-struct PooledOptions {
-  int qps = 4;                 // server UD QPs (the "N" of N QPs, M clients)
-  int recv_slots = 256;        // shared receive slots across all server QPs
-  int client_recv_slots = 8;   // posted RECVs per client QP
-  uint32_t max_message_bytes = 8192;
-  sim::Time retry_timeout_ns = 20'000;
-  int max_retransmits = 10;
-};
-
-// Throws std::invalid_argument on inconsistent options (qps < 1, fewer
-// receive slots than QPs, messages too large for the pooled 16-bit size
-// field, ...).
-void ValidateOptions(const PooledOptions& options);
+// The tier's geometry, one for every server and client. Calls retransmit
+// on rfp::kDatagramRetryTimeoutNs, at most rfp::kDatagramMaxRetransmits times.
+constexpr int kPooledQps = 4;              // server UD QPs (the "N" of N QPs, M clients)
+constexpr int kPooledRecvSlots = 256;      // shared receive slots across all server QPs
+constexpr int kPooledClientRecvSlots = 8;  // posted RECVs per client QP
+constexpr uint32_t kPooledMaxMessageBytes = 8192;  // request body or response payload
 
 // The server side: N UD QPs + one shared receive-slot arena, dispatching
 // into `rpc`'s handler table. Does not touch `rpc`'s channel sweep — the
@@ -76,7 +72,7 @@ void ValidateOptions(const PooledOptions& options);
 // registration.
 class PooledServer {
  public:
-  PooledServer(rdma::Fabric& fabric, rfp::RpcServer& rpc, PooledOptions options = {});
+  PooledServer(rdma::Fabric& fabric, rfp::RpcServer& rpc);
 
   // Flushes conn.pooled.* counters into the default metrics registry,
   // labeled {node}, and frees the slot arena back to the node pool.
@@ -95,14 +91,14 @@ class PooledServer {
   int PickQp() { return next_qp_++ % num_qps(); }
 
   rdma::Node& node() { return node_; }
-  const PooledOptions& options() const { return options_; }
 
   // Logical connections currently live (cid entries in the demux table).
   size_t live_connections() const { return clients_.size(); }
   uint64_t connects() const { return connects_; }
   uint64_t disconnects() const { return disconnects_; }
   uint64_t requests_served() const { return requests_served_; }
-  // Requests dropped: unknown cid (stale/closed connection) or malformed.
+  // Requests dropped: unknown cid (stale/closed connection), malformed, or
+  // for an unknown or epoch-gated rpc id.
   uint64_t dropped_requests() const { return dropped_requests_; }
   // Datagrams dropped because no receive slot was posted (burst overflow).
   uint64_t recv_overflows() const;
@@ -117,11 +113,9 @@ class PooledServer {
   // Called every loop iteration, so a QP that drains faster re-arms with
   // more of the shared pool — the SRQ effect.
   void TopUpRecv(int qp_index);
-  size_t recv_target() const;
   // Returns a consumed slot to the shared free list, waking every parked
   // loop whose next TopUpRecv would take it.
   void FreeSlot(uint32_t slot);
-  size_t slot_bytes() const;
   size_t rx_offset(uint32_t slot) const;
   size_t tx_offset(int qp_index) const;
   uint32_t AssignCid(const rdma::AddressHandle& reply);
@@ -129,7 +123,6 @@ class PooledServer {
   rdma::Fabric& fabric_;
   rfp::RpcServer& rpc_;
   rdma::Node& node_;
-  PooledOptions options_;
   bool stop_ = false;
   bool started_ = false;
   std::vector<rdma::QueuePair*> qps_;
@@ -137,7 +130,7 @@ class PooledServer {
   // freed slot would top it up, or Stop().
   std::vector<std::unique_ptr<sim::Poller>> pollers_;
   std::shared_ptr<mem::Pool> pool_;
-  // One pool span: [recv_slots shared slots][one tx slot per QP]. Receive
+  // One pool span: [kPooledRecvSlots shared slots][one tx slot per QP]. Receive
   // slots are a shared free list; wr_id = slot index.
   mem::Span arena_;
   std::vector<uint32_t> free_slots_;
@@ -156,19 +149,14 @@ class PooledServer {
 // clients through a handful of driver actors.
 class PooledClient {
  public:
-  struct Stats {
+  // Datagram counters cover every exchange (Connect and Disconnect too);
+  // `calls` counts Call only.
+  struct Stats : rfp::DatagramStats {
     uint64_t connects = 0;
     uint64_t disconnects = 0;
-    uint64_t calls = 0;
-    uint64_t sends = 0;       // includes retransmits
-    uint64_t retransmits = 0;
-    uint64_t duplicates = 0;  // late replies to already-completed seqs
-    uint64_t failures = 0;    // calls that exhausted max_retransmits
   };
 
-  // The client must use the same PooledOptions geometry as the server.
-  PooledClient(rdma::Fabric& fabric, rdma::Node& node, PooledServer& server,
-               PooledOptions options = {});
+  PooledClient(rdma::Fabric& fabric, rdma::Node& node, PooledServer& server);
 
   // Flushes conn.pooled client counters and the connect-latency histogram
   // into the default metrics registry, labeled {client}, and frees the slot
@@ -186,8 +174,8 @@ class PooledClient {
   sim::Task<void> Disconnect();
 
   // Invokes `rpc_id` through the pooled path; returns the response payload
-  // size. Throws std::runtime_error after max_retransmits timeouts,
-  // std::length_error when the reply does not fit `response`, and
+  // size. Throws std::runtime_error after rfp::kDatagramMaxRetransmits
+  // timeouts, std::length_error when the reply does not fit `response`, and
   // std::logic_error when not connected.
   sim::Task<size_t> Call(uint16_t rpc_id, std::span<const std::byte> request,
                          std::span<std::byte> response);
@@ -198,22 +186,19 @@ class PooledClient {
   const sim::Histogram& connect_latency() const { return connect_latency_; }
 
  private:
-  size_t slot_bytes() const;
   size_t tx_off() const;
-  void RepostRecv(uint64_t wr_id);
-  // One request/response exchange under the current cid (retransmit +
-  // duplicate filter). The request bytes must already be staged in the tx
-  // slot after the header.
+  // One request/response exchange under the current cid (rfp::DatagramCall:
+  // retransmit + duplicate filter). The request bytes must already be staged
+  // in the tx slot after the header.
   sim::Task<size_t> Transact(uint32_t body_bytes, std::span<std::byte> response);
 
   rdma::Fabric& fabric_;
   rdma::Node& node_;
   PooledServer& server_;
-  PooledOptions options_;
   rdma::AddressHandle server_addr_;
-  rdma::QueuePair* qp_;
   std::shared_ptr<mem::Pool> pool_;
-  mem::Span span_;  // [client_recv_slots slots][tx slot]
+  mem::Span span_;  // [kPooledClientRecvSlots slots][tx slot]
+  rfp::DatagramSlots slots_;  // the client QP's receive slots in span_
   uint32_t cid_ = 0;
   uint16_t next_seq_ = 0;
   Stats stats_;

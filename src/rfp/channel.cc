@@ -40,6 +40,10 @@ constexpr int kMaxReissueAttempts = 8;
 // across clients.
 constexpr sim::Time kBusyBackoffMaxNs = 2 * 1000 * 1000;
 
+// Connection re-establishment after a QP error (RC pair teardown plus the
+// out-of-band handshake); RfpOptions::max_reconnect_attempts bounds retries.
+constexpr sim::Time kReconnectDelayNs = 20 * 1000;
+
 void CheckOk(const rdma::WorkCompletion& wc, const char* what) {
   if (!wc.ok()) {
     throw std::runtime_error(std::string("rfp channel: ") + what + " failed: " +
@@ -445,7 +449,7 @@ sim::Task<size_t> Channel::AwaitSlot(int slot, std::span<std::byte> out) {
       // R between its awaits. While the overload override is active, slow
       // calls do not build a switch streak: a shedding server is saturated,
       // not slow-pathed, and a stampede of switches to server-reply would
-      // only add out-bound work (see RfpOptions::overload_override_calls).
+      // only add out-bound work (see kOverloadOverrideCalls).
       slow_streak_ = cs.failed >= options_.retry_threshold && !OverloadSuppressesSwitch()
                          ? slow_streak_ + 1
                          : 0;
@@ -1158,7 +1162,7 @@ sim::Task<void> Channel::EnsureConnected(rdma::QueuePair* failed) {
   // push can observe the same failure), wait it out instead of racing a
   // second connection.
   while (reconnect_in_progress_) {
-    co_await engine_.Sleep(options_.reconnect_delay_ns / 4 + 1);
+    co_await engine_.Sleep(kReconnectDelayNs / 4 + 1);
   }
   if (failed != client_qp_ && failed != server_qp_) {
     co_return;  // already replaced by whoever observed the error first
@@ -1169,7 +1173,7 @@ sim::Task<void> Channel::EnsureConnected(rdma::QueuePair* failed) {
     trace->Instant("rfp", "reconnect", reinterpret_cast<uint64_t>(this), engine_.now());
   }
   // Connection re-establishment (QP teardown + out-of-band handshake).
-  co_await engine_.Sleep(options_.reconnect_delay_ns);
+  co_await engine_.Sleep(kReconnectDelayNs);
   rdma::QueuePair* old_client = client_qp_;
   rdma::QueuePair* old_server = server_qp_;
   auto [cqp, sqp] = fabric_->ConnectRc(*client_node_, *server_node_);
@@ -1368,9 +1372,9 @@ void Channel::RecordBreakerOutcome(bool bad, uint64_t sent_epoch) {
   if (bad) {
     ++breaker_window_bad_;
   }
-  if (breaker_window_calls_ >= options_.breaker_window) {
+  if (breaker_window_calls_ >= kBreakerWindow) {
     if (static_cast<double>(breaker_window_bad_) >=
-        options_.breaker_failure_rate * static_cast<double>(breaker_window_calls_)) {
+        kBreakerFailureRate * static_cast<double>(breaker_window_calls_)) {
       OpenBreaker();
     }
     breaker_window_calls_ = 0;
@@ -1386,7 +1390,7 @@ void Channel::OpenBreaker() {
   // retry-after hint when that is larger, and jittered by +/-25% so a fleet
   // of breakers doesn't reclose in lockstep.
   const sim::Time hint_ns = static_cast<sim::Time>(last_retry_after_us_) * 1000;
-  const sim::Time base = std::max<sim::Time>(options_.breaker_open_ns, hint_ns);
+  const sim::Time base = std::max<sim::Time>(kBreakerOpenNs, hint_ns);
   const double jitter = 0.75 + 0.5 * rng_.NextDouble();
   breaker_open_until_ =
       engine_.now() + static_cast<sim::Time>(static_cast<double>(base) * jitter);

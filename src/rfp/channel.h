@@ -159,6 +159,27 @@ struct ZeroCopyRef {
   X(submit_window, s.doorbell_batches > 0) \
   X(batch_occupancy, s.doorbell_batches > 0)
 
+// Client circuit breaker (docs/overload.md), armed by
+// RfpOptions::breaker_enabled and driven by the BUSY/timeout rate over
+// tumbling windows of kBreakerWindow call outcomes: when bad/total >=
+// kBreakerFailureRate the breaker opens for kBreakerOpenNs (jittered by
+// +/-25%, stretched to the server's retry-after hint when that is larger);
+// the next call after the open interval is the half-open probe — success
+// closes the breaker, another BUSY/timeout reopens it.
+constexpr int kBreakerWindow = 16;
+constexpr double kBreakerFailureRate = 0.5;
+constexpr sim::Time kBreakerOpenNs = 50 * 1000;
+
+// Overload override of the R-based switch hysteresis: after observing a
+// BUSY response, suppress the switch to server-reply for this many
+// completed calls. An overloaded server sheds because its sweep threads
+// are saturated; switching to server-reply would add an out-bound WRITE
+// per response on top — a stampede of switches collapses exactly the
+// in/out asymmetry RFP exploits (paper Section 3.2, Fig 12). Timeout-driven
+// switches (fetch_timeout_ns) are NOT suppressed: they are the crash
+// recovery path, not a load signal.
+constexpr int kOverloadOverrideCalls = 8;
+
 class Channel {
  public:
   struct Stats {
@@ -656,11 +677,9 @@ class Channel {
   // ---- Overload protection (docs/overload.md) ------------------------------
 
   // True while the R-based switch to server-reply is suppressed because a
-  // BUSY response was observed within the last overload_override_calls
+  // BUSY response was observed within the last kOverloadOverrideCalls
   // completed calls.
-  bool OverloadSuppressesSwitch() const {
-    return calls_since_busy_ < options_.overload_override_calls;
-  }
+  bool OverloadSuppressesSwitch() const { return calls_since_busy_ < kOverloadOverrideCalls; }
   // Response-acceptance seq filter (see set_unsafe_accept_stale_seq).
   bool AcceptSeq(uint16_t header_seq, uint16_t expected) const {
     return unsafe_accept_stale_seq_ || header_seq == expected;

@@ -17,11 +17,6 @@ void CheckNonNegative(sim::Time v, const char* what) {
   if (v < 0) Reject(what);
 }
 
-// Negated compares so NaN rejects too.
-void CheckUnitInterval(double v, const char* what) {
-  if (!(v > 0.0 && v <= 1.0)) Reject(what);
-}
-
 }  // namespace
 
 void ValidateOptions(const RfpOptions& options) {
@@ -39,12 +34,7 @@ void ValidateOptions(const RfpOptions& options) {
   CheckNonNegative(options.fetch_backoff_initial_ns, "fetch_backoff_initial_ns must be >= 0");
   CheckNonNegative(options.fetch_backoff_max_ns, "fetch_backoff_max_ns must be >= 0");
   if (options.max_reconnect_attempts < 0) Reject("max_reconnect_attempts must be >= 0");
-  CheckNonNegative(options.reconnect_delay_ns, "reconnect_delay_ns must be >= 0");
   CheckNonNegative(options.call_deadline_ns, "call_deadline_ns must be >= 0");
-  if (options.breaker_window < 1) Reject("breaker_window must be >= 1");
-  CheckUnitInterval(options.breaker_failure_rate, "breaker_failure_rate must be in (0, 1]");
-  CheckNonNegative(options.breaker_open_ns, "breaker_open_ns must be >= 0");
-  if (options.overload_override_calls < 0) Reject("overload_override_calls must be >= 0");
 }
 
 size_t ChannelSlotBytes(const RfpOptions& options) {
@@ -75,16 +65,11 @@ void ValidateOptions(const RfpOptions& options, size_t pool_cap_bytes,
 
 void ValidateOptions(const ServerOptions& options) {
   if (options.max_message_bytes == 0) Reject("max_message_bytes must be > 0");
-  CheckNonNegative(options.dispatch_cpu_ns, "dispatch_cpu_ns must be >= 0");
-  CheckNonNegative(options.poll_cpu_per_channel_ns, "poll_cpu_per_channel_ns must be >= 0");
-  if (options.admission_budget < 1) Reject("admission_budget must be >= 1");
   CheckNonNegative(options.overload_lo_watermark_ns, "overload_lo_watermark_ns must be >= 0");
   CheckNonNegative(options.overload_hi_watermark_ns, "overload_hi_watermark_ns must be >= 0");
   if (options.overload_lo_watermark_ns > options.overload_hi_watermark_ns) {
     Reject("overload watermarks must satisfy lo <= hi");
   }
-  if (options.max_steals_per_sweep < 0) Reject("max_steals_per_sweep must be >= 0");
-  if (options.steal_min_backlog < 1) Reject("steal_min_backlog must be >= 1");
 }
 
 }  // namespace rfp

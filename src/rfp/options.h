@@ -89,10 +89,10 @@ struct RfpOptions {
   bool checksum_responses = false;
 
   // A QP-error completion triggers transparent reconnection (tear down the
-  // RC pair, wait out the re-establishment handshake, retry the op). An op
-  // that still fails after `max_reconnect_attempts` reconnects throws.
+  // RC pair, wait out the re-establishment handshake of kReconnectDelayNs in
+  // channel.cc, retry the op). An op that still fails after
+  // `max_reconnect_attempts` reconnects throws.
   int max_reconnect_attempts = 8;
-  sim::Time reconnect_delay_ns = 20 * 1000;
 
   // ---- Overload protection (docs/overload.md) ------------------------------
   // Also default-off / neutral. BUSY responses can only appear when the
@@ -107,27 +107,11 @@ struct RfpOptions {
   sim::Time call_deadline_ns = 0;
 
   // Client circuit breaker (closed -> open -> half-open), driven by the
-  // BUSY/timeout rate over tumbling windows of `breaker_window` call
-  // outcomes: when bad/total >= breaker_failure_rate the breaker opens for
-  // breaker_open_ns (jittered by +/-25%, stretched to the server's
-  // retry-after hint when that is larger); the next call after the open
-  // interval is the half-open probe — success closes the breaker, another
-  // BUSY/timeout reopens it.
+  // BUSY/timeout rate over tumbling windows of call outcomes; its window,
+  // failure rate and open interval are constants in channel.h
+  // (kBreakerWindow, kBreakerFailureRate, kBreakerOpenNs).
   bool breaker_enabled = false;
-  int breaker_window = 16;
-  double breaker_failure_rate = 0.5;  // in (0, 1]
-  sim::Time breaker_open_ns = 50 * 1000;
   uint64_t breaker_seed = 0x4252;  // "BR": jitter RNG, mixed per channel
-
-  // Overload override of the R-based switch hysteresis: after observing a
-  // BUSY response, suppress the switch to server-reply for this many
-  // completed calls. An overloaded server sheds because its sweep threads
-  // are saturated; switching to server-reply would add an out-bound WRITE
-  // per response on top — a stampede of switches collapses exactly the
-  // in/out asymmetry RFP exploits (paper Section 3.2, Fig 12). Timeout-driven
-  // switches (fetch_timeout_ns) are NOT suppressed: they are the crash
-  // recovery path, not a load signal.
-  int overload_override_calls = 8;
 };
 
 // Per-call options for RpcClient::Call / SubmitCall (docs/pipelining.md §4).
@@ -151,26 +135,21 @@ struct ServerOptions {
   // buffers are sized once from this (suspended handlers hold spans into
   // them, so they must never reallocate).
   uint32_t max_message_bytes = 8192 + 64;
-  // CPU cost of unpacking a request, dispatching, and packing the response
-  // (excluding the handler's own process time).
-  sim::Time dispatch_cpu_ns = 150;
   // Seeds the straggler model (rpc.cc kStragglerProb), mixed with the node id.
   uint64_t straggler_seed = 0x5247;  // "RG"
-  // CPU cost of scanning one channel's request header during a poll sweep.
-  sim::Time poll_cpu_per_channel_ns = 10;
 
   // ---- Admission control / overload shedding (docs/overload.md) ------------
   // Default-off: a server built with default options serves exactly as
   // before. Deadline shedding is independent of this switch — it activates
   // whenever a request header carries a nonzero deadline.
 
+  // While a thread is overloaded, each sweep admits kAdmissionBudget
+  // (rpc.h) requests; the rest receive BUSY(admission) with a retry-after
+  // hint.
   bool admission_control = false;
-  // Max requests one sweep admits while the thread is overloaded; the rest
-  // receive BUSY(admission) with a retry-after hint.
-  int admission_budget = 4;
   // Overload detector with watermark hysteresis: estimated queued work =
   // (channels with a pending request) x (EWMA of measured per-request
-  // process time, floored at dispatch_cpu_ns). Enter overload at >= hi,
+  // process time, floored at kDispatchCpuNs). Enter overload at >= hi,
   // leave at <= lo (lo <= hi enforced by ValidateOptions).
   sim::Time overload_hi_watermark_ns = 40 * 1000;
   sim::Time overload_lo_watermark_ns = 10 * 1000;
@@ -182,21 +161,13 @@ struct ServerOptions {
 
   // Make the worker cores real: pin each worker to a node core reserved via
   // rdma::Node::ReserveWorkerCore, so workers sharing a core contend. Only
-  // a multicore server steals work and batches reply publication (rpc.cc).
+  // a multicore server steals work (bounded by kMaxStealsPerSweep and
+  // kStealMinBacklog) and batches reply publication (rpc.cc).
   bool multicore = false;
-  // (multicore) Channels one worker may claim per sweep (orphan claims and
-  // load steals combined); bounds rebalancing churn. 0 turns stealing off.
-  int max_steals_per_sweep = 1;
-  // A live worker's channel is stealable only when it has at least this many
-  // pending requests — a cold channel is not worth migrating. Load steals
-  // additionally require the victim to own at least two more channels than
-  // the thief, so migration strictly improves balance and two idle workers
-  // cannot ping-pong a hot channel between sweeps.
-  int steal_min_backlog = 2;
 };
 
 // Throw std::invalid_argument when an option set is inconsistent (negative
-// times, watermark lo > hi, breaker thresholds outside (0,1], ...). Channel
+// times, watermark lo > hi, a window outside [1, kMaxWindow], ...). Channel
 // and RpcServer constructors enforce these, mirroring rdma::ValidateConfig.
 void ValidateOptions(const RfpOptions& options);
 void ValidateOptions(const ServerOptions& options);

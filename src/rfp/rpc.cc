@@ -38,6 +38,13 @@ constexpr double kProcessEwmaAlpha = 0.25;
 // CPU cost of publishing one BUSY response: shedding is cheap, not free.
 constexpr sim::Time kShedCpuNs = 60;
 
+// CPU cost of scanning one channel's request header during a poll sweep.
+constexpr sim::Time kPollCpuPerChannelNs = 10;
+
+// (multicore) Channels one worker may claim per sweep (orphan claims and
+// load steals combined); bounds rebalancing churn.
+constexpr int kMaxStealsPerSweep = 1;
+
 // Process-unique server ordinal for worker trace-track ids (see
 // RpcServer::worker_track_id). Monotonic, never reused — unlike heap
 // addresses, which the old this-pointer-derived ids leaned on.
@@ -183,6 +190,9 @@ void RpcServer::DestroyChannel(size_t index) {
 }
 
 const AsyncHandler* RpcServer::FindHandler(uint16_t rpc_id) const {
+  if (gated_rpcs_.count(rpc_id) != 0) {
+    return nullptr;
+  }
   auto it = handlers_.find(rpc_id);
   return it == handlers_.end() ? nullptr : &it->second;
 }
@@ -357,7 +367,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
     // anything arrived (the server busy-polls, paper Section 4.1). Like
     // every CPU charge of the sweep it runs on the worker's core, so workers
     // sharing a pinned core queue behind each other.
-    co_await state.cpu->Use(options_.poll_cpu_per_channel_ns *
+    co_await state.cpu->Use(kPollCpuPerChannelNs *
                             static_cast<sim::Time>(std::max(state.owned, 1)));
     if (fabric_.checker() != nullptr) {
       CheckReadySet(thread_index);
@@ -378,7 +388,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       pending += static_cast<size_t>(endpoints_[ci].channel->PendingRequests());
     }
     const double per_request =
-        std::max(state.process_ewma_ns, static_cast<double>(options_.dispatch_cpu_ns));
+        std::max(state.process_ewma_ns, static_cast<double>(kDispatchCpuNs));
     const double est_ns = per_request * static_cast<double>(pending);
     const uint16_t retry_hint_us =
         static_cast<uint16_t>(std::clamp<double>(est_ns / 1000.0, 1.0, 65535.0));
@@ -454,11 +464,11 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
           co_await channel->ServerSendBusy(BusyReason::kDeadline, retry_hint_us);
           continue;  // a shed slot still leaves the rest of the window to serve
         }
-        // Admission control: while overloaded, at most admission_budget
+        // Admission control: while overloaded, at most kAdmissionBudget
         // requests per sweep run handlers; the rest are shed with a first-
         // class BUSY instead of silently aging in the request blocks.
         if (options_.admission_control && state.overloaded &&
-            admitted >= options_.admission_budget) {
+            admitted >= kAdmissionBudget) {
           ++requests_shed_admission_;
           co_await state.cpu->Use(kShedCpuNs);
           co_await channel->ServerSendBusy(BusyReason::kAdmission, retry_hint_us);
@@ -505,7 +515,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         // (docs/memory.md).
         const double copy_cost = kCopyCpuNsPerByte *
                                  static_cast<double>(request_size + result.response_size);
-        sim::Time process = options_.dispatch_cpu_ns + static_cast<sim::Time>(copy_cost) +
+        sim::Time process = kDispatchCpuNs + static_cast<sim::Time>(copy_cost) +
                             result.process_ns;
         if (straggler_rng_.NextBernoulli(kStragglerProb)) {
           process += kStragglerExtraNs;
@@ -554,7 +564,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
     // ones go first: the orphan scan runs only while some worker is down,
     // and the O(1) balance test precedes the request-block peek.
     if (options_.multicore) {
-      int budget = options_.max_steals_per_sweep;
+      int budget = kMaxStealsPerSweep;
       for (size_t ci = 0; crashed_threads_ > 0 && ci < endpoints_.size() && budget > 0; ++ci) {
         ChannelEntry& entry = endpoints_[ci];
         if (entry.channel == nullptr || entry.owner == thread_index ||
@@ -582,7 +592,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
           if (channels_owned_by(entry.owner) <= channels_owned_by(thread_index) + 1) {
             continue;
           }
-          if (entry.channel->PendingRequests() < options_.steal_min_backlog) {
+          if (entry.channel->PendingRequests() < kStealMinBacklog) {
             continue;
           }
           StealChannel(ci, thread_index, "channel_steal");

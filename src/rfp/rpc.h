@@ -80,6 +80,23 @@ using AsyncHandler = std::function<sim::Task<HandlerResult>(const HandlerContext
                                                             std::span<const std::byte> request,
                                                             std::span<std::byte> response)>;
 
+// Server CPU cost of unpacking a request, dispatching, and packing the
+// response (excluding the handler's own process time). The pooled
+// connection tier (src/conn/pooled.cc) charges the same cost per request.
+constexpr sim::Time kDispatchCpuNs = 150;
+
+// With ServerOptions::admission_control, the requests one sweep admits
+// while its thread is overloaded; the rest receive BUSY(admission).
+constexpr int kAdmissionBudget = 4;
+
+// (multicore) A live worker's channel is stealable only when it has at
+// least this many pending requests — a cold channel is not worth migrating.
+// Load steals additionally require the victim to own at least two more
+// channels than the thief, so migration strictly improves balance and two
+// idle workers cannot ping-pong a hot channel between sweeps. Orphan claims
+// (channels of a crashed worker) ignore the backlog.
+constexpr int kStealMinBacklog = 2;
+
 class RpcServer {
  public:
   RpcServer(rdma::Fabric& fabric, rdma::Node& node, int num_threads, ServerOptions options = {});
@@ -120,7 +137,9 @@ class RpcServer {
   // Handler lookup for out-of-band transports: the pooled connection tier
   // dispatches through the same handler table the channel sweep uses, so an
   // application's handlers serve pooled and dedicated clients alike.
-  // Returns nullptr when no handler is registered for `rpc_id`.
+  // Returns nullptr when no handler is registered for `rpc_id`, and for a
+  // gated id (GateRpc): an out-of-band request carries no replication epoch
+  // for the gate to check, so it is never served.
   const AsyncHandler* FindHandler(uint16_t rpc_id) const;
 
   // Channels destroyed via CloseChannel (immediate + deferred).
@@ -165,8 +184,9 @@ class RpcServer {
   // epoch (RequestHeader bits 24-30) is compared to this server's epoch, and
   // a mismatch — or a server that is not serving at all — is rejected with a
   // header-only REDIRECT instead of running the handler. Ungated ids (the
-  // replication stream itself, health probes) always dispatch. Call at
-  // setup, alongside RegisterHandler.
+  // replication stream itself, health probes) always dispatch. A gated id
+  // is never served on the pooled path, whose requests carry no epoch
+  // (FindHandler). Call at setup, alongside RegisterHandler.
   void GateRpc(uint16_t rpc_id) { gated_rpcs_.insert(rpc_id); }
 
   // Updates the gate's view: `serving` is whether this node believes it is

@@ -178,7 +178,7 @@ TEST(EvictionCompositionTest, PipelinedWindowSurvivesEviction) {
 
 // The shedding-server recipe from tests/rfp/overload_test.cc trips the
 // breaker; while the caller is sleeping out the open interval the cache
-// detaches the channel. Every half-open probe therefore crosses the
+// detaches the channel. The half-open probe therefore crosses the
 // detached-then-re-established channel — success must still close the
 // breaker.
 Outcome BreakerEvictionScenario(ScenarioRun& run) {
@@ -198,25 +198,25 @@ Outcome BreakerEvictionScenario(ScenarioRun& run) {
 
   rfp::RfpOptions options;
   options.breaker_enabled = true;
-  options.breaker_window = 4;
-  options.breaker_failure_rate = 0.5;
-  options.breaker_open_ns = sim::Micros(300);
   options.fetch_timeout_ns = sim::Micros(50);
   options.fetch_backoff_initial_ns = sim::Micros(2);
 
   ChannelLease lease = connector.Lease(server, client_node, options, 0);
   rfp::Channel* channel = lease.channel();
 
-  // 6 sheds then 3 serves: four BUSY outcomes open the breaker during the
-  // first call; the serves close it again.
+  // Half a breaker window of sheds on the first call, then serves: the
+  // next calls fill the window at kBreakerFailureRate bad, which opens the
+  // breaker; the last call is the half-open probe and closes it again.
+  constexpr int kShed = rfp::kBreakerWindow / 2;
+  constexpr int kCalls = rfp::kBreakerWindow - kShed + 1;
   eng.Spawn([](sim::Engine& engine, rfp::Channel* ch) -> sim::Task<void> {
     std::vector<std::byte> buf(1024);
     int shed = 0;
     int served = 0;
-    while (served < 3) {
+    while (served < kCalls) {
       size_t n = 0;
       if (ch->TryServerRecv(buf, &n)) {
-        if (shed < 6) {
+        if (shed < kShed) {
           ++shed;
           co_await ch->ServerSendBusy(rfp::BusyReason::kAdmission, /*retry_after_us=*/2);
         } else {
@@ -229,13 +229,15 @@ Outcome BreakerEvictionScenario(ScenarioRun& run) {
     }
   }(eng, channel));
 
-  // Detach the victim at 100us — after the breaker has opened (within a few
-  // microseconds of the BUSY burst), before the ~300us half-open probe.
-  eng.Spawn([](sim::Engine& engine, Connector* conn, rfp::RpcServer* srv,
-               rdma::Node* node) -> sim::Task<void> {
-    co_await engine.Sleep(sim::Micros(100));
+  // Detach the victim as soon as the breaker opens, while the last call
+  // sleeps out the open interval before its half-open probe.
+  eng.Spawn([](sim::Engine& engine, Connector* conn, rfp::RpcServer* srv, rdma::Node* node,
+               rfp::Channel* ch) -> sim::Task<void> {
+    while (ch->breaker_state() != rfp::Channel::BreakerState::kOpen) {
+      co_await engine.Sleep(sim::Micros(1));
+    }
     conn->cache()->Evict(*srv, *node, 0);
-  }(eng, &connector, &server, &client_node));
+  }(eng, &connector, &server, &client_node, channel));
 
   // Raw channel calls (the shedding actor echoes unframed payloads): each
   // ClientRecv absorbs BUSY retries, breaker sleeps, and — after the evictor
@@ -245,7 +247,7 @@ Outcome BreakerEvictionScenario(ScenarioRun& run) {
   eng.Spawn([](rfp::Channel* ch, int* done, std::string* error) -> sim::Task<void> {
     std::vector<std::byte> out(256);
     try {
-      for (int i = 0; i < 3; ++i) {
+      for (int i = 0; i < kCalls; ++i) {
         const std::string msg = "payload";
         co_await ch->ClientSend(std::as_bytes(std::span(msg.data(), msg.size())));
         const size_t n = co_await ch->ClientRecv(out);
@@ -263,8 +265,9 @@ Outcome BreakerEvictionScenario(ScenarioRun& run) {
   if (!failure.empty()) {
     return Outcome::Fail(failure);
   }
-  if (completed != 3) {
-    return Outcome::Fail("completed " + std::to_string(completed) + "/3 calls");
+  if (completed != kCalls) {
+    return Outcome::Fail("completed " + std::to_string(completed) + "/" +
+                         std::to_string(kCalls) + " calls");
   }
   if (channel->stats().breaker_opens < 1) {
     return Outcome::Fail("breaker never opened under the BUSY burst");

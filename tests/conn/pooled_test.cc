@@ -47,8 +47,8 @@ class PooledTest : public ::testing::Test {
     });
   }
 
-  PooledServer* MakeServer(PooledOptions options = {}) {
-    pooled_ = std::make_unique<PooledServer>(fabric_, *rpc_, options);
+  PooledServer* MakeServer() {
+    pooled_ = std::make_unique<PooledServer>(fabric_, *rpc_);
     pooled_->Start();
     return pooled_.get();
   }
@@ -59,22 +59,6 @@ class PooledTest : public ::testing::Test {
   std::unique_ptr<rfp::RpcServer> rpc_;
   std::unique_ptr<PooledServer> pooled_;
 };
-
-TEST_F(PooledTest, RejectsInconsistentOptions) {
-  for (auto mutate : {
-           +[](PooledOptions& o) { o.qps = 0; },
-           +[](PooledOptions& o) { o.recv_slots = o.qps - 1; },
-           +[](PooledOptions& o) { o.client_recv_slots = 0; },
-           +[](PooledOptions& o) { o.max_message_bytes = 0; },
-           +[](PooledOptions& o) { o.max_message_bytes = 0x10000; },
-           +[](PooledOptions& o) { o.retry_timeout_ns = 0; },
-           +[](PooledOptions& o) { o.max_retransmits = -1; },
-       }) {
-    PooledOptions options;
-    mutate(options);
-    EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
-  }
-}
 
 TEST_F(PooledTest, ConnectAssignsUniqueCidsAndDisconnectFreesThem) {
   PooledServer* server = MakeServer();
@@ -113,11 +97,9 @@ TEST_F(PooledTest, ConnectAssignsUniqueCidsAndDisconnectFreesThem) {
 }
 
 TEST_F(PooledTest, ManyClientsShareFewQpsWithFlatServerCensus) {
-  PooledOptions options;
-  options.qps = 2;
-  PooledServer* server = MakeServer(options);
+  PooledServer* server = MakeServer();
   // The pooled tier itself owns the only server QPs: census == N.
-  EXPECT_EQ(fabric_.LiveQpCount(server_node_), 2u);
+  EXPECT_EQ(fabric_.LiveQpCount(server_node_), static_cast<size_t>(kPooledQps));
   const size_t bytes_before = fabric_.RegisteredBytes(server_node_);
   const uint64_t regs_before = fabric_.RegistrationCount(server_node_);
 
@@ -127,7 +109,7 @@ TEST_F(PooledTest, ManyClientsShareFewQpsWithFlatServerCensus) {
   int done = 0;
   for (int i = 0; i < kClients; ++i) {
     rdma::Node& node = fabric_.AddNode("client" + std::to_string(i));
-    clients.push_back(std::make_unique<PooledClient>(fabric_, node, *server, options));
+    clients.push_back(std::make_unique<PooledClient>(fabric_, node, *server));
     engine_.Spawn([](PooledClient* c, int id, int* out) -> sim::Task<void> {
       co_await c->Connect();
       std::vector<std::byte> resp(256);
@@ -145,7 +127,7 @@ TEST_F(PooledTest, ManyClientsShareFewQpsWithFlatServerCensus) {
   EXPECT_EQ(done, kClients);
   EXPECT_EQ(server->requests_served(), static_cast<uint64_t>(kClients * kCalls));
   // M clients came and went; the server-side footprint never moved.
-  EXPECT_EQ(fabric_.LiveQpCount(server_node_), 2u);
+  EXPECT_EQ(fabric_.LiveQpCount(server_node_), static_cast<size_t>(kPooledQps));
   EXPECT_EQ(fabric_.RegisteredBytes(server_node_), bytes_before);
   EXPECT_EQ(fabric_.RegistrationCount(server_node_), regs_before);
 }
@@ -192,7 +174,7 @@ TEST_F(PooledTest, RetransmitsAndFiltersDuplicatesUnderLoss) {
     std::memcpy(resp.data(), req.data(), req.size());
     return rfp::HandlerResult{req.size(), sim::Nanos(300)};
   });
-  PooledServer server(fabric, rpc, {});
+  PooledServer server(fabric, rpc);
   server.Start();
   PooledClient client(fabric, client_node, server);
 
@@ -219,12 +201,9 @@ TEST_F(PooledTest, RetransmitsAndFiltersDuplicatesUnderLoss) {
 }
 
 TEST_F(PooledTest, UnknownRpcIdIsDroppedAndCallFails) {
-  PooledOptions options;
-  options.max_retransmits = 2;
-  options.retry_timeout_ns = sim::Micros(5);
-  PooledServer* server = MakeServer(options);
+  PooledServer* server = MakeServer();
   rdma::Node& node = fabric_.AddNode("client");
-  PooledClient client(fabric_, node, *server, options);
+  PooledClient client(fabric_, node, *server);
 
   bool threw = false;
   engine_.Spawn([](PooledClient* c, bool* out) -> sim::Task<void> {
@@ -239,7 +218,8 @@ TEST_F(PooledTest, UnknownRpcIdIsDroppedAndCallFails) {
   engine_.RunUntil(sim::Millis(5));
 
   EXPECT_TRUE(threw);
-  EXPECT_GT(pooled_->dropped_requests(), 0u);
+  // One drop per transmit: the first send plus every retransmit.
+  EXPECT_EQ(server->dropped_requests(), 1u + static_cast<uint64_t>(rfp::kDatagramMaxRetransmits));
   EXPECT_EQ(client.stats().failures, 1u);
 }
 
@@ -278,7 +258,7 @@ TEST_F(PooledTest, RuntDatagramsAreCountedDropsAndServerServesOn) {
   rdma::Node& node = fabric_.AddNode("client");
   rdma::QueuePair* raw = fabric_.CreateUd(node);
   const size_t oversized =
-      rfp::kReqHeaderBytes + sizeof(uint16_t) + PooledOptions{}.max_message_bytes + 1;
+      rfp::kReqHeaderBytes + sizeof(uint16_t) + kPooledMaxMessageBytes + 1;
   rdma::MemoryRegion* junk = node.RegisterMemory(oversized, rdma::kAccessLocal);
   rfp::RequestHeader header;
   rfp::wire::PackPooledRequest(header, /*size=*/100, /*cid=*/1, /*seq=*/1);
@@ -304,6 +284,87 @@ TEST_F(PooledTest, RuntDatagramsAreCountedDropsAndServerServesOn) {
   EXPECT_EQ(server->requests_served(), 1u);
 }
 
+// A pooled request carries its cid where a channel request carries the
+// replication epoch, so the epoch gate cannot check it: a gated rpc id is
+// never served on the pooled path, not even by a replica that would
+// redirect it. Every transmit is a counted drop and the handler never runs;
+// ungated ids serve on.
+TEST_F(PooledTest, GatedRpcIsDroppedNotServed) {
+  constexpr uint16_t kGated = 7;
+  int gated_runs = 0;
+  rpc_->RegisterHandler(kGated, [&gated_runs](const rfp::HandlerContext&,
+                                              std::span<const std::byte>, std::span<std::byte>) {
+    ++gated_runs;
+    return rfp::HandlerResult{0, sim::Nanos(300)};
+  });
+  rpc_->GateRpc(kGated);
+  rpc_->SetReplGate(/*serving=*/false, /*epoch=*/3, /*leader_hint=*/9);
+  PooledServer* server = MakeServer();
+  rdma::Node& node = fabric_.AddNode("client");
+  PooledClient client(fabric_, node, *server);
+  bool threw = false;
+  std::string got;
+  engine_.Spawn([](PooledClient* c, bool* failed, std::string* out) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> resp(64);
+    try {
+      co_await c->Call(kGated, AsBytes("fenced"), resp);
+    } catch (const std::runtime_error&) {
+      *failed = true;
+    }
+    const size_t n = co_await c->Call(kEcho, AsBytes("ungated"), resp);
+    out->assign(reinterpret_cast<const char*>(resp.data()), n);
+  }(&client, &threw, &got));
+  engine_.RunUntil(sim::Millis(5));
+
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(gated_runs, 0);
+  EXPECT_EQ(server->dropped_requests(), 1u + static_cast<uint64_t>(rfp::kDatagramMaxRetransmits));
+  EXPECT_EQ(got, "ungated");
+  EXPECT_EQ(server->requests_served(), 1u);
+}
+
+// A datagram shorter than a ResponseHeader is no reply, whatever stale bytes
+// its receive slot holds. Client A's calls leave replies in the pool span
+// that client B on the same node gets back, so B's second receive slot still
+// holds A's reply to seq 2 — the seq of B's first call. A 0-byte datagram
+// landing there is counted in duplicates and skipped, and B's call returns
+// its own reply.
+TEST_F(PooledTest, RuntReplyIsSkippedNotTakenForTheReply) {
+  PooledServer* server = MakeServer();
+  rdma::Node& node = fabric_.AddNode("client");
+  rdma::MemoryRegion* empty = node.RegisterMemory(64, rdma::kAccessLocal);
+  auto a = std::make_unique<PooledClient>(fabric_, node, *server);
+  engine_.Spawn([](PooledClient* c) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> resp(64);
+    co_await c->Call(kEcho, AsBytes("first"), resp);
+    co_await c->Call(kEcho, AsBytes("second"), resp);
+  }(a.get()));
+  engine_.RunUntil(sim::Millis(1));
+  a.reset();
+
+  rdma::QueuePair* raw = fabric_.CreateUd(node);
+  PooledClient b(fabric_, node, *server);
+  // B's QP is the next one the fabric created.
+  const rdma::AddressHandle b_addr{node.id(), raw->qp_num() + 1};
+  std::string got;
+  engine_.Spawn([](PooledClient* c, rdma::QueuePair* qp, rdma::MemoryRegion* mr,
+                   rdma::AddressHandle to, std::string* out) -> sim::Task<void> {
+    co_await c->Connect();
+    const rdma::WorkCompletion wc = co_await qp->SendTo(to, *mr, 0, 0);
+    EXPECT_TRUE(wc.ok());
+    std::vector<std::byte> resp(64);
+    const size_t n = co_await c->Call(kEcho, AsBytes("hello"), resp);
+    out->assign(reinterpret_cast<const char*>(resp.data()), n);
+  }(&b, raw, empty, b_addr, &got));
+  engine_.RunUntil(sim::Millis(3));
+
+  EXPECT_EQ(got, "hello");
+  EXPECT_EQ(b.stats().duplicates, 1u);
+  EXPECT_EQ(b.stats().retransmits, 0u);
+}
+
 TEST_F(PooledTest, StrictCheckerAcceptsTheConnectionLifecycle) {
   check::ScopedMode strict(check::Mode::kStrict);
   sim::Engine engine;
@@ -316,7 +377,7 @@ TEST_F(PooledTest, StrictCheckerAcceptsTheConnectionLifecycle) {
     std::memcpy(resp.data(), req.data(), req.size());
     return rfp::HandlerResult{req.size(), sim::Nanos(300)};
   });
-  PooledServer server(fabric, rpc, {});
+  PooledServer server(fabric, rpc);
   server.Start();
   PooledClient client(fabric, client_node, server);
 

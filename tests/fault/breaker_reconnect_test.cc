@@ -64,6 +64,7 @@ struct RunResult {
   uint64_t reconnects = 0;
   uint64_t fetch_timeouts = 0;
   int completed = 0;
+  int abandoned = 0;
   rfp::Channel::BreakerState final_state = rfp::Channel::BreakerState::kClosed;
   sim::Time second_call_latency = 0;
   sim::Time final_time = 0;
@@ -73,13 +74,19 @@ struct RunResult {
   bool operator==(const RunResult&) const = default;
 };
 
-// One channel (window 4, forced remote-fetch so timeouts reissue instead of
-// switching), one server thread, breaker tuned so four straight fetch
-// timeouts open it. Call A is submitted just before the crash and spends the
-// whole outage retrying (its QP also gets shot mid-outage, so it crosses a
-// reconnect); call B arrives while the breaker is open, waits out the
-// interval, and becomes the half-open probe against a server that has
-// recovered by then.
+// One channel (window 5: the in-flight calls plus the probe; forced
+// remote-fetch so timeouts reissue instead of switching), one server thread,
+// breaker enabled. kInFlight calls are submitted just after the crash: each
+// fetch timeout is one bad outcome, so four timeouts of each fill the
+// kBreakerWindow-outcome window and open the breaker. Call A spends the
+// whole outage retrying, and its QP gets shot while the breaker is open, so
+// it crosses a reconnect; its companions give up at their call deadline
+// before that, so no other call posts on the pair while it is replaced.
+// Call B arrives while the breaker is open, waits out the interval, and
+// becomes the half-open probe against a server that has recovered by then.
+constexpr int kInFlight = 4;
+static_assert(kInFlight * 4 == rfp::kBreakerWindow);
+
 RunResult RunScenario(sim::Time crash_end, bool print_events) {
   sim::Engine engine;
   InstantLog log;
@@ -98,52 +105,59 @@ RunResult RunScenario(sim::Time crash_end, bool print_events) {
   });
 
   rfp::RfpOptions options;
-  options.window = 4;
+  options.window = kInFlight + 1;
   options.force_mode = rfp::RfpOptions::ForceMode::kForceFetch;
   options.fetch_timeout_ns = sim::Micros(10);
-  options.reconnect_delay_ns = sim::Micros(2);
   options.breaker_enabled = true;
-  options.breaker_window = 4;
-  options.breaker_failure_rate = 0.9;
-  options.breaker_open_ns = sim::Micros(50);
   rfp::Channel* channel = server.AcceptChannel(client_node, options, 0);
-  rfp::RpcClient stub(channel);
   server.Start();
 
   FaultInjector injector(fabric);
   injector.BindServer(server_node.id(), &server);
   FaultPlan plan;
   plan.ServerCrash(sim::Micros(2), server_node.id(), /*thread=*/0, crash_end - sim::Micros(2));
-  plan.QpError(sim::Micros(60), server_node.id(), client_node.id());
+  plan.QpError(sim::Micros(74), server_node.id(), client_node.id());
   injector.Arm(plan);
 
   RunResult out;
-  engine.Spawn([](sim::Engine& eng, rfp::RpcClient* client, RunResult* res) -> sim::Task<void> {
-    std::vector<std::byte> req(8, std::byte{0x11});
-    std::vector<std::byte> resp(64);
-    // Call A: in flight across the whole outage (and the QP error).
-    co_await eng.Sleep(sim::Micros(5));
-    const auto a = co_await client->SubmitCall(1, req);
-    if (co_await client->AwaitCall(a, resp) == kResponseBytes) {
-      ++res->completed;
-    }
-  }(engine, &stub, &out));
-  engine.Spawn([](sim::Engine& eng, rfp::RpcClient* client, RunResult* res) -> sim::Task<void> {
+  for (int a = 0; a < kInFlight; ++a) {
+    // Call A (a == 0) is in flight across the whole outage and the QP error.
+    // Its companions carry a call deadline: their timeouts help fill the
+    // breaker window, then they give up, before the QP error.
+    const rfp::CallOptions call_options{.deadline_ns = a == 0 ? 0 : sim::Micros(57)};
+    engine.Spawn([](sim::Engine& eng, rfp::Channel* ch, rfp::CallOptions call_opts,
+                    RunResult* res) -> sim::Task<void> {
+      rfp::RpcClient client(ch);
+      std::vector<std::byte> req(8, std::byte{0x11});
+      std::vector<std::byte> resp(64);
+      co_await eng.Sleep(sim::Micros(5));
+      const auto call = co_await client.SubmitCall(1, req, call_opts);
+      try {
+        if (co_await client.AwaitCall(call, resp) == kResponseBytes) {
+          ++res->completed;
+        }
+      } catch (const rfp::DeadlineExceeded&) {
+        ++res->abandoned;
+      }
+    }(engine, channel, call_options, &out));
+  }
+  engine.Spawn([](sim::Engine& eng, rfp::Channel* ch, RunResult* res) -> sim::Task<void> {
+    rfp::RpcClient client(ch);
     std::vector<std::byte> req(8, std::byte{0x22});
     std::vector<std::byte> resp(64);
     // Call B: arrives while the breaker is open, becomes the probe.
-    co_await eng.Sleep(sim::Micros(55));
-    if (co_await client->Call(1, req, resp) == kResponseBytes) {
+    co_await eng.Sleep(sim::Micros(75));
+    if (co_await client.Call(1, req, resp) == kResponseBytes) {
       ++res->completed;
     }
     // Call B2: a healthy server should serve this promptly; a spuriously
     // re-opened breaker stalls it for another open interval.
     const sim::Time start = eng.now();
-    if (co_await client->Call(1, req, resp) == kResponseBytes) {
+    if (co_await client.Call(1, req, resp) == kResponseBytes) {
       ++res->completed;
     }
     res->second_call_latency = eng.now() - start;
-  }(engine, &stub, &out));
+  }(engine, channel, &out));
 
   engine.RunUntil(sim::Millis(2));
   server.Stop();
@@ -163,25 +177,26 @@ RunResult RunScenario(sim::Time crash_end, bool print_events) {
   return out;
 }
 
-// The pinned timeline (deterministic; timings measured from the trace):
-// A's timeouts open the breaker at ~52us; the QP error at 60us sends A
-// through a reconnect during the open window; B (arrived at 55us) goes
-// half-open at ~97us and probes; A's next stale timeout verdict lands at
-// ~101us — before the probe resolves — and the server restarts at 102us, so
-// the probe succeeds at ~105us. Before the fix the stale verdict re-opened
-// the breaker at 101us (breaker_opens = 2 for one outage) and the probe's
-// success was discarded, stalling B's next call for a whole extra open
-// interval (~52us) against a healthy server.
+// The pinned timeline (deterministic; timings measured from the trace): the
+// calls' 16th fetch timeout opens the breaker at ~61us and the companions
+// give up at ~62us; the QP error at 74us sends A through a reconnect; B
+// (arrived at 75us) goes half-open at ~106us and probes; A's next stale
+// timeout verdict lands at ~108us — before the probe resolves — and the
+// server restarts at 109us, so the probe succeeds at ~113us. Counting the
+// stale verdict re-opens the breaker at ~108us (breaker_opens = 2 for one
+// outage) and discards the probe's success, stalling B's next call for a
+// whole extra open interval (~50us) against a healthy server.
 TEST(BreakerReconnectCompositionTest, StaleVerdictDoesNotReopenBreaker) {
-  const RunResult r = RunScenario(/*crash_end=*/sim::Micros(102), /*print_events=*/false);
+  const RunResult r = RunScenario(/*crash_end=*/sim::Micros(109), /*print_events=*/false);
   EXPECT_EQ(r.completed, 3);
+  EXPECT_EQ(r.abandoned, kInFlight - 1);
   // One outage, one open: the stale in-flight call's verdict is not the
   // probe's, so the episode is counted once.
   EXPECT_EQ(r.breaker_opens, 1u);
   EXPECT_EQ(r.half_opens, 1u);
   EXPECT_EQ(r.breaker_closes, 1u);
   EXPECT_EQ(r.final_state, rfp::Channel::BreakerState::kClosed);
-  // The QP error during the open window produced exactly one reconnect.
+  // The QP error mid-outage produced exactly one reconnect.
   EXPECT_EQ(r.reconnects, 1u);
   // The call after the probe ran against a healthy server with a closed
   // breaker; a spurious re-open would stall it ~50us.
@@ -191,8 +206,9 @@ TEST(BreakerReconnectCompositionTest, StaleVerdictDoesNotReopenBreaker) {
 // The same composition where the server recovers before the half-open flip:
 // the probe finds it healthy immediately and the accounting is identical.
 TEST(BreakerReconnectCompositionTest, EarlyRecoveryAlsoCountsOneOpen) {
-  const RunResult r = RunScenario(/*crash_end=*/sim::Micros(93), /*print_events=*/false);
+  const RunResult r = RunScenario(/*crash_end=*/sim::Micros(100), /*print_events=*/false);
   EXPECT_EQ(r.completed, 3);
+  EXPECT_EQ(r.abandoned, kInFlight - 1);
   EXPECT_EQ(r.breaker_opens, 1u);
   EXPECT_EQ(r.breaker_closes, 1u);
   EXPECT_EQ(r.final_state, rfp::Channel::BreakerState::kClosed);
@@ -202,8 +218,8 @@ TEST(BreakerReconnectCompositionTest, EarlyRecoveryAlsoCountsOneOpen) {
 // Breaker accounting across crash + reconnect is deterministic: identical
 // runs produce identical counters and virtual times.
 TEST(BreakerReconnectCompositionTest, CompositionIsDeterministic) {
-  const RunResult a = RunScenario(/*crash_end=*/sim::Micros(102), /*print_events=*/false);
-  const RunResult b = RunScenario(/*crash_end=*/sim::Micros(102), /*print_events=*/false);
+  const RunResult a = RunScenario(/*crash_end=*/sim::Micros(109), /*print_events=*/false);
+  const RunResult b = RunScenario(/*crash_end=*/sim::Micros(109), /*print_events=*/false);
   EXPECT_EQ(a, b);
 }
 

@@ -572,6 +572,11 @@ struct OverloadCrashFingerprint {
   bool operator==(const OverloadCrashFingerprint&) const = default;
 };
 
+// More channels per thread than a sweep admits (rfp::kAdmissionBudget), so
+// an overloaded sweep sheds.
+constexpr int kOverloadChannels = kServerThreads * (rfp::kAdmissionBudget + 2);
+constexpr int kOverloadCalls = 40;
+
 OverloadCrashFingerprint RunOverloadCrash(uint64_t seed) {
   sim::Engine engine;
   rdma::FabricConfig fc;
@@ -582,7 +587,6 @@ OverloadCrashFingerprint RunOverloadCrash(uint64_t seed) {
 
   rfp::ServerOptions server_options;
   server_options.admission_control = true;
-  server_options.admission_budget = 1;
   server_options.overload_hi_watermark_ns = sim::Micros(10);
   server_options.overload_lo_watermark_ns = sim::Micros(2);
   rfp::RpcServer server(fabric, server_node, kServerThreads, server_options);
@@ -600,7 +604,7 @@ OverloadCrashFingerprint RunOverloadCrash(uint64_t seed) {
 
   std::vector<rfp::Channel*> channels;
   std::vector<std::unique_ptr<rfp::RpcClient>> stubs;
-  for (int t = 0; t < 6; ++t) {
+  for (int t = 0; t < kOverloadChannels; ++t) {
     channels.push_back(server.AcceptChannel(client_node, options, t % kServerThreads));
     stubs.push_back(std::make_unique<rfp::RpcClient>(channels.back()));
   }
@@ -613,11 +617,11 @@ OverloadCrashFingerprint RunOverloadCrash(uint64_t seed) {
   injector.Arm(plan);
 
   OverloadCrashFingerprint fp;
-  for (int t = 0; t < 6; ++t) {
+  for (int t = 0; t < kOverloadChannels; ++t) {
     engine.Spawn([](rfp::RpcClient* client, OverloadCrashFingerprint* out) -> sim::Task<void> {
       std::vector<std::byte> req(8, std::byte{0x7e});
       std::vector<std::byte> resp(256);
-      for (int i = 0; i < 40; ++i) {
+      for (int i = 0; i < kOverloadCalls; ++i) {
         try {
           const size_t got = co_await client->Call(1, req, resp);
           ++out->completed;
@@ -652,8 +656,9 @@ OverloadCrashFingerprint RunOverloadCrash(uint64_t seed) {
 
 TEST(FaultOverloadCompositionTest, CrashMidOverloadShedsAndReplaysDeterministically) {
   const OverloadCrashFingerprint a = RunOverloadCrash(31);
-  // Every driver resolved all 40 calls one way or the other, correctly.
-  EXPECT_EQ(a.completed + a.deadline_exceeded, 240u);
+  // Every driver resolved all its calls one way or the other, correctly.
+  EXPECT_EQ(a.completed + a.deadline_exceeded,
+            static_cast<uint64_t>(kOverloadChannels * kOverloadCalls));
   EXPECT_GT(a.completed, 0u);
   EXPECT_EQ(a.mismatches, 0u);
   // Overload protection and the fault both actually bit.

@@ -49,6 +49,30 @@ sim::Task<void> CallLoop(Channel* channel, int calls, uint64_t* done) {
   }
 }
 
+// Keeps two calls in flight on a window-2 channel, so a channel waiting on
+// a busy or dead worker backs up to kStealMinBacklog pending requests;
+// bumps *done after every completed call.
+sim::Task<void> PipelinedLoop(Channel* channel, int calls, uint64_t* done) {
+  RpcClient client(channel);
+  std::vector<std::byte> resp(16384);
+  for (int i = 0; i < calls; i += 2) {
+    const Channel::CallHandle a =
+        co_await client.SubmitCall(kEcho, AsBytes("a" + std::to_string(i)));
+    const Channel::CallHandle b =
+        co_await client.SubmitCall(kEcho, AsBytes("b" + std::to_string(i)));
+    co_await client.AwaitCall(a, resp);
+    ++*done;
+    co_await client.AwaitCall(b, resp);
+    ++*done;
+  }
+}
+
+RfpOptions Window2() {
+  RfpOptions options;
+  options.window = 2;
+  return options;
+}
+
 constexpr uint16_t kSlowEcho = 2;
 
 // One call tagged with `tag`, so a recording handler can tell channels apart.
@@ -194,16 +218,17 @@ TEST_F(MulticoreTest, MulticoreSweepServesAcrossWorkers) {
 TEST_F(MulticoreTest, CrashedWorkerChannelsAreStolenServedAndRejoinAfterRestart) {
   ServerOptions so;
   so.multicore = true;
-  so.steal_min_backlog = 1;  // single-call channels: any pending request is worth stealing
   RpcServer server(*fabric_, *server_node_, 2, so);
   RegisterEcho(server);
-  Channel* ch0 = server.AcceptChannel(*client_node_, RfpOptions{}, 0);
-  Channel* ch1 = server.AcceptChannel(*client_node_, RfpOptions{}, 1);
+  // Two calls in flight per channel, so the restarted worker finds a
+  // channel backlogged enough (kStealMinBacklog) to steal.
+  Channel* ch0 = server.AcceptChannel(*client_node_, Window2(), 0);
+  Channel* ch1 = server.AcceptChannel(*client_node_, Window2(), 1);
   server.Start();
   uint64_t done0 = 0;
   uint64_t done1 = 0;
-  engine_.Spawn(CallLoop(ch0, 200, &done0));
-  engine_.Spawn(CallLoop(ch1, 200, &done1));
+  engine_.Spawn(PipelinedLoop(ch0, 200, &done0));
+  engine_.Spawn(PipelinedLoop(ch1, 200, &done1));
   engine_.ScheduleAt(sim::Micros(20), [&server] { server.CrashThread(0); });
   uint64_t served_by_0_at_restart = 0;
   engine_.ScheduleAt(sim::Micros(200), [&server, &served_by_0_at_restart] {
@@ -297,17 +322,21 @@ TEST_F(MulticoreTest, CoalescedFetchSpansPendingSlots) {
 // old hard-coded 1 us hint told clients to retry straight into the backlog.
 TEST_F(MulticoreTest, DeadlineShedHintReflectsBacklogWithoutAdmissionControl) {
   ServerOptions so;
-  so.dispatch_cpu_ns = 2000;  // per-request floor: 4 pending => 8 us of work
   ASSERT_FALSE(so.admission_control);
   RpcServer server(*fabric_, *server_node_, 1, so);
-  RegisterEcho(server);
+  ServedLog log;
+  RegisterRecorders(server, &log);
   RfpOptions opts;
   opts.window = 4;
   opts.force_mode = RfpOptions::ForceMode::kForceFetch;
   opts.call_deadline_ns = 1;  // dead on arrival: every request is shed
   Channel* ch = server.AcceptChannel(*client_node_, opts, 0);
+  Channel* slow = server.AcceptChannel(*client_node_, RfpOptions{}, 0);
   server.Start();
-  engine_.Spawn([](Channel* channel) -> sim::Task<void> {
+  // A 30 us request first measures the per-request process time the hint
+  // is priced at: the doomed burst's backlog is then ~30 us per request.
+  engine_.Spawn([](Channel* slow_channel, Channel* channel) -> sim::Task<void> {
+    co_await TaggedCall(slow_channel, kSlowEcho, "slow");
     RpcClient client(channel);
     std::vector<Channel::CallHandle> handles;
     for (int i = 0; i < 4; ++i) {
@@ -320,11 +349,11 @@ TEST_F(MulticoreTest, DeadlineShedHintReflectsBacklogWithoutAdmissionControl) {
       } catch (const DeadlineExceeded&) {
       }
     }
-  }(ch));
+  }(slow, ch));
   engine_.RunUntil(sim::Millis(5));
   server.Stop();
   EXPECT_GE(server.requests_shed_deadline(), 1u);
-  // Backlog-derived hint: >= 2 us (4 pending x 2 us each), never the
+  // Backlog-derived hint: >= 2 us (pending x ~30 us each), never the
   // hard-coded 1 us the bug produced with admission control off.
   EXPECT_GE(ch->last_retry_after_us(), 2);
 }
@@ -367,10 +396,10 @@ TEST_F(MulticoreTest, OverloadStateIsPerWorkerUnderMulticore) {
   ServerOptions so;
   so.multicore = true;
   so.admission_control = true;
-  so.dispatch_cpu_ns = 2000;
-  so.overload_hi_watermark_ns = 4000;
-  so.overload_lo_watermark_ns = 1000;
-  so.admission_budget = 1;
+  // Each pending request prices at >= kDispatchCpuNs, so the burst trips
+  // the detector; a sweep admits kAdmissionBudget and sheds the rest.
+  so.overload_hi_watermark_ns = kDispatchCpuNs;
+  so.overload_lo_watermark_ns = 0;
   RpcServer server(*fabric_, *server_node_, 2, so);
   RegisterEcho(server);
   RfpOptions opts;
@@ -440,20 +469,25 @@ TEST_F(MulticoreTest, VisitOrderIsAcceptanceOrderAfterOrphanClaims) {
 TEST_F(MulticoreTest, VisitOrderIsAcceptanceOrderAfterLoadSteal) {
   ServerOptions so;
   so.multicore = true;
-  so.steal_min_backlog = 1;
   RpcServer server(*fabric_, *server_node_, 2, so);
   ServedLog log;
   RegisterRecorders(server, &log);
-  // Worker 0 owns ch0, ch2, ch3; worker 1 owns ch1.
+  // Worker 0 owns ch0, ch2, ch3; worker 1 owns ch1. ch0 is window 2, so it
+  // can back up to kStealMinBacklog pending requests.
   std::vector<Channel*> ch;
   for (const int owner : {0, 1, 0, 0}) {
-    ch.push_back(server.AcceptChannel(*client_node_, RfpOptions{}, owner));
+    ch.push_back(
+        server.AcceptChannel(*client_node_, owner == 0 && ch.empty() ? Window2() : RfpOptions{},
+                             owner));
   }
   server.Start();
-  // Worker 0 sits 30 us in ch3's handler; ch0's request arrives meanwhile,
-  // behind it in worker 0's sweep, and idle worker 1 steals ch0.
+  // Worker 0 sits 30 us in ch3's handler; ch0's two requests arrive
+  // meanwhile, behind it in worker 0's sweep, and idle worker 1 steals ch0.
   engine_.Spawn(TaggedCall(ch[3], kSlowEcho, "slow"));
-  engine_.ScheduleAt(sim::Micros(5), [&] { engine_.Spawn(TaggedCall(ch[0], kEcho, "stolen")); });
+  engine_.ScheduleAt(sim::Micros(5), [&] {
+    engine_.Spawn(TaggedCall(ch[0], kEcho, "stolen0"));
+    engine_.Spawn(TaggedCall(ch[0], kEcho, "stolen1"));
+  });
   std::ptrdiff_t frozen_at = 0;
   int owned_by_thief = -1;
   uint64_t thief_steals = 0;
@@ -473,7 +507,7 @@ TEST_F(MulticoreTest, VisitOrderIsAcceptanceOrderAfterLoadSteal) {
   server.Stop();
   EXPECT_EQ(thief_steals, 1u);
   EXPECT_EQ(owned_by_thief, 2);
-  const ServedLog before{{0, "slow"}, {1, "stolen"}};
+  const ServedLog before{{0, "slow"}, {1, "stolen0"}, {1, "stolen1"}};
   EXPECT_EQ(ServedLog(log.begin(), log.begin() + frozen_at), before);
   // With worker 0 still down, worker 1's first sweep serves its own list
   // (ch0 before ch1); only then does it claim ch2 and ch3 as orphans.
@@ -487,8 +521,6 @@ TEST_F(MulticoreTest, VisitOrderIsAcceptanceOrderAfterLoadSteal) {
 TEST_F(MulticoreTest, OwnedListsPartitionLiveChannelsThroughStealsAndCloses) {
   ServerOptions so;
   so.multicore = true;
-  so.steal_min_backlog = 1;
-  so.max_steals_per_sweep = 2;
   constexpr int kWorkers = 3;
   RpcServer server(*fabric_, *server_node_, kWorkers, so);
   RegisterEcho(server);
@@ -508,7 +540,7 @@ TEST_F(MulticoreTest, OwnedListsPartitionLiveChannelsThroughStealsAndCloses) {
   std::vector<Channel*> ch;
   std::vector<uint64_t> done(6, 0);
   const auto accept = [&](int owner) {
-    ch.push_back(server.AcceptChannel(*client_node_, RfpOptions{}, owner));
+    ch.push_back(server.AcceptChannel(*client_node_, Window2(), owner));
     ++accepted;
     check();
   };
@@ -517,13 +549,13 @@ TEST_F(MulticoreTest, OwnedListsPartitionLiveChannelsThroughStealsAndCloses) {
   }
   server.Start();
   for (size_t i = 0; i < 4; ++i) {
-    engine_.Spawn(CallLoop(ch[i], 40, &done[i]));
+    engine_.Spawn(PipelinedLoop(ch[i], 40, &done[i]));
   }
   engine_.ScheduleAt(sim::Micros(20), [&] {
     accept(0);
     accept(1);
-    engine_.Spawn(CallLoop(ch[4], 40, &done[4]));
-    engine_.Spawn(CallLoop(ch[5], 40, &done[5]));
+    engine_.Spawn(PipelinedLoop(ch[4], 40, &done[4]));
+    engine_.Spawn(PipelinedLoop(ch[5], 40, &done[5]));
   });
   engine_.ScheduleAt(sim::Micros(30), [&] { server.CrashThread(0); });
   engine_.ScheduleAt(sim::Micros(120), [&] { server.RestartThread(0); });

@@ -1,6 +1,5 @@
 #include "src/rfp/options.h"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -61,7 +60,6 @@ TEST(OptionsValidationTest, RejectsBadFaultToleranceOptions) {
            +[](RfpOptions& o) { o.fetch_backoff_initial_ns = -1; },
            +[](RfpOptions& o) { o.fetch_backoff_max_ns = -1; },
            +[](RfpOptions& o) { o.max_reconnect_attempts = -1; },
-           +[](RfpOptions& o) { o.reconnect_delay_ns = -1; },
        }) {
     RfpOptions options;
     mutate(options);
@@ -70,33 +68,14 @@ TEST(OptionsValidationTest, RejectsBadFaultToleranceOptions) {
 }
 
 TEST(OptionsValidationTest, RejectsBadOverloadOptions) {
-  for (auto mutate : {
-           +[](RfpOptions& o) { o.call_deadline_ns = -1; },
-           +[](RfpOptions& o) { o.breaker_window = 0; },
-           +[](RfpOptions& o) { o.breaker_failure_rate = 0.0; },
-           +[](RfpOptions& o) { o.breaker_failure_rate = 1.5; },
-           +[](RfpOptions& o) { o.breaker_failure_rate = -0.5; },
-           +[](RfpOptions& o) { o.breaker_open_ns = -1; },
-           +[](RfpOptions& o) { o.overload_override_calls = -1; },
-       }) {
-    RfpOptions options;
-    mutate(options);
-    EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
-  }
-  {
-    // NaN must not slip through the (0, 1] comparison.
-    RfpOptions options;
-    options.breaker_failure_rate = std::nan("");
-    EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
-  }
+  RfpOptions options;
+  options.call_deadline_ns = -1;
+  EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
 }
 
 TEST(OptionsValidationTest, RejectsBadServerOptions) {
   for (auto mutate : {
            +[](ServerOptions& o) { o.max_message_bytes = 0; },
-           +[](ServerOptions& o) { o.dispatch_cpu_ns = -1; },
-           +[](ServerOptions& o) { o.poll_cpu_per_channel_ns = -1; },
-           +[](ServerOptions& o) { o.admission_budget = 0; },
            +[](ServerOptions& o) { o.overload_hi_watermark_ns = -1; },
            +[](ServerOptions& o) { o.overload_lo_watermark_ns = -1; },
        }) {
@@ -122,7 +101,7 @@ TEST(OptionsValidationTest, ConstructorsFailLoudly) {
   rdma::Node& server = fabric.AddNode("server");
 
   RfpOptions bad_channel;
-  bad_channel.breaker_failure_rate = 2.0;
+  bad_channel.window = 0;
   EXPECT_THROW(Channel(fabric, client, server, bad_channel), std::invalid_argument);
 
   ServerOptions bad_server;

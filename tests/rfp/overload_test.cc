@@ -57,9 +57,8 @@ TEST(OverloadTest, AdmissionControlShedsAndRequestsStillComplete) {
 
   ServerOptions server_options;
   server_options.admission_control = true;
-  server_options.admission_budget = 1;
   // est-work >= one dispatch (150 ns) trips the detector: any pending
-  // request beyond the budget is shed while another is in flight.
+  // request beyond kAdmissionBudget is shed while another is in flight.
   server_options.overload_hi_watermark_ns = 1;
   server_options.overload_lo_watermark_ns = 0;
   RpcServer server(fabric, server_node, 1, server_options);
@@ -69,7 +68,7 @@ TEST(OverloadTest, AdmissionControlShedsAndRequestsStillComplete) {
     return HandlerResult{req.size(), sim::Micros(5)};
   });
 
-  constexpr int kChannels = 4;
+  constexpr int kChannels = 2 * kAdmissionBudget;
   constexpr int kCallsPerChannel = 5;
   std::vector<Channel*> channels;
   std::vector<std::unique_ptr<RpcClient>> stubs;
@@ -91,7 +90,7 @@ TEST(OverloadTest, AdmissionControlShedsAndRequestsStillComplete) {
   EXPECT_EQ(counts.deadline_exceeded, 0u);
   EXPECT_EQ(counts.mismatches, 0u);
 
-  // With 4 channels competing for a budget of 1, the sweep had to shed.
+  // With twice as many channels as the sweep admits, it had to shed.
   EXPECT_GT(server.requests_shed_admission(), 0u);
   EXPECT_EQ(server.requests_shed_deadline(), 0u);
   EXPECT_GE(server.overload_enters(), 1u);
@@ -219,32 +218,36 @@ TEST(OverloadTest, BreakerOpensOnBusyBurstAndRecloses) {
 
   RfpOptions options;
   options.breaker_enabled = true;
-  options.breaker_window = 4;
-  options.breaker_failure_rate = 0.5;
-  options.breaker_open_ns = sim::Micros(30);
   Channel channel(fabric, client_node, server_node, options);
 
-  // 6 sheds then 3 served calls: the BUSY burst fills the 4-outcome window
-  // with failures (opens the breaker), the successes close it again.
-  engine.Spawn(SheddingServer(engine, &channel, /*shed_first=*/6, /*serve=*/3,
-                              /*retry_after_us=*/2));
-  int completed = 0;
-  engine.Spawn([](Channel* ch, int* done) -> sim::Task<void> {
+  // Half a breaker window of sheds lands on the first call (kShed BUSYs,
+  // then served). The calls after it fill the kBreakerWindow-outcome window
+  // at exactly kBreakerFailureRate bad, which opens the breaker as the
+  // second-to-last call completes; the last call is the half-open probe,
+  // and its success closes the breaker again.
+  constexpr int kShed = kBreakerWindow / 2;
+  constexpr int kCalls = kBreakerWindow - kShed + 1;
+  engine.Spawn(SheddingServer(engine, &channel, kShed, kCalls, /*retry_after_us=*/2));
+  std::vector<Channel::BreakerState> after_call;
+  engine.Spawn([](Channel* ch, std::vector<Channel::BreakerState>* states) -> sim::Task<void> {
     std::vector<std::byte> out(256);
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < kCalls; ++i) {
       co_await ch->ClientSend(AsBytes("payload"));
       const size_t got = co_await ch->ClientRecv(out);
       EXPECT_EQ(got, 7u);
-      ++*done;
+      states->push_back(ch->breaker_state());
     }
-  }(&channel, &completed));
+  }(&channel, &after_call));
   engine.RunUntil(sim::Millis(10));
 
-  EXPECT_EQ(completed, 3);
-  EXPECT_GE(channel.stats().breaker_opens, 1u);
-  EXPECT_EQ(channel.stats().busy_responses, 6u);
-  // The successful tail re-closed it.
-  EXPECT_EQ(channel.breaker_state(), Channel::BreakerState::kClosed);
+  ASSERT_EQ(after_call.size(), static_cast<size_t>(kCalls));
+  for (int i = 0; i < kCalls - 2; ++i) {
+    EXPECT_EQ(after_call[static_cast<size_t>(i)], Channel::BreakerState::kClosed) << "call " << i;
+  }
+  EXPECT_EQ(after_call[kCalls - 2], Channel::BreakerState::kOpen);
+  EXPECT_EQ(after_call[kCalls - 1], Channel::BreakerState::kClosed);
+  EXPECT_EQ(channel.stats().breaker_opens, 1u);
+  EXPECT_EQ(channel.stats().busy_responses, static_cast<uint64_t>(kShed));
 }
 
 TEST(OverloadTest, BusyReplyReachesForcedReplyClient) {
@@ -280,19 +283,18 @@ TEST(OverloadTest, BusyReplyReachesForcedReplyClient) {
 
 // ---- Overload override of the R-based switch ----------------------------------
 
-// One BUSY, then `serve` slow echoes whose process time exceeds the fetch
-// retry budget — the classic switch-to-reply trigger.
-int SwitchesAfterBusyThenSlow(int override_calls) {
+// One BUSY, then kServe slow echoes (the shed call's re-issue first) whose
+// process time exceeds the fetch retry budget — the classic
+// switch-to-reply trigger. Returns switches_to_reply after each call.
+constexpr int kServe = kOverloadOverrideCalls + 2;
+
+std::vector<uint64_t> SwitchesAfterBusyThenSlow() {
   sim::Engine engine;
   rdma::Fabric fabric(engine);
   rdma::Node& client_node = fabric.AddNode("client");
   rdma::Node& server_node = fabric.AddNode("server");
+  Channel channel(fabric, client_node, server_node, RfpOptions{});
 
-  RfpOptions options;
-  options.overload_override_calls = override_calls;
-  Channel channel(fabric, client_node, server_node, options);
-
-  constexpr int kServe = 6;
   engine.Spawn([](sim::Engine& eng, Channel* ch) -> sim::Task<void> {
     std::vector<std::byte> buf(1024);
     int shed = 1;
@@ -316,25 +318,32 @@ int SwitchesAfterBusyThenSlow(int override_calls) {
       }
     }
   }(engine, &channel));
-  engine.Spawn([](Channel* ch) -> sim::Task<void> {
-    std::vector<std::byte> out(256);
+  std::vector<uint64_t> switches;
+  engine.Spawn([](Channel* ch, std::vector<uint64_t>* out) -> sim::Task<void> {
+    std::vector<std::byte> resp(256);
     for (int i = 0; i < kServe; ++i) {
       co_await ch->ClientSend(AsBytes("x"));
-      co_await ch->ClientRecv(out);
+      co_await ch->ClientRecv(resp);
+      out->push_back(ch->stats().switches_to_reply);
     }
-  }(&channel));
+  }(&channel, &switches));
   engine.RunUntil(sim::Millis(20));
-  return static_cast<int>(channel.stats().switches_to_reply);
+  return switches;
 }
 
 TEST(OverloadTest, BusyResponseSuppressesSwitchToReply) {
-  // Control: with the override disabled, two slow calls after the BUSY trip
-  // the hysteresis and the channel falls back to server-reply.
-  EXPECT_GE(SwitchesAfterBusyThenSlow(/*override_calls=*/0), 1);
-  // Override: the BUSY pins remote fetching for the next 8 calls — the six
-  // slow calls of this run never switch, sparing the server the out-bound
-  // WRITE per response exactly while it is saturated.
-  EXPECT_EQ(SwitchesAfterBusyThenSlow(/*override_calls=*/8), 0);
+  const std::vector<uint64_t> switches = SwitchesAfterBusyThenSlow();
+  ASSERT_EQ(switches.size(), static_cast<size_t>(kServe));
+  // Override: the BUSY pins remote fetching for the next
+  // kOverloadOverrideCalls calls — these slow calls never switch, sparing
+  // the server the out-bound WRITE per response exactly while it is
+  // saturated.
+  for (int i = 0; i < kOverloadOverrideCalls; ++i) {
+    EXPECT_EQ(switches[static_cast<size_t>(i)], 0u) << "call " << i;
+  }
+  // Control: once the override expires, two slow calls trip the hysteresis
+  // and the channel falls back to server-reply.
+  EXPECT_EQ(switches.back(), 1u);
 }
 
 // ---- Graceful degradation (mini version of bench_ext_overload) ----------------

@@ -1,10 +1,10 @@
 // The server sweep's ready set (docs/multicore.md §2): each worker visits
 // only the channels a request WRITE (request, re-issue, mode flip) has
-// marked since their last idle visit. Every case here pins the dispatch
-// instants of the old scan over all owned channels, so a ready set that
-// drops or delays a visit shows up as a moved or missing dispatch: a WRITE
-// posted mid-visit, a mode flip on an idle channel, a steal of a ready
-// channel, a close of a ready channel, and a BUSY re-issue.
+// marked since their last idle visit. Every case here pins dispatch
+// instants, so a ready set that drops or delays a visit shows up as a moved
+// or missing dispatch: a WRITE posted mid-visit, a mode flip on an idle
+// channel, a steal of a ready channel, a close of a ready channel, and a
+// BUSY re-issue.
 
 #include <cstring>
 #include <memory>
@@ -85,32 +85,33 @@ struct Cluster {
 
 // (a) While the worker is suspended in ch0's 20 us visit, ch1's client posts
 // a request that lands before the visit ends, and ch2's client posts one
-// that is still on the wire when the sweep reaches ch2. The 100 us poll
-// charge per owned channel makes a sweep last over 300 us. ch1 is served in
-// the same sweep, right after ch0's visit; ch2's in-flight WRITE keeps it
-// ready through its empty visit, so the next sweep serves it.
+// that is still on the wire when the sweep reaches ch2. ch3's 20 us request,
+// pending since the start, holds the sweep after ch2, so a next-sweep
+// service comes at least 20 us late. ch1 is served in the same sweep, right
+// after ch0's visit; ch2's in-flight WRITE keeps it ready through its empty
+// visit, so the next sweep serves it, after ch3.
 TEST(ReadySetTest, WritePostedDuringASuspendedVisitIsServedInThatSweep) {
   Cluster c;
-  ServerOptions so;
-  so.poll_cpu_per_channel_ns = sim::Micros(100);
-  RpcServer server(*c.fabric, *c.server_node, 1, so);
+  RpcServer server(*c.fabric, *c.server_node, 1);
   std::vector<Dispatch> log;
   RegisterLogged(server, c.engine, &log);
   std::vector<Channel*> ch;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
     ch.push_back(server.AcceptChannel(*c.client_node, RfpOptions{}, 0));
   }
   server.Start();
   c.engine.Spawn(TaggedCall(ch[0], kSlow, "ch0"));
-  // ch0 lands during the first sweep's poll charge and is dispatched at the
-  // end of it; post ch1 at once and ch2 just before ch0's visit ends.
-  c.engine.ScheduleAt(sim::Micros(300) + sim::Nanos(10), [&] {
+  c.engine.Spawn(TaggedCall(ch[3], kSlow, "ch3"));
+  // ch0 is dispatched at 1 us; post ch1 at once and ch2 just before ch0's
+  // visit ends.
+  c.engine.ScheduleAt(sim::Micros(1) + sim::Nanos(10), [&] {
     c.engine.Spawn(TaggedCall(ch[1], kEcho, "ch1"));
   });
-  c.engine.ScheduleAt(sim::Micros(320), [&] { c.engine.Spawn(TaggedCall(ch[2], kEcho, "ch2")); });
+  c.engine.ScheduleAt(sim::Micros(21), [&] { c.engine.Spawn(TaggedCall(ch[2], kEcho, "ch2")); });
   c.engine.RunUntil(sim::Millis(2));
   server.Stop();
-  const std::vector<Dispatch> want{{"ch0", 0, 300000}, {"ch1", 0, 320150}, {"ch2", 0, 620600}};
+  const std::vector<Dispatch> want{
+      {"ch0", 0, 1000}, {"ch1", 0, 21150}, {"ch3", 0, 21600}, {"ch2", 0, 41790}};
   EXPECT_EQ(log, want);
 }
 
@@ -227,7 +228,6 @@ TEST(ReadySetTest, VisitEndingWithAnUnpushedReplyKeepsTheChannelReady) {
 TEST(ReadySetTest, StolenReadyChannelIsServedByTheThief) {
   ServerOptions so;
   so.multicore = true;
-  so.steal_min_backlog = 1;
   {
     Cluster c;
     RpcServer server(*c.fabric, *c.server_node, 2, so);
@@ -249,18 +249,25 @@ TEST(ReadySetTest, StolenReadyChannelIsServedByTheThief) {
     RpcServer server(*c.fabric, *c.server_node, 2, so);
     std::vector<Dispatch> log;
     RegisterLogged(server, c.engine, &log);
+    // ch0 is window 2, so its two requests reach kStealMinBacklog.
+    RfpOptions window2;
+    window2.window = 2;
     std::vector<Channel*> ch;
     for (const int owner : {0, 1, 0, 0}) {
-      ch.push_back(server.AcceptChannel(*c.client_node, RfpOptions{}, owner));
+      ch.push_back(
+          server.AcceptChannel(*c.client_node, ch.empty() ? window2 : RfpOptions{}, owner));
     }
     server.Start();
     c.engine.Spawn(TaggedCall(ch[3], kSlow, "slow"));
-    c.engine.ScheduleAt(sim::Micros(5),
-                        [&] { c.engine.Spawn(TaggedCall(ch[0], kEcho, "stolen")); });
+    c.engine.ScheduleAt(sim::Micros(5), [&] {
+      c.engine.Spawn(TaggedCall(ch[0], kEcho, "stolen0"));
+      c.engine.Spawn(TaggedCall(ch[0], kEcho, "stolen1"));
+    });
     c.engine.RunUntil(sim::Micros(100));
     server.Stop();
     EXPECT_EQ(server.thread_steals(1), 1u);
-    const std::vector<Dispatch> want{{"slow", 0, 950}, {"stolen", 1, 6320}};
+    const std::vector<Dispatch> want{
+        {"slow", 0, 950}, {"stolen0", 1, 6950}, {"stolen1", 1, 7400}};
     EXPECT_EQ(log, want);
   }
 }
@@ -306,28 +313,33 @@ TEST(ReadySetTest, CloseTakesAReadyChannelOutOfTheSweep) {
 
 // A BUSY-shed request leaves its channel idle; the client's re-issue after
 // the backoff is a request WRITE like any other and must bring the channel
-// back into the sweep. Two requests meet a budget of one per sweep, so the
-// second is shed and re-issued.
+// back into the sweep. One more request than kAdmissionBudget meets one
+// sweep, so the last is shed and re-issued.
 TEST(ReadySetTest, ReissueAfterBusyIsServed) {
   Cluster c;
   ServerOptions so;
   so.admission_control = true;
-  so.admission_budget = 1;
   so.overload_hi_watermark_ns = 1;
   so.overload_lo_watermark_ns = 0;
   RpcServer server(*c.fabric, *c.server_node, 1, so);
   std::vector<Dispatch> log;
   RegisterLogged(server, c.engine, &log);
-  Channel* first = server.AcceptChannel(*c.client_node, RfpOptions{}, 0);
-  Channel* shed = server.AcceptChannel(*c.client_node, RfpOptions{}, 0);
+  std::vector<Channel*> ch;
+  for (int i = 0; i <= kAdmissionBudget; ++i) {
+    ch.push_back(server.AcceptChannel(*c.client_node, RfpOptions{}, 0));
+  }
   server.Start();
-  c.engine.Spawn(TaggedCall(first, kSlow, "first"));
-  c.engine.Spawn(TaggedCall(shed, kEcho, "shed"));
+  c.engine.Spawn(TaggedCall(ch[0], kSlow, "first"));
+  for (int i = 1; i < kAdmissionBudget; ++i) {
+    c.engine.Spawn(TaggedCall(ch[static_cast<size_t>(i)], kEcho, "ch" + std::to_string(i)));
+  }
+  c.engine.Spawn(TaggedCall(ch.back(), kEcho, "shed"));
   c.engine.RunUntil(sim::Millis(1));
   server.Stop();
   EXPECT_EQ(server.requests_shed_admission(), 1u);
-  EXPECT_EQ(shed->stats().reissues, 1u);
-  const std::vector<Dispatch> want{{"first", 0, 1120}, {"shed", 0, 23770}};
+  EXPECT_EQ(ch.back()->stats().reissues, 1u);
+  const std::vector<Dispatch> want{{"first", 0, 1050}, {"ch1", 0, 21200}, {"ch2", 0, 21650},
+                                   {"ch3", 0, 22100},  {"shed", 0, 26660}};
   EXPECT_EQ(log, want);
 }
 

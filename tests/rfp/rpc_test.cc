@@ -20,6 +20,7 @@ namespace {
 constexpr uint16_t kEcho = 1;
 constexpr uint16_t kUpper = 2;
 constexpr uint16_t kSlow = 3;
+constexpr uint16_t kBlock = 4;
 
 std::span<const std::byte> AsBytes(const std::string& s) {
   return std::as_bytes(std::span(s.data(), s.size()));
@@ -270,54 +271,53 @@ TEST_F(RpcTest, OversizedChannelRejectedAtAccept) {
 
 // A channel accepted while the sweep is suspended inside another channel's
 // visit is served in that same sweep: the visit loop re-finds its place in
-// the sweep after every visit instead of iterating a snapshot. A poll
-// charge of 100 us per owned channel makes a next-sweep service at least
-// 200 us late, so a short gap proves the same sweep served it.
+// the sweep after every visit instead of iterating a snapshot. A third
+// channel, accepted right after it with a 100 us request, makes a
+// next-sweep service at least 100 us late, so a short gap proves the same
+// sweep served it.
 TEST_F(RpcTest, ChannelAcceptedDuringSuspendedSweepIsServedInThatSweep) {
-  ServerOptions so;
-  so.poll_cpu_per_channel_ns = sim::Micros(100);
-  RpcServer server(fabric_, *server_node_, 1, so);
+  RpcServer server(fabric_, *server_node_, 1);
   rdma::Node& first_node = fabric_.AddNode("client0");
   rdma::Node& late_node = fabric_.AddNode("client1");
   std::vector<std::pair<std::string, sim::Time>> served;
+  const auto call = [](Channel* channel, uint16_t rpc_id, std::string tag) -> sim::Task<void> {
+    RpcClient client(channel);
+    std::vector<std::byte> out(1024);
+    co_await client.Call(rpc_id, AsBytes(tag), out);
+  };
   server.RegisterHandler(kSlow, [&](const HandlerContext&, std::span<const std::byte> req,
                                     std::span<std::byte> resp) {
     served.emplace_back(std::string(reinterpret_cast<const char*>(req.data()), req.size()),
                         engine_.now());
-    if (served.size() == 1) {
-      // Mid-visit: accept a second channel and have it call at once; its
-      // request lands while this 20 us handler still holds the sweep.
-      Channel* late = server.AcceptChannel(late_node, RfpOptions{}, 0);
-      engine_.Spawn([](Channel* channel) -> sim::Task<void> {
-        RpcClient client(channel);
-        std::vector<std::byte> out(1024);
-        co_await client.Call(kEcho, AsBytes("late"), out);
-      }(late));
-    }
+    // Mid-visit: accept two more channels and have them call at once; their
+    // requests land while this 20 us handler still holds the sweep.
+    engine_.Spawn(call(server.AcceptChannel(late_node, RfpOptions{}, 0), kEcho, "late"));
+    engine_.Spawn(call(server.AcceptChannel(late_node, RfpOptions{}, 0), kBlock, "block"));
     std::memcpy(resp.data(), req.data(), req.size());
     return HandlerResult{req.size(), sim::Micros(20)};
   });
-  server.RegisterHandler(kEcho, [&](const HandlerContext&, std::span<const std::byte> req,
-                                    std::span<std::byte> resp) {
-    served.emplace_back(std::string(reinterpret_cast<const char*>(req.data()), req.size()),
-                        engine_.now());
-    std::memcpy(resp.data(), req.data(), req.size());
-    return HandlerResult{req.size(), sim::Nanos(300)};
-  });
+  const auto logged = [&](sim::Time process_ns) {
+    return [&, process_ns](const HandlerContext&, std::span<const std::byte> req,
+                           std::span<std::byte> resp) {
+      served.emplace_back(std::string(reinterpret_cast<const char*>(req.data()), req.size()),
+                          engine_.now());
+      std::memcpy(resp.data(), req.data(), req.size());
+      return HandlerResult{req.size(), process_ns};
+    };
+  };
+  server.RegisterHandler(kEcho, logged(sim::Nanos(300)));
+  server.RegisterHandler(kBlock, logged(sim::Micros(100)));
   Channel* first = server.AcceptChannel(first_node, RfpOptions{}, 0);
   server.Start();
-  engine_.Spawn([](Channel* channel) -> sim::Task<void> {
-    RpcClient client(channel);
-    std::vector<std::byte> out(1024);
-    co_await client.Call(kSlow, AsBytes("first"), out);
-  }(first));
+  engine_.Spawn(call(first, kSlow, "first"));
   engine_.RunUntil(sim::Millis(2));
   server.Stop();
-  ASSERT_EQ(served.size(), 2u);
+  ASSERT_EQ(served.size(), 3u);
   EXPECT_EQ(served[0].first, "first");
   EXPECT_EQ(served[1].first, "late");
+  EXPECT_EQ(served[2].first, "block");
   EXPECT_LT(served[1].second - served[0].second, sim::Micros(100));
-  EXPECT_EQ(server.channels_owned_by(0), 2);
+  EXPECT_EQ(server.channels_owned_by(0), 3);
 }
 
 // CloseChannel on a channel whose visit is suspended mid-handler is

@@ -110,7 +110,7 @@ TEST_F(UdRpcTest, UnknownRpcIdIsCountedDropAndServerServesOn) {
   EXPECT_EQ(got, "still serving");
   // One drop per transmit of the unknown-id call: the first send plus every
   // retransmit.
-  EXPECT_EQ(server->malformed_requests(), 1u + static_cast<uint64_t>(UdRpcOptions{}.max_retransmits));
+  EXPECT_EQ(server->malformed_requests(), 1u + static_cast<uint64_t>(kDatagramMaxRetransmits));
   EXPECT_EQ(server->requests_served(), 1u);
 }
 
@@ -145,7 +145,7 @@ TEST_F(UdRpcTest, OversizedReplyThrowsLengthErrorAndClientServesOn) {
 TEST_F(UdRpcTest, RuntDatagramsAreCountedDropsAndServerServesOn) {
   UdRpcServer* server = MakeServer();
   rdma::QueuePair* raw = fabric_->CreateUd(*client_node_);
-  const uint32_t oversized = sizeof(UdHeader) + UdRpcOptions{}.max_message_bytes + 1;
+  const uint32_t oversized = sizeof(UdHeader) + kUdMaxMessageBytes + 1;
   rdma::MemoryRegion* junk = client_node_->RegisterMemory(oversized, rdma::kAccessLocal);
   UdRpcClient client(*fabric_, *client_node_, server->address(0));
   std::string got;
@@ -222,16 +222,16 @@ TEST(UdRpcTotalLossTest, CallFailsAfterMaxRetransmits) {
   UdRpcServer server(fabric, server_node, 1);
   server.RegisterHandler(kEcho, EchoHandler());
   server.Start();
-  UdRpcOptions options;
-  options.max_retransmits = 3;
-  options.retry_timeout_ns = 5'000;
-  UdRpcClient client(fabric, client_node, server.address(0), options);
+  UdRpcClient client(fabric, client_node, server.address(0));
   engine.Spawn([](UdRpcClient* c) -> sim::Task<void> {
     std::vector<std::byte> resp(64);
     co_await c->Call(kEcho, AsBytes("void"), resp);
   }(&client));
   EXPECT_THROW(engine.RunUntil(sim::Millis(5)), std::runtime_error);
   EXPECT_EQ(client.stats().failures, 1u);
+  EXPECT_EQ(client.stats().sends, 1u + static_cast<uint64_t>(kDatagramMaxRetransmits));
+  // The call gives up one retry timeout after its last retransmit.
+  EXPECT_EQ(engine.now() / kDatagramRetryTimeoutNs, kDatagramMaxRetransmits + 1);
 }
 
 TEST(UdRpcLinkFaultTest, BudgetExhaustsUnderSustainedPairLossThenRecovers) {
@@ -243,16 +243,16 @@ TEST(UdRpcLinkFaultTest, BudgetExhaustsUnderSustainedPairLossThenRecovers) {
   server.RegisterHandler(kEcho, EchoHandler());
   server.Start();
 
+  // The burst outlasts the first call's whole retransmit budget (one send
+  // plus kDatagramMaxRetransmits, kDatagramRetryTimeoutNs apart).
   rdma::LinkFault burst;
   burst.loss_prob = 1.0;  // sustained black hole on this pair only
   fabric.SetLinkFault(server_node.id(), client_node.id(), burst);
-  engine.ScheduleAt(sim::Micros(50),
+  const sim::Time burst_end = (kDatagramMaxRetransmits + 2) * kDatagramRetryTimeoutNs;
+  engine.ScheduleAt(burst_end,
                     [&] { fabric.ClearLinkFault(server_node.id(), client_node.id()); });
 
-  UdRpcOptions options;
-  options.retry_timeout_ns = 5'000;
-  options.max_retransmits = 3;
-  UdRpcClient client(fabric, client_node, server.address(0), options);
+  UdRpcClient client(fabric, client_node, server.address(0));
   bool first_failed = false;
   std::string second;
   engine.Spawn([](sim::Engine* eng, UdRpcClient* c, bool* failed,
@@ -261,9 +261,9 @@ TEST(UdRpcLinkFaultTest, BudgetExhaustsUnderSustainedPairLossThenRecovers) {
     try {
       co_await c->Call(kEcho, AsBytes("void"), resp);
     } catch (const std::runtime_error&) {
-      *failed = true;  // budget exhausted: 1 send + 3 retransmits, all lost
+      *failed = true;  // budget exhausted: every transmit lost
     }
-    co_await eng->Sleep(sim::Micros(100));  // outlive the burst
+    co_await eng->Sleep(2 * kDatagramRetryTimeoutNs);  // outlive the burst
     const size_t n = co_await c->Call(kEcho, AsBytes("back"), resp);
     out->assign(reinterpret_cast<const char*>(resp.data()), n);
   }(&engine, &client, &first_failed, &second));
@@ -272,7 +272,7 @@ TEST(UdRpcLinkFaultTest, BudgetExhaustsUnderSustainedPairLossThenRecovers) {
 
   EXPECT_TRUE(first_failed);
   EXPECT_EQ(client.stats().failures, 1u);
-  EXPECT_EQ(client.stats().retransmits, 3u);
+  EXPECT_EQ(client.stats().retransmits, static_cast<uint64_t>(kDatagramMaxRetransmits));
   // The same client works again once the burst clears: datagram transports
   // carry no connection state to repair.
   EXPECT_EQ(second, "back");
@@ -323,34 +323,28 @@ TEST(UdRpcBurstTest, RecvPoolOverflowDropsRequestsSilently) {
   sim::Engine engine;
   rdma::Fabric fabric(engine);
   rdma::Node& server_node = fabric.AddNode("server");
-  UdRpcOptions tiny;
-  tiny.recv_pool = 1;  // overflow on any concurrency
-  UdRpcServer server(fabric, server_node, 1, tiny);
+  UdRpcServer server(fabric, server_node, 1);
   server.RegisterHandler(kEcho, EchoHandler());
   server.Start();
 
-  // 8 clients hammer the single recv slot: drops happen, retransmits heal.
+  // More clients than the kUdRecvPool posted RECVs each send one call at
+  // once: the burst overflows the pool, retransmits heal.
+  constexpr int kClients = kUdRecvPool + 16;
   std::vector<std::unique_ptr<UdRpcClient>> clients;
   std::vector<rdma::Node*> nodes;
   int done = 0;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < kClients; ++i) {
     nodes.push_back(&fabric.AddNode("client" + std::to_string(i)));
-    UdRpcOptions copts;
-    copts.retry_timeout_ns = 5'000;
-    copts.max_retransmits = 100;
-    clients.push_back(
-        std::make_unique<UdRpcClient>(fabric, *nodes.back(), server.address(0), copts));
+    clients.push_back(std::make_unique<UdRpcClient>(fabric, *nodes.back(), server.address(0)));
     engine.Spawn([](UdRpcClient* c, int* out) -> sim::Task<void> {
       std::vector<std::byte> resp(64);
-      for (int k = 0; k < 20; ++k) {
-        co_await c->Call(kEcho, AsBytes("b"), resp);
-      }
+      co_await c->Call(kEcho, AsBytes("b"), resp);
       ++*out;
     }(clients.back().get(), &done));
   }
   engine.RunUntil(sim::Millis(50));
   server.Stop();
-  EXPECT_EQ(done, 8);
+  EXPECT_EQ(done, kClients);
   EXPECT_GT(server.recv_overflows(), 0u);
 }
 
