@@ -7,13 +7,23 @@
 // real-world, they cannot be simply ignored." This bench quantifies both
 // halves: UD's clean-network behaviour, and what loss does to it while
 // RC-based RFP is unaffected.
+//
+// The UD side is the pooled connection tier (src/conn/pooled.h): datagram
+// requests and replies, sequence tags, retransmit on timeout, duplicate
+// filtering. Each client connects before the warm-up ends, so the measured
+// window holds calls only. The server runs the tier's kPooledQps = 4 UD QPs.
+// More would not help: every reply is an out-bound SEND through the server
+// NIC's one issue pipeline, and four QP loops already keep it saturated at
+// its ~2.11 MOPS envelope (Fig 3). The separate 8-QP UD server this bench
+// ran before read 2.08 MOPS on a clean network, these four QPs 2.10.
 
 #include "bench/common.h"
 
 #include <memory>
 
+#include "src/conn/pooled.h"
 #include "src/rdma/fabric.h"
-#include "src/rfp/ud_rpc.h"
+#include "src/rfp/rpc.h"
 #include "src/sim/engine.h"
 
 namespace {
@@ -31,11 +41,12 @@ UdOutcome RunUd(double loss) {
   fc.unreliable_loss_prob = loss;
   rdma::Fabric fabric(engine, fc);
   rdma::Node& server_node = fabric.AddNode("server");
-  rfp::UdRpcServer server(fabric, server_node, 8);
-  server.RegisterHandler(1, [](const rfp::HandlerContext&, std::span<const std::byte>,
-                               std::span<std::byte>) -> rfp::HandlerResult {
+  rfp::RpcServer rpc(fabric, server_node, conn::kPooledQps);
+  rpc.RegisterHandler(1, [](const rfp::HandlerContext&, std::span<const std::byte>,
+                            std::span<std::byte>) -> rfp::HandlerResult {
     return rfp::HandlerResult{32, sim::Nanos(400)};
   });
+  conn::PooledServer server(fabric, rpc);
   server.Start();
 
   const int kClients = 35;
@@ -44,18 +55,19 @@ UdOutcome RunUd(double loss) {
   for (int n = 0; n < kNodes; ++n) {
     nodes.push_back(&fabric.AddNode("client" + std::to_string(n)));
   }
-  std::vector<std::unique_ptr<rfp::UdRpcClient>> clients;
+  std::vector<std::unique_ptr<conn::PooledClient>> clients;
   std::vector<uint64_t> ops(kClients, 0);
   std::vector<sim::Histogram> lats(kClients);
   const sim::Time warmup = sim::Millis(2);
   const sim::Time end = sim::Millis(8);
   for (int t = 0; t < kClients; ++t) {
-    clients.push_back(std::make_unique<rfp::UdRpcClient>(fabric, *nodes[static_cast<size_t>(t % kNodes)],
-                                                         server.address(t % 8)));
-    engine.Spawn([](sim::Engine& eng, rfp::UdRpcClient* c, sim::Time w, sim::Time e,
+    clients.push_back(std::make_unique<conn::PooledClient>(
+        fabric, *nodes[static_cast<size_t>(t % kNodes)], server));
+    engine.Spawn([](sim::Engine& eng, conn::PooledClient* c, sim::Time w, sim::Time e,
                     uint64_t* count, sim::Histogram* lat) -> sim::Task<void> {
       std::vector<std::byte> req(1);
       std::vector<std::byte> resp(256);
+      co_await c->Connect();
       while (eng.now() < e) {
         const sim::Time start = eng.now();
         co_await c->Call(1, req, resp);

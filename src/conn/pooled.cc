@@ -14,6 +14,8 @@ namespace conn {
 namespace {
 
 constexpr size_t kRpcIdBytes = sizeof(uint16_t);
+// A control body: the reply address [client_node u32][client_qpn u32].
+constexpr size_t kAddressBytes = 2 * sizeof(uint32_t);
 
 // The pooled size field shares size_status with the cid's high byte, so a
 // message (rpc id + body) must fit 16 bits.
@@ -27,6 +29,11 @@ constexpr size_t kSlotBytes = rfp::kReqHeaderBytes + kRpcIdBytes + kPooledMaxMes
 
 // Each server QP's fair share of the shared receive slots.
 constexpr size_t kRecvTarget = kPooledRecvSlots / kPooledQps;
+
+// The key of a reply address in PooledServer::cid_of_.
+uint64_t AddressKey(const rdma::AddressHandle& a) {
+  return (static_cast<uint64_t>(a.node_id) << 32) | a.qp_num;
+}
 
 }  // namespace
 
@@ -107,17 +114,37 @@ void PooledServer::FreeSlot(uint32_t slot) {
   }
 }
 
-uint32_t PooledServer::AssignCid(const rdma::AddressHandle& reply) {
+uint32_t PooledServer::ConnectCid(const rdma::AddressHandle& reply) {
+  // A retransmitted connect whose first reply was lost finds its cid here.
+  const auto live = cid_of_.find(AddressKey(reply));
+  if (live != cid_of_.end()) {
+    return live->second;
+  }
   // Monotonic, skipping 0 (the handshake sentinel) and any still-live cid
   // after a 24-bit wrap (16M connects within one server lifetime).
   do {
     next_cid_ = (next_cid_ + 1) & rfp::wire::kPooledCidMax;
-  } while (next_cid_ == rfp::wire::kPooledCidNone || clients_.count(next_cid_) != 0);
-  clients_[next_cid_] = ClientEntry{reply};
+  } while (next_cid_ == rfp::wire::kPooledCidNone || reply_of_.count(next_cid_) != 0);
+  reply_of_[next_cid_] = reply;
+  cid_of_[AddressKey(reply)] = next_cid_;
+  ++connects_;
   if (check::FabricChecker* chk = fabric_.checker()) {
     chk->OnCidAssign(this, next_cid_);
   }
   return next_cid_;
+}
+
+void PooledServer::ReleaseCid(uint32_t cid) {
+  const auto it = reply_of_.find(cid);
+  if (it == reply_of_.end()) {
+    return;  // a retransmit whose first ack was lost
+  }
+  cid_of_.erase(AddressKey(it->second));
+  reply_of_.erase(it);
+  ++disconnects_;
+  if (check::FabricChecker* chk = fabric_.checker()) {
+    chk->OnCidRelease(this, cid);
+  }
 }
 
 void PooledServer::Start() {
@@ -176,7 +203,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     TopUpRecv(qp_index);
     const auto wc = qp->recv_cq()->Poll();
     if (!wc.has_value()) {
-      co_await poller.Park(rfp::kDatagramPollNs);
+      co_await poller.Park(kDatagramPollNs);
       continue;
     }
     const uint32_t slot = static_cast<uint32_t>(wc->wr_id);
@@ -205,47 +232,36 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
       ++dropped_requests_;
       continue;
     }
-    if (rpc_id == kRpcConnect) {
-      if (body_bytes < 2 * sizeof(uint32_t)) {
+    if (rpc_id == kRpcConnect || rpc_id == kRpcDisconnect) {
+      if (body_bytes < kAddressBytes) {
         ++dropped_requests_;
         continue;
       }
-      uint32_t client_node = 0;
-      uint32_t client_qpn = 0;
-      std::memcpy(&client_node, request.data(), sizeof(uint32_t));
-      std::memcpy(&client_qpn, request.data() + sizeof(uint32_t), sizeof(uint32_t));
-      const rdma::AddressHandle reply_to{client_node, client_qpn};
-      // A retransmitted connect assigns a fresh cid and the client keeps the
-      // first reply's — the duplicate entry then ages in the table until the
-      // server dies. Retransmits need injected loss or a pathological
-      // timeout, so the leak is bounded by the retransmit count; connects_
-      // vs live_connections() exposes it.
-      const uint32_t new_cid = AssignCid(reply_to);
-      ++connects_;
-      std::memcpy(response.data(), &new_cid, sizeof(uint32_t));
+      rdma::AddressHandle reply_to;
+      std::memcpy(&reply_to.node_id, request.data(), sizeof(uint32_t));
+      std::memcpy(&reply_to.qp_num, request.data() + sizeof(uint32_t), sizeof(uint32_t));
+      size_t reply_bytes = 0;
+      if (rpc_id == kRpcConnect) {
+        const uint32_t assigned = ConnectCid(reply_to);
+        std::memcpy(response.data(), &assigned, sizeof(uint32_t));
+        reply_bytes = sizeof(uint32_t);
+      } else {
+        ReleaseCid(cid);
+      }
       co_await SendReply(qp, mr, tx, reply_to, header.seq, 0,
-                         std::span<const std::byte>(response.data(), sizeof(uint32_t)));
+                         std::span<const std::byte>(response.data(), reply_bytes));
       continue;
     }
-    const auto it = clients_.find(cid);
-    if (cid == rfp::wire::kPooledCidNone || it == clients_.end()) {
-      // Stale or closed connection (or a disconnect retransmit): drop, the
-      // client's retransmit path surfaces the failure.
+    const auto it = reply_of_.find(cid);
+    if (cid == rfp::wire::kPooledCidNone || it == reply_of_.end()) {
+      // Stale or closed connection: drop, the client's retransmit path
+      // surfaces the failure.
       ++dropped_requests_;
       continue;
     }
     // Capture the reply address by value: the handler below may suspend, and
     // a concurrent disconnect on another QP would invalidate the iterator.
-    const rdma::AddressHandle reply_to = it->second.reply;
-    if (rpc_id == kRpcDisconnect) {
-      clients_.erase(it);
-      if (check::FabricChecker* chk = fabric_.checker()) {
-        chk->OnCidRelease(this, cid);
-      }
-      ++disconnects_;
-      co_await SendReply(qp, mr, tx, reply_to, header.seq, 0, {});
-      continue;
-    }
+    const rdma::AddressHandle reply_to = it->second;
     const rfp::AsyncHandler* handler = rpc_.FindHandler(rpc_id);
     if (handler == nullptr) {
       ++dropped_requests_;
@@ -253,7 +269,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     }
     // Same handler table as the channel sweep; handlers are idempotent by
     // the RFP contract, so the server executes every arrival (retransmits
-    // included) without a dedup filter, like the UD baseline.
+    // included) without a dedup filter, as HERD/FaSST-style UD RPC does.
     const sim::Time begun = engine.now();
     const rfp::HandlerContext ctx{thread_index};
     const rfp::HandlerResult result =
@@ -287,16 +303,13 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
 PooledClient::PooledClient(rdma::Fabric& fabric, rdma::Node& node, PooledServer& server)
     : fabric_(fabric), node_(node), server_(server) {
   server_addr_ = server.address(server.PickQp());
-  slots_.qp = fabric.CreateUd(node);
+  qp_ = fabric.CreateUd(node);
   // Client buffers come from the node pool too: connecting a logical client
   // costs zero MR registrations end to end (the setup fast path).
   pool_ = mem::Pool::Shared(node);
   span_ = pool_->Alloc(kSlotBytes * (kPooledClientRecvSlots + 1));
-  slots_.mr = span_.mr;
-  slots_.base = span_.offset;
-  slots_.slot_bytes = kSlotBytes;
   for (int i = 0; i < kPooledClientRecvSlots; ++i) {
-    slots_.PostRecv(static_cast<uint64_t>(i));
+    PostRecv(static_cast<uint64_t>(i));
   }
 }
 
@@ -314,26 +327,33 @@ PooledClient::~PooledClient() {
   if (stats_.failures > 0) {
     reg.GetCounter("conn.pooled.client_failures", labels)->Add(stats_.failures);
   }
-  fabric_.RetireQp(slots_.qp);
+  fabric_.RetireQp(qp_);
   pool_->Free(span_);
 }
 
-size_t PooledClient::tx_off() const { return slots_.offset(kPooledClientRecvSlots); }
+size_t PooledClient::slot_off(uint64_t slot) const {
+  return span_.offset + static_cast<size_t>(slot) * kSlotBytes;
+}
+
+void PooledClient::PostRecv(uint64_t slot) {
+  qp_->PostRecv(slot, *span_.mr, slot_off(slot), static_cast<uint32_t>(kSlotBytes));
+}
+
+sim::Task<size_t> PooledClient::Control(uint16_t rpc_id, std::span<std::byte> response) {
+  const size_t body = slot_off(kPooledClientRecvSlots) + rfp::kReqHeaderBytes;
+  span_.mr->Store(body, rpc_id);
+  span_.mr->Store(body + kRpcIdBytes, node_.id());
+  span_.mr->Store(body + kRpcIdBytes + sizeof(uint32_t), qp_->qp_num());
+  co_return co_await Transact(static_cast<uint32_t>(kRpcIdBytes + kAddressBytes), response);
+}
 
 sim::Task<void> PooledClient::Connect() {
   if (connected()) {
     throw std::logic_error("conn pooled: already connected");
   }
   const sim::Time start = fabric_.engine().now();
-  const size_t tx = tx_off();
-  span_.mr->Store(tx + rfp::kReqHeaderBytes, kRpcConnect);
-  span_.mr->Store(tx + rfp::kReqHeaderBytes + kRpcIdBytes, node_.id());
-  span_.mr->Store(tx + rfp::kReqHeaderBytes + kRpcIdBytes + sizeof(uint32_t),
-                  slots_.qp->qp_num());
   std::array<std::byte, sizeof(uint32_t)> out{};
-  const size_t n = co_await Transact(
-      static_cast<uint32_t>(kRpcIdBytes + 2 * sizeof(uint32_t)),
-      std::span<std::byte>(out.data(), out.size()));
+  const size_t n = co_await Control(kRpcConnect, out);
   if (n < sizeof(uint32_t)) {
     throw std::runtime_error("conn pooled: malformed connect response");
   }
@@ -346,9 +366,7 @@ sim::Task<void> PooledClient::Disconnect() {
   if (!connected()) {
     co_return;
   }
-  const size_t tx = tx_off();
-  span_.mr->Store(tx + rfp::kReqHeaderBytes, kRpcDisconnect);
-  co_await Transact(static_cast<uint32_t>(kRpcIdBytes), {});
+  co_await Control(kRpcDisconnect, {});
   cid_ = 0;
   ++stats_.disconnects;
 }
@@ -361,24 +379,64 @@ sim::Task<size_t> PooledClient::Call(uint16_t rpc_id, std::span<const std::byte>
   if (request.size() > kPooledMaxMessageBytes) {
     throw std::invalid_argument("conn pooled: request exceeds kPooledMaxMessageBytes");
   }
-  const size_t tx = tx_off();
-  span_.mr->Store(tx + rfp::kReqHeaderBytes, rpc_id);
+  const size_t body = slot_off(kPooledClientRecvSlots) + rfp::kReqHeaderBytes;
+  span_.mr->Store(body, rpc_id);
   if (!request.empty()) {
-    span_.mr->WriteBytes(tx + rfp::kReqHeaderBytes + kRpcIdBytes, request);
+    span_.mr->WriteBytes(body + kRpcIdBytes, request);
   }
   ++stats_.calls;
   co_return co_await Transact(static_cast<uint32_t>(kRpcIdBytes + request.size()), response);
 }
 
 sim::Task<size_t> PooledClient::Transact(uint32_t body_bytes, std::span<std::byte> response) {
-  const size_t tx = tx_off();
+  sim::Engine& engine = fabric_.engine();
+  rdma::MemoryRegion& mr = *span_.mr;
+  const size_t tx = slot_off(kPooledClientRecvSlots);
   const uint16_t seq = ++next_seq_;
   rfp::RequestHeader header;
   rfp::wire::PackPooledRequest(header, body_bytes, cid_, seq);
-  span_.mr->Store(tx, header);
-  co_return co_await rfp::DatagramCall<rfp::ResponseHeader>(
-      fabric_.engine(), slots_, server_addr_, tx, rfp::kReqHeaderBytes + body_bytes, seq,
-      response, stats_, "conn pooled");
+  mr.Store(tx, header);
+  int transmits = 0;
+  sim::Time deadline = 0;
+  // Between a response landing and the retransmit deadline every poll finds
+  // an empty CQ, so the loop parks until one of them.
+  sim::Poller poller(engine);
+  while (true) {
+    if (transmits == 0 || engine.now() >= deadline) {
+      if (transmits > kDatagramMaxRetransmits) {
+        ++stats_.failures;
+        throw std::runtime_error("conn pooled: call timed out after retransmits");
+      }
+      if (transmits > 0) {
+        ++stats_.retransmits;
+      }
+      ++transmits;
+      ++stats_.sends;
+      co_await qp_->SendTo(server_addr_, mr, tx, rfp::kReqHeaderBytes + body_bytes);
+      deadline = engine.now() + kDatagramRetryTimeoutNs;
+    }
+    while (auto wc = qp_->recv_cq()->Poll()) {
+      const size_t rx = slot_off(wc->wr_id);
+      const bool match = wc->ok() && wc->byte_len >= rfp::kHeaderBytes &&
+                         mr.Load<rfp::ResponseHeader>(rx).seq == seq;
+      const size_t payload = match ? wc->byte_len - rfp::kHeaderBytes : 0;
+      const bool fits = payload <= response.size();
+      if (match && fits) {
+        mr.ReadBytes(rx + rfp::kHeaderBytes, response.subspan(0, payload));
+      }
+      PostRecv(wc->wr_id);
+      if (match) {
+        if (!fits) {
+          throw std::length_error("conn pooled: response larger than output buffer");
+        }
+        co_return payload;
+      }
+      ++stats_.duplicates;
+    }
+    qp_->recv_cq()->Watch(&poller);
+    co_await poller.Park(kDatagramPollNs, deadline);
+    qp_->recv_cq()->Unwatch(&poller);
+  }
 }
 
 }  // namespace conn

@@ -8,6 +8,9 @@
 //   * requests from all logical clients dispatch through the one RpcServer
 //     handler table and round-trip correctly, including under injected
 //     datagram loss (retransmit + duplicate filter);
+//   * Connect and Disconnect survive loss: neither leaks nor strands a cid;
+//   * a retransmit budget runs out in bounded time, and the client serves
+//     on once the loss clears;
 //   * the checker's cid-scoped invariant flags aliasing/double-release.
 
 #include "src/conn/pooled.h"
@@ -15,6 +18,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "src/rfp/rpc.h"
 #include "src/rfp/wire.h"
 #include "src/sim/engine.h"
+#include "src/sim/stats.h"
 #include "src/sim/time.h"
 
 namespace conn {
@@ -36,15 +41,44 @@ std::span<const std::byte> AsBytes(const std::string& s) {
   return std::as_bytes(std::span(s.data(), s.size()));
 }
 
+rfp::HandlerResult Echo(const rfp::HandlerContext&, std::span<const std::byte> req,
+                        std::span<std::byte> resp) {
+  std::memcpy(resp.data(), req.data(), req.size());
+  return rfp::HandlerResult{req.size(), sim::Nanos(300)};
+}
+
+std::string AsString(std::span<const std::byte> bytes, size_t n) {
+  return std::string(reinterpret_cast<const char*>(bytes.data()), n);
+}
+
+// A started echo server and one client node on a fabric of their own, for
+// tests that set datagram loss or a seed (which the fixture's fabric does
+// not) or that fault the server-client link.
+struct Testbed {
+  Testbed(double loss, uint64_t seed) : fabric(engine, Config(loss, seed)) {
+    rpc.RegisterHandler(kEcho, Echo);
+    server.Start();
+  }
+  static rdma::FabricConfig Config(double loss, uint64_t seed) {
+    rdma::FabricConfig fc;
+    fc.unreliable_loss_prob = loss;
+    fc.seed = seed;
+    return fc;
+  }
+
+  sim::Engine engine;
+  rdma::Fabric fabric;
+  rdma::Node& server_node{fabric.AddNode("server")};
+  rdma::Node& client_node{fabric.AddNode("client")};
+  rfp::RpcServer rpc{fabric, server_node, 1};
+  PooledServer server{fabric, rpc};
+};
+
 class PooledTest : public ::testing::Test {
  protected:
   PooledTest() {
     rpc_ = std::make_unique<rfp::RpcServer>(fabric_, server_node_, 2);
-    rpc_->RegisterHandler(kEcho, [](const rfp::HandlerContext&, std::span<const std::byte> req,
-                                    std::span<std::byte> resp) {
-      std::memcpy(resp.data(), req.data(), req.size());
-      return rfp::HandlerResult{req.size(), sim::Nanos(300)};
-    });
+    rpc_->RegisterHandler(kEcho, Echo);
   }
 
   PooledServer* MakeServer() {
@@ -161,43 +195,227 @@ TEST_F(PooledTest, OneEndpointPlaysManyLogicalConnectionsSequentially) {
 }
 
 TEST_F(PooledTest, RetransmitsAndFiltersDuplicatesUnderLoss) {
-  rdma::FabricConfig fc;
-  fc.unreliable_loss_prob = 0.2;
-  fc.seed = 7;
-  sim::Engine engine;
-  rdma::Fabric fabric(engine, fc);
-  rdma::Node& server_node = fabric.AddNode("server");
-  rdma::Node& client_node = fabric.AddNode("client");
-  rfp::RpcServer rpc(fabric, server_node, 1);
-  rpc.RegisterHandler(kEcho, [](const rfp::HandlerContext&, std::span<const std::byte> req,
-                                std::span<std::byte> resp) {
-    std::memcpy(resp.data(), req.data(), req.size());
-    return rfp::HandlerResult{req.size(), sim::Nanos(300)};
-  });
-  PooledServer server(fabric, rpc);
-  server.Start();
-  PooledClient client(fabric, client_node, server);
+  Testbed bed(/*loss=*/0.2, /*seed=*/7);
+  PooledClient client(bed.fabric, bed.client_node, bed.server);
 
   constexpr int kCalls = 100;
   int done = 0;
-  engine.Spawn([](PooledClient* c, int* out) -> sim::Task<void> {
+  bed.engine.Spawn([](PooledClient* c, int* out) -> sim::Task<void> {
     std::vector<std::byte> resp(64);
     co_await c->Connect();
     for (int k = 0; k < kCalls; ++k) {
       const std::string msg = "m" + std::to_string(k);
-      const size_t n =
-          co_await c->Call(kEcho, std::as_bytes(std::span(msg.data(), msg.size())), resp);
-      EXPECT_EQ(std::string(reinterpret_cast<const char*>(resp.data()), n), msg);
+      const size_t n = co_await c->Call(kEcho, AsBytes(msg), resp);
+      // Every call matched its own seq: duplicate replies (a retransmitted
+      // request re-served after its first reply also arrived) were filtered.
+      EXPECT_EQ(AsString(resp, n), msg);
       ++*out;
     }
   }(&client, &done));
-  engine.RunUntil(sim::Millis(100));
+  bed.engine.RunUntil(sim::Millis(100));
 
   EXPECT_EQ(done, kCalls);
-  // 20% loss across ~100 round trips: some retransmits are certain, and the
-  // handlers being idempotent means retransmitted executions are harmless.
-  EXPECT_GT(client.stats().retransmits, 0u);
+  // 20% loss each way is ~36% per round trip: retransmits are unavoidable,
+  // and the handlers being idempotent means retransmitted executions are
+  // harmless.
+  EXPECT_GT(client.stats().retransmits, 10u);
   EXPECT_GT(client.stats().sends, client.stats().calls);
+  EXPECT_EQ(client.stats().failures, 0u);
+}
+
+// Fifty Connect/Call/Disconnect generations at 20% loss each way, over
+// several seeds. A lost connect reply makes the client retransmit its
+// connect, and the server answers with the cid it already assigned that
+// reply address, not a second one. A lost disconnect ack makes the client
+// retransmit a disconnect for a cid the server already released, and the
+// server acknowledges it rather than dropping it until the budget runs out.
+TEST_F(PooledTest, ConnectAndDisconnectSurviveLoss) {
+  constexpr int kGenerations = 50;
+  for (const uint64_t seed : {1u, 2u, 3u, 7u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Testbed bed(/*loss=*/0.2, seed);
+    PooledClient client(bed.fabric, bed.client_node, bed.server);
+    int done = 0;
+    std::string error;
+    bed.engine.Spawn([](PooledClient* c, int* out, std::string* caught) -> sim::Task<void> {
+      std::vector<std::byte> resp(64);
+      try {
+        for (int g = 0; g < kGenerations; ++g) {
+          co_await c->Connect();
+          const std::string msg = "gen" + std::to_string(g);
+          const size_t n = co_await c->Call(kEcho, AsBytes(msg), resp);
+          EXPECT_EQ(AsString(resp, n), msg);
+          co_await c->Disconnect();
+          ++*out;
+        }
+      } catch (const std::exception& e) {
+        *caught = e.what();
+      }
+    }(&client, &done, &error));
+    bed.engine.RunUntil(sim::Millis(100));
+
+    EXPECT_EQ(error, "");
+    EXPECT_EQ(done, kGenerations);
+    EXPECT_FALSE(client.connected());
+    EXPECT_EQ(bed.server.live_connections(), 0u);
+    EXPECT_EQ(bed.server.connects(), bed.server.disconnects());
+    EXPECT_EQ(bed.server.connects(), static_cast<uint64_t>(kGenerations));
+    EXPECT_GT(client.stats().retransmits, 0u);
+  }
+}
+
+// Every lost datagram costs the whole retransmit timeout: at 20% loss each
+// way the median call is one clean round trip, and the 99th percentile
+// carries at least one kDatagramRetryTimeoutNs.
+TEST_F(PooledTest, LatencyTailReflectsRetransmitTimeouts) {
+  Testbed bed(/*loss=*/0.2, /*seed=*/7);
+  PooledClient client(bed.fabric, bed.client_node, bed.server);
+  sim::Histogram latency;
+  bed.engine.Spawn([](sim::Engine* eng, PooledClient* c, sim::Histogram* lat) -> sim::Task<void> {
+    std::vector<std::byte> resp(64);
+    co_await c->Connect();
+    for (int i = 0; i < 200; ++i) {
+      const sim::Time start = eng->now();
+      co_await c->Call(kEcho, AsBytes("x"), resp);
+      lat->Record(eng->now() - start);
+    }
+  }(&bed.engine, &client, &latency));
+  bed.engine.RunUntil(sim::Millis(200));
+
+  EXPECT_EQ(latency.count(), 200u);
+  EXPECT_LT(latency.Percentile(0.5), 10'000);
+  EXPECT_GT(latency.Percentile(0.99), kDatagramRetryTimeoutNs);
+}
+
+// Under total loss an exchange sends once plus kDatagramMaxRetransmits
+// times, kDatagramRetryTimeoutNs apart, and gives up one timeout after its
+// last retransmit.
+TEST_F(PooledTest, ExchangeFailsAfterMaxRetransmits) {
+  Testbed bed(/*loss=*/1.0, /*seed=*/7);  // black hole
+  PooledClient client(bed.fabric, bed.client_node, bed.server);
+  bed.engine.Spawn([](PooledClient* c) -> sim::Task<void> { co_await c->Connect(); }(&client));
+  EXPECT_THROW(bed.engine.RunUntil(sim::Millis(5)), std::runtime_error);
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(client.stats().failures, 1u);
+  EXPECT_EQ(client.stats().sends, 1u + static_cast<uint64_t>(kDatagramMaxRetransmits));
+  EXPECT_EQ(bed.engine.now() / kDatagramRetryTimeoutNs, kDatagramMaxRetransmits + 1);
+}
+
+// A loss burst on one link that outlasts a call's whole retransmit budget
+// fails that call; once it clears, the same client and cid serve on: the
+// datagram path holds no transport state to repair.
+TEST_F(PooledTest, BudgetExhaustsUnderSustainedPairLossThenRecovers) {
+  Testbed bed(/*loss=*/0.0, /*seed=*/7);  // only the pair fault drops
+  PooledClient client(bed.fabric, bed.client_node, bed.server);
+  bool first_failed = false;
+  std::string second;
+  bed.engine.Spawn([](Testbed* b, PooledClient* c, bool* failed,
+                      std::string* out) -> sim::Task<void> {
+    co_await c->Connect();
+    rdma::LinkFault burst;
+    burst.loss_prob = 1.0;  // sustained black hole on this pair only
+    const uint32_t server_id = b->server_node.id();
+    const uint32_t client_id = b->client_node.id();
+    b->fabric.SetLinkFault(server_id, client_id, burst);
+    // The burst outlasts one send plus kDatagramMaxRetransmits retransmits.
+    b->engine.ScheduleAfter((kDatagramMaxRetransmits + 2) * kDatagramRetryTimeoutNs,
+                            [b, server_id, client_id] { b->fabric.ClearLinkFault(server_id, client_id); });
+    std::vector<std::byte> resp(64);
+    try {
+      co_await c->Call(kEcho, AsBytes("void"), resp);
+    } catch (const std::runtime_error&) {
+      *failed = true;  // budget exhausted: every transmit lost
+    }
+    co_await b->engine.Sleep(2 * kDatagramRetryTimeoutNs);  // outlive the burst
+    const size_t n = co_await c->Call(kEcho, AsBytes("back"), resp);
+    out->assign(AsString(resp, n));
+  }(&bed, &client, &first_failed, &second));
+  bed.engine.RunUntil(sim::Millis(2));
+
+  EXPECT_TRUE(first_failed);
+  EXPECT_EQ(client.stats().failures, 1u);
+  EXPECT_EQ(client.stats().retransmits, static_cast<uint64_t>(kDatagramMaxRetransmits));
+  EXPECT_EQ(second, "back");
+}
+
+// A request delayed (not dropped) past the retransmit timeout is served
+// twice, and both replies arrive. The later one targets a completed seq and
+// is filtered, never surfaced as another call's response.
+TEST_F(PooledTest, LateOriginalReplyAfterRetransmitIsFiltered) {
+  Testbed bed(/*loss=*/0.0, /*seed=*/7);
+  PooledClient client(bed.fabric, bed.client_node, bed.server);
+  int correct = 0;
+  bed.engine.Spawn([](Testbed* b, PooledClient* c, int* out) -> sim::Task<void> {
+    co_await c->Connect();
+    rdma::LinkFault slow;
+    slow.extra_delay_ns = sim::Micros(30);  // past the 20 us retransmit timeout
+    const uint32_t server_id = b->server_node.id();
+    const uint32_t client_id = b->client_node.id();
+    b->fabric.SetLinkFault(server_id, client_id, slow);
+    b->engine.ScheduleAfter(sim::Micros(25),
+                            [b, server_id, client_id] { b->fabric.ClearLinkFault(server_id, client_id); });
+    std::vector<std::byte> resp(64);
+    for (int i = 0; i < 10; ++i) {
+      const std::string msg = "dup" + std::to_string(i);
+      const size_t n = co_await c->Call(kEcho, AsBytes(msg), resp);
+      if (AsString(resp, n) == msg) {
+        ++*out;
+      }
+    }
+  }(&bed, &client, &correct));
+  bed.engine.RunUntil(sim::Millis(2));
+
+  EXPECT_EQ(correct, 10);  // every call matched its own seq
+  EXPECT_GE(client.stats().retransmits, 1u);
+  EXPECT_GE(client.stats().duplicates, 1u);  // the late original reply
+  EXPECT_EQ(client.stats().failures, 0u);
+  EXPECT_GE(bed.server.requests_served(), 11u);  // the delayed request was re-served
+}
+
+// More clients than one server QP's share of the shared receive slots
+// (kPooledRecvSlots / kPooledQps), all connected through that QP, call at
+// once: the burst overflows its posted RECVs, the dropped datagrams are
+// counted, and retransmits heal every call.
+TEST_F(PooledTest, RecvSlotOverflowDropsRequestsAndRetransmitsHeal) {
+  PooledServer* server = MakeServer();
+  constexpr int kClients = kPooledRecvSlots / kPooledQps + 16;
+  constexpr int kNodes = 8;
+  std::vector<rdma::Node*> nodes;
+  for (int n = 0; n < kNodes; ++n) {
+    nodes.push_back(&fabric_.AddNode("client" + std::to_string(n)));
+  }
+  std::vector<std::unique_ptr<PooledClient>> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(
+        std::make_unique<PooledClient>(fabric_, *nodes[static_cast<size_t>(i % kNodes)], *server));
+    // PickQp is round-robin: skip the other QPs so every client lands on QP 0.
+    for (int q = 1; q < kPooledQps; ++q) {
+      server->PickQp();
+    }
+  }
+  // Connect one client at a time, so only the calls burst.
+  engine_.Spawn([](std::vector<std::unique_ptr<PooledClient>>* cs) -> sim::Task<void> {
+    for (auto& c : *cs) {
+      co_await c->Connect();
+    }
+  }(&clients));
+  engine_.RunUntil(sim::Millis(1));
+  ASSERT_EQ(server->live_connections(), static_cast<size_t>(kClients));
+  ASSERT_EQ(server->recv_overflows(), 0u);
+
+  int done = 0;
+  for (auto& client : clients) {
+    engine_.Spawn([](PooledClient* c, int* out) -> sim::Task<void> {
+      std::vector<std::byte> resp(64);
+      const size_t n = co_await c->Call(kEcho, AsBytes("b"), resp);
+      EXPECT_EQ(AsString(resp, n), "b");
+      ++*out;
+    }(client.get(), &done));
+  }
+  engine_.RunUntil(sim::Millis(50));
+
+  EXPECT_EQ(done, kClients);
+  EXPECT_GT(server->recv_overflows(), 0u);
 }
 
 TEST_F(PooledTest, UnknownRpcIdIsDroppedAndCallFails) {
@@ -206,21 +424,26 @@ TEST_F(PooledTest, UnknownRpcIdIsDroppedAndCallFails) {
   PooledClient client(fabric_, node, *server);
 
   bool threw = false;
-  engine_.Spawn([](PooledClient* c, bool* out) -> sim::Task<void> {
+  std::string got;
+  engine_.Spawn([](PooledClient* c, bool* failed, std::string* out) -> sim::Task<void> {
     co_await c->Connect();
     std::vector<std::byte> resp(64);
     try {
-      co_await c->Call(/*rpc_id=*/999, {}, resp);
+      co_await c->Call(/*rpc_id=*/999, AsBytes("nobody home"), resp);
     } catch (const std::runtime_error&) {
-      *out = true;
+      *failed = true;  // every transmit was dropped, so the client gives up
     }
-  }(&client, &threw));
+    const size_t n = co_await c->Call(kEcho, AsBytes("still serving"), resp);
+    out->assign(AsString(resp, n));
+  }(&client, &threw, &got));
   engine_.RunUntil(sim::Millis(5));
 
   EXPECT_TRUE(threw);
+  EXPECT_EQ(got, "still serving");
   // One drop per transmit: the first send plus every retransmit.
-  EXPECT_EQ(server->dropped_requests(), 1u + static_cast<uint64_t>(rfp::kDatagramMaxRetransmits));
+  EXPECT_EQ(server->dropped_requests(), 1u + static_cast<uint64_t>(kDatagramMaxRetransmits));
   EXPECT_EQ(client.stats().failures, 1u);
+  EXPECT_EQ(server->requests_served(), 1u);
 }
 
 // A reply larger than the caller's buffer throws std::length_error instead
@@ -319,7 +542,7 @@ TEST_F(PooledTest, GatedRpcIsDroppedNotServed) {
 
   EXPECT_TRUE(threw);
   EXPECT_EQ(gated_runs, 0);
-  EXPECT_EQ(server->dropped_requests(), 1u + static_cast<uint64_t>(rfp::kDatagramMaxRetransmits));
+  EXPECT_EQ(server->dropped_requests(), 1u + static_cast<uint64_t>(kDatagramMaxRetransmits));
   EXPECT_EQ(got, "ungated");
   EXPECT_EQ(server->requests_served(), 1u);
 }
@@ -372,11 +595,7 @@ TEST_F(PooledTest, StrictCheckerAcceptsTheConnectionLifecycle) {
   rdma::Node& server_node = fabric.AddNode("server");
   rdma::Node& client_node = fabric.AddNode("client");
   rfp::RpcServer rpc(fabric, server_node, 1);
-  rpc.RegisterHandler(kEcho, [](const rfp::HandlerContext&, std::span<const std::byte> req,
-                                std::span<std::byte> resp) {
-    std::memcpy(resp.data(), req.data(), req.size());
-    return rfp::HandlerResult{req.size(), sim::Nanos(300)};
-  });
+  rpc.RegisterHandler(kEcho, Echo);
   PooledServer server(fabric, rpc);
   server.Start();
   PooledClient client(fabric, client_node, server);
@@ -411,6 +630,160 @@ TEST_F(PooledTest, CheckerFlagsCidAliasingAndDoubleRelease) {
   const int other_tag = 0;
   EXPECT_NO_THROW(checker->OnCidAssign(&other_tag, 7));
   EXPECT_NO_THROW(checker->OnCidAssign(&server_tag, 7));
+}
+
+// The datagram-RPC contract the pooled tier took over from the standalone UD
+// RPC tier it replaced, under that tier's test names: a lossless fabric and
+// a two-thread RpcServer, as in PooledTest.
+class UdRpcTest : public PooledTest {};
+
+TEST_F(UdRpcTest, LosslessEchoRoundTrip) {
+  PooledServer* server = MakeServer();
+  PooledClient client(fabric_, fabric_.AddNode("client"), *server);
+  std::string got;
+  engine_.Spawn([](PooledClient* c, std::string* out) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> resp(1024);
+    const size_t n = co_await c->Call(kEcho, AsBytes("datagram rpc"), resp);
+    out->assign(AsString(resp, n));
+  }(&client, &got));
+  engine_.RunUntil(sim::Millis(2));
+  EXPECT_EQ(got, "datagram rpc");
+  EXPECT_EQ(client.stats().retransmits, 0u);
+  EXPECT_EQ(server->requests_served(), 1u);
+}
+
+// Two clients on one node land on different server QPs and run fifty calls
+// each, concurrently.
+TEST_F(UdRpcTest, ManySequentialCalls) {
+  PooledServer* server = MakeServer();
+  rdma::Node& node = fabric_.AddNode("client");
+  PooledClient c0(fabric_, node, *server);
+  PooledClient c1(fabric_, node, *server);
+  int done = 0;
+  auto driver = [](PooledClient* c, int n, int* out) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> resp(1024);
+    for (int i = 0; i < n; ++i) {
+      const std::string msg = "m" + std::to_string(i);
+      const size_t got = co_await c->Call(kEcho, AsBytes(msg), resp);
+      EXPECT_EQ(AsString(resp, got), msg);
+    }
+    ++*out;
+  };
+  engine_.Spawn(driver(&c0, 50, &done));
+  engine_.Spawn(driver(&c1, 50, &done));
+  engine_.RunUntil(sim::Millis(10));
+  EXPECT_EQ(done, 2);
+  EXPECT_EQ(server->requests_served(), 100u);
+}
+
+TEST_F(UdRpcTest, UnknownRpcIdIsCountedDropAndServerServesOn) {
+  PooledServer* server = MakeServer();
+  PooledClient client(fabric_, fabric_.AddNode("client"), *server);
+  bool unknown_failed = false;
+  std::string got;
+  engine_.Spawn([](PooledClient* c, bool* failed, std::string* out) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> resp(1024);
+    try {
+      co_await c->Call(/*rpc_id=*/99, AsBytes("nobody home"), resp);
+    } catch (const std::runtime_error&) {
+      *failed = true;  // every transmit was dropped, so the client gives up
+    }
+    const size_t n = co_await c->Call(kEcho, AsBytes("still serving"), resp);
+    out->assign(AsString(resp, n));
+  }(&client, &unknown_failed, &got));
+  engine_.RunUntil(sim::Millis(2));
+  EXPECT_TRUE(unknown_failed);
+  EXPECT_EQ(got, "still serving");
+  // One drop per transmit of the unknown-id call: the first send plus every
+  // retransmit.
+  EXPECT_EQ(server->dropped_requests(), 1u + static_cast<uint64_t>(kDatagramMaxRetransmits));
+  EXPECT_EQ(server->requests_served(), 1u);
+}
+
+// A reply larger than the caller's buffer throws std::length_error instead
+// of reporting bytes it did not copy; the client's next call succeeds, with
+// no retransmit.
+TEST_F(UdRpcTest, OversizedReplyThrowsLengthErrorAndClientServesOn) {
+  PooledServer* server = MakeServer();
+  PooledClient client(fabric_, fabric_.AddNode("client"), *server);
+  std::string error;
+  std::string got;
+  engine_.Spawn([](PooledClient* c, std::string* caught, std::string* out) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> small(16);
+    try {
+      co_await c->Call(kEcho, AsBytes(std::string(64, 'x')), small);
+    } catch (const std::length_error& e) {
+      *caught = e.what();
+    }
+    std::vector<std::byte> resp(64);
+    const size_t n = co_await c->Call(kEcho, AsBytes("fits"), resp);
+    out->assign(AsString(resp, n));
+  }(&client, &error, &got));
+  engine_.RunUntil(sim::Millis(2));
+  EXPECT_EQ(error, "conn pooled: response larger than output buffer");
+  EXPECT_EQ(got, "fits");
+  EXPECT_EQ(client.stats().retransmits, 0u);
+  EXPECT_EQ(server->requests_served(), 2u);
+}
+
+// Zero-filled datagrams shorter than a request header (0 and 3 bytes from a
+// raw UD QP), and one a byte larger than a receive slot, are counted as
+// drops, their RECVs reposted, and the server serves on.
+TEST_F(UdRpcTest, RuntDatagramsAreCountedDropsAndServerServesOn) {
+  PooledServer* server = MakeServer();
+  rdma::Node& node = fabric_.AddNode("client");
+  rdma::QueuePair* raw = fabric_.CreateUd(node);
+  const size_t oversized = rfp::kReqHeaderBytes + sizeof(uint16_t) + kPooledMaxMessageBytes + 1;
+  rdma::MemoryRegion* junk = node.RegisterMemory(oversized, rdma::kAccessLocal);
+  PooledClient client(fabric_, node, *server);
+  std::string got;
+  engine_.Spawn([](rdma::QueuePair* qp, rdma::MemoryRegion* mr, rdma::AddressHandle to,
+                   PooledClient* c, std::string* out) -> sim::Task<void> {
+    for (const uint32_t len : {uint32_t{0}, uint32_t{3}, static_cast<uint32_t>(mr->size())}) {
+      const rdma::WorkCompletion wc = co_await qp->SendTo(to, *mr, 0, len);
+      EXPECT_TRUE(wc.ok());
+    }
+    co_await c->Connect();
+    std::vector<std::byte> resp(64);
+    const size_t n = co_await c->Call(kEcho, AsBytes("after junk"), resp);
+    out->assign(AsString(resp, n));
+  }(raw, junk, server->address(0), &client, &got));
+  engine_.RunUntil(sim::Millis(2));
+  EXPECT_EQ(server->dropped_requests(), 3u);
+  EXPECT_EQ(got, "after junk");
+  EXPECT_EQ(server->requests_served(), 1u);
+}
+
+// 20% loss each way at the fabric's default seed (PooledTest's loss tests
+// pin seed 7).
+class LossyUdRpcTest : public ::testing::Test {
+ protected:
+  Testbed bed_{/*loss=*/0.2, rdma::FabricConfig{}.seed};
+};
+
+TEST_F(LossyUdRpcTest, RetransmitsRecoverFromHeavyLoss) {
+  PooledClient client(bed_.fabric, bed_.client_node, bed_.server);
+  int completed = 0;
+  bed_.engine.Spawn([](PooledClient* c, int* out) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> resp(1024);
+    for (int i = 0; i < 100; ++i) {
+      const std::string msg = "lossy" + std::to_string(i);
+      const size_t got = co_await c->Call(kEcho, AsBytes(msg), resp);
+      // Every call matched its own seq: duplicate replies were filtered.
+      EXPECT_EQ(AsString(resp, got), msg);
+      ++*out;
+    }
+  }(&client, &completed));
+  bed_.engine.RunUntil(sim::Millis(100));
+  EXPECT_EQ(completed, 100);
+  // With ~36% round-trip loss, retransmits are unavoidable.
+  EXPECT_GT(client.stats().retransmits, 10u);
+  EXPECT_EQ(client.stats().failures, 0u);
 }
 
 }  // namespace
