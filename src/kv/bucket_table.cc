@@ -293,12 +293,15 @@ void BucketTable::Put(std::span<const std::byte> key, std::span<const std::byte>
         }
         cell = MakeValueCell(value, cell->epoch + 1);
       }
-    } else if (CellHeader& header = Header(slot.entry); value.size() <= header.capacity) {
-      // Overwrite in place.
+    } else if (CellHeader& header = Header(slot.entry);
+               value.size() <= header.capacity &&
+               2 * Arena::RoundUp(value.size()) >= header.capacity) {
+      // Overwrite in place: the value fits and fills at least half the cell.
       header.value_len = static_cast<uint32_t>(value.size());
       rdma::CopyBytes(std::span<std::byte>(Value(slot.entry), value.size()), value);
     } else {
-      // Outgrew the cell: move to a bigger one.
+      // Outgrew the cell, or would leave most of it idle: move to a
+      // right-sized one and free the old cell for a later value.
       const uint32_t old = slot.entry;
       slot.entry = NewCell(key, value);
       FreeCell(old);

@@ -7,6 +7,12 @@
 // [header: key length, value length, capacity][key][value], and the slot
 // names the cell. A lookup compares the key and reads the value in the same
 // cell, so a GET touches one cache line past its bucket for small values.
+// In heap mode a cell's value capacity follows the live value: a PUT
+// overwrites in place while the value fits and fills at least half the
+// capacity (2 * Arena::RoundUp(len) >= capacity); otherwise the key moves to
+// a cell of exactly RoundUp(len) bytes and the old cell returns to the free
+// lists. So a cell never reserves more than twice its value, and a key that
+// shrinks from 8 KiB to 32 B gives its 8 KiB back for later values.
 //
 // Two storage modes, which differ only in where the value bytes live. Heap
 // mode (the one-argument ctor): the value sits inline in the cell, and GETs

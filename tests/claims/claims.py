@@ -75,6 +75,20 @@ class Claim:
 
 
 CLAIMS = [
+    # Fig 10: Jakiro saturates the server NIC's in-bound engine at ~5.5 MOPS,
+    # and remote fetching costs about two round trips per call (one WRITE, one
+    # successful READ) at every client count.
+    Claim("Fig 10", "bench_fig10_jakiro_clients", "peak mops >= 5.3", ("mops",),
+          lambda t: max(t.column("mops")) >= 5.3),
+    Claim("Fig 10", "bench_fig10_jakiro_clients", "rtrips/call within [1.98, 2.02] in every row",
+          ("rtrips/call",),
+          lambda t: all(1.98 <= r <= 2.02 for r in t.column("rtrips/call"))),
+    # Fig 11: at 50 % GET, Jakiro beats server-bypass Pilaf by well over 3x at
+    # every value size. The printed speedup cell is rounded ("4.1x"), so the
+    # ratio comes from the two throughput columns.
+    Claim("Fig 11", "bench_fig11_vs_pilaf", "jakiro / pilaf >= 3.5 in every row",
+          ("jakiro", "pilaf"),
+          lambda t: all(j >= 3.5 * p for j, p in zip(t.column("jakiro"), t.column("pilaf")))),
     # Ext-2: UD datagram RPC is reply-issue-bound like server-reply on a clean
     # network; loss costs retransmit timeouts in the tail; RC-based RFP is
     # untouched (loss applies to unreliable transports only).

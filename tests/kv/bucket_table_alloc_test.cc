@@ -2,7 +2,8 @@
 // the global operator new (plain and aligned) to count every allocation, so
 // it pins that a warmed heap-mode table serves a GET, an overwrite that fits
 // the key's cell, and an erase followed by a same-size re-insert from the
-// cells it already owns.
+// cells it already owns, and that a value shrunk below half its cell moves
+// out and leaves the cell to later large values.
 
 #include <cstddef>
 #include <cstdlib>
@@ -92,6 +93,40 @@ TEST(BucketTableAllocTest, WarmHeapModeOpsAllocateNothing) {
   EXPECT_EQ(g_allocations - before_erase, 0u) << "erase + same-size re-insert";
   EXPECT_EQ(table.size(), keys.size());
   EXPECT_EQ(table.stats().evictions, 0u);
+}
+
+// A value that shrinks below half its cell moves to a right-sized cell, so
+// the capacity it leaves behind serves later large values without new arena
+// chunks.
+TEST(BucketTableAllocTest, ShrunkValuesReleaseTheirCells) {
+  BucketTable table(4096);
+  std::vector<std::vector<std::byte>> keys;
+  for (int i = 0; i < 768; ++i) {
+    std::string key = "key-" + std::to_string(i);
+    key.resize(16, '.');
+    keys.push_back(Bytes(key));
+  }
+  const std::vector<std::byte> large(8192, std::byte{'L'});
+  const std::vector<std::byte> small(32, std::byte{'s'});
+  for (size_t i = 0; i < 512; ++i) {
+    table.Put(keys[i], large);
+  }
+  for (size_t i = 0; i < 512; ++i) {
+    table.Put(keys[i], small);
+  }
+
+  const size_t before = g_allocations;
+  for (size_t i = 512; i < keys.size(); ++i) {
+    table.Put(keys[i], large);
+  }
+  EXPECT_EQ(g_allocations - before, 0u) << "8 KiB inserts after the shrink";
+  EXPECT_EQ(table.size(), keys.size());
+  EXPECT_EQ(table.stats().evictions, 0u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto v = table.Get(keys[i]);
+    ASSERT_TRUE(v.has_value()) << i;
+    EXPECT_EQ(v->size(), i < 512 ? small.size() : large.size()) << i;
+  }
 }
 
 }  // namespace

@@ -51,6 +51,27 @@ TEST(BucketTableTest, OverwriteUpdatesInPlace) {
   EXPECT_EQ(table.stats().updates, 1u);
 }
 
+// Heap mode moves a key whose value shrinks below half its cell, and back
+// out when it grows again; each move must carry the new bytes and count as
+// one update.
+TEST(BucketTableTest, ShrinkGrowShrinkRoundTrip) {
+  BucketTable table(64);
+  const std::string big(8192, 'b');
+  const std::string bigger(9000, 'B');
+  const std::vector<std::string> values = {big, "tiny", bigger, std::string(4500, 'h'),
+                                           "x", big};
+  for (size_t i = 0; i < values.size(); ++i) {
+    table.Put(Bytes("k"), Bytes(values[i]));
+    auto v = table.Get(Bytes("k"));
+    ASSERT_TRUE(v.has_value()) << i;
+    ASSERT_EQ(v->size(), values[i].size()) << i;
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(v->data()), v->size()), values[i]) << i;
+    EXPECT_EQ(table.stats().updates, i) << i;
+  }
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.stats().inserts, 1u);
+}
+
 TEST(BucketTableTest, EraseRemoves) {
   BucketTable table(64);
   table.Put(Bytes("k"), Bytes("v"));
