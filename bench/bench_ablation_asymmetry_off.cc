@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
     rdma::FabricConfig fabric;
     if (symmetric) {
       // Out-bound issue as fast as in-bound serving; everything else equal.
-      fabric.nic.outbound_issue_ns = fabric.nic.inbound_min_gap_ns;
+      fabric.nic.outbound_issue_ns = rdma::kInboundMinGapNs;
       fabric.nic.outbound_write_thread_factor = 0.0;
     }
     double mops[2] = {0, 0};

@@ -67,7 +67,7 @@ Outcome RunLeased(sim::Time lease_ns) {
   const sim::Time end = sim::Millis(8);
   for (int t = 0; t < kClients; ++t) {
     clients[static_cast<size_t>(t)].base = std::make_unique<kv::PilafClient>(
-        fabric, *nodes[static_cast<size_t>(t % kNodes)], server, t % pc.server_threads);
+        fabric, *nodes[static_cast<size_t>(t % kNodes)], server, t % kv::kPilafServerThreads);
     kv::LeaseCacheConfig lc;
     lc.lease_ns = lease_ns;
     lc.capacity = 16384;

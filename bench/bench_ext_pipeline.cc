@@ -7,7 +7,7 @@
 // doorbell batch. Channels are forced into remote-fetch mode so the sweep
 // isolates the pipelining effect on the paper's RFP fast path: request
 // WRITEs and response-fetch READs for a whole window coalesce into one
-// doorbell each (followers pay NicConfig::outbound_batch_marginal_ns instead
+// doorbell each (followers pay rdma::kOutboundBatchMarginalNs instead
 // of the full issue cost), the server serves every ready slot in one sweep
 // visit, and the per-call round trip stops being the throughput bound.
 //

@@ -71,7 +71,7 @@ FarmOutcome RunFarm(uint32_t value_size, double get_fraction) {
   std::vector<sim::Histogram> lats(kClients);
   for (int t = 0; t < kClients; ++t) {
     clients.push_back(std::make_unique<kv::FarmClient>(fabric, *nodes[static_cast<size_t>(t % kNodes)], server,
-                                                       t % config.server_threads));
+                                                       t % kv::kFarmServerThreads));
     engine.Spawn([](sim::Engine& eng, kv::FarmClient* c, workload::WorkloadSpec sp, int id,
                     sim::Time w, sim::Time e, uint64_t* count,
                     sim::Histogram* lat) -> sim::Task<void> {

@@ -11,6 +11,7 @@
 #include "src/check/checker.h"
 #include "src/conn/connector.h"
 #include "src/kv/jakiro.h"
+#include "src/kv/memcached_store.h"
 #include "src/kv/pilaf_store.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
@@ -235,6 +236,13 @@ sim::Time Scaled(sim::Time t) {
   return static_cast<sim::Time>(static_cast<double>(t) * BenchScale());
 }
 
+// Client nodes the echo and KV runners spread their threads over; the
+// paper's Pilaf comparison used 6 machines.
+constexpr int kClientNodes = 7;
+constexpr int kPilafClientNodes = 6;
+// Virtual time every cluster runner runs before its measurement window.
+constexpr sim::Time kWarmup = sim::Millis(2);
+
 double SumMops(const std::vector<LoopCounter>& counters, sim::Time window) {
   uint64_t total = 0;
   for (const auto& c : counters) {
@@ -274,7 +282,7 @@ uint32_t PreloadValueSize(const workload::WorkloadSpec& spec, uint64_t key_id) {
 // value) coroutines (JakiroClient and MemcachedClient both do).
 template <typename Client>
 sim::Task<void> KvDriver(sim::Engine& eng, Client* client, workload::Generator gen,
-                         bool verify, sim::Time warmup_end, sim::Time measure_end,
+                         sim::Time warmup_end, sim::Time measure_end,
                          ThreadCounters* counters) {
   std::vector<std::byte> key(gen.spec().key_size);
   std::vector<std::byte> value(16384);
@@ -285,7 +293,7 @@ sim::Task<void> KvDriver(sim::Engine& eng, Client* client, workload::Generator g
     const sim::Time start = eng.now();
     if (op.type == workload::OpType::kGet) {
       std::optional<size_t> got = co_await client->Get(key, out);
-      if (verify && got.has_value() &&
+      if (got.has_value() &&
           !workload::CheckValue(op.key_id, std::span<const std::byte>(out.data(), *got))) {
         ++counters->verify_failures;
       }
@@ -540,7 +548,7 @@ AmplificationResult RunAmplification(int ops_per_request, int client_threads, ui
 
 EchoRunResult RunEcho(const EchoRunConfig& config_in) {
   EchoRunConfig config = config_in;
-  config.warmup = Scaled(config.warmup);
+  const sim::Time warmup_end = Scaled(kWarmup);
   config.measure = Scaled(config.measure);
   config.fabric.seed = SeedOr(config.fabric.seed);
   sim::Engine engine;
@@ -548,9 +556,9 @@ EchoRunResult RunEcho(const EchoRunConfig& config_in) {
                 {{"process_ns", TimeParam(config.process_ns)},
                  {"result_size", std::to_string(config.result_size)},
                  {"server_threads", std::to_string(config.server_threads)},
-                 {"client_nodes", std::to_string(config.client_nodes)},
+                 {"client_nodes", std::to_string(kClientNodes)},
                  {"client_threads", std::to_string(config.client_threads)},
-                 {"warmup_ns", TimeParam(config.warmup)},
+                 {"warmup_ns", TimeParam(warmup_end)},
                  {"measure_ns", TimeParam(config.measure)}});
   rdma::Fabric fabric(engine, config.fabric);
   rdma::Node& server_node = fabric.AddNode("server");
@@ -562,7 +570,7 @@ EchoRunResult RunEcho(const EchoRunConfig& config_in) {
   });
 
   std::vector<rdma::Node*> client_nodes;
-  for (int n = 0; n < config.client_nodes; ++n) {
+  for (int n = 0; n < kClientNodes; ++n) {
     client_nodes.push_back(&fabric.AddNode("client" + std::to_string(n)));
   }
   conn::Connector connector;
@@ -570,13 +578,12 @@ EchoRunResult RunEcho(const EchoRunConfig& config_in) {
   std::vector<ThreadCounters> counters(static_cast<size_t>(config.client_threads));
   for (int t = 0; t < config.client_threads; ++t) {
     endpoints.push_back(
-        connector.Lease(server, *client_nodes[static_cast<size_t>(t % config.client_nodes)],
+        connector.Lease(server, *client_nodes[static_cast<size_t>(t % kClientNodes)],
                         config.channel, t % config.server_threads));
   }
   server.Start();
 
-  const sim::Time warmup_end = config.warmup;
-  const sim::Time measure_end = config.warmup + config.measure;
+  const sim::Time measure_end = warmup_end + config.measure;
   for (int t = 0; t < config.client_threads; ++t) {
     engine.Spawn(EchoDriver(engine, endpoints[static_cast<size_t>(t)].stub(),
                             config.result_size, warmup_end, measure_end,
@@ -644,28 +651,27 @@ workload::WorkloadSpec PaperWorkload() {
 
 KvRunResult RunKv(const KvRunConfig& config_in) {
   KvRunConfig config = config_in;
-  config.warmup = Scaled(config.warmup);
+  const sim::Time warmup_end = Scaled(kWarmup);
   config.measure = Scaled(config.measure);
   config.fabric.seed = SeedOr(config.fabric.seed);
   sim::Engine engine;
   BeginBenchRun(engine, std::string("kv-") + KvSystemName(config.system),
                 {{"system", KvSystemName(config.system)},
                  {"server_threads", std::to_string(config.server_threads)},
-                 {"client_nodes", std::to_string(config.client_nodes)},
+                 {"client_nodes", std::to_string(kClientNodes)},
                  {"client_threads", std::to_string(config.client_threads)},
                  {"num_keys", std::to_string(config.workload.num_keys)},
                  {"get_fraction", std::to_string(config.workload.get_fraction)},
-                 {"warmup_ns", TimeParam(config.warmup)},
+                 {"warmup_ns", TimeParam(warmup_end)},
                  {"measure_ns", TimeParam(config.measure)}});
   rdma::Fabric fabric(engine, config.fabric);
   rdma::Node& server_node = fabric.AddNode("server");
   std::vector<rdma::Node*> client_nodes;
-  for (int n = 0; n < config.client_nodes; ++n) {
+  for (int n = 0; n < kClientNodes; ++n) {
     client_nodes.push_back(&fabric.AddNode("client" + std::to_string(n)));
   }
 
-  const sim::Time warmup_end = config.warmup;
-  const sim::Time measure_end = config.warmup + config.measure;
+  const sim::Time measure_end = warmup_end + config.measure;
   std::vector<ThreadCounters> counters(static_cast<size_t>(config.client_threads));
   std::vector<rfp::Channel*> all_channels;
   std::vector<std::byte> key(config.workload.key_size);
@@ -677,27 +683,25 @@ KvRunResult RunKv(const KvRunConfig& config_in) {
   std::vector<std::unique_ptr<kv::MemcachedClient>> memcached_clients;
 
   if (config.system == KvSystem::kMemcached) {
-    kv::MemcachedConfig mc = config.memcached;
+    kv::MemcachedConfig mc;
     mc.server_threads = config.server_threads;
     mc.channel_options = config.channel;
     memcached_server = std::make_unique<kv::MemcachedServer>(fabric, server_node, mc);
-    if (config.preload) {
-      for (uint64_t id = 0; id < config.workload.num_keys; ++id) {
-        workload::MakeKey(id, key);
-        const uint32_t vs = PreloadValueSize(config.workload, id);
-        workload::FillValue(id, std::span<std::byte>(value.data(), vs));
-        memcached_server->Preload(key, std::span<const std::byte>(value.data(), vs));
-      }
+    for (uint64_t id = 0; id < config.workload.num_keys; ++id) {
+      workload::MakeKey(id, key);
+      const uint32_t vs = PreloadValueSize(config.workload, id);
+      workload::FillValue(id, std::span<std::byte>(value.data(), vs));
+      memcached_server->Preload(key, std::span<const std::byte>(value.data(), vs));
     }
     for (int t = 0; t < config.client_threads; ++t) {
       memcached_clients.push_back(std::make_unique<kv::MemcachedClient>(
-          *memcached_server, *client_nodes[static_cast<size_t>(t % config.client_nodes)],
+          *memcached_server, *client_nodes[static_cast<size_t>(t % kClientNodes)],
           t % config.server_threads));
       all_channels.push_back(memcached_clients.back()->channel());
       engine.Spawn(KvDriver(engine, memcached_clients.back().get(),
                             workload::Generator(config.workload,
                                                 SeedOr(0) + static_cast<uint64_t>(t)),
-                            config.verify_values, warmup_end, measure_end,
+                            warmup_end, measure_end,
                             &counters[static_cast<size_t>(t)]));
     }
     memcached_server->Start();
@@ -706,8 +710,6 @@ KvRunResult RunKv(const KvRunConfig& config_in) {
     jc.server_threads = config.server_threads;
     jc.channel_options = config.channel;
     jc.server_options = config.server;
-    jc.get_process_ns = config.jakiro_get_ns;
-    jc.put_process_ns = config.jakiro_put_ns;
     // Size partitions to hold the whole key space without evictions.
     jc.buckets_per_partition =
         std::max<size_t>(1 << 12, (config.workload.num_keys / static_cast<size_t>(
@@ -724,25 +726,23 @@ KvRunResult RunKv(const KvRunConfig& config_in) {
         break;
     }
     jakiro_server = std::make_unique<kv::JakiroServer>(fabric, server_node, jc);
-    if (config.preload) {
-      for (uint64_t id = 0; id < config.workload.num_keys; ++id) {
-        workload::MakeKey(id, key);
-        const uint32_t vs = PreloadValueSize(config.workload, id);
-        workload::FillValue(id, std::span<std::byte>(value.data(), vs));
-        jakiro_server->partition(jakiro_server->OwnerThread(key))
-            .Put(key, std::span<const std::byte>(value.data(), vs));
-      }
+    for (uint64_t id = 0; id < config.workload.num_keys; ++id) {
+      workload::MakeKey(id, key);
+      const uint32_t vs = PreloadValueSize(config.workload, id);
+      workload::FillValue(id, std::span<std::byte>(value.data(), vs));
+      jakiro_server->partition(jakiro_server->OwnerThread(key))
+          .Put(key, std::span<const std::byte>(value.data(), vs));
     }
     for (int t = 0; t < config.client_threads; ++t) {
       jakiro_clients.push_back(std::make_unique<kv::JakiroClient>(
-          *jakiro_server, *client_nodes[static_cast<size_t>(t % config.client_nodes)]));
+          *jakiro_server, *client_nodes[static_cast<size_t>(t % kClientNodes)]));
       for (int s = 0; s < jakiro_server->num_threads(); ++s) {
         all_channels.push_back(jakiro_clients.back()->channel(s));
       }
       engine.Spawn(KvDriver(engine, jakiro_clients.back().get(),
                             workload::Generator(config.workload,
                                                 SeedOr(0) + static_cast<uint64_t>(t)),
-                            config.verify_values, warmup_end, measure_end,
+                            warmup_end, measure_end,
                             &counters[static_cast<size_t>(t)]));
     }
     jakiro_server->Start();
@@ -789,22 +789,21 @@ KvRunResult RunKv(const KvRunConfig& config_in) {
 
 PilafRunResult RunPilaf(const PilafRunConfig& config_in) {
   PilafRunConfig config = config_in;
-  config.warmup = Scaled(config.warmup);
+  const sim::Time warmup_end = Scaled(kWarmup);
   config.measure = Scaled(config.measure);
   config.fabric.seed = SeedOr(config.fabric.seed);
   sim::Engine engine;
   BeginBenchRun(engine, "pilaf",
-                {{"client_nodes", std::to_string(config.client_nodes)},
+                {{"client_nodes", std::to_string(kPilafClientNodes)},
                  {"client_threads", std::to_string(config.client_threads)},
                  {"num_keys", std::to_string(config.workload.num_keys)},
                  {"get_fraction", std::to_string(config.workload.get_fraction)},
-                 {"warmup_ns", TimeParam(config.warmup)},
+                 {"warmup_ns", TimeParam(warmup_end)},
                  {"measure_ns", TimeParam(config.measure)}});
   rdma::Fabric fabric(engine, config.fabric);
   rdma::Node& server_node = fabric.AddNode("server");
 
   kv::PilafConfig pc;
-  pc.put_process_ns = config.put_process_ns;
   // ~75% fill, like the paper's Pilaf configuration.
   pc.num_slots = config.workload.num_keys * 4 / 3 + 64;
   pc.extent_bytes = std::max<size_t>(
@@ -823,17 +822,16 @@ PilafRunResult RunPilaf(const PilafRunConfig& config_in) {
   }
 
   std::vector<rdma::Node*> client_nodes;
-  for (int n = 0; n < config.client_nodes; ++n) {
+  for (int n = 0; n < kPilafClientNodes; ++n) {
     client_nodes.push_back(&fabric.AddNode("client" + std::to_string(n)));
   }
   std::vector<std::unique_ptr<kv::PilafClient>> clients;
   std::vector<ThreadCounters> counters(static_cast<size_t>(config.client_threads));
-  const sim::Time warmup_end = config.warmup;
-  const sim::Time measure_end = config.warmup + config.measure;
+  const sim::Time measure_end = warmup_end + config.measure;
   for (int t = 0; t < config.client_threads; ++t) {
     clients.push_back(std::make_unique<kv::PilafClient>(
-        fabric, *client_nodes[static_cast<size_t>(t % config.client_nodes)], server,
-        t % pc.server_threads));
+        fabric, *client_nodes[static_cast<size_t>(t % kPilafClientNodes)], server,
+        t % kv::kPilafServerThreads));
     workload::WorkloadSpec spec = config.workload;
     // Pilaf preloads versioned values; PUT sizes must stay >= 8.
     if (spec.value_size.kind == workload::ValueSizeSpec::Kind::kFixed) {

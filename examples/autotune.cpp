@@ -102,9 +102,8 @@ double RunWithFetchSize(uint32_t fetch_size) {
 int main() {
   // Step 1: profile the hardware (a one-off micro-benchmark pass).
   std::printf("profiling the fabric...\n");
-  rfp::ProfileOptions popts;
-  popts.window = sim::Micros(500);
-  const rfp::HardwareProfile profile = rfp::MeasureProfile(rdma::FabricConfig{}, popts);
+  const rfp::HardwareProfile profile =
+      rfp::MeasureProfile(rdma::FabricConfig{}, sim::Micros(500));
   std::printf("  in-bound peak %.2f MOPS, out-bound %.2f MOPS, fetch RTT %.0f ns\n",
               profile.InboundMopsAt(32), profile.outbound_write_mops, profile.fetch_rtt_ns);
 

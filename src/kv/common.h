@@ -17,6 +17,7 @@
 #include <stdexcept>
 
 #include "src/rdma/memory.h"
+#include "src/rfp/options.h"
 
 namespace kv {
 
@@ -28,6 +29,15 @@ constexpr uint16_t kRpcDelete = 3;
 // where size_or_miss == kMultiGetMiss marks an absent key.
 constexpr uint16_t kRpcMultiGet = 4;
 constexpr uint32_t kMultiGetMiss = 0xffffffffu;
+
+// Channel options of the stores whose only RPC path replies (Pilaf's and
+// FaRM's PUTs): the defaults with server-reply forced, since fetching would
+// be pointless for a path that exists precisely because GETs bypass the CPU.
+inline rfp::RfpOptions ServerReplyChannelOptions() {
+  rfp::RfpOptions options;
+  options.force_mode = rfp::RfpOptions::ForceMode::kForceReply;
+  return options;
+}
 
 enum class Status : uint8_t {
   kOk = 0,

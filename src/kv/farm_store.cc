@@ -15,6 +15,12 @@ namespace {
 
 uint64_t NormalizeHash(uint64_t h) { return h == 0 ? 1 : h; }
 
+// Fraction of kFarmPutProcessNs during which a staged cell is torn (the CRC
+// race window).
+constexpr double kRaceWindowFraction = 0.6;
+// Neighborhood READs before a GET gives up on a key that stays torn.
+constexpr int kMaxGetRetries = 64;
+
 }  // namespace
 
 // Slot layout:
@@ -27,7 +33,7 @@ FarmStore::FarmStore(rdma::Node& node, const FarmConfig& config)
   if (config_.num_buckets == 0 || config_.neighborhood <= 0 || config_.slots_per_bucket <= 0) {
     throw std::invalid_argument("farm store: bad geometry");
   }
-  cell_bytes_ = kCellHeaderBytes + config_.max_key_bytes + config_.max_value_bytes;
+  cell_bytes_ = kCellHeaderBytes + kFarmMaxKeyBytes + config_.max_value_bytes;
   const uint64_t total_buckets =
       config_.num_buckets + static_cast<uint64_t>(config_.neighborhood);
   // The cell array is a span inside the node's shared registered pool, so
@@ -162,7 +168,7 @@ int64_t FarmStore::MakeRoomInNeighborhood(uint64_t home) {
 
 std::optional<FarmStore::PendingPut> FarmStore::StageCell(std::span<const std::byte> key,
                                                           std::span<const std::byte> value) {
-  if (key.size() > config_.max_key_bytes || value.size() > config_.max_value_bytes) {
+  if (key.size() > kFarmMaxKeyBytes || value.size() > config_.max_value_bytes) {
     throw std::invalid_argument("farm store: key/value exceeds cell capacity");
   }
   const uint64_t key_hash = NormalizeHash(HashBytes(key));
@@ -250,11 +256,8 @@ bool FarmStore::Erase(std::span<const std::byte> key) {
 // ---- Server ---------------------------------------------------------------------
 
 FarmServer::FarmServer(rdma::Fabric& fabric, rdma::Node& node, FarmConfig config)
-    : config_([&config] {
-        config.channel_options.force_mode = rfp::RfpOptions::ForceMode::kForceReply;
-        return config;
-      }()),
-      rpc_(fabric, node, config_.server_threads, config_.server_options),
+    : config_(config),
+      rpc_(fabric, node, kFarmServerThreads),
       store_(node, config_),
       put_lock_(fabric.engine()) {
   RegisterHandlers();
@@ -276,13 +279,13 @@ void FarmServer::RegisterHandlers() {
           put_lock_.Unlock();
           co_return rfp::HandlerResult{EncodeStatus(resp, Status::kError), 0};
         }
-        const auto window = static_cast<sim::Time>(
-            config_.race_window_fraction * static_cast<double>(config_.put_process_ns));
+        const auto window =
+            static_cast<sim::Time>(kRaceWindowFraction * static_cast<double>(kFarmPutProcessNs));
         co_await engine.Sleep(window);
         store_.PublishCell(*pending);
         put_lock_.Unlock();
         co_return rfp::HandlerResult{EncodeStatus(resp, Status::kOk),
-                                     config_.put_process_ns - window};
+                                     kFarmPutProcessNs - window};
       });
 }
 
@@ -297,10 +300,10 @@ FarmClient::FarmClient(rdma::Fabric& fabric, rdma::Node& client_node, FarmServer
   pool_ = mem::Pool::Shared(client_node);
   read_span_ = pool_->Alloc(
       view_.cell_bytes * static_cast<size_t>(view_.neighborhood * view_.slots_per_bucket));
-  rfp::Channel* channel =
-      server.rpc().AcceptChannel(client_node, server.config().channel_options, put_thread);
+  const rfp::RfpOptions options = ServerReplyChannelOptions();
+  rfp::Channel* channel = server.rpc().AcceptChannel(client_node, options, put_thread);
   put_stub_ = std::make_unique<rfp::RpcClient>(channel);
-  scratch_.resize(server.config().channel_options.max_message_bytes);
+  scratch_.resize(options.max_message_bytes);
 }
 
 FarmClient::~FarmClient() { pool_->Free(read_span_); }
@@ -320,7 +323,7 @@ sim::Task<std::optional<size_t>> FarmClient::Get(std::span<const std::byte> key,
       home * static_cast<uint64_t>(view_.slots_per_bucket) * view_.cell_bytes;
 
   ++stats_.gets;
-  for (int attempt = 0; attempt < server_.config().max_get_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxGetRetries; ++attempt) {
     // ONE one-sided READ covering the whole neighborhood (FaRM's pattern).
     rdma::WorkCompletion wc = co_await qp_->Read(*read_span_.mr, read_span_.offset, view_.rkey,
                                                  view_.base + home_offset, read_bytes);

@@ -33,20 +33,19 @@
 
 namespace kv {
 
+// Server threads: PUT service only; GETs never hit the CPU.
+inline constexpr int kFarmServerThreads = 2;
+// Key capacity of a cell (part of the cell size a GET READs).
+inline constexpr uint16_t kFarmMaxKeyBytes = 16;
+// Server-side PUT cost: hopscotch maintenance + CRC.
+inline constexpr sim::Time kFarmPutProcessNs = 1200;
+
 struct FarmConfig {
   uint64_t num_buckets = 1 << 18;
   int slots_per_bucket = 4;    // associativity (FaRM's chained-associative
                                // scheme; keeps displacement viable past 75%)
   int neighborhood = 8;        // H: buckets fetched per GET
-  uint16_t max_key_bytes = 16;
   uint16_t max_value_bytes = 64;  // cell capacity (sizes the READ)
-  // Server-side PUT cost: hopscotch maintenance + CRC.
-  sim::Time put_process_ns = 1200;
-  double race_window_fraction = 0.6;
-  int max_get_retries = 64;
-  int server_threads = 2;
-  rfp::RfpOptions channel_options;  // forced to server-reply in the ctor
-  rfp::ServerOptions server_options;
 };
 
 class FarmStore {

@@ -102,7 +102,7 @@ void JakiroServer::RegisterHandlers() {
                                        std::span<std::byte> resp) -> rfp::HandlerResult {
     const auto get = DecodeGet(req);
     if (!get.has_value()) {
-      return {EncodeStatus(resp, Status::kError), config_.get_process_ns};
+      return {EncodeStatus(resp, Status::kError), kJakiroGetProcessNs};
     }
     BucketTable& table = partition(ctx.thread_index);
     if (config_.zero_copy_get) {
@@ -112,7 +112,7 @@ void JakiroServer::RegisterHandlers() {
       // exactly, so the decode path below needs no mode awareness.
       auto pinned = table.GetPinned(get->key);
       if (!pinned.has_value()) {
-        return {EncodeStatus(resp, Status::kNotFound), config_.get_process_ns};
+        return {EncodeStatus(resp, Status::kNotFound), kJakiroGetProcessNs};
       }
       rfp::ZeroCopyRef ref;
       ref.rkey = pinned->rkey;
@@ -120,13 +120,13 @@ void JakiroServer::RegisterHandlers() {
       ref.len = pinned->len;
       ref.epoch = pinned->epoch;
       ref.pin = std::move(pinned->pin);
-      return {EncodeStatus(resp, Status::kOk), config_.get_process_ns, std::move(ref)};
+      return {EncodeStatus(resp, Status::kOk), kJakiroGetProcessNs, std::move(ref)};
     }
     const auto value = table.Get(get->key);
     if (!value.has_value()) {
-      return {EncodeStatus(resp, Status::kNotFound), config_.get_process_ns};
+      return {EncodeStatus(resp, Status::kNotFound), kJakiroGetProcessNs};
     }
-    return {EncodeGetResponse(resp, Status::kOk, *value), config_.get_process_ns};
+    return {EncodeGetResponse(resp, Status::kOk, *value), kJakiroGetProcessNs};
   });
 
   // PUT and DELETE are coroutine handlers so the replication hook can
@@ -138,13 +138,19 @@ void JakiroServer::RegisterHandlers() {
         const auto put = DecodePut(req);
         if (!put.has_value()) {
           co_return rfp::HandlerResult{EncodeStatus(resp, Status::kError),
-                                       config_.put_process_ns};
+                                       kJakiroPutProcessNs};
         }
-        partition(ctx.thread_index).Put(put->key, put->value);
+        try {
+          partition(ctx.thread_index).Put(put->key, put->value);
+        } catch (const mem::ExhaustedError&) {
+          // The node's registration budget cannot hold the value (pool-backed
+          // partitions only): refuse this PUT and keep serving.
+          co_return rfp::HandlerResult{EncodeStatus(resp, Status::kError), kJakiroPutProcessNs};
+        }
         if (repl_hook_) {
           co_await repl_hook_(ctx.thread_index, kRpcPut, put->key, put->value);
         }
-        co_return rfp::HandlerResult{EncodeStatus(resp, Status::kOk), config_.put_process_ns};
+        co_return rfp::HandlerResult{EncodeStatus(resp, Status::kOk), kJakiroPutProcessNs};
       });
 
   rpc_.RegisterHandler(kRpcMultiGet, [this](const rfp::HandlerContext& ctx,
@@ -152,7 +158,7 @@ void JakiroServer::RegisterHandlers() {
                                             std::span<std::byte> resp) -> rfp::HandlerResult {
     uint16_t count = 0;
     if (req.size() < sizeof(count)) {
-      return {EncodeStatus(resp, Status::kError), config_.get_process_ns};
+      return {EncodeStatus(resp, Status::kError), kJakiroGetProcessNs};
     }
     std::memcpy(&count, req.data(), sizeof(count));
     BucketTable& table = partition(ctx.thread_index);
@@ -163,12 +169,12 @@ void JakiroServer::RegisterHandlers() {
     for (uint16_t i = 0; i < count; ++i) {
       uint16_t key_size = 0;
       if (req.size() < in + sizeof(key_size)) {
-        return {EncodeStatus(resp, Status::kError), config_.get_process_ns};
+        return {EncodeStatus(resp, Status::kError), kJakiroGetProcessNs};
       }
       std::memcpy(&key_size, req.data() + in, sizeof(key_size));
       in += sizeof(key_size);
       if (req.size() < in + key_size) {
-        return {EncodeStatus(resp, Status::kError), config_.get_process_ns};
+        return {EncodeStatus(resp, Status::kError), kJakiroGetProcessNs};
       }
       const auto value = table.Get(req.subspan(in, key_size));
       in += key_size;
@@ -177,7 +183,7 @@ void JakiroServer::RegisterHandlers() {
       // A legal request can ask for more than the dispatch buffer holds:
       // answer kError (the client's decode throws) instead of overrunning it.
       if (resp.size() - out < sizeof(size) + (value.has_value() ? value->size() : 0)) {
-        return {EncodeStatus(resp, Status::kError), config_.get_process_ns};
+        return {EncodeStatus(resp, Status::kError), kJakiroGetProcessNs};
       }
       std::memcpy(resp.data() + out, &size, sizeof(size));
       out += sizeof(size);
@@ -187,7 +193,7 @@ void JakiroServer::RegisterHandlers() {
       }
     }
     // One hash-table lookup's worth of CPU per key.
-    return {out, config_.get_process_ns * count};
+    return {out, kJakiroGetProcessNs * count};
   });
 
   rpc_.RegisterAsyncHandler(
@@ -196,7 +202,7 @@ void JakiroServer::RegisterHandlers() {
         const auto del = DecodeGet(req);
         if (!del.has_value()) {
           co_return rfp::HandlerResult{EncodeStatus(resp, Status::kError),
-                                       config_.put_process_ns};
+                                       kJakiroPutProcessNs};
         }
         const bool erased = partition(ctx.thread_index).Erase(del->key);
         // Only applied mutations replicate: a miss changed nothing, so the
@@ -205,7 +211,7 @@ void JakiroServer::RegisterHandlers() {
           co_await repl_hook_(ctx.thread_index, kRpcDelete, del->key, {});
         }
         co_return rfp::HandlerResult{EncodeStatus(resp, erased ? Status::kOk : Status::kNotFound),
-                                     config_.put_process_ns};
+                                     kJakiroPutProcessNs};
       });
 }
 

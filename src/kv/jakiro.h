@@ -38,12 +38,14 @@ namespace kv {
 
 class ConfigBuilder;
 
+// CPU cost of one hash-table operation: a lookup (GET, and per key of a
+// multi-GET) or an insert + LRU update (PUT, DELETE, replication apply).
+inline constexpr sim::Time kJakiroGetProcessNs = 150;
+inline constexpr sim::Time kJakiroPutProcessNs = 250;
+
 struct JakiroConfig {
   int server_threads = 6;
   size_t buckets_per_partition = 1 << 15;  // x8 slots each
-  // CPU cost of one hash-table operation (lookup / insert+LRU update).
-  sim::Time get_process_ns = 150;
-  sim::Time put_process_ns = 250;
   // Zero-copy GET (docs/memory.md): partitions store values in registered
   // slabs from the node's shared mem::Pool, and the GET handler answers with
   // an indirect descriptor — the client READs the value straight out of the

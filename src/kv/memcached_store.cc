@@ -1,6 +1,7 @@
 #include "src/kv/memcached_store.h"
 
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 
 #include "src/kv/common.h"
@@ -15,6 +16,15 @@ std::string KeyString(std::span<const std::byte> key) {
   return std::string(reinterpret_cast<const char*>(key.data()), key.size());
 }
 
+// Pool::Alloc, or nullopt when the node's registration budget is full.
+std::optional<mem::Span> TryAlloc(mem::Pool& pool, size_t size) {
+  try {
+    return pool.Alloc(size);
+  } catch (const mem::ExhaustedError&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 MemcachedServer::MemcachedServer(rdma::Fabric& fabric, rdma::Node& node, MemcachedConfig config)
@@ -22,7 +32,7 @@ MemcachedServer::MemcachedServer(rdma::Fabric& fabric, rdma::Node& node, Memcach
         config.channel_options.force_mode = rfp::RfpOptions::ForceMode::kForceReply;
         return config;
       }()),
-      rpc_(fabric, node, config_.server_threads, config_.server_options),
+      rpc_(fabric, node, config_.server_threads),
       pool_(mem::Pool::Shared(node)),
       cache_lock_(fabric.engine()) {
   RegisterHandlers();
@@ -50,7 +60,7 @@ bool MemcachedServer::TouchHotSet(uint64_t key_hash) {
   }
   hot_list_.push_front(key_hash);
   hot_index_[key_hash] = hot_list_.begin();
-  if (hot_list_.size() > config_.hot_set_size) {
+  if (hot_list_.size() > kMemcachedHotSetSize) {
     hot_index_.erase(hot_list_.back());
     hot_list_.pop_back();
   }
@@ -66,7 +76,7 @@ MemcachedServer::Item* MemcachedServer::LookupAndTouch(const std::string& key) {
   return &*it->second;
 }
 
-void MemcachedServer::Store(const std::string& key, std::span<const std::byte> value) {
+bool MemcachedServer::Store(const std::string& key, std::span<const std::byte> value) {
   auto it = items_.find(key);
   if (it != items_.end()) {
     Item& item = *it->second;
@@ -74,12 +84,19 @@ void MemcachedServer::Store(const std::string& key, std::span<const std::byte> v
       // Outgrew the slab chunk: swap in a larger one (memcached's
       // slab-class promotion).
       pool_->Free(item.span);
-      item.span = pool_->Alloc(value.size());
+      const std::optional<mem::Span> grown = TryAlloc(*pool_, value.size());
+      if (!grown.has_value()) {
+        // The old chunk is already freed: drop the item rather than keep it.
+        lru_.erase(it->second);
+        items_.erase(it);
+        return false;
+      }
+      item.span = *grown;
     }
     item.len = static_cast<uint32_t>(value.size());
     rdma::CopyBytes(item.span.mr->bytes().subspan(item.span.offset, value.size()), value);
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return true;
   }
   if (items_.size() >= config_.capacity_items) {
     pool_->Free(lru_.back().span);
@@ -87,14 +104,22 @@ void MemcachedServer::Store(const std::string& key, std::span<const std::byte> v
     lru_.pop_back();
     ++stats_.evictions;
   }
-  Item item{key, pool_->Alloc(value.size()), static_cast<uint32_t>(value.size())};
+  const std::optional<mem::Span> span = TryAlloc(*pool_, value.size());
+  if (!span.has_value()) {
+    return false;
+  }
+  Item item{key, *span, static_cast<uint32_t>(value.size())};
   rdma::CopyBytes(item.span.mr->bytes().subspan(item.span.offset, value.size()), value);
   lru_.push_front(std::move(item));
   items_[key] = lru_.begin();
+  return true;
 }
 
 void MemcachedServer::Preload(std::span<const std::byte> key, std::span<const std::byte> value) {
-  Store(KeyString(key), value);
+  if (!Store(KeyString(key), value)) {
+    throw mem::ExhaustedError("memcached preload: registration budget of " +
+                              rpc_.node().name() + " exhausted");
+  }
 }
 
 void MemcachedServer::RegisterHandlers() {
@@ -113,14 +138,14 @@ void MemcachedServer::RegisterHandlers() {
         if (hot) {
           ++stats_.hot_hits;
         }
-        const double scale = hot ? config_.hot_discount : 1.0;
+        const double scale = hot ? kMemcachedHotDiscount : 1.0;
         co_await engine.Sleep(
-            static_cast<sim::Time>(static_cast<double>(config_.get_cpu_ns) * scale));
+            static_cast<sim::Time>(static_cast<double>(kMemcachedGetCpuNs) * scale));
         co_await cache_lock_.Lock();
         // Locality also shortens the critical section: the hash chain and
         // LRU nodes of a hot key are cache-resident.
         co_await engine.Sleep(
-            static_cast<sim::Time>(static_cast<double>(config_.get_lock_ns) * scale));
+            static_cast<sim::Time>(static_cast<double>(kMemcachedGetLockNs) * scale));
         Item* item = LookupAndTouch(KeyString(get->key));
         ++stats_.gets;
         size_t n = 0;
@@ -148,16 +173,16 @@ void MemcachedServer::RegisterHandlers() {
         if (hot) {
           ++stats_.hot_hits;
         }
-        const double scale = hot ? config_.hot_discount : 1.0;
+        const double scale = hot ? kMemcachedHotDiscount : 1.0;
         co_await engine.Sleep(
-            static_cast<sim::Time>(static_cast<double>(config_.put_cpu_ns) * scale));
+            static_cast<sim::Time>(static_cast<double>(kMemcachedPutCpuNs) * scale));
         co_await cache_lock_.Lock();
         co_await engine.Sleep(
-            static_cast<sim::Time>(static_cast<double>(config_.put_lock_ns) * scale));
-        Store(KeyString(put->key), put->value);
+            static_cast<sim::Time>(static_cast<double>(kMemcachedPutLockNs) * scale));
+        const bool stored = Store(KeyString(put->key), put->value);
         ++stats_.puts;
         cache_lock_.Unlock();
-        co_return rfp::HandlerResult{EncodeStatus(resp, Status::kOk), 0};
+        co_return rfp::HandlerResult{EncodeStatus(resp, stored ? Status::kOk : Status::kError), 0};
       });
 }
 

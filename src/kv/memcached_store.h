@@ -29,26 +29,26 @@
 
 namespace kv {
 
+// Per-op CPU outside the lock: full memcached item path (hashing, slab
+// accounting, protocol handling). PUTs also take the slab allocator path.
+inline constexpr sim::Time kMemcachedGetCpuNs = 8200;
+inline constexpr sim::Time kMemcachedPutCpuNs = 14000;
+// Critical section under the global cache lock: a GET is hash + LRU splice;
+// a PUT additionally runs slab allocation and eviction accounting, so its
+// lock hold is several times longer.
+inline constexpr sim::Time kMemcachedGetLockNs = 650;
+inline constexpr sim::Time kMemcachedPutLockNs = 2500;
+// CPU-cache locality emulation: ops on one of the `kMemcachedHotSetSize`
+// most recently touched keys cost cpu * kMemcachedHotDiscount (drives the
+// skewed-load advantage in Fig 19).
+inline constexpr double kMemcachedHotDiscount = 0.35;
+inline constexpr size_t kMemcachedHotSetSize = 4096;
+
 struct MemcachedConfig {
   int server_threads = 16;
-  // Per-op CPU outside the lock: full memcached item path (hashing, slab
-  // accounting, protocol handling). PUTs also take the slab allocator path.
-  sim::Time get_cpu_ns = 8200;
-  sim::Time put_cpu_ns = 14000;
-  // Critical section under the global cache lock: a GET is hash + LRU
-  // splice; a PUT additionally runs slab allocation and eviction
-  // accounting, so its lock hold is several times longer.
-  sim::Time get_lock_ns = 650;
-  sim::Time put_lock_ns = 2500;
-  // CPU-cache locality emulation: ops on one of the `hot_set_size` most
-  // recently touched keys cost cpu * hot_discount (drives the skewed-load
-  // advantage in Fig 19).
-  double hot_discount = 0.35;
-  size_t hot_set_size = 4096;
-  // Item capacity before global-LRU eviction.
+  // Deployment limit: item capacity before global-LRU eviction.
   size_t capacity_items = 4u << 20;
   rfp::RfpOptions channel_options;  // forced to server-reply in the ctor
-  rfp::ServerOptions server_options;
 };
 
 class MemcachedServer {
@@ -79,7 +79,8 @@ class MemcachedServer {
   void Start() { rpc_.Start(); }
   void Stop() { rpc_.Stop(); }
 
-  // Instant pre-fill (no simulated time).
+  // Instant pre-fill (no simulated time). Throws mem::ExhaustedError when
+  // the node's registration budget cannot hold the value.
   void Preload(std::span<const std::byte> key, std::span<const std::byte> value);
 
  private:
@@ -100,7 +101,9 @@ class MemcachedServer {
   void RegisterHandlers();
   // Hash + LRU touch under the lock; returns the item or nullptr.
   Item* LookupAndTouch(const std::string& key);
-  void Store(const std::string& key, std::span<const std::byte> value);
+  // Returns false when the node's registration budget cannot hold the
+  // value; the key is then absent (an outgrown item is dropped).
+  bool Store(const std::string& key, std::span<const std::byte> value);
   // CPU-cache locality model: true (and refreshed) when `key_hash` was
   // touched recently.
   bool TouchHotSet(uint64_t key_hash);

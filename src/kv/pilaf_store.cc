@@ -9,15 +9,21 @@
 
 namespace kv {
 
+namespace {
+
+// Fraction of kPilafPutProcessNs during which the extent is newer than the
+// published slot (the CRC race window).
+constexpr double kRaceWindowFraction = 0.6;
+// Whole-lookup attempts before a GET gives up on a key that stays torn.
+constexpr int kMaxGetRetries = 64;
+constexpr uint64_t kCuckooSeed = 0x50494c41;  // "PILA"
+
+}  // namespace
+
 PilafServer::PilafServer(rdma::Fabric& fabric, rdma::Node& node, PilafConfig config)
-    : config_([&config] {
-        // Pilaf serves PUT results by replying; fetching would be pointless
-        // for a path that exists precisely because GETs bypass the CPU.
-        config.channel_options.force_mode = rfp::RfpOptions::ForceMode::kForceReply;
-        return config;
-      }()),
-      rpc_(fabric, node, config_.server_threads, config_.server_options),
-      table_(node, config_.num_slots, config_.extent_bytes, config_.seed),
+    : config_(config),
+      rpc_(fabric, node, kPilafServerThreads),
+      table_(node, config_.num_slots, config_.extent_bytes, kCuckooSeed),
       put_lock_(fabric.engine()) {
   RegisterHandlers();
 }
@@ -41,14 +47,13 @@ void PilafServer::RegisterHandlers() {
           put_lock_.Unlock();
           co_return rfp::HandlerResult{EncodeStatus(resp, Status::kError), 0};
         }
-        const auto window =
-            static_cast<sim::Time>(config_.race_window_fraction *
-                                   static_cast<double>(config_.put_process_ns));
+        const auto window = static_cast<sim::Time>(
+            kRaceWindowFraction * static_cast<double>(kPilafPutProcessNs));
         co_await engine.Sleep(window);
         table_.PublishSlot(*pending);
         put_lock_.Unlock();
         co_return rfp::HandlerResult{EncodeStatus(resp, Status::kOk),
-                                     config_.put_process_ns - window};
+                                     kPilafPutProcessNs - window};
       });
 }
 
@@ -60,10 +65,10 @@ PilafClient::PilafClient(rdma::Fabric& fabric, rdma::Node& client_node, PilafSer
   qp_ = cqp;
   pool_ = mem::Pool::Shared(client_node);
   read_span_ = pool_->Alloc(CuckooTable::kSlotBytes + 2 * (UINT16_MAX + 1));
-  rfp::Channel* channel = server.rpc().AcceptChannel(
-      client_node, server.config().channel_options, put_thread);
+  const rfp::RfpOptions options = ServerReplyChannelOptions();
+  rfp::Channel* channel = server.rpc().AcceptChannel(client_node, options, put_thread);
   put_stub_ = std::make_unique<rfp::RpcClient>(channel);
-  scratch_.resize(server.config().channel_options.max_message_bytes);
+  scratch_.resize(options.max_message_bytes);
 }
 
 PilafClient::~PilafClient() {
@@ -93,7 +98,7 @@ sim::Task<std::optional<size_t>> PilafClient::Get(std::span<const std::byte> key
   CuckooTable::Positions(key_hash, view_.num_slots, positions);
 
   ++stats_.gets;
-  for (int attempt = 0; attempt < server_.config().max_get_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxGetRetries; ++attempt) {
     bool torn = false;
     for (uint64_t pos : positions) {
       // Probe one candidate slot (one-sided READ of 24 bytes).

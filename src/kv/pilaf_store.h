@@ -27,20 +27,15 @@
 
 namespace kv {
 
+// Server threads: PUT service only; GETs never hit the CPU.
+inline constexpr int kPilafServerThreads = 2;
+// Server-side PUT cost: cuckoo maintenance plus a CRC64 pass over the record
+// (Pilaf computes checksums on every update).
+inline constexpr sim::Time kPilafPutProcessNs = 1500;
+
 struct PilafConfig {
   uint64_t num_slots = 1 << 20;       // sized so benches stay <= ~75% full
   size_t extent_bytes = 256u << 20;   // bump-allocated record log
-  // Server-side PUT cost: cuckoo maintenance plus a CRC64 pass over the
-  // record (Pilaf computes checksums on every update).
-  sim::Time put_process_ns = 1500;
-  // Fraction of put_process_ns during which the extent is newer than the
-  // published slot (the CRC race window).
-  double race_window_fraction = 0.6;
-  int max_get_retries = 64;
-  int server_threads = 2;             // PUT service only; GETs never hit CPU
-  rfp::RfpOptions channel_options;    // forced to server-reply in the ctor
-  rfp::ServerOptions server_options;
-  uint64_t seed = 0x50494c41;         // "PILA"
 };
 
 class PilafServer {

@@ -10,52 +10,27 @@ namespace mem {
 
 namespace {
 
-int Log2(size_t v) { return static_cast<int>(std::bit_width(v)) - 1; }
+using rdma::kMemArenaBytes;
+using rdma::kMemBlockBytes;
+
+constexpr int Log2(size_t v) { return static_cast<int>(std::bit_width(v)) - 1; }
+
+constexpr int kMaxOrder = rdma::kMemPoolLevel - 1;
+// Smallest slab chunk: every allocation rounds up to at least this.
+constexpr size_t kMinChunk = kMemBlockBytes >> rdma::kMemSlabClasses;
+
+// `rounded` is a power of two in [kMinChunk, block/2].
+constexpr int ClassIndexFor(size_t rounded) { return Log2(kMemBlockBytes) - Log2(rounded) - 1; }
+
+// `rounded` is a power of two in [block, arena].
+constexpr int OrderFor(size_t rounded) { return Log2(rounded) - Log2(kMemBlockBytes); }
 
 }  // namespace
 
-PoolOptions PoolOptionsFrom(const rdma::NicConfig& config) {
-  PoolOptions options;
-  options.block_bytes = config.mem_block_bytes;
-  options.pool_level = config.mem_pool_level;
-  options.slab_classes = config.mem_slab_classes;
-  options.slab_magazine = config.mem_slab_magazine;
-  options.max_registered_bytes = config.mem_max_registered_bytes;
-  return options;
-}
-
-void ValidateOptions(const PoolOptions& options) {
-  auto reject = [](const char* what) {
-    throw std::invalid_argument(std::string("mem::PoolOptions: ") + what);
-  };
-  if (!std::has_single_bit(options.block_bytes) || options.block_bytes < 64) {
-    reject("block_bytes must be a power of two >= 64");
-  }
-  if (options.pool_level < 1 || options.pool_level > 32) {
-    reject("pool_level must be in [1, 32]");
-  }
-  if (static_cast<size_t>(std::countl_zero(options.block_bytes)) <
-      static_cast<size_t>(options.pool_level - 1)) {
-    reject("block_bytes << (pool_level - 1) overflows size_t");
-  }
-  if (options.slab_classes < 0 ||
-      (options.slab_classes > 0 && (options.block_bytes >> options.slab_classes) < 32)) {
-    reject("slab_classes must keep the smallest slab class >= 32 bytes");
-  }
-  if (options.slab_magazine < 0) reject("slab_magazine must be >= 0");
-  const size_t arena = options.block_bytes << (options.pool_level - 1);
-  if (options.max_registered_bytes != 0 && options.max_registered_bytes < arena) {
-    reject("max_registered_bytes smaller than one arena");
-  }
-}
-
-Pool::Pool(rdma::Node& node, PoolOptions options)
-    : node_(node), options_(options), node_name_(node.name()) {
-  ValidateOptions(options_);
-  arena_bytes_ = options_.block_bytes << (options_.pool_level - 1);
-  max_order_ = options_.pool_level - 1;
-  partial_slabs_.resize(static_cast<size_t>(std::max(options_.slab_classes, 0)));
-}
+Pool::Pool(rdma::Node& node)
+    : node_(node),
+      max_registered_bytes_(node.nic().config().mem_max_registered_bytes),
+      node_name_(node.name()) {}
 
 Pool::~Pool() {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -77,37 +52,23 @@ Pool::~Pool() {
   }
 }
 
-int Pool::ClassIndexFor(size_t rounded) const {
-  // rounded is a power of two in [min chunk, block/2].
-  return Log2(options_.block_bytes) - Log2(rounded) - 1;
-}
-
-int Pool::OrderFor(size_t rounded) const {
-  // rounded is a power of two in [block, arena].
-  return Log2(rounded) - Log2(options_.block_bytes);
-}
-
 void Pool::CheckRegistrationBudget(size_t bytes) const {
-  if (options_.max_registered_bytes != 0 &&
-      registered_bytes_ + bytes > options_.max_registered_bytes) {
+  if (max_registered_bytes_ != 0 && registered_bytes_ + bytes > max_registered_bytes_) {
     throw ExhaustedError(
         "mem::Pool exhausted on " + node_name_ + ": registering " + std::to_string(bytes) +
         " more bytes would exceed max_registered_bytes=" +
-        std::to_string(options_.max_registered_bytes) + " (currently registered " +
+        std::to_string(max_registered_bytes_) + " (currently registered " +
         std::to_string(registered_bytes_) + ")");
   }
 }
 
 Span Pool::Alloc(size_t size) {
   const uint64_t registrations_before = registrations_;
-  const size_t min_chunk = options_.slab_classes > 0
-                               ? options_.block_bytes >> options_.slab_classes
-                               : options_.block_bytes;
   Span span;
-  const size_t rounded = std::bit_ceil(std::max(size, min_chunk));
-  if (rounded < options_.block_bytes) {
+  const size_t rounded = std::bit_ceil(std::max(size, kMinChunk));
+  if (rounded < kMemBlockBytes) {
     span = SlabAlloc(ClassIndexFor(rounded), size);
-  } else if (rounded <= arena_bytes_) {
+  } else if (rounded <= kMemArenaBytes) {
     span = BuddyAlloc(OrderFor(rounded), size);
   } else {
     span = HugeAlloc(size);
@@ -127,7 +88,7 @@ void Pool::Free(const Span& span) {
   auto arena_it = arena_by_mr_.find(span.mr);
   if (arena_it != arena_by_mr_.end()) {
     Arena& arena = *arenas_[arena_it->second];
-    const size_t block_off = span.offset & ~(options_.block_bytes - 1);
+    const size_t block_off = span.offset & ~(kMemBlockBytes - 1);
     auto slab_it = arena.slabs.find(block_off);
     if (slab_it != arena.slabs.end()) {
       SlabFree(arena, *slab_it->second, span.offset);
@@ -139,7 +100,7 @@ void Pool::Free(const Span& span) {
     }
     const int order = order_it->second;
     arena.allocated_order.erase(order_it);
-    in_use_bytes_ -= options_.block_bytes << order;
+    in_use_bytes_ -= kMemBlockBytes << order;
     BuddyFree(arena, span.offset, order);
     return;
   }
@@ -154,18 +115,18 @@ void Pool::Free(const Span& span) {
 
 Pool::Arena& Pool::EnsureArenaWithOrder(int order) {
   for (auto& arena : arenas_) {
-    for (int o = order; o <= max_order_; ++o) {
+    for (int o = order; o <= kMaxOrder; ++o) {
       if (!arena->free_by_order[static_cast<size_t>(o)].empty()) {
         return *arena;
       }
     }
   }
-  CheckRegistrationBudget(arena_bytes_);
+  CheckRegistrationBudget(kMemArenaBytes);
   auto arena = std::make_unique<Arena>();
-  arena->mr = node_.RegisterMemory(arena_bytes_, options_.access);
-  arena->free_by_order.resize(static_cast<size_t>(max_order_) + 1);
-  arena->free_by_order[static_cast<size_t>(max_order_)].insert(0);
-  registered_bytes_ += arena_bytes_;
+  arena->mr = node_.RegisterMemory(kMemArenaBytes, kArenaAccess);
+  arena->free_by_order.resize(static_cast<size_t>(kMaxOrder) + 1);
+  arena->free_by_order[static_cast<size_t>(kMaxOrder)].insert(0);
+  registered_bytes_ += kMemArenaBytes;
   ++registrations_;
   arena_by_mr_[arena->mr] = static_cast<uint32_t>(arenas_.size());
   arenas_.push_back(std::move(arena));
@@ -184,17 +145,17 @@ Span Pool::BuddyAlloc(int order, size_t size) {
     --have;
     // Keep the lower half, release the upper buddy at the shrunk order.
     arena.free_by_order[static_cast<size_t>(have)].insert(offset +
-                                                          (options_.block_bytes << have));
+                                                          (kMemBlockBytes << have));
   }
   arena.allocated_order[offset] = order;
-  in_use_bytes_ += options_.block_bytes << order;
+  in_use_bytes_ += kMemBlockBytes << order;
   return Span{arena.mr, offset, size};
 }
 
 void Pool::BuddyFree(Arena& arena, size_t offset, int order) {
   size_t cur = offset;
-  while (order < max_order_) {
-    const size_t buddy = cur ^ (options_.block_bytes << order);
+  while (order < kMaxOrder) {
+    const size_t buddy = cur ^ (kMemBlockBytes << order);
     auto& peers = arena.free_by_order[static_cast<size_t>(order)];
     auto it = peers.find(buddy);
     if (it == peers.end()) {
@@ -221,14 +182,14 @@ Span Pool::SlabAlloc(int class_index, size_t size) {
     while (have > 0) {
       --have;
       arena.free_by_order[static_cast<size_t>(have)].insert(offset +
-                                                            (options_.block_bytes << have));
+                                                            (kMemBlockBytes << have));
     }
     auto slab = std::make_unique<Slab>();
     slab->class_index = class_index;
     slab->base_offset = offset;
     slab->arena_index = arena_by_mr_.at(arena.mr);
     const uint32_t chunks =
-        static_cast<uint32_t>(options_.block_bytes / ChunkBytes(class_index));
+        static_cast<uint32_t>(kMemBlockBytes / ChunkBytes(class_index));
     slab->free_chunks.reserve(chunks);
     // Descending so chunk 0 pops first.
     for (uint32_t i = chunks; i > 0; --i) {
@@ -263,7 +224,7 @@ void Pool::SlabFree(Arena& arena, Slab& slab, size_t offset) {
   slab.free_chunks.push_back(static_cast<uint32_t>(rel / chunk_bytes));
   --slab.live;
   in_use_bytes_ -= chunk_bytes;
-  if (slab.live == 0 && partials.size() > static_cast<size_t>(options_.slab_magazine)) {
+  if (slab.live == 0 && partials.size() > static_cast<size_t>(rdma::kMemSlabMagazine)) {
     // Magazine overflow: dissolve this fully-free slab back into the buddy.
     auto it = std::find(partials.begin(), partials.end(), &slab);
     if (it != partials.end()) {
@@ -277,8 +238,7 @@ void Pool::SlabFree(Arena& arena, Slab& slab, size_t offset) {
 }
 
 Span Pool::HugeAlloc(size_t size) {
-  const size_t reserved =
-      (size + options_.block_bytes - 1) / options_.block_bytes * options_.block_bytes;
+  const size_t reserved = (size + kMemBlockBytes - 1) / kMemBlockBytes * kMemBlockBytes;
   auto it = huge_free_.find(reserved);
   rdma::MemoryRegion* mr = nullptr;
   if (it != huge_free_.end() && !it->second.empty()) {
@@ -286,7 +246,7 @@ Span Pool::HugeAlloc(size_t size) {
     it->second.pop_back();
   } else {
     CheckRegistrationBudget(reserved);
-    mr = node_.RegisterMemory(reserved, options_.access);
+    mr = node_.RegisterMemory(reserved, kArenaAccess);
     registered_bytes_ += reserved;
     ++registrations_;
     ++huge_count_;
@@ -302,8 +262,8 @@ std::vector<Pool::ArenaStats> Pool::ArenaUtilization() const {
   for (const auto& arena : arenas_) {
     size_t free_bytes = 0;
     size_t largest = 0;
-    for (int o = 0; o <= max_order_; ++o) {
-      const size_t block = options_.block_bytes << o;
+    for (int o = 0; o <= kMaxOrder; ++o) {
+      const size_t block = kMemBlockBytes << o;
       const size_t count = arena->free_by_order[static_cast<size_t>(o)].size();
       free_bytes += block * count;
       if (count > 0) {
@@ -315,7 +275,7 @@ std::vector<Pool::ArenaStats> Pool::ArenaUtilization() const {
     }
     ArenaStats s;
     s.occupancy_pct =
-        100.0 * (1.0 - static_cast<double>(free_bytes) / static_cast<double>(arena_bytes_));
+        100.0 * (1.0 - static_cast<double>(free_bytes) / static_cast<double>(kMemArenaBytes));
     s.fragmentation_pct =
         free_bytes == 0
             ? 0.0
@@ -329,7 +289,7 @@ std::shared_ptr<Pool> Pool::Shared(rdma::Node& node) {
   if (auto existing = std::static_pointer_cast<Pool>(node.pool_handle())) {
     return existing;
   }
-  auto pool = std::make_shared<Pool>(node, PoolOptionsFrom(node.nic().config()));
+  auto pool = std::make_shared<Pool>(node);
   node.set_pool_handle(pool);
   return pool;
 }

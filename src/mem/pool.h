@@ -17,6 +17,7 @@
 #ifndef SRC_MEM_POOL_H_
 #define SRC_MEM_POOL_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -33,39 +34,19 @@
 
 namespace mem {
 
-// Geometry of one node's pool. Defaults mirror the NicConfig mem_* knobs;
-// PoolOptionsFrom translates a NicConfig so per-node pools follow the
-// hardware profile they run on.
-struct PoolOptions {
-  // Buddy leaf block: smallest buddy unit and the slab carving unit.
-  // Power of two >= 64.
-  size_t block_bytes = 4096;
-  // Buddy orders per arena: an arena registers
-  // block_bytes << (pool_level - 1) bytes in one MR.
-  int pool_level = 13;
-  // Power-of-two slab classes below the leaf block (block/2 ... block >>
-  // slab_classes, smallest >= 32). 0 disables the slab front-end.
-  int slab_classes = 6;
-  // Fully-free slabs (and huge regions per size) kept cached per class
-  // before surplus frees coalesce back into the buddy.
-  int slab_magazine = 64;
-  // Hard cap on bytes this pool may register (0 = unbounded). Allocations
-  // that would register past it throw ExhaustedError.
-  size_t max_registered_bytes = 0;
-  // Access flags for every arena. Remote read+write by default: response
-  // rings are fetched by clients, request rings written by them, and
-  // zero-copy GET entries must be remotely readable.
-  uint32_t access = rdma::kAccessRemoteRead | rdma::kAccessRemoteWrite;
-};
-
-PoolOptions PoolOptionsFrom(const rdma::NicConfig& config);
-
-// Throws std::invalid_argument on inconsistent geometry (mirrors the
-// rdma::ValidateConfig checks for the mem_* knobs).
-void ValidateOptions(const PoolOptions& options);
+// Geometry of every node's pool: rdma::kMemBlockBytes leaf blocks,
+// rdma::kMemPoolLevel buddy orders per arena (rdma::kMemArenaBytes),
+// rdma::kMemSlabClasses slab classes and rdma::kMemSlabMagazine cached free
+// slabs per class (src/rdma/config.h checks them). The one per-node setting
+// is the registration budget, NicConfig::mem_max_registered_bytes.
+//
+// Access flags for every arena. Remote read+write: response rings are
+// fetched by clients, request rings written by them, and zero-copy GET
+// entries must be remotely readable.
+inline constexpr uint32_t kArenaAccess = rdma::kAccessRemoteRead | rdma::kAccessRemoteWrite;
 
 // Allocation failure that is a resource condition, not a bug: the pool's
-// max_registered_bytes cap cannot accommodate the request. Callers that can
+// registration budget cannot accommodate the request. Callers that can
 // shed (admission control) catch this; everything else fails loudly.
 class ExhaustedError : public std::runtime_error {
  public:
@@ -87,7 +68,8 @@ struct Span {
 
 class Pool {
  public:
-  Pool(rdma::Node& node, PoolOptions options);
+  // The budget is `node`'s NicConfig::mem_max_registered_bytes.
+  explicit Pool(rdma::Node& node);
   ~Pool();  // flushes obs metrics; arenas stay registered (the node owns them)
 
   Pool(const Pool&) = delete;
@@ -105,8 +87,8 @@ class Pool {
 
   // ---- Introspection (tests, bench, obs) ----------------------------------
 
-  const PoolOptions& options() const { return options_; }
-  size_t arena_bytes() const { return arena_bytes_; }
+  // Registration budget in bytes (0 = unbounded).
+  size_t max_registered_bytes() const { return max_registered_bytes_; }
   size_t registered_bytes() const { return registered_bytes_; }
   size_t in_use_bytes() const { return in_use_bytes_; }
   size_t arena_count() const { return arenas_.size() + huge_count_; }
@@ -126,9 +108,9 @@ class Pool {
   };
   std::vector<ArenaStats> ArenaUtilization() const;
 
-  // The node's shared pool, created on first use with PoolOptionsFrom(the
-  // node's NicConfig) and parked on the node (rdma::Node::pool_handle), so
-  // channels, buffers, and stores on one node share a single allocator.
+  // The node's shared pool, created on first use and parked on the node
+  // (rdma::Node::pool_handle), so channels, buffers, and stores on one node
+  // share a single allocator.
   static std::shared_ptr<Pool> Shared(rdma::Node& node);
   static Pool& Of(rdma::Node& node) { return *Shared(node); }
 
@@ -151,9 +133,7 @@ class Pool {
     std::unordered_map<size_t, std::unique_ptr<Slab>> slabs;
   };
 
-  size_t ChunkBytes(int class_index) const { return options_.block_bytes >> (class_index + 1); }
-  int ClassIndexFor(size_t rounded) const;
-  int OrderFor(size_t rounded) const;
+  static size_t ChunkBytes(int class_index) { return rdma::kMemBlockBytes >> (class_index + 1); }
 
   Arena& EnsureArenaWithOrder(int order);
   Span BuddyAlloc(int order, size_t size);
@@ -164,15 +144,13 @@ class Pool {
   void CheckRegistrationBudget(size_t bytes) const;
 
   rdma::Node& node_;
-  const PoolOptions options_;
+  const size_t max_registered_bytes_;
   const std::string node_name_;  // own copy: pool may be flushed mid node teardown
-  size_t arena_bytes_ = 0;
-  int max_order_ = 0;
 
   std::vector<std::unique_ptr<Arena>> arenas_;
   std::unordered_map<const rdma::MemoryRegion*, uint32_t> arena_by_mr_;
   // Partially-filled (or cached fully-free) slabs per class.
-  std::vector<std::vector<Slab*>> partial_slabs_;
+  std::array<std::vector<Slab*>, rdma::kMemSlabClasses> partial_slabs_;
   // Huge regions (> one arena) cached for reuse, keyed by reserved size.
   std::unordered_map<size_t, std::vector<rdma::MemoryRegion*>> huge_free_;
   std::unordered_map<const rdma::MemoryRegion*, size_t> huge_sizes_;

@@ -174,7 +174,7 @@ const LinkFault* Fabric::FindLinkFault(uint32_t a, uint32_t b) const {
 }
 
 sim::Time Fabric::WireDelay(const Node* from, const Node* to, bool reliable) {
-  sim::Time delay = config_.wire_latency_ns;
+  sim::Time delay = kWireLatencyNs;
   if (link_faults_.empty() || from == nullptr || to == nullptr) {
     return delay;
   }

@@ -54,7 +54,6 @@ class Fabric {
 
   sim::Engine& engine() { return engine_; }
   const FabricConfig& config() const { return config_; }
-  sim::Time wire_latency() const { return config_.wire_latency_ns; }
 
   // The invariant checker, attached at construction when the global check
   // mode is not off (RFP_CHECK env / check::SetMode). Null otherwise; every

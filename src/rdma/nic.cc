@@ -1,7 +1,6 @@
 #include "src/rdma/nic.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -50,17 +49,13 @@ void Nic::TraceService(std::string_view name, bool inbound, sim::Time start) {
 }
 
 sim::Time Nic::Jitter(sim::Time nominal) {
-  if (config_.service_jitter <= 0.0) {
-    return nominal;
-  }
   const double u = 2.0 * rng_.NextDouble() - 1.0;  // [-1, 1)
-  return static_cast<sim::Time>(static_cast<double>(nominal) *
-                                (1.0 + config_.service_jitter * u));
+  return static_cast<sim::Time>(static_cast<double>(nominal) * (1.0 + kServiceJitter * u));
 }
 
 double Nic::OutboundMultiplier(Opcode op) const {
-  const int extra = std::max(0, concurrent_outbound_ - config_.outbound_free_threads);
-  const double factor = op == Opcode::kRead ? config_.outbound_read_thread_factor
+  const int extra = std::max(0, concurrent_outbound_ - kOutboundFreeThreads);
+  const double factor = op == Opcode::kRead ? kOutboundReadThreadFactor
                                             : config_.outbound_write_thread_factor;
   return 1.0 + factor * static_cast<double>(extra);
 }
@@ -70,8 +65,8 @@ sim::Time Nic::OutboundServiceTime(Opcode op, uint32_t payload, bool batch_follo
   // marginal WQE-prefetch cost for it. The contention multiplier still
   // applies (per-op requester state is held either way), as does the wire
   // serialization floor, so large batched WRITEs stay bandwidth-bound.
-  double base = op == Opcode::kSend    ? config_.two_sided_tx_ns
-                : batch_follower       ? config_.outbound_batch_marginal_ns
+  double base = op == Opcode::kSend    ? kTwoSidedTxNs
+                : batch_follower       ? kOutboundBatchMarginalNs
                                        : config_.outbound_issue_ns;
   base *= OutboundMultiplier(op);
   const double serialization = static_cast<double>(payload) / config_.bandwidth_bytes_per_ns;
@@ -80,18 +75,18 @@ sim::Time Nic::OutboundServiceTime(Opcode op, uint32_t payload, bool batch_follo
 
 sim::Time Nic::InboundServiceTime(uint32_t payload) const {
   const double serialization = static_cast<double>(payload) / config_.bandwidth_bytes_per_ns;
-  return FromNs(std::max(config_.inbound_min_gap_ns, serialization) * inbound_degrade_);
+  return FromNs(std::max(kInboundMinGapNs, serialization) * inbound_degrade_);
 }
 
 sim::Task<void> Nic::PostOverhead() {
   co_await post_lock_.Lock();
-  co_await engine_.Sleep(FromNs(config_.post_lock_ns));
+  co_await engine_.Sleep(FromNs(kPostLockNs));
   post_lock_.Unlock();
-  co_await engine_.Sleep(FromNs(config_.post_cpu_ns));
+  co_await engine_.Sleep(FromNs(kPostCpuNs));
 }
 
 sim::Task<void> Nic::CompletionOverhead() {
-  co_await engine_.Sleep(FromNs(config_.completion_cpu_ns));
+  co_await engine_.Sleep(FromNs(kCompletionCpuNs));
 }
 
 sim::Task<void> Nic::IssueOneSided(Opcode op, uint32_t outbound_payload, bool batch_follower) {
@@ -124,7 +119,7 @@ sim::Task<void> Nic::IssueTwoSided(uint32_t payload) {
 
 sim::Task<void> Nic::AbsorbReadResponse(uint32_t payload) {
   const double serialization = static_cast<double>(payload) / config_.bandwidth_bytes_per_ns;
-  co_await engine_.Sleep(FromNs(serialization + config_.read_state_cpu_ns));
+  co_await engine_.Sleep(FromNs(serialization + kReadStateCpuNs));
 }
 
 sim::Task<void> Nic::ServeInboundOneSided(uint32_t payload) {
@@ -141,7 +136,7 @@ sim::Task<void> Nic::ServeInboundTwoSided(uint32_t payload) {
   ++inbound_ops_;
   const double serialization = static_cast<double>(payload) / config_.bandwidth_bytes_per_ns;
   const sim::Time service =
-      Jitter(FromNs(std::max(config_.two_sided_rx_ns, serialization) * inbound_degrade_));
+      Jitter(FromNs(std::max(kTwoSidedRxNs, serialization) * inbound_degrade_));
   co_await inbound_engine_.Acquire();
   const sim::Time granted = engine_.now();
   co_await engine_.Sleep(service);
@@ -185,51 +180,20 @@ void CheckProbability(double v, const char* what) {
 
 void ValidateConfig(const NicConfig& config) {
   CheckNonNegative(config.outbound_issue_ns, "outbound_issue_ns must be >= 0");
-  CheckNonNegative(config.read_state_cpu_ns, "read_state_cpu_ns must be >= 0");
-  CheckNonNegative(config.post_cpu_ns, "post_cpu_ns must be >= 0");
-  CheckNonNegative(config.completion_cpu_ns, "completion_cpu_ns must be >= 0");
-  CheckNonNegative(config.post_lock_ns, "post_lock_ns must be >= 0");
-  if (config.outbound_free_threads < 0) Reject("outbound_free_threads must be >= 0");
-  CheckNonNegative(config.outbound_read_thread_factor,
-                   "outbound_read_thread_factor must be >= 0");
   CheckNonNegative(config.outbound_write_thread_factor,
                    "outbound_write_thread_factor must be >= 0");
-  CheckNonNegative(config.outbound_batch_marginal_ns,
-                   "outbound_batch_marginal_ns must be >= 0");
-  CheckNonNegative(config.inbound_min_gap_ns, "inbound_min_gap_ns must be >= 0");
   if (!(config.bandwidth_bytes_per_ns > 0.0)) Reject("bandwidth_bytes_per_ns must be > 0");
-  CheckNonNegative(config.two_sided_tx_ns, "two_sided_tx_ns must be >= 0");
-  CheckNonNegative(config.two_sided_rx_ns, "two_sided_rx_ns must be >= 0");
   if (config.cores < 1) Reject("cores must be >= 1");
   if (config.nic_station_cores < 0 || config.nic_station_cores >= config.cores) {
     Reject("nic_station_cores must be in [0, cores)");
   }
-  CheckProbability(config.service_jitter, "service_jitter must be in [0, 1]");
-  if (!std::has_single_bit(config.mem_block_bytes) || config.mem_block_bytes < 64) {
-    Reject("mem_block_bytes must be a power of two >= 64");
-  }
-  if (config.mem_pool_level < 1 || config.mem_pool_level > 32) {
-    Reject("mem_pool_level must be in [1, 32]");
-  }
-  if (static_cast<size_t>(std::countl_zero(config.mem_block_bytes)) <
-      static_cast<size_t>(config.mem_pool_level - 1)) {
-    Reject("mem_block_bytes << (mem_pool_level - 1) overflows size_t");
-  }
-  if (config.mem_slab_classes < 0 ||
-      (config.mem_slab_classes > 0 &&
-       (config.mem_block_bytes >> config.mem_slab_classes) < 32)) {
-    Reject("mem_slab_classes must keep the smallest slab class >= 32 bytes");
-  }
-  if (config.mem_slab_magazine < 0) Reject("mem_slab_magazine must be >= 0");
-  if (config.mem_max_registered_bytes != 0 &&
-      config.mem_max_registered_bytes < (config.mem_block_bytes << (config.mem_pool_level - 1))) {
-    Reject("mem_max_registered_bytes below one arena (mem_block_bytes << (mem_pool_level - 1))");
+  if (config.mem_max_registered_bytes != 0 && config.mem_max_registered_bytes < kMemArenaBytes) {
+    Reject("mem_max_registered_bytes below one arena (kMemArenaBytes)");
   }
 }
 
 void ValidateConfig(const FabricConfig& config) {
   ValidateConfig(config.nic);
-  if (config.wire_latency_ns < 0) Reject("wire_latency_ns must be >= 0");
   CheckProbability(config.unreliable_loss_prob, "unreliable_loss_prob must be in [0, 1]");
 }
 

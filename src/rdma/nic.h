@@ -6,13 +6,12 @@
 //    (WQE DMA, doorbell, completion generation) every *issued* one-sided op
 //    pays. Base service `outbound_issue_ns` caps a saturated NIC at
 //    ~2.11 MOPS; the service inflates when more threads post concurrently
-//    than `outbound_free_threads` (QP/CQ contention).
+//    than `kOutboundFreeThreads` (QP/CQ contention).
 //
 //  * The IN-BOUND serving engine — pure hardware. Service is
-//    max(inbound_min_gap_ns, bytes/bandwidth), giving ~11.24 MOPS for small
+//    max(kInboundMinGapNs, bytes/bandwidth), giving ~11.24 MOPS for small
 //    payloads and a bandwidth-bound tail that meets the out-bound curve at
-//    ~2 KB (Fig 5). The gap inflates when the NIC serves more remote QPs
-//    than `inbound_free_qps` (QP-state cache pressure; Fig 4's decline).
+//    ~2 KB (Fig 5).
 //
 // Two-sided SEND/RECV pays symmetric base costs on both sides — the paper's
 // observation that the asymmetry is specific to one-sided operations.
@@ -68,7 +67,7 @@ class Nic {
   // `outbound_payload` bytes onto the wire (WRITE payload; 0 for READ).
   // `batch_follower` marks an op posted in the same doorbell batch as an
   // earlier op: it pays the configured marginal issue cost instead of the
-  // full doorbell service (see NicConfig::outbound_batch_marginal_ns).
+  // full doorbell service (see kOutboundBatchMarginalNs).
   sim::Task<void> IssueOneSided(Opcode op, uint32_t outbound_payload,
                                 bool batch_follower = false);
 

@@ -81,7 +81,7 @@ class QueuePair {
   // RDMA READ: fetches `len` bytes from (rkey, remote_off) on the connected
   // peer into `local` at `local_off`. `batch_follower` marks an op posted in
   // the same doorbell batch as an earlier op on this QP; it pays the NIC's
-  // marginal batched-issue cost (NicConfig::outbound_batch_marginal_ns)
+  // marginal batched-issue cost (kOutboundBatchMarginalNs)
   // instead of the full out-bound service.
   sim::Task<WorkCompletion> Read(MemoryRegion& local, size_t local_off, RemoteKey rkey,
                                  size_t remote_off, uint32_t len, bool batch_follower = false);

@@ -28,8 +28,7 @@ FailoverCoordinator::FailoverCoordinator(kv::JakiroServer& primary, kv::JakiroSe
   // the fetch timeout re-issues against a live-but-slow primary, and the
   // call deadline bounds the whole attempt so the loop keeps ticking while
   // the primary is dark.
-  const sim::Time probe_deadline = options_.probe_deadline_ns > 0 ? options_.probe_deadline_ns
-                                                                  : options_.probe_interval_ns;
+  const sim::Time probe_deadline = options_.probe_interval_ns;
   probe_opts.fetch_timeout_ns = probe_deadline;
   probe_opts.fetch_backoff_initial_ns = probe_deadline / 8 > 0 ? probe_deadline / 8 : 1;
   probe_opts.call_deadline_ns = probe_deadline;

@@ -5,6 +5,10 @@
 
 namespace repl {
 
+static_assert(kMaxAsyncLag >= 1, "a zero lag bound would stall every async append");
+static_assert(kSnapshotChunkBuckets >= 1);
+static_assert(kApplyIntervalNs > 0);
+
 namespace {
 
 [[noreturn]] void Reject(const std::string& why) {
@@ -27,18 +31,6 @@ void ValidateOptions(const ReplOptions& options) {
   if (options.probe_interval_ns > options.lease_interval_ns) {
     Reject("probe_interval_ns must not exceed lease_interval_ns (the lease "
            "could expire between two probes of a healthy primary)");
-  }
-  if (options.probe_deadline_ns < 0) {
-    Reject("probe_deadline_ns must be >= 0");
-  }
-  if (options.max_async_lag == 0) {
-    Reject("max_async_lag must be >= 1 (0 would stall every async append)");
-  }
-  if (options.snapshot_chunk_buckets == 0) {
-    Reject("snapshot_chunk_buckets must be >= 1");
-  }
-  if (options.apply_interval_ns <= 0) {
-    Reject("apply_interval_ns must be positive");
   }
   if (options.channel.fetch_timeout_ns > 0 &&
       options.lease_interval_ns <= 2 * options.channel.fetch_timeout_ns) {

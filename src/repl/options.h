@@ -11,6 +11,19 @@
 
 namespace repl {
 
+// kAsync only: producers stall once (appended - acked) exceeds this, so an
+// async backup can never fall arbitrarily far behind.
+inline constexpr size_t kMaxAsyncLag = 1024;
+
+// Buckets swept per BucketTable::SnapshotChunk call during backup
+// bootstrap; bounds the memory a single chunk pins.
+inline constexpr size_t kSnapshotChunkBuckets = 256;
+
+// Interval at which the backup's apply actor drains received-but-unapplied
+// records into its partitions. Records still queued at promotion are
+// replayed synchronously (repl.replayed).
+inline constexpr sim::Time kApplyIntervalNs = sim::Micros(2);
+
 struct ReplOptions {
   // When the primary's PUT/DELETE reply publishes relative to the backup's
   // acknowledgment of the shipped record:
@@ -18,7 +31,7 @@ struct ReplOptions {
   //            nodes; zero acked ops are lost across a failover).
   //   kAsync — reply immediately; the shipper drains the log in the
   //            background, stalling producers only when the unacked lag
-  //            exceeds max_async_lag (bounded-lag, default-off).
+  //            exceeds kMaxAsyncLag (bounded-lag, default-off).
   enum class AckMode : uint8_t { kSync, kAsync };
   AckMode ack_mode = AckMode::kSync;
 
@@ -30,25 +43,10 @@ struct ReplOptions {
 
   // Cadence of the coordinator's health probes (an ungated RPC to the
   // primary, answered even while the epoch gate rejects client traffic).
-  // Must divide into the lease: probe_interval <= lease_interval.
+  // Must divide into the lease: probe_interval <= lease_interval. It is also
+  // each probe's deadline: a probe that misses it counts as a failure (no
+  // lease renewal).
   sim::Time probe_interval_ns = sim::Micros(100);
-
-  // Per-probe deadline. A probe that misses it counts as a failure (no lease
-  // renewal). 0 = use probe_interval_ns.
-  sim::Time probe_deadline_ns = 0;
-
-  // kAsync only: producers stall once (appended - acked) exceeds this, so an
-  // async backup can never fall arbitrarily far behind.
-  size_t max_async_lag = 1024;
-
-  // Buckets swept per BucketTable::SnapshotChunk call during backup
-  // bootstrap; bounds the memory a single chunk pins.
-  size_t snapshot_chunk_buckets = 256;
-
-  // Interval at which the backup's apply actor drains received-but-unapplied
-  // records into its partitions. Records still queued at promotion are
-  // replayed synchronously (repl.replayed).
-  sim::Time apply_interval_ns = sim::Micros(2);
 
   // Options of the dedicated replication channel (primary -> backup thread
   // 0). Defaults to a pipelined window so the shipper doorbell-batches a
@@ -65,9 +63,8 @@ struct ReplOptions {
   }
 };
 
-// Throws std::invalid_argument when an option set is inconsistent: negative
-// or zero intervals, probe slower than the lease, a zero lag bound, or a
-// lease interval not comfortably above the channel's fetch timeout — a lease
+// Throws std::invalid_argument when an option set is inconsistent: zero or
+// negative intervals, probe slower than the lease, or a lease interval not comfortably above the channel's fetch timeout — a lease
 // at or below 2x the fetch timeout could expire while a single healthy probe
 // is still retrying its fetch, promoting the backup under a live primary.
 void ValidateOptions(const ReplOptions& options);

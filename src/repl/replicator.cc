@@ -85,17 +85,17 @@ void ReplSink::RegisterHandlers() {
     if (server_.rpc().repl_serving()) {
       ++rejected_appends_;
       resp[0] = std::byte{0};
-      return {1, server_.config().put_process_ns};
+      return {1, kv::kJakiroPutProcessNs};
     }
     auto record = DecodeRecord(req);
     if (!record.has_value()) {
       resp[0] = std::byte{0};
-      return {1, server_.config().put_process_ns};
+      return {1, kv::kJakiroPutProcessNs};
     }
     last_lsn_ = record->lsn;
     queue_.push_back(std::move(*record));
     resp[0] = std::byte{1};
-    return {1, server_.config().put_process_ns};
+    return {1, kv::kJakiroPutProcessNs};
   });
 
   rpc.RegisterHandler(kRpcReplSnapshot, [this](const rfp::HandlerContext&,
@@ -105,7 +105,7 @@ void ReplSink::RegisterHandlers() {
     uint16_t count = 0;
     if (req.size() < sizeof(flags) + sizeof(count)) {
       resp[0] = std::byte{0};
-      return {1, server_.config().put_process_ns};
+      return {1, kv::kJakiroPutProcessNs};
     }
     std::memcpy(&flags, req.data(), sizeof(flags));
     std::memcpy(&count, req.data() + sizeof(flags), sizeof(count));
@@ -123,7 +123,7 @@ void ReplSink::RegisterHandlers() {
       auto record = DecodeRecord(body);
       if (!record.has_value()) {
         resp[0] = std::byte{0};
-        return {1, server_.config().put_process_ns};
+        return {1, kv::kJakiroPutProcessNs};
       }
       body = body.subspan(EncodedSize(*record));
       ApplyRecord(*record);
@@ -133,7 +133,7 @@ void ReplSink::RegisterHandlers() {
       bootstrapped_ = true;
     }
     resp[0] = std::byte{1};
-    return {1, server_.config().put_process_ns * std::max<uint16_t>(count, 1)};
+    return {1, kv::kJakiroPutProcessNs * std::max<uint16_t>(count, 1)};
   });
 
   RegisterProbeHandler(rpc);
@@ -152,7 +152,7 @@ void ReplSink::ApplyRecord(const Record& record) {
 sim::Task<void> ReplSink::ApplyLoop() {
   sim::Engine& engine = server_.node().fabric()->engine();
   while (!apply_stop_) {
-    co_await engine.Sleep(options_.apply_interval_ns);
+    co_await engine.Sleep(kApplyIntervalNs);
     while (!apply_stop_ && !queue_.empty()) {
       ApplyRecord(queue_.front());
       queue_.pop_front();
@@ -270,7 +270,7 @@ sim::Task<void> Replicator::OnMutation(uint16_t rpc_id, std::span<const std::byt
       co_await acked_.Wait();
     }
   } else {
-    while (log_.lag() > options_.max_async_lag && state_ == State::kAttached && !stop_) {
+    while (log_.lag() > kMaxAsyncLag && state_ == State::kAttached && !stop_) {
       co_await acked_.Wait();
     }
   }
@@ -387,7 +387,7 @@ sim::Task<void> Replicator::AttachBackup() {
           co_return;
         }
         items.clear();
-        cursor = table.SnapshotChunk(cursor, options_.snapshot_chunk_buckets, &items);
+        cursor = table.SnapshotChunk(cursor, kSnapshotChunkBuckets, &items);
         size_t i = 0;
         while (i < items.size()) {
           size_t used = 0;

@@ -83,8 +83,8 @@ Channel::Channel(rdma::Fabric& fabric, rdma::Node& client, rdma::Node& server,
   // an actionable message instead of deep inside mem::Pool as a generic
   // ExhaustedError (the pool can still throw that when the cap is merely
   // *occupied* — that path stays recoverable).
-  ValidateOptions(options_, server_pool_->options().max_registered_bytes, server.name());
-  ValidateOptions(options_, client_pool_->options().max_registered_bytes, client.name());
+  ValidateOptions(options_, server_pool_->max_registered_bytes(), server.name());
+  ValidateOptions(options_, client_pool_->max_registered_bytes(), client.name());
   try {
     server_span_ = server_pool_->Alloc(ring_bytes);
     client_span_ = client_pool_->Alloc(ring_bytes);
@@ -1248,7 +1248,7 @@ sim::Task<void> Channel::RcBatch(bool from_client, std::vector<BatchOp>& ops,
         BeginRequestWrite();
       }
       // Every WR after the first rides the leader's doorbell at the batched
-      // marginal issue cost (see rdma::NicConfig::outbound_batch_marginal_ns).
+      // marginal issue cost (see rdma::kOutboundBatchMarginalNs).
       if (op.is_read) {
         qp->PostRead(wr_id, *local.mr, local.abs(op.local_off), remote.remote_key(),
                      remote.abs(op.remote_off), op.len,

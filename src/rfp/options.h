@@ -178,8 +178,8 @@ size_t ChannelSlotBytes(const RfpOptions& options);
 size_t ChannelRingBytes(const RfpOptions& options);
 
 // Checks only ChannelRingBytes against a node pool's registered-memory cap
-// (mem::PoolOptions::max_registered_bytes, i.e. the NicConfig
-// mem_max_registered_bytes knob; 0 = unbounded, always passes). Without this,
+// (mem::Pool::max_registered_bytes, i.e. the node's NicConfig
+// mem_max_registered_bytes; 0 = unbounded, always passes). Without this,
 // an oversized window only surfaces deep inside mem::Pool as a generic
 // ExhaustedError; the Channel constructor calls this up front so a
 // misconfiguration reads as "shrink the window", not "pool exhausted".

@@ -1,6 +1,7 @@
 #include "src/rfp/params.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -33,6 +34,30 @@ double HardwareProfile::InboundMopsAt(uint32_t size) const {
 
 namespace {
 
+// In-bound READ sizes MeasureProfile samples (the knees fall between them).
+constexpr std::array<uint32_t, 14> kProfileSizes = {16,  32,  64,   128,  256,  384,  512,
+                                                    640, 768, 1024, 1536, 2048, 4096, 8192};
+static_assert(std::is_sorted(kProfileSizes.begin(), kProfileSizes.end()),
+              "HardwareProfile::inbound_read is ascending by size");
+// Enough readers to saturate the in-bound engine at every size.
+constexpr int kProfileClientNodes = 7;
+constexpr int kProfileThreadsPerNode = 4;
+// Enough writers to saturate the out-bound issue pipeline (Fig 3: ~4).
+constexpr int kProfileOutboundThreads = 4;
+
+// DetectL: sizes within this fraction of the small-size peak count as flat.
+constexpr double kFlatTolerance = 0.02;
+// DetectH: the in-bound/out-bound ratio fetching must keep over reply.
+constexpr double kAdvantageMargin = 1.50;
+// DeriveRetryBound: the server's threads, and the gain below which more
+// fetching is not worth its client CPU.
+constexpr int kServerThreads = 16;
+constexpr double kGainThreshold = 0.10;
+// SelectParameters: the response header a fetch carries with the result,
+// and the F enumeration step inside [L, H].
+constexpr uint32_t kHeaderBytes = 8;
+constexpr uint32_t kSizeStep = 64;
+
 struct LoopCounter {
   uint64_t ops = 0;
 };
@@ -62,22 +87,21 @@ sim::Task<void> ProfileWriteLoop(sim::Engine& eng, rdma::QueuePair* qp, rdma::Me
 }
 
 // Measures saturated in-bound READ IOPS at one fetch size on a fresh fabric.
-double MeasureInbound(const rdma::FabricConfig& config, const ProfileOptions& opts,
-                      uint32_t size) {
+double MeasureInbound(const rdma::FabricConfig& config, sim::Time window, uint32_t size) {
   sim::Engine engine;
   rdma::Fabric fabric(engine, config);
   rdma::Node& server = fabric.AddNode("server");
   rdma::MemoryRegion* remote = server.RegisterMemory(16384, rdma::kAccessRemoteRead);
   std::vector<LoopCounter> counters(
-      static_cast<size_t>(opts.client_nodes * opts.threads_per_node));
+      static_cast<size_t>(kProfileClientNodes * kProfileThreadsPerNode));
   size_t idx = 0;
-  for (int n = 0; n < opts.client_nodes; ++n) {
+  for (int n = 0; n < kProfileClientNodes; ++n) {
     rdma::Node& client = fabric.AddNode("client" + std::to_string(n));
-    for (int t = 0; t < opts.threads_per_node; ++t) {
+    for (int t = 0; t < kProfileThreadsPerNode; ++t) {
       auto [cqp, sqp] = fabric.ConnectRc(client, server);
       (void)sqp;
       rdma::MemoryRegion* local = client.RegisterMemory(16384, rdma::kAccessLocal);
-      engine.Spawn(ProfileReadLoop(engine, cqp, local, remote, size, opts.window,
+      engine.Spawn(ProfileReadLoop(engine, cqp, local, remote, size, window,
                                    &counters[idx++]));
     }
   }
@@ -86,21 +110,21 @@ double MeasureInbound(const rdma::FabricConfig& config, const ProfileOptions& op
   for (const auto& c : counters) {
     total += c.ops;
   }
-  return static_cast<double>(total) / sim::ToSeconds(opts.window) / 1e6;
+  return static_cast<double>(total) / sim::ToSeconds(window) / 1e6;
 }
 
-double MeasureOutbound(const rdma::FabricConfig& config, const ProfileOptions& opts) {
+double MeasureOutbound(const rdma::FabricConfig& config, sim::Time window) {
   sim::Engine engine;
   rdma::Fabric fabric(engine, config);
   rdma::Node& server = fabric.AddNode("server");
-  std::vector<LoopCounter> counters(static_cast<size_t>(opts.outbound_threads));
-  for (int t = 0; t < opts.outbound_threads; ++t) {
+  std::vector<LoopCounter> counters(static_cast<size_t>(kProfileOutboundThreads));
+  for (int t = 0; t < kProfileOutboundThreads; ++t) {
     rdma::Node& client = fabric.AddNode("client" + std::to_string(t));
     rdma::MemoryRegion* remote = client.RegisterMemory(16384, rdma::kAccessRemoteWrite);
     auto [sqp, cqp] = fabric.ConnectRc(server, client);
     (void)cqp;
     rdma::MemoryRegion* local = server.RegisterMemory(16384, rdma::kAccessLocal);
-    engine.Spawn(ProfileWriteLoop(engine, sqp, local, remote, 32, opts.window,
+    engine.Spawn(ProfileWriteLoop(engine, sqp, local, remote, 32, window,
                                   &counters[static_cast<size_t>(t)]));
   }
   engine.Run();
@@ -108,7 +132,7 @@ double MeasureOutbound(const rdma::FabricConfig& config, const ProfileOptions& o
   for (const auto& c : counters) {
     total += c.ops;
   }
-  return static_cast<double>(total) / sim::ToSeconds(opts.window) / 1e6;
+  return static_cast<double>(total) / sim::ToSeconds(window) / 1e6;
 }
 
 double MeasureFetchRtt(const rdma::FabricConfig& config) {
@@ -131,26 +155,24 @@ double MeasureFetchRtt(const rdma::FabricConfig& config) {
 
 }  // namespace
 
-HardwareProfile MeasureProfile(const rdma::FabricConfig& config, const ProfileOptions& opts) {
+HardwareProfile MeasureProfile(const rdma::FabricConfig& config, sim::Time window) {
   HardwareProfile profile;
-  for (uint32_t size : opts.sizes) {
-    profile.inbound_read.push_back(IopsPoint{size, MeasureInbound(config, opts, size)});
+  for (uint32_t size : kProfileSizes) {
+    profile.inbound_read.push_back(IopsPoint{size, MeasureInbound(config, window, size)});
   }
-  std::sort(profile.inbound_read.begin(), profile.inbound_read.end(),
-            [](const IopsPoint& a, const IopsPoint& b) { return a.size < b.size; });
-  profile.outbound_write_mops = MeasureOutbound(config, opts);
+  profile.outbound_write_mops = MeasureOutbound(config, window);
   profile.fetch_rtt_ns = MeasureFetchRtt(config);
   return profile;
 }
 
-uint32_t DetectL(const HardwareProfile& profile, double flat_tolerance) {
+uint32_t DetectL(const HardwareProfile& profile) {
   if (profile.inbound_read.empty()) {
     throw std::invalid_argument("profile has no in-bound points");
   }
   const double peak = profile.inbound_read.front().mops;
   uint32_t l = profile.inbound_read.front().size;
   for (const IopsPoint& p : profile.inbound_read) {
-    if (p.mops >= peak * (1.0 - flat_tolerance)) {
+    if (p.mops >= peak * (1.0 - kFlatTolerance)) {
       l = p.size;
     } else {
       break;
@@ -159,50 +181,46 @@ uint32_t DetectL(const HardwareProfile& profile, double flat_tolerance) {
   return l;
 }
 
-uint32_t DetectH(const HardwareProfile& profile, double advantage_margin) {
+uint32_t DetectH(const HardwareProfile& profile) {
   if (profile.inbound_read.empty() || profile.outbound_write_mops <= 0.0) {
     throw std::invalid_argument("profile incomplete");
   }
   uint32_t h = profile.inbound_read.front().size;
   for (const IopsPoint& p : profile.inbound_read) {
-    if (p.mops >= profile.outbound_write_mops * advantage_margin) {
+    if (p.mops >= profile.outbound_write_mops * kAdvantageMargin) {
       h = p.size;
     }
   }
   return h;
 }
 
-int DeriveRetryBound(const HardwareProfile& profile, int server_threads,
-                     double gain_threshold) {
+int DeriveRetryBound(const HardwareProfile& profile) {
   if (profile.outbound_write_mops <= 0.0 || profile.fetch_rtt_ns <= 0.0) {
     throw std::invalid_argument("profile incomplete");
   }
   // P* in nanoseconds: the process time at which server-reply throughput
-  // (server_threads / P) matches out-bound capacity within the gain margin.
-  const double p_star_ns =
-      static_cast<double>(server_threads) * 1000.0 /
-      (profile.outbound_write_mops * (1.0 + gain_threshold));
+  // (server threads / P) matches out-bound capacity within the gain margin.
+  const double p_star_ns = static_cast<double>(kServerThreads) * 1000.0 /
+                           (profile.outbound_write_mops * (1.0 + kGainThreshold));
   const int n = static_cast<int>(std::lround(p_star_ns / profile.fetch_rtt_ns));
   return std::max(1, n);
 }
 
 ParamChoice SelectParameters(const HardwareProfile& profile,
                              std::span<const uint32_t> result_sizes,
-                             std::span<const sim::Time> process_times,
-                             const SelectorConfig& cfg) {
+                             std::span<const sim::Time> process_times) {
   if (result_sizes.empty()) {
     throw std::invalid_argument("SelectParameters needs at least one result-size sample");
   }
-  const uint32_t l = cfg.l != 0 ? cfg.l : DetectL(profile);
-  const uint32_t h = std::max(cfg.h != 0 ? cfg.h : DetectH(profile), l);
-  const int n = cfg.max_retry != 0 ? cfg.max_retry
-                                   : DeriveRetryBound(profile, cfg.server_threads);
+  const uint32_t l = DetectL(profile);
+  const uint32_t h = std::max(DetectH(profile), l);
+  const int n = DeriveRetryBound(profile);
 
   ParamChoice best;
   best.predicted_score = -1.0;
   for (int r = 1; r <= n; ++r) {
     const double fetch_budget_ns = static_cast<double>(r) * profile.fetch_rtt_ns;
-    for (uint32_t f = l; f <= h; f += cfg.size_step) {
+    for (uint32_t f = l; f <= h; f += kSizeStep) {
       const double i_f = profile.InboundMopsAt(f);
       double total = 0.0;
       for (size_t i = 0; i < result_sizes.size(); ++i) {
@@ -212,7 +230,7 @@ ParamChoice SelectParameters(const HardwareProfile& profile,
           total += profile.outbound_write_mops;
           continue;
         }
-        total += (result_sizes[i] + cfg.header_bytes <= f) ? i_f : i_f / 2.0;
+        total += (result_sizes[i] + kHeaderBytes <= f) ? i_f : i_f / 2.0;
       }
       if (total > best.predicted_score) {
         best.predicted_score = total;

@@ -42,32 +42,26 @@ struct HardwareProfile {
   double InboundMopsAt(uint32_t size) const;
 };
 
-struct ProfileOptions {
-  std::vector<uint32_t> sizes = {16,  32,  64,   128,  256,  384,  512,
-                                 640, 768, 1024, 1536, 2048, 4096, 8192};
-  sim::Time window = sim::Millis(1);
-  int client_nodes = 7;
-  int threads_per_node = 4;
-  int outbound_threads = 4;
-};
-
 // Runs the micro-benchmarks on a private fabric built from `config` and
-// returns the measured envelope.
-HardwareProfile MeasureProfile(const rdma::FabricConfig& config, const ProfileOptions& opts = {});
+// returns the measured envelope: saturated in-bound READ IOPS at 14 fetch
+// sizes from 16 B to 8 KiB (28 readers on 7 client nodes), saturated
+// out-bound WRITE IOPS (4 writers), and one small-fetch round trip. Each
+// saturated measurement runs for `window` of virtual time.
+HardwareProfile MeasureProfile(const rdma::FabricConfig& config,
+                               sim::Time window = sim::Millis(1));
 
-// L: the largest measured size still within `flat_tolerance` of the
-// small-size IOPS peak (fetching less than L buys nothing).
-uint32_t DetectL(const HardwareProfile& profile, double flat_tolerance = 0.02);
+// L: the largest measured size still within 2% of the small-size IOPS peak
+// (fetching less than L buys nothing).
+uint32_t DetectL(const HardwareProfile& profile);
 
 // H: the largest measured size where remote fetching still beats
-// server-reply by at least `advantage_margin` (in-bound/out-bound ratio).
-uint32_t DetectH(const HardwareProfile& profile, double advantage_margin = 1.50);
+// server-reply by at least 1.5x (in-bound/out-bound ratio).
+uint32_t DetectH(const HardwareProfile& profile);
 
 // N: retries that fit within the fetch-vs-reply crossover P*, where
-// P* = server_threads / (outbound_mops * (1 + gain_threshold)) — beyond it
-// repeated fetching gains < gain_threshold over server-reply (Fig 9).
-int DeriveRetryBound(const HardwareProfile& profile, int server_threads = 16,
-                     double gain_threshold = 0.10);
+// P* = 16 server threads / (outbound_mops * 1.1) — beyond it repeated
+// fetching gains < 10% over server-reply (Fig 9).
+int DeriveRetryBound(const HardwareProfile& profile);
 
 struct ParamChoice {
   int retry_threshold = 5;    // R
@@ -75,16 +69,8 @@ struct ParamChoice {
   double predicted_score = 0.0;
 };
 
-struct SelectorConfig {
-  uint32_t header_bytes = 8;
-  int max_retry = 0;       // 0 -> DeriveRetryBound
-  uint32_t l = 0;          // 0 -> DetectL
-  uint32_t h = 0;          // 0 -> DetectH
-  uint32_t size_step = 64; // enumeration granularity inside [L, H]
-  int server_threads = 16;
-};
-
-// Eq 2 enumeration. For each candidate (R, F):
+// Eq 2 enumeration over R in [1, DeriveRetryBound] and F in
+// [DetectL, DetectH] in 64-byte steps. For each candidate (R, F):
 //   T(R,F) = sum_i Ti,   Ti = I(F)      if header+S_i <= F   (one fetch)
 //                        Ti = I(F)/2    otherwise            (two fetches)
 // When process-time samples are provided, calls whose P exceeds R fetch
@@ -92,8 +78,7 @@ struct SelectorConfig {
 // which is what makes R matter in the enumeration.
 ParamChoice SelectParameters(const HardwareProfile& profile,
                              std::span<const uint32_t> result_sizes,
-                             std::span<const sim::Time> process_times = {},
-                             const SelectorConfig& cfg = {});
+                             std::span<const sim::Time> process_times = {});
 
 // Reservoir sampler feeding SelectParameters during a run (paper: pre-run
 // or periodic on-line sampling).

@@ -6,7 +6,8 @@ The golden gate (scripts/golden.py) proves that an output did not move. This
 gate says whether an output that did move still holds the paper's claims. Each
 row of CLAIMS names its EXPERIMENTS.md section, the bench, the claim in words,
 the columns it reads and a predicate over the bench's --json table (schema v1:
-one {"values": {column: printed cell}} object per printed row).
+one {"values": {column: printed cell}} object per printed row, and the run's
+metrics dump).
 
     python3 tests/claims/claims.py --build-dir build            # every bench
     python3 tests/claims/claims.py --build-dir build BENCH [...] # some benches
@@ -34,20 +35,33 @@ RUN_TIMEOUT_S = 600
 
 
 class Table:
-    """The printed rows of one bench run, cells as printed."""
+    """The printed rows of one bench run, cells as printed, and the run's
+    metrics dump."""
 
-    def __init__(self, rows):
+    def __init__(self, rows, metrics=()):
         self.rows = rows
+        self.metrics = metrics
 
-    def column(self, name, **where):
-        """The column's values, as floats in printed order, over the rows
-        whose cells equal every `where` keyword."""
+    def cells(self, name, **where):
+        """The column's cells, as printed strings in printed order, over the
+        rows whose cells equal every `where` keyword."""
         out = []
         for row in self.rows:
             if all(row.get(k) == v for k, v in where.items()):
-                out.append(float(row[name]))
+                out.append(row[name])
         if not out:
             raise KeyError(f"no row with {where} carries column {name!r}")
+        return out
+
+    def column(self, name, **where):
+        """Like cells, as floats."""
+        return [float(cell) for cell in self.cells(name, **where)]
+
+    def metric(self, name):
+        """The values of every series of metric `name` (one per label set)."""
+        out = [m["value"] for m in self.metrics if m["name"] == name]
+        if not out:
+            raise KeyError(f"no metric {name!r} in the dump")
         return out
 
     def one(self, name, **where):
@@ -63,6 +77,10 @@ def within(value, target, rel):
 
 def nondecreasing(values):
     return all(a <= b for a, b in zip(values, values[1:]))
+
+
+MULTICORE_COLUMNS = ("workers", "window", "mops", "inbound_util", "cpu_util", "bottleneck",
+                     "coalesced", "steals", "errors")
 
 
 @dataclass
@@ -103,6 +121,29 @@ CLAIMS = [
           lambda t: t.one("ud_p99_us", loss="1e-02") >= 1.5 * t.one("ud_p99_us", loss="0")),
     Claim("Ext-2", "bench_ext_ud_loss", "rfp_mops >= 5.3 and equal in every row", ("rfp_mops",),
           lambda t: min(t.column("rfp_mops")) >= 5.3 and len(set(t.column("rfp_mops"))) == 1),
+    # Multi-core dispatch: the MOPS-vs-workers sweep crosses from cpu-bound to
+    # nic_inbound-bound, and the 32 B rows that clear 9 MOPS (>= 80 % of the
+    # 11.26 MOPS in-bound envelope) owe the plateau to the NIC model.
+    Claim("Multi-core", "bench_ext_multicore",
+          "15 rows (5 worker counts x 3 windows), each with every sweep column", (),
+          lambda t: len(t.rows) == 15
+          and all(set(MULTICORE_COLUMNS) <= row.keys() for row in t.rows)),
+    Claim("Multi-core", "bench_ext_multicore",
+          "one worker is cpu-bound: bottleneck cpu at cpu_util > 0.9", ("bottleneck", "cpu_util"),
+          lambda t: t.cells("bottleneck", workers="1") == ["cpu"] * 3
+          and min(t.column("cpu_util", workers="1")) > 0.9),
+    Claim("Multi-core", "bench_ext_multicore",
+          "some row reaches 9 MOPS, and every such row is nic_inbound at inbound_util > 0.9",
+          ("mops", "bottleneck", "inbound_util"),
+          lambda t: any(float(r["mops"]) >= 9.0 for r in t.rows)
+          and all(r["bottleneck"] == "nic_inbound" and float(r["inbound_util"]) > 0.9
+                  for r in t.rows if float(r["mops"]) >= 9.0)),
+    Claim("Multi-core", "bench_ext_multicore", "coalesced > 0 and errors 0 in every row",
+          ("coalesced", "errors"),
+          lambda t: min(t.column("coalesced")) > 0 and set(t.column("errors")) == {0.0}),
+    Claim("Multi-core", "bench_ext_multicore",
+          "rfp.channel.coalesced_fetches > 0 in every metrics series", (),
+          lambda t: min(t.metric("rfp.channel.coalesced_fetches")) > 0),
 ]
 
 
@@ -122,7 +163,10 @@ def run(build_dir, bench):
             raise RuntimeError(f"{bench} exited with status {proc.returncode}")
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    return Table([row["values"] for row in doc["rows"]])
+    if doc.get("bench") != bench or doc.get("schema_version") != 1:
+        raise RuntimeError(f"{bench} wrote a dump of bench {doc.get('bench')!r}, "
+                           f"schema {doc.get('schema_version')!r}")
+    return Table([row["values"] for row in doc["rows"]], doc.get("metrics", ()))
 
 
 def check(build_dir, names):

@@ -183,10 +183,10 @@ TEST(ConfigBuilderTest, PresetsComposeIntoOneConfig) {
 TEST(ConfigBuilderTest, BuildFromBasePreservesCallerFields) {
   kv::JakiroConfig base;
   base.server_threads = 3;
-  base.get_process_ns = sim::Nanos(999);
+  base.buckets_per_partition = 999;
   const kv::JakiroConfig config = kv::JakiroConfig::Build(base).ServerReply();
   EXPECT_EQ(config.server_threads, 3);
-  EXPECT_EQ(config.get_process_ns, sim::Nanos(999));
+  EXPECT_EQ(config.buckets_per_partition, 999u);
   EXPECT_EQ(config.channel_options.force_mode, rfp::RfpOptions::ForceMode::kForceReply);
 }
 

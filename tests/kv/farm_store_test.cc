@@ -149,7 +149,7 @@ TEST_F(FarmEndToEndTest, OneSidedGetReadsExactlyOneNeighborhood) {
   EXPECT_EQ(client.stats().bytes_read,
             static_cast<uint64_t>(config.neighborhood) *
                 static_cast<uint64_t>(config.slots_per_bucket) *
-                (FarmStore::kCellHeaderBytes + config.max_key_bytes + config.max_value_bytes));
+                (FarmStore::kCellHeaderBytes + kFarmMaxKeyBytes + config.max_value_bytes));
   EXPECT_GT(client.stats().WasteFactor(), 6.0);  // the paper's "N usually > 6"
 }
 
@@ -173,9 +173,7 @@ TEST_F(FarmEndToEndTest, PutThenGetThroughTheFullStack) {
 }
 
 TEST_F(FarmEndToEndTest, ConcurrentWriterNeverYieldsTornValues) {
-  FarmConfig config;
-  config.put_process_ns = 3000;
-  FarmServer server(fabric_, *server_node_, config);
+  FarmServer server(fabric_, *server_node_, FarmConfig{});
   ASSERT_TRUE(server.Preload(Bytes("hot"), Bytes(std::string(32, 'A'))));
   FarmClient writer(fabric_, *client_node_, server, 0);
   rdma::Node* reader_node = &fabric_.AddNode("reader");

@@ -439,6 +439,62 @@ TEST_F(JakiroTest, ZeroCopyWorksOnPipelinedChannels) {
   EXPECT_EQ(client.MergedChannelStats().zero_copy_fetches, 20u);
 }
 
+// A zero-copy PUT whose value the node's registration budget cannot hold
+// answers kError: the exception must not leave the server's handler (it
+// would abort the whole run), the server keeps serving, and stored values
+// stay readable.
+TEST(JakiroBudgetTest, PutPastRegistrationBudgetFailsAndServerServesOn) {
+  sim::Engine engine;
+  rdma::FabricConfig config;
+  config.nic.mem_max_registered_bytes = rdma::kMemArenaBytes;  // one arena
+  rdma::Fabric fabric(engine, config);
+  rdma::Node& server_node = fabric.AddNode("server");
+  rdma::Node& client_node = fabric.AddNode("client");
+  JakiroConfig jc = JakiroConfig::Build().ZeroCopy();
+  jc.server_threads = 1;
+  JakiroServer server(fabric, server_node, jc);
+  JakiroClient client(server, client_node);
+  server.Start();
+
+  struct Outcome {
+    int stored = 0;
+    bool refused = false;
+    bool first_value_intact = false;
+    bool put_after_refusal_served = false;
+  } outcome;
+  engine.Spawn([](JakiroClient* c, Outcome* out) -> sim::Task<void> {
+    std::vector<std::byte> key(16);
+    std::vector<std::byte> value(8192);
+    std::vector<std::byte> got(16384);
+    // 8 KiB values: one 16 MiB arena holds fewer than 2048 of them.
+    for (uint64_t id = 0; id < 4096 && !out->refused; ++id) {
+      workload::MakeKey(id, key);
+      workload::FillValue(id, value);
+      if (co_await c->Put(key, value)) {
+        ++out->stored;
+      } else {
+        out->refused = true;
+      }
+    }
+    workload::MakeKey(0, key);
+    const std::optional<size_t> size = co_await c->Get(key, got);
+    out->first_value_intact =
+        size.has_value() && *size == value.size() &&
+        workload::CheckValue(0, std::span<const std::byte>(got.data(), *size));
+    // Overwriting a stored key in place needs no new registration.
+    workload::FillValue(0, value);
+    out->put_after_refusal_served = co_await c->Put(key, value);
+  }(&client, &outcome));
+  EXPECT_NO_THROW(engine.RunUntil(sim::Millis(100)));
+  server.Stop();
+  EXPECT_TRUE(outcome.refused);
+  EXPECT_GT(outcome.stored, 1000);
+  EXPECT_LT(outcome.stored, 2048);
+  EXPECT_TRUE(outcome.first_value_intact);
+  EXPECT_TRUE(outcome.put_after_refusal_served);
+  EXPECT_LE(mem::Pool::Of(server_node).registered_bytes(), rdma::kMemArenaBytes);
+}
+
 TEST_F(JakiroTest, ZeroCopyFallsBackUnderForcedReply) {
   // Forced server-reply channels cannot deliver an indirect descriptor (the
   // client never fetches): the send must materialize the value once and take

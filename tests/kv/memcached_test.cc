@@ -1,5 +1,8 @@
 #include "src/kv/memcached_store.h"
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -112,9 +115,9 @@ TEST_F(MemcachedTest, RepeatedKeyHitsHotSet) {
 TEST_F(MemcachedTest, HotKeysAreServedFaster) {
   // CPU-cache locality model: repeated access to one key must have lower
   // latency than scattered access (drives the paper's Fig 19 behaviour).
-  MemcachedConfig config;
-  config.hot_set_size = 4;
-  MemcachedServer* server = MakeServer(config);
+  // Every scattered key below is read once, so it is never in the hot set
+  // (kMemcachedHotSetSize keys) when it is read.
+  MemcachedServer* server = MakeServer();
   for (int i = 0; i < 200; ++i) {
     server->Preload(Bytes("key" + std::to_string(i)), Bytes("v"));
   }
@@ -143,34 +146,101 @@ TEST_F(MemcachedTest, HotKeysAreServedFaster) {
 }
 
 TEST_F(MemcachedTest, SharedLockSerializesThreads) {
-  // Two clients on two server threads: the shared cache lock means total
-  // time exceeds what two independent partitions would take.
+  // Every server thread takes the one cache lock: with 16 threads writing
+  // cold keys, the lock holds (kMemcachedPutLockNs each) serialize, so the
+  // run takes far longer than 16 independent partitions would.
+  constexpr int kThreads = 16;
+  constexpr int kClients = 2 * kThreads;
+  constexpr int kPutsPerClient = 20;
   MemcachedConfig config;
-  config.server_threads = 2;
-  config.get_cpu_ns = 100;     // make the lock the dominant cost
-  config.get_lock_ns = 5000;
+  config.server_threads = kThreads;
   MemcachedServer* server = MakeServer(config);
-  server->Preload(Bytes("x"), Bytes("1"));
-  MemcachedClient c1(*server, *client_node_, 0);
-  rdma::Node* client_node2 = &fabric_.AddNode("client2");
-  MemcachedClient c2(*server, *client_node2, 1);
+  std::vector<std::unique_ptr<MemcachedClient>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    rdma::Node* node = &fabric_.AddNode("client" + std::to_string(c + 1));
+    clients.push_back(std::make_unique<MemcachedClient>(*server, *node, c % kThreads));
+  }
   server->Start();
 
   int done = 0;
-  auto driver = [](MemcachedClient* c, int* out) -> sim::Task<void> {
-    std::vector<std::byte> value(64);
-    for (int i = 0; i < 20; ++i) {
-      co_await c->Get(Bytes("x"), value);
-    }
-    ++*out;
-  };
-  engine_.Spawn(driver(&c1, &done));
-  engine_.Spawn(driver(&c2, &done));
+  sim::Time finished = 0;
+  for (int c = 0; c < kClients; ++c) {
+    engine_.Spawn([](sim::Engine& eng, MemcachedClient* client, int id, int* count,
+                     sim::Time* last) -> sim::Task<void> {
+      for (int i = 0; i < kPutsPerClient; ++i) {
+        // Distinct keys: no PUT gets the hot-set discount.
+        co_await client->Put(Bytes("c" + std::to_string(id) + "k" + std::to_string(i)),
+                             Bytes("1"));
+      }
+      ++*count;
+      *last = eng.now();
+    }(engine_, clients[static_cast<size_t>(c)].get(), c, &done, &finished));
+  }
   engine_.RunUntil(sim::Millis(50));
   server->Stop();
-  EXPECT_EQ(done, 2);
-  // 40 gets x 5 us lock hold = 200 us of serialized lock time minimum.
-  EXPECT_GE(engine_.now(), sim::Micros(200));
+  EXPECT_EQ(done, kClients);
+  constexpr int64_t kPuts = int64_t{kClients} * kPutsPerClient;
+  EXPECT_EQ(server->stats().puts, static_cast<uint64_t>(kPuts));
+  // 640 puts x 2.5 us lock hold = 1.6 ms of serialized lock time minimum...
+  EXPECT_GE(finished, kPuts * kMemcachedPutLockNs);
+  // ...against ~0.66 ms of CPU per thread had each thread its own lock.
+  EXPECT_GT(finished, 2 * kPuts * (kMemcachedPutCpuNs + kMemcachedPutLockNs) / kThreads);
+}
+
+// A PUT whose value the node's registration budget cannot hold answers
+// kError instead of aborting the run. An item that outgrows its slab chunk
+// at that point is dropped (its old chunk is already freed), never kept
+// pointing at freed memory.
+TEST(MemcachedBudgetTest, PutPastRegistrationBudgetFailsAndServerServesOn) {
+  sim::Engine engine;
+  rdma::FabricConfig config;
+  config.nic.mem_max_registered_bytes = rdma::kMemArenaBytes;  // one arena
+  rdma::Fabric fabric(engine, config);
+  rdma::Node& server_node = fabric.AddNode("server");
+  rdma::Node& client_node = fabric.AddNode("client");
+  MemcachedConfig mc;
+  mc.server_threads = 1;
+  MemcachedServer server(fabric, server_node, mc);
+  MemcachedClient client(server, client_node, 0);
+  server.Start();
+
+  struct Outcome {
+    bool small_stored = false;
+    int stored = 0;
+    bool refused = false;
+    bool outgrow_refused = false;
+    bool small_dropped = false;
+    bool big_value_intact = false;
+  } outcome;
+  engine.Spawn([](MemcachedClient* c, Outcome* out) -> sim::Task<void> {
+    std::vector<std::byte> big(8192, std::byte{0x5a});
+    std::vector<std::byte> got(16384);
+    out->small_stored = co_await c->Put(Bytes("small"), Bytes("tiny"));
+    // 8 KiB values: one 16 MiB arena holds fewer than 2048 of them.
+    for (int i = 0; i < 4096 && !out->refused; ++i) {
+      if (co_await c->Put(Bytes("big" + std::to_string(i)), big)) {
+        ++out->stored;
+      } else {
+        out->refused = true;
+      }
+    }
+    // The budget is still full: growing "small" to 8 KiB cannot be served.
+    out->outgrow_refused = !co_await c->Put(Bytes("small"), big);
+    out->small_dropped = !(co_await c->Get(Bytes("small"), got)).has_value();
+    const std::optional<size_t> size = co_await c->Get(Bytes("big0"), got);
+    out->big_value_intact = size.has_value() && *size == big.size() &&
+                            std::equal(big.begin(), big.end(), got.begin());
+  }(&client, &outcome));
+  EXPECT_NO_THROW(engine.RunUntil(sim::Millis(200)));
+  server.Stop();
+  EXPECT_TRUE(outcome.small_stored);
+  EXPECT_TRUE(outcome.refused);
+  EXPECT_GT(outcome.stored, 1000);
+  EXPECT_LT(outcome.stored, 2048);
+  EXPECT_TRUE(outcome.outgrow_refused);
+  EXPECT_TRUE(outcome.small_dropped);
+  EXPECT_TRUE(outcome.big_value_intact);
+  EXPECT_EQ(server.size(), static_cast<size_t>(outcome.stored));
 }
 
 }  // namespace

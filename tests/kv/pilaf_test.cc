@@ -120,9 +120,7 @@ TEST_F(PilafTest, ConcurrentPutsProduceCrcRetriesButNeverTornValues) {
   // One writer hammers a key with two alternating values while a reader
   // GETs it one-sidedly. The CRC must catch every torn read: the reader
   // only ever observes value A or value B in full.
-  PilafConfig config;
-  config.put_process_ns = 3000;  // wide race window
-  PilafServer* server = MakeServer(config);
+  PilafServer* server = MakeServer();
   ASSERT_TRUE(server->Preload(Bytes("hot"), Bytes(std::string(64, 'A'))));
   PilafClient writer(fabric_, *client_node_, *server, 0);
   rdma::Node* reader_node = &fabric_.AddNode("reader");
@@ -162,7 +160,8 @@ TEST_F(PilafTest, ConcurrentPutsProduceCrcRetriesButNeverTornValues) {
   EXPECT_GT(reads_done, 1000);
   EXPECT_EQ(torn_values, 0) << "CRC64 must filter every torn read";
   EXPECT_GT(reader.stats().crc_failures, 0u)
-      << "with a 3 us race window and a hammering writer, some reads must race";
+      << "with a race window of 0.6 x kPilafPutProcessNs and a hammering writer, some reads "
+         "must race";
 }
 
 TEST_F(PilafTest, ValueTooLargeForBufferThrows) {

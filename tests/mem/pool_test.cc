@@ -19,93 +19,62 @@
 namespace mem {
 namespace {
 
+using rdma::kMemArenaBytes;
+using rdma::kMemBlockBytes;
+
+// Every pool runs the fixed geometry: 4 KiB blocks, 13 orders => 16 MiB
+// arenas, 6 slab classes (64 B .. 2 KiB). Arenas are demand-zero mappings,
+// so an arena costs host memory only for the pages a test writes.
 class PoolTest : public ::testing::Test {
  protected:
-  // Small geometry so tests exercise arena growth without megabytes:
-  // 4 KiB blocks, 4 orders => 32 KiB arenas, 3 slab classes (512/1k/2k).
-  static PoolOptions SmallOptions() {
-    PoolOptions options;
-    options.block_bytes = 4096;
-    options.pool_level = 4;
-    options.slab_classes = 3;
-    options.slab_magazine = 2;
-    return options;
-  }
-
   sim::Engine engine_;
   rdma::Fabric fabric_{engine_};
   rdma::Node& node_{fabric_.AddNode("n")};
 };
 
-// ---- Options validation -------------------------------------------------------
-
-TEST(PoolOptionsTest, DefaultsAreValid) {
-  EXPECT_NO_THROW(ValidateOptions(PoolOptions{}));
-}
-
-TEST(PoolOptionsTest, RejectsBadGeometry) {
-  for (auto mutate : {
-           +[](PoolOptions& o) { o.block_bytes = 3000; },    // not a power of two
-           +[](PoolOptions& o) { o.block_bytes = 32; },      // below the floor
-           +[](PoolOptions& o) { o.pool_level = 0; },
-           +[](PoolOptions& o) { o.pool_level = 33; },
-           +[](PoolOptions& o) {
-             // block_bytes << (pool_level - 1) overflows size_t.
-             o.block_bytes = size_t{1} << 60;
-             o.pool_level = 10;
-           },
-           +[](PoolOptions& o) { o.slab_classes = -1; },
-           +[](PoolOptions& o) { o.slab_classes = 8; },      // 4096 >> 8 = 16 < 32
-           +[](PoolOptions& o) { o.slab_magazine = -1; },
-           +[](PoolOptions& o) {
-             // Cap below a single arena can never satisfy any allocation.
-             o.max_registered_bytes = (o.block_bytes << (o.pool_level - 1)) - 1;
-           },
-       }) {
-    PoolOptions options;
-    mutate(options);
-    EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
-  }
-}
-
-TEST(PoolOptionsTest, FromNicConfigMirrorsKnobs) {
-  rdma::NicConfig config;
-  config.mem_block_bytes = 8192;
-  config.mem_pool_level = 5;
-  config.mem_slab_classes = 2;
-  config.mem_slab_magazine = 7;
-  config.mem_max_registered_bytes = 8192u << 8;
-  const PoolOptions options = PoolOptionsFrom(config);
-  EXPECT_EQ(options.block_bytes, 8192u);
-  EXPECT_EQ(options.pool_level, 5);
-  EXPECT_EQ(options.slab_classes, 2);
-  EXPECT_EQ(options.slab_magazine, 7);
-  EXPECT_EQ(options.max_registered_bytes, 8192u << 8);
-}
-
+// The pool's one setting, the registration budget, is checked where it is
+// set: a fabric whose NicConfig budget is below one arena fails to
+// construct, so no pool is ever built with it.
 TEST_F(PoolTest, ConstructorValidatesOptions) {
-  PoolOptions bad = SmallOptions();
-  bad.pool_level = 0;
-  EXPECT_THROW(Pool(node_, bad), std::invalid_argument);
+  rdma::FabricConfig config;
+  config.nic.mem_max_registered_bytes = kMemArenaBytes - 1;
+  EXPECT_THROW(rdma::Fabric(engine_, config), std::invalid_argument);
+}
+
+// A pool built on a node takes the NicConfig budget as its own and
+// enforces it: two arenas fit, a third does not.
+TEST(PoolOptionsTest, FromNicConfigMirrorsKnobs) {
+  sim::Engine engine;
+  rdma::FabricConfig config;
+  config.nic.mem_max_registered_bytes = 2 * kMemArenaBytes;
+  rdma::Fabric fabric(engine, config);
+  Pool pool(fabric.AddNode("n"));
+  EXPECT_EQ(pool.max_registered_bytes(), 2 * kMemArenaBytes);
+  const Span a = pool.Alloc(kMemArenaBytes);
+  const Span b = pool.Alloc(kMemArenaBytes);
+  EXPECT_EQ(pool.registered_bytes(), 2 * kMemArenaBytes);
+  EXPECT_THROW(pool.Alloc(kMemBlockBytes), ExhaustedError);
+  pool.Free(a);
+  pool.Free(b);
 }
 
 // ---- Buddy split / coalesce ---------------------------------------------------
 
 TEST_F(PoolTest, ConstructionRegistersNothing) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   EXPECT_EQ(pool.registrations(), 0u);
   EXPECT_EQ(pool.registered_bytes(), 0u);
   EXPECT_EQ(pool.arena_count(), 0u);
 }
 
 TEST_F(PoolTest, BuddySplitAndCoalesceRoundTrip) {
-  Pool pool(node_, SmallOptions());
-  const size_t arena = pool.arena_bytes();
+  Pool pool(node_);
+  const size_t arena = kMemArenaBytes;
 
   // Fill the arena with leaf blocks: repeated splits down to order 0.
   std::vector<Span> blocks;
-  for (size_t i = 0; i < arena / 4096; ++i) {
-    blocks.push_back(pool.Alloc(4096));
+  for (size_t i = 0; i < arena / kMemBlockBytes; ++i) {
+    blocks.push_back(pool.Alloc(kMemBlockBytes));
   }
   EXPECT_EQ(pool.registrations(), 1u) << "one arena must satisfy all leaf blocks";
   EXPECT_EQ(pool.in_use_bytes(), arena);
@@ -123,7 +92,7 @@ TEST_F(PoolTest, BuddySplitAndCoalesceRoundTrip) {
 }
 
 TEST_F(PoolTest, FreedBuddyBlocksAreReused) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   const Span a = pool.Alloc(8192);
   pool.Free(a);
   const Span b = pool.Alloc(8192);
@@ -134,8 +103,8 @@ TEST_F(PoolTest, FreedBuddyBlocksAreReused) {
 }
 
 TEST_F(PoolTest, SecondArenaOnlyWhenFirstIsFull) {
-  Pool pool(node_, SmallOptions());
-  const Span first = pool.Alloc(pool.arena_bytes());
+  Pool pool(node_);
+  const Span first = pool.Alloc(kMemArenaBytes);
   EXPECT_EQ(pool.registrations(), 1u);
   const Span second = pool.Alloc(4096);  // no room left: new arena
   EXPECT_EQ(pool.registrations(), 2u);
@@ -147,7 +116,7 @@ TEST_F(PoolTest, SecondArenaOnlyWhenFirstIsFull) {
 // ---- Slab front-end -----------------------------------------------------------
 
 TEST_F(PoolTest, SlabChunksComeFromOneLeafBlock) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   // 512-byte class: 8 chunks per 4 KiB leaf block.
   std::vector<Span> chunks;
   for (int i = 0; i < 8; ++i) {
@@ -172,7 +141,7 @@ TEST_F(PoolTest, SlabChunksComeFromOneLeafBlock) {
 }
 
 TEST_F(PoolTest, SlabFreeRecyclesWithoutRegistration) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   for (int cycle = 0; cycle < 100; ++cycle) {
     const Span s = pool.Alloc(1000);
     pool.Free(s);
@@ -185,20 +154,35 @@ TEST_F(PoolTest, SlabFreeRecyclesWithoutRegistration) {
 }
 
 TEST_F(PoolTest, MagazineOverflowCoalescesSlabsBackToBuddy) {
-  PoolOptions options = SmallOptions();
-  options.slab_magazine = 0;  // no cached fully-free slabs
-  Pool pool(node_, options);
-  const Span s = pool.Alloc(500);
-  pool.Free(s);
-  // With the slab dissolved back into the buddy, the whole arena is one free
-  // extent again: a full-arena alloc fits in the same registration.
-  const Span whole = pool.Alloc(pool.arena_bytes());
+  Pool pool(node_);
+  // Carve every leaf block of one arena into 2 KiB slabs (2 chunks each).
+  const size_t blocks = kMemArenaBytes / kMemBlockBytes;
+  std::vector<Span> chunks;
+  for (size_t i = 0; i < 2 * blocks; ++i) {
+    chunks.push_back(pool.Alloc(kMemBlockBytes / 2));
+  }
   EXPECT_EQ(pool.registrations(), 1u);
-  pool.Free(whole);
+  // Freeing slab by slab caches the first kMemSlabMagazine fully-free slabs;
+  // every later one dissolves back into the buddy.
+  for (const Span& s : chunks) {
+    pool.Free(s);
+  }
+  EXPECT_EQ(pool.in_use_bytes(), 0u);
+  const size_t magazine = static_cast<size_t>(rdma::kMemSlabMagazine);
+  std::vector<Span> leaves;
+  for (size_t i = 0; i < blocks - magazine; ++i) {
+    leaves.push_back(pool.Alloc(kMemBlockBytes));
+  }
+  EXPECT_EQ(pool.registrations(), 1u) << "dissolved slabs must coalesce back into the buddy";
+  leaves.push_back(pool.Alloc(kMemBlockBytes));
+  EXPECT_EQ(pool.registrations(), 2u) << "cached slabs must stay carved";
+  for (const Span& s : leaves) {
+    pool.Free(s);
+  }
 }
 
 TEST_F(PoolTest, ZeroByteAllocIsServed) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   const Span s = pool.Alloc(0);
   EXPECT_TRUE(s.valid());
   EXPECT_EQ(s.size, 0u);
@@ -210,8 +194,8 @@ TEST_F(PoolTest, ZeroByteAllocIsServed) {
 // ---- Huge path ----------------------------------------------------------------
 
 TEST_F(PoolTest, HugeAllocationGetsDedicatedRegionAndReuse) {
-  Pool pool(node_, SmallOptions());
-  const size_t huge = pool.arena_bytes() * 2;
+  Pool pool(node_);
+  const size_t huge = kMemArenaBytes * 2;
   const Span a = pool.Alloc(huge);
   EXPECT_TRUE(a.valid());
   EXPECT_EQ(a.offset, 0u);
@@ -228,13 +212,15 @@ TEST_F(PoolTest, HugeAllocationGetsDedicatedRegionAndReuse) {
 // ---- Exhaustion and misuse ----------------------------------------------------
 
 TEST_F(PoolTest, ExhaustionThrowsCleanlyAndPoolStaysUsable) {
-  PoolOptions options = SmallOptions();
-  options.max_registered_bytes = options.block_bytes << (options.pool_level - 1);
-  Pool pool(node_, options);
+  rdma::FabricConfig config;
+  config.nic.mem_max_registered_bytes = kMemArenaBytes;  // one arena
+  rdma::Fabric capped(engine_, config);
+  Pool pool(capped.AddNode("capped"));
+  EXPECT_EQ(pool.max_registered_bytes(), kMemArenaBytes);
 
-  const Span whole = pool.Alloc(pool.arena_bytes());  // fills the one allowed arena
+  const Span whole = pool.Alloc(kMemArenaBytes);  // fills the one allowed arena
   EXPECT_THROW(pool.Alloc(4096), ExhaustedError) << "second arena exceeds the cap";
-  EXPECT_THROW(pool.Alloc(pool.arena_bytes() * 4), ExhaustedError) << "huge path too";
+  EXPECT_THROW(pool.Alloc(kMemArenaBytes * 4), ExhaustedError) << "huge path too";
 
   // The failure is a clean resource condition: freeing makes room again.
   pool.Free(whole);
@@ -245,19 +231,19 @@ TEST_F(PoolTest, ExhaustionThrowsCleanlyAndPoolStaysUsable) {
 }
 
 TEST_F(PoolTest, FreeingInvalidSpanIsNoOp) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   EXPECT_NO_THROW(pool.Free(Span{}));
   EXPECT_EQ(pool.frees(), 0u);
 }
 
 TEST_F(PoolTest, FreeingForeignSpanThrows) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   rdma::MemoryRegion* foreign = node_.RegisterMemory(4096, rdma::kAccessLocal);
   EXPECT_THROW(pool.Free(Span{foreign, 0, 64}), std::invalid_argument);
 }
 
 TEST_F(PoolTest, FreeingUnallocatedBuddyOffsetThrows) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   const Span s = pool.Alloc(8192);
   // Same arena MR, but an offset the buddy never handed out.
   EXPECT_THROW(pool.Free(Span{s.mr, s.offset + 8192, 8192}), std::invalid_argument);
@@ -267,8 +253,8 @@ TEST_F(PoolTest, FreeingUnallocatedBuddyOffsetThrows) {
 // ---- Alignment ----------------------------------------------------------------
 
 TEST_F(PoolTest, SpansAlignToTheirRoundedSize) {
-  Pool pool(node_, SmallOptions());
-  const size_t min_chunk = SmallOptions().block_bytes >> SmallOptions().slab_classes;
+  Pool pool(node_);
+  const size_t min_chunk = kMemBlockBytes >> rdma::kMemSlabClasses;
   std::vector<Span> spans;
   for (size_t size : {size_t{1}, size_t{100}, size_t{512}, size_t{900}, size_t{2048},
                       size_t{4096}, size_t{6000}, size_t{16384}}) {
@@ -287,13 +273,13 @@ TEST_F(PoolTest, SpansAlignToTheirRoundedSize) {
 // ---- Fragmentation stress -----------------------------------------------------
 
 TEST_F(PoolTest, SeededChurnStaysConsistentAndRecyclesMemory) {
-  Pool pool(node_, SmallOptions());
+  Pool pool(node_);
   sim::Rng rng(20260808);
   std::vector<Span> live;
   // Mixed-size churn across slab, buddy, and (rarely) huge paths.
   for (int step = 0; step < 4000; ++step) {
     if (live.empty() || rng.NextBounded(3) < 2) {
-      const size_t size = 1 + rng.NextBounded(pool.arena_bytes() / 2);
+      const size_t size = 1 + rng.NextBounded(kMemArenaBytes / 2);
       Span s = pool.Alloc(size);
       // Touch both ends: the span must be fully inside its MR.
       s.bytes().front() = std::byte{0xAB};
@@ -324,7 +310,7 @@ TEST_F(PoolTest, SeededChurnStaysConsistentAndRecyclesMemory) {
   }
   EXPECT_EQ(pool.in_use_bytes(), 0u);
   const uint64_t registrations_before = pool.registrations();
-  const Span whole = pool.Alloc(pool.arena_bytes());
+  const Span whole = pool.Alloc(kMemArenaBytes);
   EXPECT_EQ(pool.registrations(), registrations_before);
   pool.Free(whole);
 }
@@ -340,10 +326,12 @@ TEST_F(PoolTest, SharedReturnsOneInstancePerNode) {
 }
 
 TEST_F(PoolTest, SharedPoolFollowsNodeNicConfig) {
-  std::shared_ptr<Pool> pool = Pool::Shared(node_);
-  const rdma::NicConfig& config = node_.nic().config();
-  EXPECT_EQ(pool->options().block_bytes, config.mem_block_bytes);
-  EXPECT_EQ(pool->options().pool_level, config.mem_pool_level);
+  EXPECT_EQ(Pool::Shared(node_)->max_registered_bytes(), 0u);
+  rdma::FabricConfig config;
+  config.nic.mem_max_registered_bytes = 3 * kMemArenaBytes;
+  rdma::Fabric capped(engine_, config);
+  std::shared_ptr<Pool> pool = Pool::Shared(capped.AddNode("capped"));
+  EXPECT_EQ(pool->max_registered_bytes(), 3 * kMemArenaBytes);
 }
 
 }  // namespace

@@ -17,33 +17,20 @@ TEST(ConfigValidationTest, DefaultsAreValid) {
   EXPECT_NO_THROW(ValidateConfig(FabricConfig{}));
 }
 
+// The fixed calibration (kPostCpuNs, kServiceJitter, the kMem* pool
+// geometry, ...) is checked by static_asserts in config.h; these tests
+// cover the fields that stay settable.
+
 TEST(ConfigValidationTest, RejectsNegativeServiceTimes) {
-  for (auto mutate : {
-           +[](NicConfig& c) { c.outbound_issue_ns = -1.0; },
-           +[](NicConfig& c) { c.read_state_cpu_ns = -0.5; },
-           +[](NicConfig& c) { c.post_cpu_ns = -1.0; },
-           +[](NicConfig& c) { c.completion_cpu_ns = -1.0; },
-           +[](NicConfig& c) { c.post_lock_ns = -1.0; },
-           +[](NicConfig& c) { c.inbound_min_gap_ns = -1.0; },
-           +[](NicConfig& c) { c.outbound_batch_marginal_ns = -1.0; },
-           +[](NicConfig& c) { c.two_sided_tx_ns = -1.0; },
-           +[](NicConfig& c) { c.two_sided_rx_ns = -1.0; },
-       }) {
-    NicConfig config;
-    mutate(config);
-    EXPECT_THROW(ValidateConfig(config), std::invalid_argument);
-  }
+  NicConfig config;
+  config.outbound_issue_ns = -1.0;
+  EXPECT_THROW(ValidateConfig(config), std::invalid_argument);
 }
 
 TEST(ConfigValidationTest, RejectsBadScalingParameters) {
   {
     NicConfig c;
-    c.outbound_free_threads = -1;
-    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
-  }
-  {
-    NicConfig c;
-    c.outbound_read_thread_factor = -0.1;
+    c.outbound_write_thread_factor = -0.1;
     EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
   }
   {
@@ -56,36 +43,29 @@ TEST(ConfigValidationTest, RejectsBadScalingParameters) {
     c.cores = 0;
     EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
   }
+  {
+    NicConfig c;
+    c.nic_station_cores = -1;
+    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
+  }
+  {
+    NicConfig c;
+    c.nic_station_cores = c.cores;  // no core left for dispatch workers
+    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
+  }
 }
 
 TEST(ConfigValidationTest, RejectsBadMemoryPoolKnobs) {
-  for (auto mutate : {
-           +[](NicConfig& c) { c.mem_block_bytes = 3000; },  // not a power of two
-           +[](NicConfig& c) { c.mem_block_bytes = 32; },    // below the 64-byte floor
-           +[](NicConfig& c) { c.mem_pool_level = 0; },
-           +[](NicConfig& c) { c.mem_pool_level = 33; },
-           +[](NicConfig& c) {
-             // mem_block_bytes << (mem_pool_level - 1) overflows size_t.
-             c.mem_block_bytes = size_t{1} << 60;
-             c.mem_pool_level = 10;
-           },
-           +[](NicConfig& c) { c.mem_slab_classes = -1; },
-           +[](NicConfig& c) { c.mem_slab_classes = 8; },  // 4096 >> 8 = 16 < 32
-           +[](NicConfig& c) { c.mem_slab_magazine = -1; },
-           +[](NicConfig& c) {
-             // Cap below one arena: the pool could never register anything.
-             c.mem_max_registered_bytes =
-                 (c.mem_block_bytes << (c.mem_pool_level - 1)) - 1;
-           },
-       }) {
-    NicConfig config;
-    mutate(config);
-    EXPECT_THROW(ValidateConfig(config), std::invalid_argument);
+  {
+    // Cap below one arena: the pool could never register anything.
+    NicConfig c;
+    c.mem_max_registered_bytes = kMemArenaBytes - 1;
+    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
   }
   // The cap is legal at exactly one arena, and 0 means unbounded.
   {
     NicConfig c;
-    c.mem_max_registered_bytes = c.mem_block_bytes << (c.mem_pool_level - 1);
+    c.mem_max_registered_bytes = kMemArenaBytes;
     EXPECT_NO_THROW(ValidateConfig(c));
   }
   {
@@ -98,27 +78,17 @@ TEST(ConfigValidationTest, RejectsBadMemoryPoolKnobs) {
 TEST(ConfigValidationTest, RejectsOutOfRangeJitterAndNan) {
   {
     NicConfig c;
-    c.service_jitter = 1.5;  // would allow negative service times
-    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
-  }
-  {
-    NicConfig c;
-    c.service_jitter = -0.1;
-    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
-  }
-  {
-    NicConfig c;
     c.outbound_issue_ns = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
+  }
+  {
+    NicConfig c;
+    c.bandwidth_bytes_per_ns = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
   }
 }
 
 TEST(ConfigValidationTest, RejectsBadFabricValues) {
-  {
-    FabricConfig c;
-    c.wire_latency_ns = -1;
-    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
-  }
   {
     FabricConfig c;
     c.unreliable_loss_prob = -0.01;

@@ -59,16 +59,25 @@ TEST(FabricTest, FindQpResolvesAddresses) {
 
 TEST(FabricTest, WireLatencyScalesRoundTrip) {
   sim::Engine engine;
-  FabricConfig slow;
-  slow.wire_latency_ns = 10'000;
-  Fabric fabric(engine, slow);
+  Fabric fabric(engine);
   Node& a = fabric.AddNode("a");
   Node& b = fabric.AddNode("b");
   auto [qa, qb] = fabric.ConnectRc(a, b);
   MemoryRegion* local = a.RegisterMemory(64, kAccessLocal);
   MemoryRegion* remote = b.RegisterMemory(64, kAccessRemoteRead);
   rfptest::RunSync(engine, qa->Read(*local, 0, remote->remote_key(), 0, 8));
-  EXPECT_GT(engine.now(), sim::Nanos(20'000));  // two hops dominate
+  // A lone READ pays its fixed host costs, the jittered issue and serve
+  // stations, and the wire twice (request out, data back). The jitter band
+  // is narrower than one hop, so the bounds pin both hops.
+  const double fixed = kPostLockNs + kPostCpuNs + 8 / NicConfig{}.bandwidth_bytes_per_ns +
+                       kReadStateCpuNs + kCompletionCpuNs;
+  const double stations = NicConfig{}.outbound_issue_ns + kInboundMinGapNs;
+  const double two_hops = 2.0 * static_cast<double>(kWireLatencyNs);
+  ASSERT_LT(2.0 * kServiceJitter * stations, static_cast<double>(kWireLatencyNs));
+  EXPECT_GE(static_cast<double>(engine.now()),
+            fixed + two_hops + (1.0 - kServiceJitter) * stations - 4.0);
+  EXPECT_LE(static_cast<double>(engine.now()),
+            fixed + two_hops + (1.0 + kServiceJitter) * stations + 4.0);
   (void)qb;
 }
 

@@ -62,7 +62,7 @@ TEST_F(NicTest, AsymmetryRatioAboutFiveForSmallPayloads) {
 TEST_F(NicTest, OutboundContentionInflatesBeyondFreeThreads) {
   Nic nic(engine_, config_);
   const sim::Time base = nic.OutboundServiceTime(Opcode::kRead, 0);
-  for (int i = 0; i < config_.outbound_free_threads; ++i) {
+  for (int i = 0; i < kOutboundFreeThreads; ++i) {
     nic.BeginOutbound();
   }
   EXPECT_EQ(nic.OutboundServiceTime(Opcode::kRead, 0), base);
@@ -77,7 +77,7 @@ TEST_F(NicTest, ReadIssueInflatesFasterThanWriteIssue) {
   // (requesters hold per-READ state); WRITE issue degrades only mildly
   // (Fig 3 near-flat, Fig 12's gentle ServerReply decline).
   Nic nic(engine_, config_);
-  for (int i = 0; i < config_.outbound_free_threads + 4; ++i) {
+  for (int i = 0; i < kOutboundFreeThreads + 4; ++i) {
     nic.BeginOutbound();
   }
   const sim::Time read = nic.OutboundServiceTime(Opcode::kRead, 0);
@@ -103,8 +103,8 @@ TEST_F(NicTest, TwoSidedCostsAreSymmetric) {
   // Issue and serve of a SEND share the same base cost: no asymmetry
   // (the paper's circumstantial evidence in Section 2.2).
   EXPECT_EQ(nic.OutboundServiceTime(Opcode::kSend, 32),
-            static_cast<sim::Time>(config_.two_sided_tx_ns + 0.5));
-  EXPECT_EQ(config_.two_sided_tx_ns, config_.two_sided_rx_ns);
+            static_cast<sim::Time>(kTwoSidedTxNs + 0.5));
+  EXPECT_EQ(kTwoSidedTxNs, kTwoSidedRxNs);
 }
 
 TEST_F(NicTest, CountersTrackOps) {
@@ -122,7 +122,7 @@ TEST_F(NicTest, PostOverheadSerializedByPostLock) {
   engine_.Spawn(nic.PostOverhead());
   engine_.Run();
   // Two posts: lock section is serialized (2 * 20ns), CPU portions overlap.
-  EXPECT_GE(engine_.now(), static_cast<sim::Time>(2 * config_.post_lock_ns));
+  EXPECT_GE(engine_.now(), static_cast<sim::Time>(2 * kPostLockNs));
 }
 
 }  // namespace

@@ -208,7 +208,8 @@ Outcome CrashDuringSnapshotScenario(ScenarioRun& run) {
   sim::Engine& eng = run.engine;
   rdma::Fabric fabric(eng);
   ClusterConfig config = FastConfig();
-  config.repl.snapshot_chunk_buckets = 4;  // many chunks: a long sweep window
+  // 64 chunks of kSnapshotChunkBuckets per partition: a long sweep window.
+  config.kv.buckets_per_partition = 64 * kSnapshotChunkBuckets;
   Cluster cluster(fabric, config);
 
   constexpr int kKeys = 400;

@@ -47,30 +47,6 @@ TEST(ReplOptionsTest, RejectsProbeSlowerThanLease) {
   EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
 }
 
-TEST(ReplOptionsTest, RejectsNegativeProbeDeadline) {
-  ReplOptions options;
-  options.probe_deadline_ns = -1;
-  EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
-}
-
-TEST(ReplOptionsTest, RejectsZeroAsyncLag) {
-  ReplOptions options;
-  options.max_async_lag = 0;
-  EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
-}
-
-TEST(ReplOptionsTest, RejectsZeroSnapshotChunk) {
-  ReplOptions options;
-  options.snapshot_chunk_buckets = 0;
-  EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
-}
-
-TEST(ReplOptionsTest, RejectsNonPositiveApplyInterval) {
-  ReplOptions options;
-  options.apply_interval_ns = 0;
-  EXPECT_THROW(ValidateOptions(options), std::invalid_argument);
-}
-
 // The failover-safety rule: a lease at or below 2x the replication channel's
 // fetch timeout could expire while one healthy probe is still retrying its
 // fetch, promoting the backup under a live primary.

@@ -5,6 +5,7 @@
 
 #include "src/repl/cluster.h"
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -92,7 +93,8 @@ TEST(ReplicationTest, SnapshotBootstrapTransfersExistingData) {
   sim::Engine engine;
   rdma::Fabric fabric(engine);
   ClusterConfig config = FastConfig();
-  config.repl.snapshot_chunk_buckets = 16;  // force a multi-chunk sweep
+  // 16 chunks of kSnapshotChunkBuckets per partition: a multi-chunk sweep.
+  config.kv.buckets_per_partition = 16 * kSnapshotChunkBuckets;
   Cluster cluster(fabric, config);
 
   constexpr int kKeys = 300;
@@ -122,37 +124,76 @@ TEST(ReplicationTest, AsyncModeBoundsLagWithoutBlockingEachPut) {
   rdma::Fabric fabric(engine);
   ClusterConfig config = FastConfig();
   config.repl.ack_mode = ReplOptions::AckMode::kAsync;
-  config.repl.max_async_lag = 4;
+  // The PUT held at the bound waits out the backup's dark window: no client
+  // call deadline, and a lease long enough that a primary worker blocked in
+  // that PUT's handler cannot get the backup promoted meanwhile.
+  config.kv.channel_options.call_deadline_ns = 0;
+  config.repl.lease_interval_ns = sim::Millis(50);
   Cluster cluster(fabric, config);
   rdma::Node& client_node = fabric.AddNode("client");
   Client client(cluster, client_node);
   cluster.Start();
 
-  constexpr int kPuts = 40;
-  bool done = false;
-  engine.Spawn([](sim::Engine& eng, Cluster* cl, Client* c, bool* finished) -> sim::Task<void> {
+  constexpr int kPuts = static_cast<int>(kMaxAsyncLag) + 8;
+  struct Progress {
+    bool acks_held = false;
+    int completed = 0;
+    size_t max_lag_at_release = 0;
+    bool done = false;
+  } progress;
+
+  // Controller: darken the backup worker that serves the replication
+  // channel (thread 0), so no record is acked, then check the producer is
+  // held at the bound before bringing the worker back.
+  engine.Spawn([](sim::Engine& eng, Cluster* cl, Progress* p) -> sim::Task<void> {
     while (!cl->replicator().attached()) {
+      co_await eng.Sleep(sim::Micros(10));
+    }
+    cl->backup().rpc().CrashThread(0);
+    p->acks_held = true;
+    while (p->completed < static_cast<int>(kMaxAsyncLag)) {
+      co_await eng.Sleep(sim::Micros(10));
+    }
+    co_await eng.Sleep(sim::Micros(200));
+    // kMaxAsyncLag PUTs replied without any ack; the next one appended its
+    // record and is stalled in the handler until acks resume.
+    EXPECT_EQ(p->completed, static_cast<int>(kMaxAsyncLag));
+    EXPECT_EQ(cl->replicator().log().lag(), kMaxAsyncLag + 1);
+    EXPECT_EQ(cl->replicator().shipped(), 0u);
+    cl->backup().rpc().RestartThread(0);
+  }(engine, &cluster, &progress));
+
+  engine.Spawn([](sim::Engine& eng, Cluster* cl, Client* c, Progress* p) -> sim::Task<void> {
+    while (!p->acks_held) {
       co_await eng.Sleep(sim::Micros(10));
     }
     for (int i = 0; i < kPuts; ++i) {
       EXPECT_TRUE(co_await c->Put(Bytes("k" + std::to_string(i % 8)),
                                   Bytes("v" + std::to_string(i))));
-      // The bounded-lag watermark: a producer is released only while the
-      // unacked window is within max_async_lag.
-      EXPECT_LE(cl->replicator().log().lag(), cl->config().repl.max_async_lag);
+      ++p->completed;
+      p->max_lag_at_release = std::max(p->max_lag_at_release, cl->replicator().log().lag());
     }
     // The shipper drains the tail in the background.
     co_await eng.Sleep(sim::Micros(500));
-    EXPECT_EQ(cl->replicator().log().lag(), 0u);
-    *finished = true;
-  }(engine, &cluster, &client, &done));
-  engine.RunUntil(sim::Millis(5));
+    p->done = true;
+  }(engine, &cluster, &client, &progress));
+  engine.RunUntil(sim::Millis(30));
   cluster.Stop();
 
-  ASSERT_TRUE(done);
-  EXPECT_GE(cluster.replicator().shipped(), static_cast<uint64_t>(kPuts));
+  ASSERT_TRUE(progress.done);
+  EXPECT_EQ(progress.completed, kPuts);
+  // A producer is released only once the unacked window is within the bound.
+  EXPECT_LE(progress.max_lag_at_release, kMaxAsyncLag);
+  EXPECT_TRUE(cluster.replicator().attached());
+  EXPECT_EQ(cluster.replicator().log().lag(), 0u);
+  EXPECT_EQ(cluster.replicator().shipped(), static_cast<uint64_t>(kPuts));
   EXPECT_GE(cluster.sink().applied(), static_cast<uint64_t>(kPuts));
-  EXPECT_EQ(BackupValue(cluster, "k7"), std::optional<std::string>("v39"));
+  for (int k = 0; k < 8; ++k) {
+    const int last = kPuts - 8 + k;  // the final PUT of key k (kPuts % 8 == 0)
+    EXPECT_EQ(BackupValue(cluster, "k" + std::to_string(k)),
+              std::optional<std::string>("v" + std::to_string(last)))
+        << "k" << k;
+  }
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST(KneeTest, DetectHFindsTheAdvantageEdge) {
 
 TEST(KneeTest, RetryBoundMatchesPaperScale) {
   // P* = 16 / (2.11 * 1.1) ~ 6.9 us; at ~1.3 us per fetch, N ~ 5.
-  const int n = DeriveRetryBound(PaperLikeProfile(), 16);
+  const int n = DeriveRetryBound(PaperLikeProfile());
   EXPECT_GE(n, 4);
   EXPECT_LE(n, 6);
 }
@@ -93,11 +93,10 @@ TEST(SelectorTest, MixedSizesTradeOffCoverageAgainstIops) {
 
 TEST(SelectorTest, FStaysWithinExplicitBounds) {
   HardwareProfile p = PaperLikeProfile();
+  ASSERT_EQ(DetectL(p), 256u);
+  ASSERT_EQ(DetectH(p), 1024u);
   std::vector<uint32_t> sizes(10, 5000);  // larger than H: two fetches always
-  SelectorConfig cfg;
-  cfg.l = 256;
-  cfg.h = 1024;
-  ParamChoice choice = SelectParameters(p, sizes, {}, cfg);
+  ParamChoice choice = SelectParameters(p, sizes);
   EXPECT_GE(choice.fetch_size, 256u);
   EXPECT_LE(choice.fetch_size, 1024u);
   // Nothing fits: the selector minimizes waste by staying at L.
@@ -144,16 +143,16 @@ TEST(SamplerTest, FillsToCapacityThenReplaces) {
 }
 
 TEST(MeasureProfileTest, DefaultFabricMatchesPaperEnvelope) {
-  rdma::FabricConfig config;
-  ProfileOptions opts;
-  opts.sizes = {32, 256, 512, 1024, 2048};
-  HardwareProfile p = MeasureProfile(config, opts);
+  HardwareProfile p = MeasureProfile(rdma::FabricConfig{});
   EXPECT_NEAR(p.InboundMopsAt(32), 11.2, 0.7);
   EXPECT_NEAR(p.outbound_write_mops, 2.11, 0.2);
   EXPECT_GT(p.fetch_rtt_ns, 800.0);
   EXPECT_LT(p.fetch_rtt_ns, 2000.0);
-  EXPECT_EQ(DetectL(p), 256u);
-  const int n = DeriveRetryBound(p, 16);
+  // The in-bound engine serves max(kInboundMinGapNs, bytes / bandwidth), so
+  // it stays flat up to ~400 B: 384 B is the largest flat size MeasureProfile
+  // samples (the paper's RNIC has its knee at 256 B, one size lower).
+  EXPECT_EQ(DetectL(p), 384u);
+  const int n = DeriveRetryBound(p);
   EXPECT_GE(n, 4);
   EXPECT_LE(n, 7);
 }
