@@ -26,8 +26,9 @@
 //
 // Columns: inbound_util is rdma::Nic::ServeUtilization over the measure
 // window; cpu_util is the busiest worker core's CoreUtilization; the
-// bottleneck column names whichever model is nearer saturation. The --json
-// smoke test in tests/obs/ pins the headline: some 32-byte row reaches
+// bottleneck column names whichever model is nearer saturation; p50_us and
+// p99_us run from each call's SubmitCall to its completion. The claims gate
+// (tests/claims/claims.py) pins the headline: some 32-byte row reaches
 // >= 9 MOPS with bottleneck == nic_inbound.
 
 #include "bench/common.h"
@@ -79,6 +80,7 @@ sim::Task<void> Driver(sim::Engine& eng, rfp::RpcClient* client, int window,
   std::vector<std::vector<std::byte>> resp(
       static_cast<size_t>(window), std::vector<std::byte>(kValueBytes));
   std::vector<rfp::Channel::CallHandle> handles(static_cast<size_t>(window));
+  std::vector<sim::Time> submitted(static_cast<size_t>(window));
   sim::Time pace = static_cast<sim::Time>(window) * 400;
   uint64_t n = 0;
   while (eng.now() < kRunEnd) {
@@ -87,19 +89,19 @@ sim::Task<void> Driver(sim::Engine& eng, rfp::RpcClient* client, int window,
       for (size_t b = 0; b < req.size(); ++b) {
         req[b] = static_cast<std::byte>(static_cast<uint8_t>(n >> (8 * b)));
       }
+      submitted[static_cast<size_t>(i)] = eng.now();
       handles[static_cast<size_t>(i)] = co_await client->SubmitCall(1, req);
     }
     co_await client->channel()->FlushCalls();
     const sim::Time flushed = eng.now();
     if (pace > 0) co_await eng.Sleep(pace);
     for (int i = 0; i < window; ++i) {
-      const sim::Time start = eng.now();
       try {
         const size_t got = co_await client->AwaitCall(
             handles[static_cast<size_t>(i)], resp[static_cast<size_t>(i)]);
         if (eng.now() >= kMeasureStart) {
           ++counts->completed;
-          counts->latency.Record(eng.now() - start);
+          counts->latency.Record(eng.now() - submitted[static_cast<size_t>(i)]);
         }
         if (got != kValueBytes) {
           ++counts->mismatches;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -26,6 +27,21 @@ constexpr int ClassIndexFor(size_t rounded) { return Log2(kMemBlockBytes) - Log2
 constexpr int OrderFor(size_t rounded) { return Log2(rounded) - Log2(kMemBlockBytes); }
 
 }  // namespace
+
+void Span::Zero() const {
+  static constexpr std::array<std::byte, kMemBlockBytes> kZeros{};
+  // Blocks follow the region's block grid, which the mapping's pages share.
+  size_t pos = offset;
+  const size_t end = offset + size;
+  while (pos < end) {
+    const size_t len = std::min(end, (pos / kMemBlockBytes + 1) * kMemBlockBytes) - pos;
+    std::byte* block = mr->bytes().data() + pos;
+    if (std::memcmp(block, kZeros.data(), len) != 0) {
+      std::memset(block, 0, len);
+    }
+    pos += len;
+  }
+}
 
 Pool::Pool(rdma::Node& node)
     : node_(node),

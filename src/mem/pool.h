@@ -64,6 +64,11 @@ struct Span {
   bool valid() const { return mr != nullptr; }
   uint32_t rkey() const { return mr->remote_key().rkey; }
   std::span<std::byte> bytes() const { return mr->bytes().subspan(offset, size); }
+
+  // Makes every byte read zero, like a fresh registration. Arenas are
+  // demand-zero mappings, so only kMemBlockBytes blocks that hold a nonzero
+  // byte are written: blocks nothing wrote stay unbacked host memory.
+  void Zero() const;
 };
 
 class Pool {

@@ -96,9 +96,9 @@ Channel::Channel(rdma::Fabric& fabric, rdma::Node& client, rdma::Node& server,
   client_ = RingView{client_span_.mr, client_span_.offset};
   // A recycled span may hold a predecessor's ring: stale headers could alias
   // a fresh call's (slot, seq), so both rings start zeroed, exactly like a
-  // freshly registered MR.
-  std::fill(server_span_.bytes().begin(), server_span_.bytes().end(), std::byte{0});
-  std::fill(client_span_.bytes().begin(), client_span_.bytes().end(), std::byte{0});
+  // freshly registered MR. Pages no ring ever wrote are left untouched.
+  server_span_.Zero();
+  client_span_.Zero();
   cslots_.resize(window);
   sslots_.resize(window);
   if (check::FabricChecker* chk = fabric.checker()) {

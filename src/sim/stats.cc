@@ -34,8 +34,6 @@ constexpr int kMaxBuckets = Histogram::kSubBuckets * 64;
 
 }  // namespace
 
-Histogram::Histogram() : buckets_(kMaxBuckets, 0) {}
-
 int Histogram::BucketIndex(int64_t value) {
   if (value < 0) {
     value = 0;
@@ -59,7 +57,16 @@ int64_t Histogram::BucketUpperEdge(int index) {
   const int sub = index % kSubBuckets;
   const int msb = group + 5;
   const int shift = msb - 6;
-  return ((static_cast<int64_t>(kSubBuckets) + sub + 1) << shift) - 1;
+  // Unsigned: the top bucket int64 samples reach ends at 2^63 - 1, one
+  // short of a value int64 cannot hold.
+  const uint64_t end = (uint64_t{kSubBuckets} + static_cast<uint64_t>(sub) + 1) << shift;
+  return static_cast<int64_t>(end - 1);
+}
+
+void Histogram::Grow(int index) {
+  const int floor = buckets_.empty() ? BucketIndex(kInitialLimit - 1) : 0;
+  const int last = std::max(index, floor);
+  buckets_.resize(static_cast<size_t>((last / kSubBuckets + 1) * kSubBuckets), 0);
 }
 
 void Histogram::Record(int64_t value) { RecordN(value, 1); }
@@ -78,7 +85,11 @@ void Histogram::RecordN(int64_t value, uint64_t n) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  buckets_[static_cast<size_t>(BucketIndex(value))] += n;
+  const int index = BucketIndex(value);
+  if (static_cast<size_t>(index) >= buckets_.size()) {
+    Grow(index);
+  }
+  buckets_[static_cast<size_t>(index)] += n;
   count_ += n;
   sum_ += static_cast<double>(value) * static_cast<double>(n);
 }
@@ -90,10 +101,10 @@ int64_t Histogram::Percentile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(count_);
   uint64_t seen = 0;
-  for (int i = 0; i < kMaxBuckets; ++i) {
-    seen += buckets_[static_cast<size_t>(i)];
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    seen += buckets_[i];
     if (static_cast<double>(seen) >= target && seen > 0) {
-      return std::min(BucketUpperEdge(i), max_);
+      return std::min(BucketUpperEdge(static_cast<int>(i)), max_);
     }
   }
   return max_;
@@ -105,12 +116,12 @@ std::vector<Histogram::CdfPoint> Histogram::Cdf() const {
     return points;
   }
   uint64_t seen = 0;
-  for (int i = 0; i < kMaxBuckets; ++i) {
-    if (buckets_[static_cast<size_t>(i)] == 0) {
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    if (buckets_[i] == 0) {
       continue;
     }
-    seen += buckets_[static_cast<size_t>(i)];
-    points.push_back(CdfPoint{std::min(BucketUpperEdge(i), max_),
+    seen += buckets_[i];
+    points.push_back(CdfPoint{std::min(BucketUpperEdge(static_cast<int>(i)), max_),
                               static_cast<double>(seen) / static_cast<double>(count_)});
   }
   return points;
@@ -125,20 +136,24 @@ void Histogram::Reset() {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  for (int i = 0; i < kMaxBuckets; ++i) {
-    buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
+  if (other.count_ == 0) {
+    return;
   }
-  if (other.count_ > 0) {
-    if (count_ == 0) {
-      min_ = other.min_;
-      max_ = other.max_;
-    } else {
-      min_ = std::min(min_, other.min_);
-      max_ = std::max(max_, other.max_);
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
+  if (buckets_.size() < other.buckets_.size()) {
+    buckets_.resize(other.buckets_.size(), 0);
   }
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[i] += other.buckets_[i];
+  }
+  if (count_ == 0) {
+    min_ = other.min_;
+    max_ = other.max_;
+  } else {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+  }
+  count_ += other.count_;
+  sum_ += other.sum_;
 }
 
 std::string FormatMops(double mops, int precision) {

@@ -47,12 +47,19 @@ class MeanVar {
 // Values up to kLinearLimit are recorded exactly; above that, buckets have
 // kSubBuckets subdivisions per power of two, bounding relative error by
 // 1/kSubBuckets.
+//
+// Bucket storage grows with the largest sample: an empty histogram holds
+// none, the first sample allocates the buckets for every value below
+// kInitialLimit (or up to that sample, if larger), and later samples extend
+// it by whole groups of kSubBuckets. A channel carries several histograms
+// that mostly stay empty or small, so this keeps idle channels cheap.
 class Histogram {
  public:
   static constexpr int kSubBuckets = 64;
   static constexpr int64_t kLinearLimit = kSubBuckets;
-
-  Histogram();
+  // The first sample covers values below 2^16 ns (65.5 us): every latency a
+  // steady-state call records fits, so a warmed histogram does not grow.
+  static constexpr int64_t kInitialLimit = int64_t{1} << 16;
 
   // Records a sample. Negative values clamp to 0 (they can only come from
   // subtracting timestamps across a warmup boundary and mean "effectively
@@ -79,16 +86,20 @@ class Histogram {
   };
   std::vector<CdfPoint> Cdf() const;
 
+  // Empties the histogram; it keeps its bucket storage.
   void Reset();
 
-  // Merges another histogram into this one (same binning by construction).
+  // Merges another histogram into this one (same binning by construction),
+  // growing this one's storage to cover the other's.
   void Merge(const Histogram& other);
 
  private:
   static int BucketIndex(int64_t value);
   static int64_t BucketUpperEdge(int index);
+  // Extends storage to hold bucket `index`, in whole groups of kSubBuckets.
+  void Grow(int index);
 
-  std::vector<uint64_t> buckets_;
+  std::vector<uint64_t> buckets_;  // empty until the first sample
   uint64_t count_ = 0;
   double sum_ = 0.0;
   int64_t min_ = 0;

@@ -81,6 +81,25 @@ def nondecreasing(values):
 
 MULTICORE_COLUMNS = ("workers", "window", "mops", "inbound_util", "cpu_util", "bottleneck",
                      "coalesced", "steals", "errors")
+MEMORY_SWEEP_COLUMNS = ("mode", "value", "mops", "speedup", "reg_mib", "zc_fetches", "fallbacks",
+                        "errors")
+MEMORY_CHURN_COLUMNS = ("round", "channels", "reconnects", "new_regs", "dereg", "reg_kib",
+                        "mr_reuses")
+
+
+def sweep_rows(t):
+    """bench_ext_memory's value-sweep rows (the churn rows carry no mode)."""
+    return [row for row in t.rows if "mode" in row]
+
+
+def churn_rows(t):
+    return [row for row in t.rows if "mode" not in row]
+
+
+def steady_churn(row):
+    """A churn round after the warm round 0 recycles everything."""
+    return (float(row["new_regs"]) == 0 and float(row["dereg"]) == 0
+            and float(row["mr_reuses"]) > 0 and float(row["reconnects"]) >= float(row["round"]))
 
 
 @dataclass
@@ -144,6 +163,43 @@ CLAIMS = [
     Claim("Multi-core", "bench_ext_multicore",
           "rfp.channel.coalesced_fetches > 0 in every metrics series", (),
           lambda t: min(t.metric("rfp.channel.coalesced_fetches")) > 0),
+    # Latency runs from each call's SubmitCall to its completion, so even the
+    # first call of a burst to complete waits out its burst's service time.
+    Claim("Multi-core", "bench_ext_multicore", "p50_us > 0 and p99_us >= p50_us in every row",
+          ("p50_us", "p99_us"),
+          lambda t: min(t.column("p50_us")) > 0
+          and all(p99 >= p50 for p50, p99 in zip(t.column("p50_us"), t.column("p99_us")))),
+    # Zero-copy GET: the staged/zerocopy sweep over 6 value sizes, then 5
+    # rounds of channel churn over the nodes' shared registered-memory pools.
+    Claim("Zero-copy", "bench_ext_memory",
+          "17 rows: 12 sweep rows (6 values x staged/zerocopy) and 5 churn rounds, each with "
+          "its table's columns", (),
+          lambda t: len(t.rows) == 17
+          and len(sweep_rows(t)) == 12
+          and sorted(r["mode"] for r in sweep_rows(t)) == ["staged"] * 6 + ["zerocopy"] * 6
+          and all(set(MEMORY_SWEEP_COLUMNS) <= r.keys() for r in sweep_rows(t))
+          and [r["round"] for r in churn_rows(t)] == ["0", "1", "2", "3", "4"]
+          and all(set(MEMORY_CHURN_COLUMNS) <= r.keys() for r in churn_rows(t))),
+    Claim("Zero-copy", "bench_ext_memory", "errors and fallbacks 0 in every sweep row",
+          ("errors", "fallbacks"),
+          lambda t: all(float(r["errors"]) == 0 and float(r["fallbacks"]) == 0
+                        for r in sweep_rows(t))),
+    Claim("Zero-copy", "bench_ext_memory", "zc_fetches > 0 on exactly the zerocopy rows",
+          ("mode", "zc_fetches"),
+          lambda t: all((float(r["zc_fetches"]) > 0) == (r["mode"] == "zerocopy")
+                        for r in sweep_rows(t))),
+    Claim("Zero-copy", "bench_ext_memory", "zerocopy speedup >= 1.5 at 64 KiB", ("speedup",),
+          lambda t: t.one("speedup", mode="zerocopy", value="65536") >= 1.5),
+    # Churn: rings recycle through the pools (and start zeroed, or the echo
+    # calls of a round would read a predecessor's stale headers).
+    Claim("Zero-copy", "bench_ext_memory",
+          "churn rounds > 0: new_regs = dereg = 0, mr_reuses > 0, reconnects >= round",
+          ("new_regs", "dereg", "mr_reuses", "reconnects"),
+          lambda t: all(steady_churn(r) for r in churn_rows(t) if float(r["round"]) > 0)),
+    Claim("Zero-copy", "bench_ext_memory",
+          "mem.mr_reuse and mem.registered_bytes > 0 in every metrics series", (),
+          lambda t: min(t.metric("mem.mr_reuse")) > 0
+          and min(t.metric("mem.registered_bytes")) > 0),
 ]
 
 
