@@ -202,8 +202,6 @@ Outcome RunSweepPoint(uint32_t value_bytes, bool zero_copy) {
     // sized for the full value. Zero-copy keeps the default small rings —
     // that difference is the reg_mib column.
     options.max_message_bytes = static_cast<size_t>(value_bytes) + 128;
-    options.max_registered_bytes =
-        std::max<uint32_t>(2u << 20, 4 * (value_bytes + 8192));
   }
 
   std::vector<rfp::Channel*> channels;

@@ -105,12 +105,10 @@ ChannelLease ChannelCache::Get(rfp::RpcServer& server, rdma::Node& client,
   // pools, so a re-establish after eviction reuses the freed MRs and the
   // fabric registration census stays flat.
   rfp::Channel* channel = server.AcceptChannel(client, options, thread);
-  const size_t bytes = channel->registered_footprint_bytes();
-  TrimToCapacity(bytes);
-  entries_.push_front(Entry{key, channel, std::make_unique<rfp::RpcClient>(channel), bytes,
+  TrimToCapacity();
+  entries_.push_front(Entry{key, channel, std::make_unique<rfp::RpcClient>(channel),
                             /*pins=*/0, /*doomed=*/false});
   index_[key] = entries_.begin();
-  registered_bytes_ += bytes;
   return MakeLease(entries_.front());
 }
 
@@ -127,16 +125,11 @@ bool ChannelCache::Evict(rfp::RpcServer& server, rdma::Node& client, int thread)
   return true;
 }
 
-void ChannelCache::TrimToCapacity(size_t incoming_bytes) {
-  const auto over = [&] {
-    const bool count_over =
-        options_.max_channels > 0 &&
-        entries_.size() + 1 > static_cast<size_t>(options_.max_channels);
-    const bool bytes_over = options_.max_registered_bytes > 0 &&
-                            registered_bytes_ + incoming_bytes > options_.max_registered_bytes;
-    return count_over || bytes_over;
-  };
-  while (over() && !entries_.empty()) {
+void ChannelCache::TrimToCapacity() {
+  if (options_.max_channels <= 0) {
+    return;
+  }
+  while (entries_.size() >= static_cast<size_t>(options_.max_channels)) {
     // LRU-most idle entry: the list runs MRU -> LRU, so keep the last
     // unpinned one seen.
     auto victim = entries_.end();
@@ -156,7 +149,6 @@ void ChannelCache::TrimToCapacity(size_t incoming_bytes) {
 }
 
 void ChannelCache::EvictIdle(std::list<Entry>::iterator it) {
-  registered_bytes_ -= it->footprint_bytes;
   index_.erase(it->key);
   ++stats_.evictions;
   DestroyEntry(*it);
@@ -164,7 +156,6 @@ void ChannelCache::EvictIdle(std::list<Entry>::iterator it) {
 }
 
 void ChannelCache::Doom(std::list<Entry>::iterator it) {
-  registered_bytes_ -= it->footprint_bytes;
   index_.erase(it->key);
   ++stats_.evictions;
   ++stats_.detach_evictions;

@@ -3,8 +3,8 @@
 // Dedicated rfp::Channels give the best per-call latency but cost two RC QPs
 // and two ring spans each, so a client fleet cannot hold one per (server,
 // thread) forever. The cache bounds that footprint: leases hand out cached
-// channels MRU-first, and when capacity (channel count or registered bytes)
-// is exceeded the least-recently-used idle channel is destroyed — its rings
+// channels MRU-first, and when max_channels is exceeded the
+// least-recently-used idle channel is destroyed — its rings
 // return to the node pools and its QPs retire, so the *next* lease for that
 // key re-establishes through pool-backed AcceptChannel with zero MR
 // registrations (the churn contract, tests/mem/churn_test.cc).
@@ -38,8 +38,7 @@ namespace conn {
 class ChannelCache;
 
 struct CacheOptions {
-  int max_channels = 64;            // cached channels; 0 = unbounded
-  size_t max_registered_bytes = 0;  // summed ring footprint; 0 = unbounded
+  int max_channels = 64;  // cached channels; 0 = unbounded
 };
 
 // Move-only RAII handle on a channel + RpcClient stub. Cached leases pin
@@ -105,7 +104,6 @@ class ChannelCache {
   bool Evict(rfp::RpcServer& server, rdma::Node& client, int thread);
 
   size_t size() const { return entries_.size(); }
-  size_t registered_bytes() const { return registered_bytes_; }
   const Stats& stats() const { return stats_; }
   const CacheOptions& options() const { return options_; }
 
@@ -125,17 +123,16 @@ class ChannelCache {
     Key key;
     rfp::Channel* channel = nullptr;
     std::unique_ptr<rfp::RpcClient> stub;
-    size_t footprint_bytes = 0;
     int pins = 0;
     bool doomed = false;  // detached; destroy when pins drops to 0
   };
 
   ChannelLease MakeLease(Entry& entry);
   void Release(void* opaque_entry);
-  // Evicts until count/byte capacity admits one more entry of
-  // `incoming_bytes`: LRU idle victims are destroyed, and when everything is
-  // pinned the LRU victim is detached instead.
-  void TrimToCapacity(size_t incoming_bytes);
+  // Evicts until max_channels admits one more entry: LRU idle victims are
+  // destroyed, and when everything is pinned the LRU victim is detached
+  // instead.
+  void TrimToCapacity();
   void EvictIdle(std::list<Entry>::iterator it);
   void Doom(std::list<Entry>::iterator it);
   void DestroyEntry(Entry& entry);
@@ -144,7 +141,6 @@ class ChannelCache {
   std::list<Entry> entries_;  // MRU at front; node addresses are stable
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
   std::list<Entry> doomed_;   // detached, waiting for their last Release
-  size_t registered_bytes_ = 0;
   Stats stats_;
 };
 

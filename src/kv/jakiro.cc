@@ -140,13 +140,7 @@ void JakiroServer::RegisterHandlers() {
           co_return rfp::HandlerResult{EncodeStatus(resp, Status::kError),
                                        kJakiroPutProcessNs};
         }
-        try {
-          partition(ctx.thread_index).Put(put->key, put->value);
-        } catch (const mem::ExhaustedError&) {
-          // The node's registration budget cannot hold the value (pool-backed
-          // partitions only): refuse this PUT and keep serving.
-          co_return rfp::HandlerResult{EncodeStatus(resp, Status::kError), kJakiroPutProcessNs};
-        }
+        partition(ctx.thread_index).Put(put->key, put->value);
         if (repl_hook_) {
           co_await repl_hook_(ctx.thread_index, kRpcPut, put->key, put->value);
         }

@@ -16,15 +16,6 @@ std::string KeyString(std::span<const std::byte> key) {
   return std::string(reinterpret_cast<const char*>(key.data()), key.size());
 }
 
-// Pool::Alloc, or nullopt when the node's registration budget is full.
-std::optional<mem::Span> TryAlloc(mem::Pool& pool, size_t size) {
-  try {
-    return pool.Alloc(size);
-  } catch (const mem::ExhaustedError&) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 MemcachedServer::MemcachedServer(rdma::Fabric& fabric, rdma::Node& node, MemcachedConfig config)
@@ -39,7 +30,7 @@ MemcachedServer::MemcachedServer(rdma::Fabric& fabric, rdma::Node& node, Memcach
 }
 
 MemcachedServer::~MemcachedServer() {
-  for (Item& item : lru_) {
+  for (auto& [key, item] : items_) {
     pool_->Free(item.span);
   }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -48,7 +39,6 @@ MemcachedServer::~MemcachedServer() {
   reg.GetCounter("kv.store.puts", labels)->Add(stats_.puts);
   reg.GetCounter("kv.store.hits", labels)->Add(stats_.hits);
   reg.GetCounter("kv.store.misses", labels)->Add(stats_.misses);
-  reg.GetCounter("kv.store.evictions", labels)->Add(stats_.evictions);
   reg.GetCounter("kv.store.hot_hits", labels)->Add(stats_.hot_hits);
 }
 
@@ -67,59 +57,28 @@ bool MemcachedServer::TouchHotSet(uint64_t key_hash) {
   return false;
 }
 
-MemcachedServer::Item* MemcachedServer::LookupAndTouch(const std::string& key) {
+MemcachedServer::Item* MemcachedServer::Lookup(const std::string& key) {
   auto it = items_.find(key);
-  if (it == items_.end()) {
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return &*it->second;
+  return it == items_.end() ? nullptr : &it->second;
 }
 
-bool MemcachedServer::Store(const std::string& key, std::span<const std::byte> value) {
-  auto it = items_.find(key);
-  if (it != items_.end()) {
-    Item& item = *it->second;
-    if (value.size() > item.span.size) {
-      // Outgrew the slab chunk: swap in a larger one (memcached's
-      // slab-class promotion).
-      pool_->Free(item.span);
-      const std::optional<mem::Span> grown = TryAlloc(*pool_, value.size());
-      if (!grown.has_value()) {
-        // The old chunk is already freed: drop the item rather than keep it.
-        lru_.erase(it->second);
-        items_.erase(it);
-        return false;
-      }
-      item.span = *grown;
-    }
-    item.len = static_cast<uint32_t>(value.size());
-    rdma::CopyBytes(item.span.mr->bytes().subspan(item.span.offset, value.size()), value);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return true;
+void MemcachedServer::Store(const std::string& key, std::span<const std::byte> value) {
+  auto [it, inserted] = items_.try_emplace(key);
+  Item& item = it->second;
+  if (inserted) {
+    item.span = pool_->Alloc(value.size());
+  } else if (value.size() > item.span.size) {
+    // Outgrew the slab chunk: swap in a larger one (memcached's slab-class
+    // promotion).
+    pool_->Free(item.span);
+    item.span = pool_->Alloc(value.size());
   }
-  if (items_.size() >= config_.capacity_items) {
-    pool_->Free(lru_.back().span);
-    items_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  const std::optional<mem::Span> span = TryAlloc(*pool_, value.size());
-  if (!span.has_value()) {
-    return false;
-  }
-  Item item{key, *span, static_cast<uint32_t>(value.size())};
+  item.len = static_cast<uint32_t>(value.size());
   rdma::CopyBytes(item.span.mr->bytes().subspan(item.span.offset, value.size()), value);
-  lru_.push_front(std::move(item));
-  items_[key] = lru_.begin();
-  return true;
 }
 
 void MemcachedServer::Preload(std::span<const std::byte> key, std::span<const std::byte> value) {
-  if (!Store(KeyString(key), value)) {
-    throw mem::ExhaustedError("memcached preload: registration budget of " +
-                              rpc_.node().name() + " exhausted");
-  }
+  Store(KeyString(key), value);
 }
 
 void MemcachedServer::RegisterHandlers() {
@@ -146,7 +105,7 @@ void MemcachedServer::RegisterHandlers() {
         // LRU nodes of a hot key are cache-resident.
         co_await engine.Sleep(
             static_cast<sim::Time>(static_cast<double>(kMemcachedGetLockNs) * scale));
-        Item* item = LookupAndTouch(KeyString(get->key));
+        Item* item = Lookup(KeyString(get->key));
         ++stats_.gets;
         size_t n = 0;
         if (item == nullptr) {
@@ -179,10 +138,10 @@ void MemcachedServer::RegisterHandlers() {
         co_await cache_lock_.Lock();
         co_await engine.Sleep(
             static_cast<sim::Time>(static_cast<double>(kMemcachedPutLockNs) * scale));
-        const bool stored = Store(KeyString(put->key), put->value);
+        Store(KeyString(put->key), put->value);
         ++stats_.puts;
         cache_lock_.Unlock();
-        co_return rfp::HandlerResult{EncodeStatus(resp, stored ? Status::kOk : Status::kError), 0};
+        co_return rfp::HandlerResult{EncodeStatus(resp, Status::kOk), 0};
       });
 }
 

@@ -1,13 +1,12 @@
 // RDMA-Memcached-style baseline (Jose et al., ICPP'11), the paper's second
 // server-reply comparison point (Section 4.2).
 //
-// Unlike Jakiro's EREW partitions, all server threads share one hash table
-// and one global LRU list, coordinated by a coarse cache lock — so the
-// system is CPU/coordination-bound rather than NIC-bound (paper Fig 12),
-// degrades under write-intensive load (Fig 16), and *benefits* from skew
-// because hot entries stay cache-resident (Fig 19). Results return via
-// server-reply, capping it at the out-bound rate even when CPU would allow
-// more.
+// Unlike Jakiro's EREW partitions, all server threads share one hash table,
+// coordinated by a coarse cache lock — so the system is CPU/coordination-
+// bound rather than NIC-bound (paper Fig 12), degrades under write-intensive
+// load (Fig 16), and *benefits* from skew because hot entries stay
+// cache-resident (Fig 19). Results return via server-reply, capping it at
+// the out-bound rate even when CPU would allow more.
 
 #ifndef SRC_KV_MEMCACHED_STORE_H_
 #define SRC_KV_MEMCACHED_STORE_H_
@@ -35,7 +34,8 @@ inline constexpr sim::Time kMemcachedGetCpuNs = 8200;
 inline constexpr sim::Time kMemcachedPutCpuNs = 14000;
 // Critical section under the global cache lock: a GET is hash + LRU splice;
 // a PUT additionally runs slab allocation and eviction accounting, so its
-// lock hold is several times longer.
+// lock hold is several times longer. These constants are the whole cost
+// model: the store itself keeps no LRU and never evicts.
 inline constexpr sim::Time kMemcachedGetLockNs = 650;
 inline constexpr sim::Time kMemcachedPutLockNs = 2500;
 // CPU-cache locality emulation: ops on one of the `kMemcachedHotSetSize`
@@ -46,8 +46,6 @@ inline constexpr size_t kMemcachedHotSetSize = 4096;
 
 struct MemcachedConfig {
   int server_threads = 16;
-  // Deployment limit: item capacity before global-LRU eviction.
-  size_t capacity_items = 4u << 20;
   rfp::RfpOptions channel_options;  // forced to server-reply in the ctor
 };
 
@@ -58,7 +56,6 @@ class MemcachedServer {
     uint64_t puts = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t evictions = 0;
     uint64_t hot_hits = 0;
   };
 
@@ -79,8 +76,7 @@ class MemcachedServer {
   void Start() { rpc_.Start(); }
   void Stop() { rpc_.Stop(); }
 
-  // Instant pre-fill (no simulated time). Throws mem::ExhaustedError when
-  // the node's registration budget cannot hold the value.
+  // Instant pre-fill (no simulated time).
   void Preload(std::span<const std::byte> key, std::span<const std::byte> value);
 
  private:
@@ -89,21 +85,17 @@ class MemcachedServer {
   // path still stages a copy through the response ring — server-reply has
   // no zero-copy fast path; pooling here is about slab reuse, not bypass.
   struct Item {
-    std::string key;
     mem::Span span;
     uint32_t len = 0;
     std::span<const std::byte> value() const {
       return span.mr->bytes().subspan(span.offset, len);
     }
   };
-  using LruList = std::list<Item>;
 
   void RegisterHandlers();
-  // Hash + LRU touch under the lock; returns the item or nullptr.
-  Item* LookupAndTouch(const std::string& key);
-  // Returns false when the node's registration budget cannot hold the
-  // value; the key is then absent (an outgrown item is dropped).
-  bool Store(const std::string& key, std::span<const std::byte> value);
+  // Hash lookup under the lock; returns the item or nullptr.
+  Item* Lookup(const std::string& key);
+  void Store(const std::string& key, std::span<const std::byte> value);
   // CPU-cache locality model: true (and refreshed) when `key_hash` was
   // touched recently.
   bool TouchHotSet(uint64_t key_hash);
@@ -112,8 +104,7 @@ class MemcachedServer {
   rfp::RpcServer rpc_;
   std::shared_ptr<mem::Pool> pool_;
   sim::Mutex cache_lock_;
-  LruList lru_;  // front = most recent
-  std::unordered_map<std::string, LruList::iterator> items_;
+  std::unordered_map<std::string, Item> items_;
   std::list<uint64_t> hot_list_;
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> hot_index_;
   Stats stats_;

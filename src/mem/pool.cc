@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -44,9 +45,7 @@ void Span::Zero() const {
 }
 
 Pool::Pool(rdma::Node& node)
-    : node_(node),
-      max_registered_bytes_(node.nic().config().mem_max_registered_bytes),
-      node_name_(node.name()) {}
+    : node_(node), node_name_(node.name()) {}
 
 Pool::~Pool() {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -65,16 +64,6 @@ Pool::~Pool() {
       occ->Record(static_cast<int64_t>(stats.occupancy_pct + 0.5));
       frag->Record(static_cast<int64_t>(stats.fragmentation_pct + 0.5));
     }
-  }
-}
-
-void Pool::CheckRegistrationBudget(size_t bytes) const {
-  if (max_registered_bytes_ != 0 && registered_bytes_ + bytes > max_registered_bytes_) {
-    throw ExhaustedError(
-        "mem::Pool exhausted on " + node_name_ + ": registering " + std::to_string(bytes) +
-        " more bytes would exceed max_registered_bytes=" +
-        std::to_string(max_registered_bytes_) + " (currently registered " +
-        std::to_string(registered_bytes_) + ")");
   }
 }
 
@@ -137,7 +126,6 @@ Pool::Arena& Pool::EnsureArenaWithOrder(int order) {
       }
     }
   }
-  CheckRegistrationBudget(kMemArenaBytes);
   auto arena = std::make_unique<Arena>();
   arena->mr = node_.RegisterMemory(kMemArenaBytes, kArenaAccess);
   arena->free_by_order.resize(static_cast<size_t>(kMaxOrder) + 1);
@@ -261,7 +249,6 @@ Span Pool::HugeAlloc(size_t size) {
     mr = it->second.back();
     it->second.pop_back();
   } else {
-    CheckRegistrationBudget(reserved);
     mr = node_.RegisterMemory(reserved, kArenaAccess);
     registered_bytes_ += reserved;
     ++registrations_;

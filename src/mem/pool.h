@@ -9,8 +9,11 @@
 // registration is the control-plane cost RFP-style data planes must keep off
 // the hot path.
 //
-// Consumers: rfp::Channel slot rings, rfp::BufferPool buffers, and the KV
-// stores' value slabs (which is what makes zero-copy GET possible — a reply
+// The pool never refuses: a miss registers another arena, so the only
+// failure Alloc can raise is std::bad_alloc from the host mapping itself.
+//
+// Consumers: rfp::Channel slot rings and bounce spans, and the KV stores'
+// value slabs (which is what makes zero-copy GET possible — a reply
 // header can point into a store-owned registered entry because that entry
 // already lives under an rkey the client can READ).
 
@@ -22,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,21 +39,13 @@ namespace mem {
 // Geometry of every node's pool: rdma::kMemBlockBytes leaf blocks,
 // rdma::kMemPoolLevel buddy orders per arena (rdma::kMemArenaBytes),
 // rdma::kMemSlabClasses slab classes and rdma::kMemSlabMagazine cached free
-// slabs per class (src/rdma/config.h checks them). The one per-node setting
-// is the registration budget, NicConfig::mem_max_registered_bytes.
+// slabs per class (src/rdma/config.h checks them). Nothing about the pool is
+// settable.
 //
 // Access flags for every arena. Remote read+write: response rings are
 // fetched by clients, request rings written by them, and zero-copy GET
 // entries must be remotely readable.
 inline constexpr uint32_t kArenaAccess = rdma::kAccessRemoteRead | rdma::kAccessRemoteWrite;
-
-// Allocation failure that is a resource condition, not a bug: the pool's
-// registration budget cannot accommodate the request. Callers that can
-// shed (admission control) catch this; everything else fails loudly.
-class ExhaustedError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 // One allocation: a range inside a registered region. The MR outlives the
 // span (arenas live as long as the pool), so holding a Span never dangles;
@@ -73,7 +67,6 @@ struct Span {
 
 class Pool {
  public:
-  // The budget is `node`'s NicConfig::mem_max_registered_bytes.
   explicit Pool(rdma::Node& node);
   ~Pool();  // flushes obs metrics; arenas stay registered (the node owns them)
 
@@ -92,8 +85,6 @@ class Pool {
 
   // ---- Introspection (tests, bench, obs) ----------------------------------
 
-  // Registration budget in bytes (0 = unbounded).
-  size_t max_registered_bytes() const { return max_registered_bytes_; }
   size_t registered_bytes() const { return registered_bytes_; }
   size_t in_use_bytes() const { return in_use_bytes_; }
   size_t arena_count() const { return arenas_.size() + huge_count_; }
@@ -146,10 +137,8 @@ class Pool {
   Span SlabAlloc(int class_index, size_t size);
   void SlabFree(Arena& arena, Slab& slab, size_t offset);
   Span HugeAlloc(size_t size);
-  void CheckRegistrationBudget(size_t bytes) const;
 
   rdma::Node& node_;
-  const size_t max_registered_bytes_;
   const std::string node_name_;  // own copy: pool may be flushed mid node teardown
 
   std::vector<std::unique_ptr<Arena>> arenas_;

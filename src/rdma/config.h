@@ -155,12 +155,6 @@ struct NicConfig {
   // leaves every core available for compute — behavior-neutral. Must be
   // < cores.
   int nic_station_cores = 0;
-
-  // Deployment limit: hard cap on bytes the node's mem::Pool may register
-  // (0 = unbounded). An allocation that would push past the cap throws
-  // mem::ExhaustedError instead of registering more memory. A nonzero cap
-  // must hold at least one arena (kMemArenaBytes).
-  size_t mem_max_registered_bytes = 0;
 };
 
 struct FabricConfig {

@@ -187,9 +187,6 @@ void ValidateConfig(const NicConfig& config) {
   if (config.nic_station_cores < 0 || config.nic_station_cores >= config.cores) {
     Reject("nic_station_cores must be in [0, cores)");
   }
-  if (config.mem_max_registered_bytes != 0 && config.mem_max_registered_bytes < kMemArenaBytes) {
-    Reject("mem_max_registered_bytes below one arena (kMemArenaBytes)");
-  }
 }
 
 void ValidateConfig(const FabricConfig& config) {

@@ -79,19 +79,8 @@ Channel::Channel(rdma::Fabric& fabric, rdma::Node& client, rdma::Node& server,
   const size_t ring_bytes = ChannelRingBytes(options_);
   server_pool_ = mem::Pool::Shared(server);
   client_pool_ = mem::Pool::Shared(client);
-  // Rings that can never fit a node's registered-memory cap fail here with
-  // an actionable message instead of deep inside mem::Pool as a generic
-  // ExhaustedError (the pool can still throw that when the cap is merely
-  // *occupied* — that path stays recoverable).
-  ValidateOptions(options_, server_pool_->max_registered_bytes(), server.name());
-  ValidateOptions(options_, client_pool_->max_registered_bytes(), client.name());
-  try {
-    server_span_ = server_pool_->Alloc(ring_bytes);
-    client_span_ = client_pool_->Alloc(ring_bytes);
-  } catch (const mem::ExhaustedError&) {
-    if (server_span_.valid()) server_pool_->Free(server_span_);
-    throw;
-  }
+  server_span_ = server_pool_->Alloc(ring_bytes);
+  client_span_ = client_pool_->Alloc(ring_bytes);
   server_ = RingView{server_span_.mr, server_span_.offset};
   client_ = RingView{client_span_.mr, client_span_.offset};
   // A recycled span may hold a predecessor's ring: stale headers could alias

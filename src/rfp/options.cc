@@ -26,10 +26,6 @@ void ValidateOptions(const RfpOptions& options) {
   if (options.max_message_bytes == 0) Reject("max_message_bytes must be > 0");
   if (options.window < 1) Reject("window must be >= 1");
   if (options.window > kMaxWindow) Reject("window must be <= wire::kMaxWindow");
-  if (options.max_registered_bytes == 0) Reject("max_registered_bytes must be > 0");
-  if (ChannelRingBytes(options) > options.max_registered_bytes) {
-    Reject("window * slot size exceeds max_registered_bytes");
-  }
   CheckNonNegative(options.fetch_timeout_ns, "fetch_timeout_ns must be >= 0");
   CheckNonNegative(options.fetch_backoff_initial_ns, "fetch_backoff_initial_ns must be >= 0");
   CheckNonNegative(options.fetch_backoff_max_ns, "fetch_backoff_max_ns must be >= 0");
@@ -44,23 +40,6 @@ size_t ChannelSlotBytes(const RfpOptions& options) {
 
 size_t ChannelRingBytes(const RfpOptions& options) {
   return 2 * static_cast<size_t>(options.window) * ChannelSlotBytes(options);
-}
-
-void ValidateOptions(const RfpOptions& options, size_t pool_cap_bytes,
-                     const std::string& node_name) {
-  if (pool_cap_bytes == 0) {
-    return;  // unbounded pool
-  }
-  const size_t ring = ChannelRingBytes(options);
-  if (ring > pool_cap_bytes) {
-    throw std::invalid_argument(
-        "rfp options: channel rings need " + std::to_string(ring) + " bytes (2 rings x window " +
-        std::to_string(options.window) + " x " + std::to_string(ChannelSlotBytes(options)) +
-        "-byte slots) but node '" + node_name + "' caps registered memory at " +
-        std::to_string(pool_cap_bytes) +
-        " bytes (NicConfig mem_max_registered_bytes); shrink window or max_message_bytes, or "
-        "raise the cap");
-  }
 }
 
 void ValidateOptions(const ServerOptions& options) {

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "src/sim/time.h"
 
@@ -38,12 +37,6 @@ struct RfpOptions {
   // window > 1 enables Channel::SubmitCall/AwaitCall with doorbell-batched
   // posting. Bounded by wire::kMaxWindow.
   int window = 1;
-
-  // Upper bound on the registered memory a single channel may pin on the
-  // server: 2 * window * slot bytes must fit (request ring + response ring).
-  // Guards against a window * max_message_bytes combination that would ask
-  // the server to register an unbounded block per channel.
-  uint32_t max_registered_bytes = 2u << 20;
 
   // Coalesced fetch sweeps (docs/multicore.md): when a sweep has >= 2 slots
   // awaiting responses, issue ONE spanning READ that covers every pending
@@ -176,16 +169,6 @@ void ValidateOptions(const ServerOptions& options);
 // and the 2 * window slots a channel registers on each side.
 size_t ChannelSlotBytes(const RfpOptions& options);
 size_t ChannelRingBytes(const RfpOptions& options);
-
-// Checks only ChannelRingBytes against a node pool's registered-memory cap
-// (mem::Pool::max_registered_bytes, i.e. the node's NicConfig
-// mem_max_registered_bytes; 0 = unbounded, always passes). Without this,
-// an oversized window only surfaces deep inside mem::Pool as a generic
-// ExhaustedError; the Channel constructor calls this up front so a
-// misconfiguration reads as "shrink the window", not "pool exhausted".
-// `node_name` labels the offending node in the message.
-void ValidateOptions(const RfpOptions& options, size_t pool_cap_bytes,
-                     const std::string& node_name);
 
 }  // namespace rfp
 

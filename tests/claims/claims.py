@@ -57,9 +57,10 @@ class Table:
         """Like cells, as floats."""
         return [float(cell) for cell in self.cells(name, **where)]
 
-    def metric(self, name):
-        """The values of every series of metric `name` (one per label set)."""
-        out = [m["value"] for m in self.metrics if m["name"] == name]
+    def metric(self, name, field="value"):
+        """`field` of every series of metric `name` (one per label set): a
+        counter's or gauge's "value", a histogram's "count" or "mean"."""
+        out = [m[field] for m in self.metrics if m["name"] == name]
         if not out:
             raise KeyError(f"no metric {name!r} in the dump")
         return out
@@ -85,6 +86,10 @@ MEMORY_SWEEP_COLUMNS = ("mode", "value", "mops", "speedup", "reg_mib", "zc_fetch
                         "errors")
 MEMORY_CHURN_COLUMNS = ("round", "channels", "reconnects", "new_regs", "dereg", "reg_kib",
                         "mr_reuses")
+OVERLOAD_COLUMNS = ("config", "offered", "goodput", "shed%", "p50_us", "p99_us", "busy",
+                    "brk_open", "switches", "errors")
+PIPELINE_COLUMNS = ("window", "value", "workers", "mops", "speedup", "p50_us", "p99_us",
+                    "doorbells", "occupancy", "errors")
 
 
 def sweep_rows(t):
@@ -94,6 +99,18 @@ def sweep_rows(t):
 
 def churn_rows(t):
     return [row for row in t.rows if "mode" not in row]
+
+
+def has_columns(t, count, columns):
+    """Exactly `count` printed rows, each carrying every one of `columns`."""
+    return len(t.rows) == count and all(set(columns) <= row.keys() for row in t.rows)
+
+
+def batched(row):
+    """A window > 1 row batched its postings; a window-1 row never does."""
+    if float(row["window"]) > 1:
+        return float(row["doorbells"]) > 0 and float(row["occupancy"]) > 1
+    return float(row["doorbells"]) == 0
 
 
 def steady_churn(row):
@@ -200,6 +217,37 @@ CLAIMS = [
           "mem.mr_reuse and mem.registered_bytes > 0 in every metrics series", (),
           lambda t: min(t.metric("mem.mr_reuse")) > 0
           and min(t.metric("mem.registered_bytes")) > 0),
+    # Overload protection: an open-loop sweep past saturation, with and
+    # without admission control, plus a worker crash under 2x overload. The
+    # protected runs shed, so the overload instruments count.
+    Claim("Overload", "bench_ext_overload",
+          "13 rows (6 offered loads x protected/unprotected + 1 crash row), each with every "
+          "sweep column", (),
+          lambda t: has_columns(t, 13, OVERLOAD_COLUMNS)),
+    Claim("Overload", "bench_ext_overload", "errors 0 in every row", ("errors",),
+          lambda t: set(t.column("errors")) == {0.0}),
+    Claim("Overload", "bench_ext_overload",
+          "rfp.channel.busy_responses and rfp.rpc.shed_admission > 0 in every metrics series", (),
+          lambda t: min(t.metric("rfp.channel.busy_responses")) > 0
+          and min(t.metric("rfp.rpc.shed_admission")) > 0),
+    # Pipelining: windowed channels batch their postings behind one doorbell.
+    Claim("Pipelining", "bench_ext_pipeline",
+          "18 rows (5 windows x 3 value sizes + 3 worker-sweep rows), each with every sweep "
+          "column", (),
+          lambda t: has_columns(t, 18, PIPELINE_COLUMNS)),
+    Claim("Pipelining", "bench_ext_pipeline", "errors 0 in every row", ("errors",),
+          lambda t: set(t.column("errors")) == {0.0}),
+    Claim("Pipelining", "bench_ext_pipeline",
+          "doorbells > 0 and occupancy > 1 exactly on the window > 1 rows; doorbells 0 at "
+          "window 1", ("window", "doorbells", "occupancy"),
+          lambda t: any(float(r["window"]) > 1 for r in t.rows)
+          and all(batched(r) for r in t.rows)),
+    Claim("Pipelining", "bench_ext_pipeline",
+          "rfp.channel.doorbell_batches > 0, and rfp.channel.batch_occupancy count > 0 and "
+          "mean > 1, in every metrics series", (),
+          lambda t: min(t.metric("rfp.channel.doorbell_batches")) > 0
+          and min(t.metric("rfp.channel.batch_occupancy", "count")) > 0
+          and min(t.metric("rfp.channel.batch_occupancy", "mean")) > 1),
 ]
 
 

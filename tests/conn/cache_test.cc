@@ -120,28 +120,6 @@ TEST_F(CacheTest, CountCapacityEvictsLeastRecentlyUsedIdleEntry) {
   EXPECT_EQ(cache.stats().misses, misses);
 }
 
-TEST_F(CacheTest, ByteCapacityEvictsByRegisteredFootprint) {
-  // Learn one channel's footprint, then cap the cache at just under two.
-  size_t footprint = 0;
-  {
-    ChannelCache probe;
-    ChannelLease lease = probe.Get(*server_, Client(0), options_, 0);
-    footprint = lease.channel()->registered_footprint_bytes();
-  }
-  ASSERT_GT(footprint, 0u);
-
-  CacheOptions copts;
-  copts.max_channels = 0;  // bytes are the only limit
-  copts.max_registered_bytes = 2 * footprint - 1;
-  ChannelCache cache(copts);
-  { ChannelLease la = cache.Get(*server_, Client(0), options_, 0); }
-  EXPECT_EQ(cache.registered_bytes(), footprint);
-  { ChannelLease lb = cache.Get(*server_, Client(1), options_, 0); }
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.registered_bytes(), footprint);
-}
-
 TEST_F(CacheTest, ReestablishAfterEvictionDoesZeroRegistrations) {
   CacheOptions copts;
   copts.max_channels = 1;

@@ -1,12 +1,13 @@
 // Unit suite for the registered-memory allocator (docs/memory.md): buddy
-// split/coalesce round-trips, slab reuse, the huge path, exhaustion under a
-// max_registered_bytes cap, alignment, and the registration accounting that
-// the zero-re-registration contract rests on.
+// split/coalesce round-trips, slab reuse, the huge path, a pool that never
+// refuses, alignment, and the registration accounting that the
+// zero-re-registration contract rests on.
 
 #include "src/mem/pool.h"
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -31,32 +32,6 @@ class PoolTest : public ::testing::Test {
   rdma::Fabric fabric_{engine_};
   rdma::Node& node_{fabric_.AddNode("n")};
 };
-
-// The pool's one setting, the registration budget, is checked where it is
-// set: a fabric whose NicConfig budget is below one arena fails to
-// construct, so no pool is ever built with it.
-TEST_F(PoolTest, ConstructorValidatesOptions) {
-  rdma::FabricConfig config;
-  config.nic.mem_max_registered_bytes = kMemArenaBytes - 1;
-  EXPECT_THROW(rdma::Fabric(engine_, config), std::invalid_argument);
-}
-
-// A pool built on a node takes the NicConfig budget as its own and
-// enforces it: two arenas fit, a third does not.
-TEST(PoolOptionsTest, FromNicConfigMirrorsKnobs) {
-  sim::Engine engine;
-  rdma::FabricConfig config;
-  config.nic.mem_max_registered_bytes = 2 * kMemArenaBytes;
-  rdma::Fabric fabric(engine, config);
-  Pool pool(fabric.AddNode("n"));
-  EXPECT_EQ(pool.max_registered_bytes(), 2 * kMemArenaBytes);
-  const Span a = pool.Alloc(kMemArenaBytes);
-  const Span b = pool.Alloc(kMemArenaBytes);
-  EXPECT_EQ(pool.registered_bytes(), 2 * kMemArenaBytes);
-  EXPECT_THROW(pool.Alloc(kMemBlockBytes), ExhaustedError);
-  pool.Free(a);
-  pool.Free(b);
-}
 
 // ---- Buddy split / coalesce ---------------------------------------------------
 
@@ -181,6 +156,17 @@ TEST_F(PoolTest, MagazineOverflowCoalescesSlabsBackToBuddy) {
   }
 }
 
+// A span is registered memory: its region resolves fabric-wide by rkey, so
+// a remote peer can READ or WRITE it.
+TEST_F(PoolTest, SpansResolveFabricWideByRkey) {
+  Pool pool(node_);
+  const Span s = pool.Alloc(100);
+  EXPECT_EQ(s.bytes().size(), 100u);
+  EXPECT_GE(s.mr->size(), 100u);
+  EXPECT_EQ(fabric_.FindRemote(s.mr->remote_key()), s.mr);
+  pool.Free(s);
+}
+
 TEST_F(PoolTest, ZeroByteAllocIsServed) {
   Pool pool(node_);
   const Span s = pool.Alloc(0);
@@ -209,25 +195,27 @@ TEST_F(PoolTest, HugeAllocationGetsDedicatedRegionAndReuse) {
   pool.Free(b);
 }
 
-// ---- Exhaustion and misuse ----------------------------------------------------
+// ---- Growth and misuse --------------------------------------------------------
 
-TEST_F(PoolTest, ExhaustionThrowsCleanlyAndPoolStaysUsable) {
-  rdma::FabricConfig config;
-  config.nic.mem_max_registered_bytes = kMemArenaBytes;  // one arena
-  rdma::Fabric capped(engine_, config);
-  Pool pool(capped.AddNode("capped"));
-  EXPECT_EQ(pool.max_registered_bytes(), kMemArenaBytes);
-
-  const Span whole = pool.Alloc(kMemArenaBytes);  // fills the one allowed arena
-  EXPECT_THROW(pool.Alloc(4096), ExhaustedError) << "second arena exceeds the cap";
-  EXPECT_THROW(pool.Alloc(kMemArenaBytes * 4), ExhaustedError) << "huge path too";
-
-  // The failure is a clean resource condition: freeing makes room again.
-  pool.Free(whole);
-  const Span retry = pool.Alloc(4096);
-  EXPECT_TRUE(retry.valid());
-  EXPECT_EQ(pool.registrations(), 1u);
-  pool.Free(retry);
+// The pool has no budget: every arena-sized request past the first
+// registers one more arena, the huge path registers its own region, and
+// registered_bytes / the fabric census count each of them.
+TEST_F(PoolTest, NeverRefusesAndCountsEveryRegistration) {
+  Pool pool(node_);
+  std::vector<Span> spans;
+  for (size_t i = 1; i <= 3; ++i) {
+    spans.push_back(pool.Alloc(kMemArenaBytes));
+    EXPECT_EQ(pool.registered_bytes(), i * kMemArenaBytes);
+  }
+  spans.push_back(pool.Alloc(kMemArenaBytes * 2));
+  EXPECT_EQ(pool.registrations(), 4u);
+  EXPECT_EQ(pool.registered_bytes(), 5 * kMemArenaBytes);
+  EXPECT_EQ(fabric_.RegisteredBytes(node_), pool.registered_bytes());
+  for (const Span& s : spans) {
+    EXPECT_TRUE(s.valid());
+    pool.Free(s);
+  }
+  EXPECT_EQ(pool.in_use_bytes(), 0u);
 }
 
 TEST_F(PoolTest, FreeingInvalidSpanIsNoOp) {
@@ -325,13 +313,77 @@ TEST_F(PoolTest, SharedReturnsOneInstancePerNode) {
   EXPECT_NE(Pool::Shared(other).get(), a.get());
 }
 
-TEST_F(PoolTest, SharedPoolFollowsNodeNicConfig) {
-  EXPECT_EQ(Pool::Shared(node_)->max_registered_bytes(), 0u);
-  rdma::FabricConfig config;
-  config.nic.mem_max_registered_bytes = 3 * kMemArenaBytes;
-  rdma::Fabric capped(engine_, config);
-  std::shared_ptr<Pool> pool = Pool::Shared(capped.AddNode("capped"));
-  EXPECT_EQ(pool->max_registered_bytes(), 3 * kMemArenaBytes);
+// ---- Size classes and sharing, as a buffer consumer sees them -----------------
+
+// The pool through the calls a buffer consumer makes: Alloc/Free by size,
+// power-of-two classes carved from the one registered arena, and one pool
+// shared by every consumer on a node.
+class BufferPoolTest : public PoolTest {};
+
+TEST_F(BufferPoolTest, FreeThenMallocReusesRegion) {
+  Pool pool(node_);
+  const Span a = pool.Alloc(100);
+  pool.Free(a);
+  const Span b = pool.Alloc(90);  // same 128-byte class
+  EXPECT_EQ(b.mr, a.mr);
+  EXPECT_EQ(b.offset, a.offset);  // the freed chunk itself came back
+  EXPECT_EQ(pool.registrations(), 1u);
+  EXPECT_EQ(pool.mr_reuses(), 1u);
+  pool.Free(b);
+}
+
+TEST_F(BufferPoolTest, DifferentSizeClassesDoNotMix) {
+  Pool pool(node_);
+  const Span small = pool.Alloc(100);
+  pool.Free(small);
+  // The freed 128-byte chunk is not handed out for a 1024-byte request, but
+  // both classes draw from the same registered arena.
+  const Span large = pool.Alloc(1000);
+  EXPECT_NE(large.offset, small.offset);
+  EXPECT_EQ(large.mr, small.mr);
+  EXPECT_EQ(pool.registrations(), 1u);
+  EXPECT_EQ(pool.mr_reuses(), 1u);
+  pool.Free(large);
+}
+
+TEST_F(BufferPoolTest, SizesRoundUpToPowerOfTwo) {
+  Pool pool(node_);
+  // 33 rounds up to the 64-byte class: freeing it and asking for exactly 64
+  // hands the same chunk back.
+  const Span a = pool.Alloc(33);
+  pool.Free(a);
+  const Span exact = pool.Alloc(64);
+  EXPECT_EQ(exact.mr, a.mr);
+  EXPECT_EQ(exact.offset, a.offset);
+  pool.Free(exact);
+}
+
+// Zero-size requests through the node's shared pool each get a distinct
+// chunk of the smallest class, and freeing them returns every byte.
+TEST_F(BufferPoolTest, ZeroSizeAllocationsWork) {
+  std::shared_ptr<Pool> pool = Pool::Shared(node_);
+  const Span a = pool->Alloc(0);
+  const Span b = pool->Alloc(0);
+  EXPECT_TRUE(a.valid());
+  EXPECT_TRUE(b.valid());
+  EXPECT_FALSE(a.mr == b.mr && a.offset == b.offset);
+  pool->Free(a);
+  pool->Free(b);
+  EXPECT_EQ(pool->in_use_bytes(), 0u);
+}
+
+// Two consumers of one node each take a Shared handle: the second
+// allocation lands in the first one's arena without a registration.
+TEST_F(BufferPoolTest, PoolIsSharedAcrossConsumersOfOneNode) {
+  std::shared_ptr<Pool> a = Pool::Shared(node_);
+  std::shared_ptr<Pool> b = Pool::Shared(node_);
+  const Span from_a = a->Alloc(256);
+  const Span from_b = b->Alloc(256);
+  EXPECT_EQ(from_a.mr, from_b.mr);
+  EXPECT_EQ(b->registrations(), 1u);  // a's arena served b
+  EXPECT_EQ(b->mr_reuses(), 1u);
+  a->Free(from_a);
+  b->Free(from_b);
 }
 
 }  // namespace

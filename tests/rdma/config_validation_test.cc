@@ -55,26 +55,6 @@ TEST(ConfigValidationTest, RejectsBadScalingParameters) {
   }
 }
 
-TEST(ConfigValidationTest, RejectsBadMemoryPoolKnobs) {
-  {
-    // Cap below one arena: the pool could never register anything.
-    NicConfig c;
-    c.mem_max_registered_bytes = kMemArenaBytes - 1;
-    EXPECT_THROW(ValidateConfig(c), std::invalid_argument);
-  }
-  // The cap is legal at exactly one arena, and 0 means unbounded.
-  {
-    NicConfig c;
-    c.mem_max_registered_bytes = kMemArenaBytes;
-    EXPECT_NO_THROW(ValidateConfig(c));
-  }
-  {
-    NicConfig c;
-    c.mem_max_registered_bytes = 0;
-    EXPECT_NO_THROW(ValidateConfig(c));
-  }
-}
-
 TEST(ConfigValidationTest, RejectsOutOfRangeJitterAndNan) {
   {
     NicConfig c;

@@ -36,12 +36,6 @@ TEST(OptionsValidationTest, RejectsBadPipelineOptions) {
            +[](RfpOptions& o) { o.window = 0; },
            +[](RfpOptions& o) { o.window = -1; },
            +[](RfpOptions& o) { o.window = kMaxWindow + 1; },
-           +[](RfpOptions& o) { o.max_registered_bytes = 0; },
-           // Both rings must fit the registration budget.
-           +[](RfpOptions& o) {
-             o.window = kMaxWindow;
-             o.max_registered_bytes = 64 * 1024;
-           },
        }) {
     RfpOptions options;
     mutate(options);
@@ -49,7 +43,7 @@ TEST(OptionsValidationTest, RejectsBadPipelineOptions) {
   }
   {
     RfpOptions options;
-    options.window = kMaxWindow;  // fits the default 2 MB budget
+    options.window = kMaxWindow;
     EXPECT_NO_THROW(ValidateOptions(options));
   }
 }
@@ -115,52 +109,6 @@ TEST(OptionsValidationTest, ConstructorsFailLoudly) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("rfp options"), std::string::npos) << e.what();
   }
-}
-
-// The pool-cap cross-check: window x slot ring footprint is validated
-// against the node's registered-memory cap up front, instead of surfacing
-// later as an opaque mem::ExhaustedError mid-AcceptChannel.
-TEST(OptionsValidationTest, RejectsRingsThatOverflowThePoolCap) {
-  // Cap 0 = unbounded: anything the base validation accepts passes.
-  EXPECT_NO_THROW(ValidateOptions(RfpOptions{}, /*pool_cap_bytes=*/0, "server"));
-
-  // Default rings (~16.5 KB) cannot fit a 4 KB cap; the message must name
-  // the node and say what to do about it.
-  try {
-    ValidateOptions(RfpOptions{}, /*pool_cap_bytes=*/4096, "server");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("server"), std::string::npos) << what;
-    EXPECT_NE(what.find("shrink window or max_message_bytes"), std::string::npos) << what;
-  }
-}
-
-TEST(OptionsValidationTest, ChannelRejectsRingFootprintOverNodeCapUpFront) {
-  // A 16 MiB node cap (exactly one pool arena) with a window x message-size
-  // combination whose rings need ~19 MB. The channel constructor must reject
-  // with the actionable message, not let the pool throw ExhaustedError.
-  rdma::FabricConfig config;
-  config.nic.mem_max_registered_bytes = size_t{16} << 20;
-  sim::Engine engine;
-  rdma::Fabric fabric(engine, config);
-  rdma::Node& client = fabric.AddNode("client");
-  rdma::Node& server = fabric.AddNode("server");
-
-  RfpOptions options;
-  options.window = 32;
-  options.max_message_bytes = 300'000;
-  options.max_registered_bytes = 64u << 20;  // channel's own budget is fine
-  try {
-    Channel channel(fabric, client, server, options);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("mem_max_registered_bytes"), std::string::npos)
-        << e.what();
-  }
-
-  // The same cap with default-sized rings is fine.
-  EXPECT_NO_THROW(Channel(fabric, client, server, RfpOptions{}));
 }
 
 }  // namespace

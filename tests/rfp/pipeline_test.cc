@@ -2,8 +2,8 @@
 // trips, doorbell-batching stats, the window=1 degeneracy of the async
 // surface (SubmitCall/AwaitCall must be schedule-identical to
 // ClientSend/ClientRecv), per-call CallOptions knobs, window-full and
-// stale-handle errors, the Table-2 legacy API riding slot 0 of a windowed
-// channel, concurrent awaiters sharing one channel's completion queue, and
+// stale-handle errors, the one-call ClientSend/ClientRecv surface riding
+// slot 0 of a windowed channel, concurrent awaiters sharing one channel's completion queue, and
 // the pipelined Jakiro MultiGet.
 
 #include <cstring>
@@ -18,7 +18,6 @@
 #include "src/kv/jakiro.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/channel.h"
-#include "src/rfp/legacy_api.h"
 #include "src/rfp/options.h"
 #include "src/rfp/rpc.h"
 #include "src/sim/engine.h"
@@ -246,27 +245,25 @@ TEST_F(PipelineTest, StaleHandleThrows) {
   engine_.Run();
 }
 
-// Table 2's Endpoint wrappers drive ClientSend/ClientRecv, which on a
-// windowed channel submit into slot 0 and await it: legacy code keeps
-// working on a pipelined channel with no recompilation of its call sites.
+// The legacy one-call endpoint surface, Table 2's client_send/client_recv,
+// is ClientSend/ClientRecv, which on a windowed channel submits into slot 0
+// and awaits it: one-call-at-a-time code keeps working on a pipelined
+// channel.
 TEST_F(PipelineTest, LegacyEndpointRidesSlotZeroOfWindowedChannel) {
   RfpOptions options;
   options.window = 4;
   Channel* ch = MakeChannel(options);
   engine_.Spawn(EchoServer(engine_, ch, 3));
-  engine_.Spawn([](rdma::Node* node, Channel* c) -> sim::Task<void> {
-    Endpoint ep(*node);
-    ep.Bind(0, c);
-    BufferPool::Buffer buf = malloc_buf(ep, 4096);
+  engine_.Spawn([](Channel* c) -> sim::Task<void> {
+    std::vector<std::byte> buf(4096);
     for (int i = 0; i < 3; ++i) {
       const std::string msg = "legacy-" + std::to_string(i);
-      std::memcpy(buf.bytes.data(), msg.data(), msg.size());
-      co_await client_send(ep, 0, buf, msg.size());
-      const size_t got = co_await client_recv(ep, 0, buf);
-      EXPECT_EQ(std::string(reinterpret_cast<const char*>(buf.bytes.data()), got), msg);
+      std::memcpy(buf.data(), msg.data(), msg.size());
+      co_await c->ClientSend(std::span<const std::byte>(buf.data(), msg.size()));
+      const size_t got = co_await c->ClientRecv(buf);
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(buf.data()), got), msg);
     }
-    free_buf(ep, std::move(buf));
-  }(client_node_, ch));
+  }(ch));
   engine_.Run();
   EXPECT_EQ(ch->stats().calls, 3u);
   // Slot-0 sequential calls never stage more than one request, so every
