@@ -18,7 +18,9 @@ namespace {
 
 double RunPipelined(int depth, int threads) {
   sim::Engine engine;
-  rdma::Fabric fabric(engine);
+  rdma::FabricConfig fc;
+  fc.seed = bench::SeedOr(fc.seed);
+  rdma::Fabric fabric(engine, fc);
   rdma::Node& server = fabric.AddNode("server");
   std::vector<uint64_t> ops(static_cast<size_t>(threads), 0);
   const sim::Time window = sim::Millis(3);

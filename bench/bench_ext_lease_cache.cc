@@ -26,7 +26,9 @@ struct Outcome {
 
 Outcome RunLeased(sim::Time lease_ns) {
   sim::Engine engine;
-  rdma::Fabric fabric(engine);
+  rdma::FabricConfig fc;
+  fc.seed = bench::SeedOr(fc.seed);
+  rdma::Fabric fabric(engine, fc);
   rdma::Node& server_node = fabric.AddNode("server");
   kv::PilafConfig pc;
   pc.num_slots = 1 << 19;
@@ -76,7 +78,7 @@ Outcome RunLeased(sim::Time lease_ns) {
     engine.Spawn([](sim::Engine& eng, kv::LeaseCachedClient* c, workload::WorkloadSpec sp,
                     std::shared_ptr<std::vector<uint64_t>> vers, int id, sim::Time w,
                     sim::Time e, uint64_t* count, uint64_t* stale_count) -> sim::Task<void> {
-      workload::Generator gen(sp, static_cast<uint64_t>(id));
+      workload::Generator gen(sp, bench::SeedOr(0) + static_cast<uint64_t>(id));
       std::vector<std::byte> k(16);
       std::vector<std::byte> v(64);
       std::vector<std::byte> out(256);

@@ -18,7 +18,9 @@ namespace {
 
 double RunSharded(int num_servers) {
   sim::Engine engine;
-  rdma::Fabric fabric(engine);
+  rdma::FabricConfig fc;
+  fc.seed = bench::SeedOr(fc.seed);
+  rdma::Fabric fabric(engine, fc);
   std::vector<rdma::Node*> server_nodes;
   std::vector<std::unique_ptr<kv::JakiroServer>> servers;
   kv::JakiroConfig config;
@@ -63,7 +65,7 @@ double RunSharded(int num_servers) {
     }
     engine.Spawn([](sim::Engine& eng, MultiClient* mc, workload::WorkloadSpec sp, int id,
                     int ns, sim::Time w, sim::Time e, uint64_t* count) -> sim::Task<void> {
-      workload::Generator gen(sp, static_cast<uint64_t>(id));
+      workload::Generator gen(sp, bench::SeedOr(0) + static_cast<uint64_t>(id));
       std::vector<std::byte> k(16);
       std::vector<std::byte> v(256);
       std::vector<std::byte> out(256);

@@ -23,7 +23,9 @@ struct Outcome {
 
 Outcome RunBatched(int batch, uint32_t fetch_size) {
   sim::Engine engine;
-  rdma::Fabric fabric(engine);
+  rdma::FabricConfig fc;
+  fc.seed = bench::SeedOr(fc.seed);
+  rdma::Fabric fabric(engine, fc);
   rdma::Node& server_node = fabric.AddNode("server");
   kv::JakiroConfig config;
   config.server_threads = 6;
@@ -55,7 +57,7 @@ Outcome RunBatched(int batch, uint32_t fetch_size) {
     clients.push_back(std::make_unique<kv::JakiroClient>(server, *nodes[static_cast<size_t>(t % kNodes)]));
     engine.Spawn([](sim::Engine& eng, kv::JakiroClient* c, workload::WorkloadSpec sp, int id,
                     int n, sim::Time w, sim::Time e, uint64_t* count) -> sim::Task<void> {
-      workload::Generator gen(sp, static_cast<uint64_t>(id));
+      workload::Generator gen(sp, bench::SeedOr(0) + static_cast<uint64_t>(id));
       std::vector<std::vector<std::byte>> storage(static_cast<size_t>(n),
                                                   std::vector<std::byte>(16));
       std::vector<std::span<const std::byte>> keys(static_cast<size_t>(n));

@@ -30,7 +30,9 @@ struct FarmOutcome {
 
 FarmOutcome RunFarm(uint32_t value_size, double get_fraction) {
   sim::Engine engine;
-  rdma::Fabric fabric(engine);
+  rdma::FabricConfig fc;
+  fc.seed = bench::SeedOr(fc.seed);
+  rdma::Fabric fabric(engine, fc);
   rdma::Node& server_node = fabric.AddNode("server");
   kv::FarmConfig config;
   // Tight FaRM-like geometry: N = 8 slots fetched per GET (the paper's
@@ -75,7 +77,7 @@ FarmOutcome RunFarm(uint32_t value_size, double get_fraction) {
     engine.Spawn([](sim::Engine& eng, kv::FarmClient* c, workload::WorkloadSpec sp, int id,
                     sim::Time w, sim::Time e, uint64_t* count,
                     sim::Histogram* lat) -> sim::Task<void> {
-      workload::Generator gen(sp, static_cast<uint64_t>(id));
+      workload::Generator gen(sp, bench::SeedOr(0) + static_cast<uint64_t>(id));
       std::vector<std::byte> k(16);
       std::vector<std::byte> v(8192);
       std::vector<std::byte> out(8192);
