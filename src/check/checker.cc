@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -18,7 +19,6 @@ namespace {
 
 Mode g_mode = Mode::kOff;
 bool g_mode_initialized = false;
-Limits g_limits;
 
 constexpr size_t kRecentCap = 64;
 
@@ -101,9 +101,6 @@ ScopedReportOnly::ScopedReportOnly() : saved_(CurrentMode()) {
 }
 ScopedReportOnly::~ScopedReportOnly() { SetMode(saved_); }
 
-Limits CurrentLimits() { return g_limits; }
-void SetLimits(const Limits& limits) { g_limits = limits; }
-
 const char* ViolationKindName(ViolationKind kind) {
   switch (kind) {
     case ViolationKind::kQpPostAfterError:
@@ -155,132 +152,57 @@ const char* ViolationKindName(ViolationKind kind) {
 // ---- RaceTracker --------------------------------------------------------------
 
 void RaceTracker::Store(size_t off, size_t len, uint64_t tick) {
-  Append(EventKind::kStore, off, len, tick);
-}
-
-void RaceTracker::Publish(size_t off, size_t len, uint64_t tick) {
-  Append(EventKind::kPublish, off, len, tick);
-}
-
-void RaceTracker::RemoteWrite(size_t off, size_t len, uint64_t tick) {
-  Append(EventKind::kRemoteWrite, off, len, tick);
-}
-
-void RaceTracker::Append(EventKind kind, size_t off, size_t len, uint64_t tick) {
   if (len == 0) {
     return;
   }
-  events_.push_back(Event{tick, kind, off, len});
-  if (events_.size() > history_cap_) {
-    Compact();
-  }
+  Publish(off, len);
+  dirty_.emplace(off, Range{off + len, tick});
 }
 
-void RaceTracker::Compact() {
-  // Fold the oldest half of the event log into the baseline interval map,
-  // replaying in order so later events override earlier ones.
-  size_t fold = events_.size() / 2;
-  for (size_t i = 0; i < fold; ++i) {
-    const Event& e = events_.front();
-    size_t begin = e.off;
-    size_t end = e.off + e.len;
-    bool dirty = e.kind == EventKind::kStore;
-
-    // Remove the covered span from existing intervals, splitting at the edges.
-    std::deque<BaseInterval> next;
-    for (const BaseInterval& iv : baseline_) {
-      if (iv.end <= begin || iv.off >= end) {
-        next.push_back(iv);
-        continue;
-      }
-      if (iv.off < begin) {
-        next.push_back(BaseInterval{iv.off, begin, iv.dirty, iv.tick});
-      }
-      if (iv.end > end) {
-        next.push_back(BaseInterval{end, iv.end, iv.dirty, iv.tick});
-      }
-    }
-    next.push_back(BaseInterval{begin, end, dirty, e.tick});
-    std::sort(next.begin(), next.end(),
-              [](const BaseInterval& a, const BaseInterval& b) { return a.off < b.off; });
-    baseline_ = std::move(next);
-    baseline_tick_ = e.tick;
-    events_.pop_front();
-  }
-}
-
-std::optional<RaceTracker::Dirty> RaceTracker::FirstDirty(size_t off, size_t len,
-                                                          uint64_t as_of) const {
+void RaceTracker::Publish(size_t off, size_t len) {
   if (len == 0) {
+    return;
+  }
+  const size_t end = off + len;
+  auto it = dirty_.lower_bound(off);
+  if (it != dirty_.begin()) {
+    auto prev = std::prev(it);
+    if (prev->second.end > off) {
+      // `prev` straddles `off`: keep its head, and its tail past `end` if any.
+      const Range whole = prev->second;
+      prev->second.end = off;
+      if (whole.end > end) {
+        dirty_.emplace_hint(it, end, whole);
+        return;
+      }
+    }
+  }
+  while (it != dirty_.end() && it->first < end) {
+    const Range range = it->second;
+    it = dirty_.erase(it);
+    if (range.end > end) {
+      dirty_.emplace_hint(it, end, range);
+      return;
+    }
+  }
+}
+
+std::optional<RaceTracker::Dirty> RaceTracker::FirstDirty(size_t off, size_t len) const {
+  const size_t end = off + len;
+  auto it = dirty_.upper_bound(off);
+  if (it != dirty_.begin() && std::prev(it)->second.end > off) {
+    --it;
+  }
+  if (len == 0 || it == dirty_.end() || it->first >= end) {
     return std::nullopt;
   }
-  // Undecided byte ranges of the query, shrinking as newer events claim them.
-  std::vector<std::pair<size_t, size_t>> undecided = {{off, off + len}};
-
-  // Walk newest -> oldest; the newest event at or before `as_of` touching a
-  // byte decides that byte.
-  for (auto it = events_.rbegin(); it != events_.rend() && !undecided.empty(); ++it) {
-    const Event& e = *it;
-    if (e.tick > as_of) {
-      continue;
-    }
-    size_t ebegin = e.off;
-    size_t eend = e.off + e.len;
-    std::vector<std::pair<size_t, size_t>> next;
-    next.reserve(undecided.size() + 1);
-    for (const auto& [ubegin, uend] : undecided) {
-      size_t obegin = std::max(ubegin, ebegin);
-      size_t oend = std::min(uend, eend);
-      if (obegin >= oend) {
-        next.emplace_back(ubegin, uend);
-        continue;
-      }
-      if (e.kind == EventKind::kStore) {
-        return Dirty{obegin, oend - obegin, e.tick};
-      }
-      // Published or remote-written: clean; drop the overlap.
-      if (ubegin < obegin) {
-        next.emplace_back(ubegin, obegin);
-      }
-      if (oend < uend) {
-        next.emplace_back(oend, uend);
-      }
-    }
-    undecided = std::move(next);
-  }
-
-  // Whatever remains is decided by the baseline — unless the query predates
-  // the fold horizon, where we answer conservatively clean.
-  if (as_of < baseline_tick_) {
-    return std::nullopt;
-  }
-  for (const auto& [ubegin, uend] : undecided) {
-    for (const BaseInterval& iv : baseline_) {
-      if (iv.end <= ubegin || iv.off >= uend) {
-        continue;
-      }
-      if (iv.dirty) {
-        size_t obegin = std::max(ubegin, iv.off);
-        size_t oend = std::min(uend, iv.end);
-        return Dirty{obegin, oend - obegin, iv.tick};
-      }
-    }
-  }
-  return std::nullopt;
+  const size_t begin = std::max(off, it->first);
+  return Dirty{begin, std::min(end, it->second.end) - begin, it->second.store_tick};
 }
 
 // ---- FabricChecker ------------------------------------------------------------
 
-FabricChecker::FabricChecker(sim::Engine* engine, Mode mode)
-    : engine_(engine), mode_(mode), limits_(CurrentLimits()) {}
-
-RaceTracker* FabricChecker::TrackerFor(uint32_t rkey) {
-  auto it = trackers_.find(rkey);
-  if (it == trackers_.end()) {
-    it = trackers_.emplace(rkey, RaceTracker(limits_.race_history)).first;
-  }
-  return &it->second;
-}
+FabricChecker::FabricChecker(sim::Engine* engine, Mode mode) : engine_(engine), mode_(mode) {}
 
 void FabricChecker::Report(ViolationKind kind, std::string detail) {
   counts_[static_cast<size_t>(kind)]++;
@@ -373,10 +295,10 @@ void FabricChecker::OnPost(uint32_t qp_num, rdma::Opcode op, bool in_error, bool
     return;
   }
   info.in_flight++;
-  if (info.in_flight > limits_.max_outstanding_wr) {
+  if (info.in_flight > kMaxOutstandingWr) {
     std::ostringstream os;
-    os << "qp " << qp_num << " has " << info.in_flight
-       << " in-flight work requests (cap " << limits_.max_outstanding_wr << ")";
+    os << "qp " << qp_num << " has " << info.in_flight << " in-flight work requests (cap "
+       << kMaxOutstandingWr << ")";
     Report(ViolationKind::kQpWrCapExceeded, os.str());
   }
 }
@@ -461,9 +383,9 @@ void FabricChecker::OnMrDeregistered(uint32_t rkey) {
 
 void FabricChecker::OnCqPush(const void* cq, const rdma::WorkCompletion& wc, size_t depth_after) {
   NextTick();
-  if (depth_after > limits_.cq_capacity) {
+  if (depth_after > kCqCapacity) {
     std::ostringstream os;
-    os << "cq holds " << depth_after << " completions (cap " << limits_.cq_capacity
+    os << "cq holds " << depth_after << " completions (cap " << kCqCapacity
        << "); consumer is not draining";
     Report(ViolationKind::kCqOverflow, os.str());
   }
@@ -501,28 +423,59 @@ void FabricChecker::OnCqPush(const void* cq, const rdma::WorkCompletion& wc, siz
 }
 
 void FabricChecker::OnCpuStore(uint32_t rkey, size_t off, size_t len) {
-  TrackerFor(rkey)->Store(off, len, NextTick());
+  trackers_[rkey].Store(off, len, NextTick());
 }
 
 void FabricChecker::OnPublish(uint32_t rkey, size_t off, size_t len) {
-  TrackerFor(rkey)->Publish(off, len, NextTick());
+  NextTick();
+  trackers_[rkey].Publish(off, len);
 }
 
 void FabricChecker::OnRemoteWrite(uint32_t rkey, size_t off, size_t len) {
-  TrackerFor(rkey)->RemoteWrite(off, len, NextTick());
+  NextTick();
+  trackers_[rkey].RemoteWrite(off, len);
 }
 
 uint64_t FabricChecker::OnReadSnapshot(uint32_t rkey, size_t off, size_t len) {
-  (void)rkey;
-  (void)off;
-  (void)len;
-  return NextTick();
+  const uint64_t tick = NextTick();
+  auto it = trackers_.find(rkey);
+  if (it == trackers_.end()) {
+    return tick;
+  }
+  const size_t end = off + len;
+  std::vector<RaceTracker::Dirty> seen;
+  for (auto dirty = it->second.FirstDirty(off, len); dirty.has_value();) {
+    seen.push_back(*dirty);
+    const size_t next = dirty->off + dirty->len;
+    dirty = it->second.FirstDirty(next, end - next);
+  }
+  if (!seen.empty()) {
+    torn_snapshots_.emplace(tick, std::move(seen));
+  }
+  return tick;
 }
 
 void FabricChecker::OnAccept(ViolationKind kind, uint32_t rkey, size_t off, size_t len,
                              uint64_t snapshot_tick, const char* what) {
-  uint64_t as_of = snapshot_tick == 0 ? tick_ : snapshot_tick;
-  auto dirty = TrackerFor(rkey)->FirstDirty(off, len, as_of);
+  std::optional<RaceTracker::Dirty> dirty;
+  if (snapshot_tick == 0) {
+    auto it = trackers_.find(rkey);
+    if (it != trackers_.end()) {
+      dirty = it->second.FirstDirty(off, len);
+    }
+  } else if (auto it = torn_snapshots_.find(snapshot_tick); it != torn_snapshots_.end()) {
+    // The snapshot's overlaps are ascending: the first one reaching into the
+    // accepted range is the lowest dirty byte the reader trusted.
+    const size_t end = off + len;
+    for (const RaceTracker::Dirty& seen : it->second) {
+      const size_t begin = std::max(off, seen.off);
+      const size_t stop = std::min(end, seen.off + seen.len);
+      if (begin < stop) {
+        dirty = RaceTracker::Dirty{begin, stop - begin, seen.store_tick};
+        break;
+      }
+    }
+  }
   if (!dirty.has_value()) {
     return;
   }
@@ -530,7 +483,8 @@ void FabricChecker::OnAccept(ViolationKind kind, uint32_t rkey, size_t off, size
   os << what << " accepted bytes [" << off << ", " << off + len << ") of rkey " << rkey
      << " but [" << dirty->off << ", " << dirty->off + dirty->len
      << ") was CPU-stored at tick " << dirty->store_tick
-     << " with no publication point before the snapshot (tick " << as_of << ")";
+     << " with no publication point before the snapshot (tick "
+     << (snapshot_tick == 0 ? tick_ : snapshot_tick) << ")";
   Report(kind, os.str());
 }
 

@@ -33,11 +33,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "src/rdma/types.h"
 
@@ -96,20 +98,12 @@ class ScopedReportOnly {
   Mode saved_;
 };
 
-// ---- Tunables ----------------------------------------------------------------
+// ---- Caps --------------------------------------------------------------------
 
-struct Limits {
-  // Maximum simultaneously in-flight work requests per QP (send side).
-  int max_outstanding_wr = 1024;
-  // Maximum completions buffered in one CQ before overflow is flagged.
-  size_t cq_capacity = 16384;
-  // Events retained per region before the race tracker folds history into
-  // its baseline interval map.
-  size_t race_history = 4096;
-};
-
-Limits CurrentLimits();
-void SetLimits(const Limits& limits);
+// Maximum simultaneously in-flight work requests per QP (send side).
+constexpr int kMaxOutstandingWr = 1024;
+// Maximum completions buffered in one CQ before overflow is flagged.
+constexpr size_t kCqCapacity = 16384;
 
 // ---- Violations --------------------------------------------------------------
 
@@ -117,8 +111,8 @@ enum class ViolationKind : uint8_t {
   kQpPostAfterError,    // second post on an errored QP without reconnect
   kQpPostOnRetired,     // post on a QP retired by Fabric::RetireQp
   kQpUnsupportedOp,     // op outside the QP type's support matrix
-  kQpWrCapExceeded,     // in-flight WRs above Limits::max_outstanding_wr
-  kCqOverflow,          // CQ depth above Limits::cq_capacity
+  kQpWrCapExceeded,     // in-flight WRs above kMaxOutstandingWr
+  kCqOverflow,          // CQ depth above kCqCapacity
   kCqCompletionOrder,   // successful completions out of post order on one QP
   kMrBadRkey,           // rkey not in the live registration table
   kMrDeregistered,      // rkey was valid once but has been deregistered
@@ -164,54 +158,34 @@ struct Violation {
 
 // ---- Race tracker ------------------------------------------------------------
 
-// Byte-granular happens-before state for one registered region, keyed by a
-// process-wide logical tick. Bounded: once the event log exceeds the history
-// limit, the oldest half is folded into a baseline interval map.
+// The dirty byte ranges of one registered region: bytes CPU-stored with no
+// publication point or remote WRITE since. It holds only the present; the
+// checker queries it when a READ snapshot is taken, which is by definition
+// the state as of that snapshot.
 class RaceTracker {
  public:
-  explicit RaceTracker(size_t history_cap) : history_cap_(history_cap) {}
-
   void Store(size_t off, size_t len, uint64_t tick);
-  void Publish(size_t off, size_t len, uint64_t tick);
+  void Publish(size_t off, size_t len);
   // A remote WRITE delivery is an atomic store+publish: the NIC lands the
   // bytes in one piece, so readers never observe them torn.
-  void RemoteWrite(size_t off, size_t len, uint64_t tick);
+  void RemoteWrite(size_t off, size_t len) { Publish(off, len); }
 
-  // Returns the first [off,len) overlap that was dirty (stored without a
-  // later publication) as of tick `as_of`, or nullopt when all bytes were
-  // clean. Events with tick > as_of are invisible to the query.
+  // Returns the lowest [off,len) overlap that is dirty now, or nullopt when
+  // all bytes are clean.
   struct Dirty {
     size_t off;
     size_t len;
     uint64_t store_tick;
   };
-  std::optional<Dirty> FirstDirty(size_t off, size_t len, uint64_t as_of) const;
+  std::optional<Dirty> FirstDirty(size_t off, size_t len) const;
 
  private:
-  enum class EventKind : uint8_t { kStore, kPublish, kRemoteWrite };
-  struct Event {
-    uint64_t tick;
-    EventKind kind;
-    size_t off;
-    size_t len;
-  };
-  struct BaseInterval {
-    size_t off;
+  struct Range {
     size_t end;
-    bool dirty;
-    uint64_t tick;  // tick of the folded store when dirty
+    uint64_t store_tick;
   };
-
-  void Append(EventKind kind, size_t off, size_t len, uint64_t tick);
-  void Compact();
-
-  size_t history_cap_;
-  std::deque<Event> events_;
-  // Disjoint, sorted state for everything older than events_. `baseline_tick_`
-  // is the newest tick folded in; queries with as_of < baseline_tick_ answer
-  // conservatively clean for baseline bytes.
-  std::deque<BaseInterval> baseline_;
-  uint64_t baseline_tick_ = 0;
+  // Disjoint dirty ranges keyed by their first byte.
+  std::map<size_t, Range> dirty_;
 };
 
 // ---- The per-fabric checker --------------------------------------------------
@@ -269,11 +243,14 @@ class FabricChecker {
   void OnPublish(uint32_t rkey, size_t off, size_t len);
   void OnRemoteWrite(uint32_t rkey, size_t off, size_t len);
   // A remote READ snapshots the region; returns the snapshot tick the reader
-  // threads through to OnAccept once it decides to trust the bytes.
+  // threads through to OnAccept once it decides to trust the bytes. The
+  // verdict is taken here: the dirty overlaps of [off,off+len) are kept
+  // under the returned tick.
   uint64_t OnReadSnapshot(uint32_t rkey, size_t off, size_t len);
   // The reader accepted bytes [off,off+len) of `rkey` as a coherent message.
-  // `snapshot_tick` is the tick of the READ that fetched them (0 = now).
-  // `what` labels the protocol step for the violation detail.
+  // `snapshot_tick` is the tick of the READ that fetched them (0 = now); one
+  // snapshot may be accepted several times. `what` labels the protocol step
+  // for the violation detail.
   void OnAccept(ViolationKind kind, uint32_t rkey, size_t off, size_t len,
                 uint64_t snapshot_tick, const char* what);
 
@@ -338,12 +315,10 @@ class FabricChecker {
   };
 
   uint64_t NextTick() { return ++tick_; }
-  RaceTracker* TrackerFor(uint32_t rkey);
   void Report(ViolationKind kind, std::string detail);
 
   sim::Engine* engine_;
   Mode mode_;
-  Limits limits_;
   uint64_t tick_ = 0;
 
   std::unordered_map<uint32_t, QpInfo> qps_;
@@ -355,6 +330,11 @@ class FabricChecker {
   };
   std::unordered_map<uint32_t, MrInfo> mrs_;
   std::unordered_map<uint32_t, RaceTracker> trackers_;
+  // Snapshot tick -> the dirty overlaps that READ saw, ascending. Only READs
+  // that saw dirty bytes have an entry, kept for the checker's lifetime since
+  // a reader may accept its snapshot at any later point; the publication
+  // protocol keeps such READs out of clean runs (none on the claims benches).
+  std::unordered_map<uint64_t, std::vector<RaceTracker::Dirty>> torn_snapshots_;
   // Async wr_id -> post sequence, for completion-order validation.
   std::unordered_map<uint32_t, std::unordered_map<uint64_t, uint64_t>> wr_seq_;
   // Per-channel send/recv pairing: outstanding calls must never exceed the

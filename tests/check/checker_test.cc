@@ -36,16 +36,6 @@ std::span<const std::byte> AsBytes(const std::string& s) {
   return std::as_bytes(std::span(s.data(), s.size()));
 }
 
-// Saves/restores the global limits so per-test tightening cannot leak.
-class ScopedLimits {
- public:
-  explicit ScopedLimits(const Limits& limits) : saved_(CurrentLimits()) { SetLimits(limits); }
-  ~ScopedLimits() { SetLimits(saved_); }
-
- private:
-  Limits saved_;
-};
-
 // All corpus tests run in report mode so violations count instead of throw;
 // the fixture's mode is active before any Fabric is constructed (the fabric
 // attaches its checker at construction time).
@@ -136,10 +126,7 @@ TEST_F(CheckerCorpusTest, UnsupportedOpFlagged) {
 }
 
 TEST_F(CheckerCorpusTest, WrCapExceededFlagged) {
-  Limits tight = CurrentLimits();
-  tight.max_outstanding_wr = 2;
-  ScopedLimits limits(tight);
-  Fabric fabric(engine_);  // checker snapshots the limits at construction
+  Fabric fabric(engine_);
   Node& a = fabric.AddNode("a");
   Node& b = fabric.AddNode("b");
   auto [cqp, sqp] = fabric.ConnectRc(a, b);
@@ -148,9 +135,9 @@ TEST_F(CheckerCorpusTest, WrCapExceededFlagged) {
   MemoryRegion* remote = b.RegisterMemory(64, rdma::kAccessRemoteWrite);
   const uint64_t before = MetricValue(ViolationKind::kQpWrCapExceeded);
 
-  // Four synchronous-post issues before any completes: in-flight peaks at 4,
-  // two posts above the cap of 2.
-  for (uint64_t wr = 1; wr <= 4; ++wr) {
+  // kMaxOutstandingWr + 2 synchronous-post issues before any completes:
+  // in-flight peaks two posts above the cap.
+  for (uint64_t wr = 1; wr <= kMaxOutstandingWr + 2; ++wr) {
     cqp->PostWrite(wr, *local, 0, remote->remote_key(), 0, 8);
   }
   engine_.Run();
@@ -160,9 +147,6 @@ TEST_F(CheckerCorpusTest, WrCapExceededFlagged) {
 // ---- CQ ----------------------------------------------------------------------
 
 TEST_F(CheckerCorpusTest, CqOverflowFlagged) {
-  Limits tight = CurrentLimits();
-  tight.cq_capacity = 2;
-  ScopedLimits limits(tight);
   Fabric fabric(engine_);
   Node& a = fabric.AddNode("a");
   Node& b = fabric.AddNode("b");
@@ -172,13 +156,18 @@ TEST_F(CheckerCorpusTest, CqOverflowFlagged) {
   MemoryRegion* remote = b.RegisterMemory(64, rdma::kAccessRemoteWrite);
   const uint64_t before = MetricValue(ViolationKind::kCqOverflow);
 
-  // Four completions land on the send CQ with nobody polling: depths 3 and 4
-  // exceed the capacity of 2.
-  for (uint64_t wr = 1; wr <= 4; ++wr) {
-    cqp->PostWrite(wr, *local, 0, remote->remote_key(), 0, 8);
+  // kCqCapacity + 2 completions land on the send CQ with nobody polling: the
+  // last two exceed the capacity. Posts go in waves of at most
+  // kMaxOutstandingWr, so the in-flight cap is never crossed.
+  uint64_t wr = 0;
+  while (wr < kCqCapacity + 2) {
+    for (int i = 0; i < kMaxOutstandingWr && wr < kCqCapacity + 2; ++i) {
+      cqp->PostWrite(++wr, *local, 0, remote->remote_key(), 0, 8);
+    }
+    engine_.Run();
   }
-  engine_.Run();
   ExpectViolations(fabric, ViolationKind::kCqOverflow, 2, before);
+  EXPECT_EQ(fabric.checker()->violations(ViolationKind::kQpWrCapExceeded), 0u);
 }
 
 TEST_F(CheckerCorpusTest, CompletionOrderFlagged) {
@@ -925,47 +914,85 @@ TEST_F(CheckerCorpusTest, NormalTrafficCleanUnderStrict) {
   EXPECT_EQ(fabric.checker()->total_violations(), 0u);
 }
 
+// ---- Race detector at the READ snapshot ---------------------------------------
+
+TEST_F(CheckerCorpusTest, StoreAfterSnapshotIsInvisible) {
+  FabricChecker checker(nullptr, Mode::kReport);
+  checker.OnPublish(1, 0, 16);
+  const uint64_t snapshot = checker.OnReadSnapshot(1, 0, 16);
+  checker.OnCpuStore(1, 0, 16);
+  // The reader snapshotted before the store; the later store cannot have torn it.
+  checker.OnAccept(ViolationKind::kRaceFetchStore, 1, 0, 16, snapshot, "fetch");
+  EXPECT_EQ(checker.violations(ViolationKind::kRaceFetchStore), 0u);
+  checker.OnAccept(ViolationKind::kRaceFetchStore, 1, 0, 16, /*snapshot_tick=*/0, "fetch");
+  EXPECT_EQ(checker.violations(ViolationKind::kRaceFetchStore), 1u);
+}
+
+TEST_F(CheckerCorpusTest, RemoteWriteAfterSnapshotCannotRetroactivelyClean) {
+  // The reader snapshotted before a WRITE landed; that WRITE is no
+  // publication for the earlier read — the dirty store must still surface.
+  FabricChecker checker(nullptr, Mode::kReport);
+  checker.OnPublish(1, 0, 8);
+  checker.OnCpuStore(1, 0, 8);
+  const uint64_t store_tick = checker.tick();
+  const uint64_t snapshot = checker.OnReadSnapshot(1, 0, 8);
+  checker.OnRemoteWrite(1, 0, 8);
+  checker.OnAccept(ViolationKind::kRaceFetchStore, 1, 0, 8, snapshot, "fetch");
+  ASSERT_EQ(checker.violations(ViolationKind::kRaceFetchStore), 1u);
+  EXPECT_NE(checker.recent().back().detail.find("CPU-stored at tick " +
+                                                std::to_string(store_tick)),
+            std::string::npos);
+  checker.OnAccept(ViolationKind::kRaceFetchStore, 1, 0, 8, /*snapshot_tick=*/0, "fetch");
+  EXPECT_EQ(checker.violations(ViolationKind::kRaceFetchStore), 1u);
+}
+
+TEST_F(CheckerCorpusTest, SnapshotOutlivesLongStoreHistory) {
+  // A READ snapshot over unpublished bytes, accepted only after thousands of
+  // store/publish pairs to other bytes of the same region: the verdict taken
+  // at the snapshot still holds when the reader accepts.
+  FabricChecker checker(nullptr, Mode::kReport);
+  checker.OnCpuStore(1, 0, 8);
+  const uint64_t snapshot = checker.OnReadSnapshot(1, 0, 8);
+  for (int i = 0; i < 5000; ++i) {
+    checker.OnCpuStore(1, 64, 8);
+    checker.OnPublish(1, 64, 8);
+  }
+  checker.OnAccept(ViolationKind::kRaceFetchStore, 1, 0, 8, snapshot, "fetch");
+  EXPECT_EQ(checker.violations(ViolationKind::kRaceFetchStore), 1u);
+}
+
 // ---- RaceTracker unit tests ---------------------------------------------------
 
 TEST(RaceTrackerTest, StoreThenPublishIsClean) {
-  RaceTracker tracker(64);
+  RaceTracker tracker;
   tracker.Store(0, 16, 1);
-  tracker.Publish(0, 16, 2);
-  EXPECT_FALSE(tracker.FirstDirty(0, 16, 3).has_value());
+  tracker.Publish(0, 16);
+  EXPECT_FALSE(tracker.FirstDirty(0, 16).has_value());
 }
 
 TEST(RaceTrackerTest, StoreAfterPublishIsDirty) {
-  RaceTracker tracker(64);
-  tracker.Publish(0, 16, 1);
+  RaceTracker tracker;
+  tracker.Publish(0, 16);
   tracker.Store(4, 4, 2);
-  auto dirty = tracker.FirstDirty(0, 16, 3);
+  auto dirty = tracker.FirstDirty(0, 16);
   ASSERT_TRUE(dirty.has_value());
   EXPECT_EQ(dirty->off, 4u);
   EXPECT_EQ(dirty->len, 4u);
   EXPECT_EQ(dirty->store_tick, 2u);
 }
 
-TEST(RaceTrackerTest, StoreAfterSnapshotIsInvisible) {
-  RaceTracker tracker(64);
-  tracker.Publish(0, 16, 1);
-  tracker.Store(0, 16, 5);
-  // The reader snapshotted at tick 3; the later store cannot have torn it.
-  EXPECT_FALSE(tracker.FirstDirty(0, 16, 3).has_value());
-  EXPECT_TRUE(tracker.FirstDirty(0, 16, 5).has_value());
-}
-
 TEST(RaceTrackerTest, RemoteWriteCleansBytes) {
-  RaceTracker tracker(64);
+  RaceTracker tracker;
   tracker.Store(0, 16, 1);
-  tracker.RemoteWrite(0, 16, 2);
-  EXPECT_FALSE(tracker.FirstDirty(0, 16, 3).has_value());
+  tracker.RemoteWrite(0, 16);
+  EXPECT_FALSE(tracker.FirstDirty(0, 16).has_value());
 }
 
 TEST(RaceTrackerTest, PartialPublishLeavesRestDirty) {
-  RaceTracker tracker(64);
+  RaceTracker tracker;
   tracker.Store(0, 16, 1);
-  tracker.Publish(0, 8, 2);  // only the first half is published
-  auto dirty = tracker.FirstDirty(0, 16, 3);
+  tracker.Publish(0, 8);  // only the first half is published
+  auto dirty = tracker.FirstDirty(0, 16);
   ASSERT_TRUE(dirty.has_value());
   EXPECT_EQ(dirty->off, 8u);
 }
@@ -974,36 +1001,24 @@ TEST(RaceTrackerTest, RemoteWriteRacingPublicationCleansOnlyItsBytes) {
   // A NIC WRITE lands mid-range while the surrounding bytes sit dirty from a
   // CPU store after the last publication point: the atomic store+publish of
   // the WRITE must not launder its neighbors.
-  RaceTracker tracker(64);
-  tracker.Publish(0, 16, 1);
-  tracker.Store(0, 16, 2);     // whole range dirty again
-  tracker.RemoteWrite(4, 4, 3);  // lands atomically inside it
-  auto dirty = tracker.FirstDirty(0, 16, 4);
+  RaceTracker tracker;
+  tracker.Publish(0, 16);
+  tracker.Store(0, 16, 2);    // whole range dirty again
+  tracker.RemoteWrite(4, 4);  // lands atomically inside it
+  auto dirty = tracker.FirstDirty(0, 16);
   ASSERT_TRUE(dirty.has_value());
   EXPECT_EQ(dirty->off, 0u);  // bytes before the WRITE are still dirty
   EXPECT_EQ(dirty->len, 4u);
   // The WRITE's own bytes are clean; the tail beyond it is not.
-  EXPECT_FALSE(tracker.FirstDirty(4, 4, 4).has_value());
-  ASSERT_TRUE(tracker.FirstDirty(8, 8, 4).has_value());
-}
-
-TEST(RaceTrackerTest, RemoteWriteAfterSnapshotCannotRetroactivelyClean) {
-  // The reader snapshotted at tick 3; a WRITE landing at tick 5 is no
-  // publication for that earlier read — the dirty store must still surface.
-  RaceTracker tracker(64);
-  tracker.Publish(0, 8, 1);
-  tracker.Store(0, 8, 2);
-  tracker.RemoteWrite(0, 8, 5);
-  ASSERT_TRUE(tracker.FirstDirty(0, 8, 3).has_value());
-  EXPECT_EQ(tracker.FirstDirty(0, 8, 3)->store_tick, 2u);
-  EXPECT_FALSE(tracker.FirstDirty(0, 8, 5).has_value());
+  EXPECT_FALSE(tracker.FirstDirty(4, 4).has_value());
+  ASSERT_TRUE(tracker.FirstDirty(8, 8).has_value());
 }
 
 TEST(RaceTrackerTest, StoreAfterRemoteWriteRedirties) {
-  RaceTracker tracker(64);
-  tracker.RemoteWrite(0, 8, 1);
+  RaceTracker tracker;
+  tracker.RemoteWrite(0, 8);
   tracker.Store(2, 2, 2);
-  auto dirty = tracker.FirstDirty(0, 8, 3);
+  auto dirty = tracker.FirstDirty(0, 8);
   ASSERT_TRUE(dirty.has_value());
   EXPECT_EQ(dirty->off, 2u);
   EXPECT_EQ(dirty->len, 2u);
@@ -1013,31 +1028,31 @@ TEST(RaceTrackerTest, StoreAfterRemoteWriteRedirties) {
 TEST(RaceTrackerTest, IdenticalTickTiesAreDecidedByLogOrder) {
   // Two events on the same bytes at the same tick: the checker's logical
   // clock normally forbids this, but the tracker's contract is defined —
-  // the later-appended event decides (newest-to-oldest log scan). Pinned
-  // so a future refactor cannot silently flip the tie to "dirty wins".
-  RaceTracker store_then_write(64);
+  // the later event decides. Pinned so a future refactor cannot silently
+  // flip the tie to "dirty wins".
+  RaceTracker store_then_write;
   store_then_write.Store(0, 4, 7);
-  store_then_write.RemoteWrite(0, 4, 7);
-  EXPECT_FALSE(store_then_write.FirstDirty(0, 4, 7).has_value());
+  store_then_write.RemoteWrite(0, 4);
+  EXPECT_FALSE(store_then_write.FirstDirty(0, 4).has_value());
 
-  RaceTracker write_then_store(64);
-  write_then_store.RemoteWrite(0, 4, 7);
+  RaceTracker write_then_store;
+  write_then_store.RemoteWrite(0, 4);
   write_then_store.Store(0, 4, 7);
-  ASSERT_TRUE(write_then_store.FirstDirty(0, 4, 7).has_value());
+  ASSERT_TRUE(write_then_store.FirstDirty(0, 4).has_value());
 }
 
-TEST(RaceTrackerTest, CompactionPreservesDirtyState) {
-  RaceTracker tracker(8);  // tiny cap: force folds
+TEST(RaceTrackerTest, LongHistoryPreservesDirtyState) {
+  RaceTracker tracker;
   uint64_t tick = 0;
-  tracker.Store(0, 4, ++tick);  // never published: stays dirty through folds
+  tracker.Store(0, 4, ++tick);  // never published: stays dirty throughout
   for (int i = 0; i < 64; ++i) {
     tracker.Store(100, 4, ++tick);
-    tracker.Publish(100, 4, ++tick);
+    tracker.Publish(100, 4);
   }
-  auto dirty = tracker.FirstDirty(0, 4, tick + 1);
+  auto dirty = tracker.FirstDirty(0, 4);
   ASSERT_TRUE(dirty.has_value());
   EXPECT_EQ(dirty->off, 0u);
-  EXPECT_FALSE(tracker.FirstDirty(100, 4, tick + 1).has_value());
+  EXPECT_FALSE(tracker.FirstDirty(100, 4).has_value());
 }
 
 }  // namespace

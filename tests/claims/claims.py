@@ -14,8 +14,10 @@ metrics dump).
     python3 tests/claims/claims.py --list                       # benches with claims
 
 ctest runs one `BENCH` per bench under the `claims` label
-(tests/claims/CMakeLists.txt). Each bench runs once at --seed=1 with a pinned
-RFP_BENCH_SCALE and without RFP_CHECK, as the golden gate runs it.
+(tests/claims/CMakeLists.txt). Each bench runs at --seed=1 with a pinned
+RFP_BENCH_SCALE and without RFP_CHECK, as the golden gate runs it, and then
+once more with --check=report: the invariant checker (src/check/) must count
+no violation and leave every printed row as it was.
 """
 
 import argparse
@@ -36,11 +38,12 @@ RUN_TIMEOUT_S = 600
 
 class Table:
     """The printed rows of one bench run, cells as printed, and the run's
-    metrics dump."""
+    metrics dump; `checked` is the same bench's --check=report run."""
 
     def __init__(self, rows, metrics=()):
         self.rows = rows
         self.metrics = metrics
+        self.checked = None
 
     def cells(self, name, **where):
         """The column's cells, as printed strings in printed order, over the
@@ -292,17 +295,27 @@ CLAIMS = [
 ]
 
 
+def checked_claim(bench):
+    """The row every bench gets: the checked run prints the unchecked run's
+    rows, cell for cell, and counts no violation (an absent metric is 0)."""
+    return Claim("Checked", bench,
+                 "--check=report: rows equal the unchecked rows, check.violation sums to 0",
+                 (), lambda t: t.checked.rows == t.rows
+                 and sum(m["value"] for m in t.checked.metrics
+                         if m["name"] == "check.violation") == 0)
+
+
 def benches():
     return sorted({claim.bench for claim in CLAIMS})
 
 
-def run(build_dir, bench):
+def run(build_dir, bench, *flags):
     env = dict(os.environ, RFP_BENCH_SCALE=SCALE)
-    env.pop("RFP_CHECK", None)  # claims hold for the default (unchecked) run
+    env.pop("RFP_CHECK", None)  # the checker runs only where a flag asks for it
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, bench + ".json")
         proc = subprocess.run([os.path.join(build_dir, "bench", bench), SEED_ARG,
-                               "--json=" + path], env=env, stdout=subprocess.DEVNULL,
+                               "--json=" + path, *flags], env=env, stdout=subprocess.DEVNULL,
                               timeout=RUN_TIMEOUT_S, check=False)
         if proc.returncode != 0:
             raise RuntimeError(f"{bench} exited with status {proc.returncode}")
@@ -318,7 +331,8 @@ def check(build_dir, names):
     failed = 0
     for bench in names:
         table = run(build_dir, bench)
-        for claim in (c for c in CLAIMS if c.bench == bench):
+        table.checked = run(build_dir, bench, "--check=report")
+        for claim in [c for c in CLAIMS if c.bench == bench] + [checked_claim(bench)]:
             try:
                 ok = claim.holds(table)
             except (KeyError, ValueError) as e:
