@@ -4,8 +4,9 @@
     python3 scripts/test_bench_ledger.py
 
 Checks the per-label medians and quartiles, the pair-win count for a
-lower-is-better and a higher-is-better metric, and that a digest mismatch
-between the labels is flagged (exit 1) while matching digests are not.
+lower-is-better and a higher-is-better metric, that a digest mismatch
+between the labels is flagged (exit 1) while matching digests are not, and
+that `--hostwork 1` rows print each counter's delta between labels.
 """
 
 import io
@@ -24,6 +25,13 @@ def row(label, workload, host_us, mops, digest="d0", events=100, trace=0):
             "info": {"digest": digest, "events": events},
             "result": {"metrics": {"host_us_per_call": {"value": host_us, "unit": "us"},
                                    "sim_mops": {"value": mops, "unit": "Mcalls/s"}}}}
+
+
+def hostwork_row(label, workload, frames, allocs=0.0):
+    return {"label": label, "workload": workload, "seed": 7, "seconds": 1.0,
+            "hostwork": {"workload": workload, "seed": 7, "window_calls": 100,
+                         "dispatches_per_call": 13.0, "frames_per_call": frames,
+                         "allocs_per_call": allocs, "alloc_bytes_per_call": 64 * allocs}}
 
 
 def summarize(rows):
@@ -82,6 +90,29 @@ class SummarizeTest(unittest.TestCase):
         headers = [line for line in text.splitlines() if not line.startswith(" ")]
         self.assertEqual(headers, ["kv seed 7: parent x1, change x1",
                                    "kv seed 7 trace 1: parent x1, change x1"])
+
+    def test_hostwork_rows_print_exact_deltas(self):
+        rows = [row("parent", "echo", 2.0, 1.0), row("change", "echo", 1.0, 1.0),
+                hostwork_row("parent", "echo", 17.5, 2.0), hostwork_row("change", "echo", 11.25)]
+        status, text = summarize(rows)
+        self.assertEqual(status, 0, text)
+        lines = text.splitlines()
+        self.assertIn("echo seed 7 hostwork: parent x1, change x1", lines)
+        self.assertIn("echo seed 7: parent x1, change x1", lines)
+        frames = next(line for line in lines if "frames_per_call" in line)
+        self.assertIn("parent 17.5  change 11.25 (-6.25)", frames)
+        dispatches = next(line for line in lines if "dispatches_per_call" in line)
+        self.assertIn("change 13 (+0)", dispatches)
+        allocs = next(line for line in lines if "allocs_per_call" in line)
+        self.assertIn("change 0 (-2)", allocs)
+
+    def test_hostwork_counter_that_differs_within_a_label_is_flagged(self):
+        rows = [hostwork_row("parent", "echo", 17.5), hostwork_row("parent", "echo", 17.0),
+                hostwork_row("change", "echo", 11.0)]
+        status, text = summarize(rows)
+        self.assertEqual(status, 1)
+        frames = next(line for line in text.splitlines() if "frames_per_call" in line)
+        self.assertIn("NOT EXACT: 17,17.5", frames)
 
 
 if __name__ == "__main__":

@@ -262,7 +262,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     // Capture the reply address by value: the handler below may suspend, and
     // a concurrent disconnect on another QP would invalidate the iterator.
     const rdma::AddressHandle reply_to = it->second;
-    const rfp::AsyncHandler* handler = rpc_.FindHandler(rpc_id);
+    const rfp::RpcHandler* handler = rpc_.FindHandler(rpc_id);
     if (handler == nullptr) {
       ++dropped_requests_;
       continue;

@@ -8,7 +8,6 @@
 #define SRC_RDMA_CQ_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "src/rdma/types.h"
 #include "src/sim/engine.h"
 #include "src/sim/poller.h"
+#include "src/sim/ring.h"
 #include "src/sim/signal.h"
 #include "src/sim/task.h"
 
@@ -55,17 +55,14 @@ class CompletionQueue {
     if (queue_.empty()) {
       return std::nullopt;
     }
-    WorkCompletion wc = queue_.front();
-    queue_.pop_front();
-    return wc;
+    return queue_.pop_front();
   }
 
   // Drains up to out.size() completions; returns how many were written.
   size_t PollBatch(std::span<WorkCompletion> out) {
     size_t n = 0;
     while (n < out.size() && !queue_.empty()) {
-      out[n++] = queue_.front();
-      queue_.pop_front();
+      out[n++] = queue_.pop_front();
     }
     return n;
   }
@@ -93,7 +90,7 @@ class CompletionQueue {
   sim::Engine& engine_;
   sim::Notifier arrival_;
   check::FabricChecker* checker_ = nullptr;
-  std::deque<WorkCompletion> queue_;
+  sim::Ring<WorkCompletion> queue_;
   uint64_t total_ = 0;
   std::vector<sim::Poller*> pollers_;
 };

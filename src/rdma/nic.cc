@@ -21,7 +21,7 @@ Nic::Nic(sim::Engine& engine, const NicConfig& config, uint64_t seed, std::strin
       rng_(sim::Mix64(seed ^ 0x4e4943)),  // "NIC"
       issue_pipeline_(engine, 1),
       inbound_engine_(engine, 1),
-      post_lock_(engine) {
+      post_lock_(engine, 1) {
   ValidateConfig(config_);
   if (sim::TraceSink* trace = engine_.trace_sink()) {
     trace->NameTrack(reinterpret_cast<uint64_t>(this), node_name_ + " nic:outbound");
@@ -78,70 +78,47 @@ sim::Time Nic::InboundServiceTime(uint32_t payload) const {
   return FromNs(std::max(kInboundMinGapNs, serialization) * inbound_degrade_);
 }
 
-sim::Task<void> Nic::PostOverhead() {
-  co_await post_lock_.Lock();
-  co_await engine_.Sleep(FromNs(kPostLockNs));
-  post_lock_.Unlock();
-  co_await engine_.Sleep(FromNs(kPostCpuNs));
+sim::Resource::UseAwaiter Nic::PostLock() { return post_lock_.Use(FromNs(kPostLockNs)); }
+
+sim::Engine::SleepAwaiter Nic::PostCpu() { return engine_.Sleep(FromNs(kPostCpuNs)); }
+
+sim::Engine::SleepAwaiter Nic::CompletionOverhead() {
+  return engine_.Sleep(FromNs(kCompletionCpuNs));
 }
 
-sim::Task<void> Nic::CompletionOverhead() {
-  co_await engine_.Sleep(FromNs(kCompletionCpuNs));
-}
-
-sim::Task<void> Nic::IssueOneSided(Opcode op, uint32_t outbound_payload, bool batch_follower) {
+Nic::Service Nic::IssueOneSided(Opcode op, uint32_t outbound_payload, bool batch_follower) {
   ++outbound_ops_;
   // Service time (and any jitter draw) is fixed at post time, before
   // queueing, so observability never changes the simulated schedule.
   const sim::Time service = Jitter(OutboundServiceTime(op, outbound_payload, batch_follower));
   issue_queue_depth_.Record(issue_pipeline_.queue_length());
-  const sim::Time posted = engine_.now();
-  co_await issue_pipeline_.Acquire();
-  const sim::Time granted = engine_.now();
-  issue_wait_ns_.Record(granted - posted);
-  co_await engine_.Sleep(service);
-  issue_pipeline_.Release();
-  TraceService(OpcodeName(op), false, granted);
+  return Service(this, OpcodeName(op), false, issue_pipeline_, service, &issue_wait_ns_);
 }
 
-sim::Task<void> Nic::IssueTwoSided(uint32_t payload) {
+Nic::Service Nic::IssueTwoSided(uint32_t payload) {
   ++outbound_ops_;
   const sim::Time service = Jitter(OutboundServiceTime(Opcode::kSend, payload));
   issue_queue_depth_.Record(issue_pipeline_.queue_length());
-  const sim::Time posted = engine_.now();
-  co_await issue_pipeline_.Acquire();
-  const sim::Time granted = engine_.now();
-  issue_wait_ns_.Record(granted - posted);
-  co_await engine_.Sleep(service);
-  issue_pipeline_.Release();
-  TraceService("SEND", false, granted);
+  return Service(this, "SEND", false, issue_pipeline_, service, &issue_wait_ns_);
 }
 
-sim::Task<void> Nic::AbsorbReadResponse(uint32_t payload) {
+sim::Engine::SleepAwaiter Nic::AbsorbReadResponse(uint32_t payload) {
   const double serialization = static_cast<double>(payload) / config_.bandwidth_bytes_per_ns;
-  co_await engine_.Sleep(FromNs(serialization + kReadStateCpuNs));
+  return engine_.Sleep(FromNs(serialization + kReadStateCpuNs));
 }
 
-sim::Task<void> Nic::ServeInboundOneSided(uint32_t payload) {
+Nic::Service Nic::ServeInboundOneSided(uint32_t payload) {
   ++inbound_ops_;
   const sim::Time service = Jitter(InboundServiceTime(payload));
-  co_await inbound_engine_.Acquire();
-  const sim::Time granted = engine_.now();
-  co_await engine_.Sleep(service);
-  inbound_engine_.Release();
-  TraceService("serve", true, granted);
+  return Service(this, "serve", true, inbound_engine_, service, nullptr);
 }
 
-sim::Task<void> Nic::ServeInboundTwoSided(uint32_t payload) {
+Nic::Service Nic::ServeInboundTwoSided(uint32_t payload) {
   ++inbound_ops_;
   const double serialization = static_cast<double>(payload) / config_.bandwidth_bytes_per_ns;
   const sim::Time service =
       Jitter(FromNs(std::max(kTwoSidedRxNs, serialization) * inbound_degrade_));
-  co_await inbound_engine_.Acquire();
-  const sim::Time granted = engine_.now();
-  co_await engine_.Sleep(service);
-  inbound_engine_.Release();
-  TraceService("recv", true, granted);
+  return Service(this, "recv", true, inbound_engine_, service, nullptr);
 }
 
 sim::Task<void> Nic::StallOutbound(sim::Time window) {

@@ -15,10 +15,20 @@
 //
 // Two-sided SEND/RECV pays symmetric base costs on both sides — the paper's
 // observation that the asymmetry is specific to one-sided operations.
+//
+// Every data-path station an op passes (post lock, post CPU, issue, in-bound
+// serve, READ absorb, completion) is an awaiter the op's own coroutine
+// co_awaits: a Resource::Use of a station or an Engine::Sleep. A station is
+// held by sleeping the op's frame, whether it was free or queued for, so an
+// op runs start to finish on one frame. Each station's service time and
+// jitter draw are taken when the station is called, which must be the
+// co_await itself. The fault injector's stalls (StallOutbound/StallInbound)
+// are tasks of their own.
 
 #ifndef SRC_RDMA_NIC_H_
 #define SRC_RDMA_NIC_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <string>
 
@@ -57,26 +67,46 @@ class Nic {
   void EndOutbound() { --concurrent_outbound_; }
   int concurrent_outbound() const { return concurrent_outbound_; }
 
-  // Software cost of building+posting a WR, including the per-node post lock.
-  sim::Task<void> PostOverhead();
+  // A station's service: a Resource::Use that, when a trace sink is
+  // attached, closes the service's span as it resumes.
+  class [[nodiscard]] Service {
+   public:
+    Service(Nic* nic, const char* name, bool inbound, sim::Resource& station,
+            sim::Time service, sim::Histogram* wait_ns)
+        : nic_(nic), name_(name), inbound_(inbound), use_(station.Use(service, wait_ns)) {}
+
+    bool await_ready() { return use_.await_ready(); }
+    void await_suspend(std::coroutine_handle<> h) { use_.await_suspend(h); }
+    void await_resume() { nic_->TraceService(name_, inbound_, use_.await_resume()); }
+
+   private:
+    Nic* nic_;
+    const char* name_;
+    bool inbound_;
+    sim::Resource::UseAwaiter use_;
+  };
+
+  // Building and posting a WR is two stations: the per-node post lock, held
+  // for kPostLockNs, then kPostCpuNs of CPU outside it.
+  sim::Resource::UseAwaiter PostLock();
+  sim::Engine::SleepAwaiter PostCpu();
 
   // Software cost of detecting and reaping the completion.
-  sim::Task<void> CompletionOverhead();
+  sim::Engine::SleepAwaiter CompletionOverhead();
 
   // Occupies the serialized issue pipeline for a one-sided op that carries
   // `outbound_payload` bytes onto the wire (WRITE payload; 0 for READ).
   // `batch_follower` marks an op posted in the same doorbell batch as an
   // earlier op: it pays the configured marginal issue cost instead of the
   // full doorbell service (see kOutboundBatchMarginalNs).
-  sim::Task<void> IssueOneSided(Opcode op, uint32_t outbound_payload,
-                                bool batch_follower = false);
+  Service IssueOneSided(Opcode op, uint32_t outbound_payload, bool batch_follower = false);
 
   // Same, for a two-sided SEND carrying `payload` bytes.
-  sim::Task<void> IssueTwoSided(uint32_t payload);
+  Service IssueTwoSided(uint32_t payload);
 
   // Requester-side landing of READ response data: bandwidth only, the
   // response is absorbed by the same hardware path that sent the request.
-  sim::Task<void> AbsorbReadResponse(uint32_t payload);
+  sim::Engine::SleepAwaiter AbsorbReadResponse(uint32_t payload);
 
   // ---- Responder (in-bound) path ------------------------------------------
 
@@ -87,10 +117,10 @@ class Nic {
   int active_qps() const { return active_qps_; }
 
   // Serves an in-bound one-sided READ/WRITE of `payload` bytes in hardware.
-  sim::Task<void> ServeInboundOneSided(uint32_t payload);
+  Service ServeInboundOneSided(uint32_t payload);
 
   // Serves an in-bound two-sided SEND of `payload` bytes.
-  sim::Task<void> ServeInboundTwoSided(uint32_t payload);
+  Service ServeInboundTwoSided(uint32_t payload);
 
   // ---- Fault hooks (src/fault/) -------------------------------------------
 
@@ -155,7 +185,7 @@ class Nic {
   sim::Rng rng_;
   sim::Resource issue_pipeline_;
   sim::Resource inbound_engine_;
-  sim::Mutex post_lock_;
+  sim::Resource post_lock_;
   int concurrent_outbound_ = 0;
   int active_qps_ = 0;
   double outbound_degrade_ = 1.0;

@@ -1,8 +1,8 @@
 #include "src/rdma/qp.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
-#include <vector>
 
 #include "src/check/checker.h"
 #include "src/rdma/fabric.h"
@@ -37,20 +37,27 @@ void QueuePair::Recover() {
   }
 }
 
-sim::Task<void> QueuePair::AwaitTicket(uint64_t ticket) {
+bool QueuePair::TakeTicket(uint64_t ticket) {
   if (ticket == 0) {
-    co_return;
+    return true;
   }
-  while (completed_ticket_ + 1 != ticket) {
-    if (order_waiters_ == nullptr) {
-      order_waiters_ = std::make_unique<sim::Notifier>(fabric_->engine());
-    }
-    co_await order_waiters_->Wait();
+  if (completed_ticket_ + 1 != ticket) {
+    return false;
   }
   completed_ticket_ = ticket;
   if (order_waiters_ != nullptr) {
     order_waiters_->NotifyAll();
   }
+  return true;
+}
+
+sim::Task<void> QueuePair::WaitForTicket(uint64_t ticket) {
+  do {
+    if (order_waiters_ == nullptr) {
+      order_waiters_ = std::make_unique<sim::Notifier>(fabric_->engine());
+    }
+    co_await order_waiters_->Wait();
+  } while (!TakeTicket(ticket));
 }
 
 void QueuePair::BeginOp() {
@@ -65,42 +72,73 @@ void QueuePair::EndOp() {
   }
 }
 
-sim::Task<WorkCompletion> QueuePair::Read(MemoryRegion& local, size_t local_off, RemoteKey rkey,
-                                          size_t remote_off, uint32_t len, bool batch_follower) {
-  WorkCompletion wc = MakeWc(Opcode::kRead, len, qp_num_);
+bool QueuePair::Refuse(WorkCompletion& wc, bool supported, const MemoryRegion& local,
+                       size_t local_off, bool batch_follower) {
   check::FabricChecker* chk = fabric_->checker();
   if (chk != nullptr) {
-    chk->OnPost(qp_num_, Opcode::kRead, in_error(), type_ == QpType::kRc, retired_,
-                batch_follower);
+    chk->OnPost(qp_num_, wc.opcode, in_error(), supported, retired_, batch_follower);
   }
   if (retired_) {
     wc.status = WcStatus::kQpError;
     wc.byte_len = 0;
-    co_return wc;
+    return true;
   }
-  if (type_ != QpType::kRc) {
+  if (!supported) {
     wc.status = WcStatus::kUnsupportedOp;
-    co_return wc;
+    return true;
   }
   if (in_error()) {
     wc.status = WcStatus::kQpError;
     wc.byte_len = 0;
-    co_return wc;
+    return true;
   }
-  if (!local.InBounds(local_off, len)) {
+  if (!local.InBounds(local_off, wc.byte_len)) {
     if (chk != nullptr) {
-      chk->OnLocalBounds(qp_num_, Opcode::kRead, local_off, len, local.size(), false);
+      chk->OnLocalBounds(qp_num_, wc.opcode, local_off, wc.byte_len, local.size(), false);
       chk->OnOpEnd(qp_num_);
     }
     wc.status = WcStatus::kLocalProtError;
-    co_return wc;
+    return true;
+  }
+  return false;
+}
+
+WorkCompletion QueuePair::Finish(const WorkCompletion& wc, std::optional<uint64_t> wr_id) {
+  EndOp();
+  if (check::FabricChecker* chk = fabric_->checker()) {
+    chk->OnOpEnd(qp_num_);
+  }
+  return Complete(wc, wr_id);
+}
+
+WorkCompletion QueuePair::Complete(WorkCompletion wc, std::optional<uint64_t> wr_id) {
+  if (wr_id.has_value()) {
+    wc.wr_id = *wr_id;
+    send_cq_->Push(wc);
+  }
+  return wc;
+}
+
+sim::Task<WorkCompletion> QueuePair::Read(MemoryRegion& local, size_t local_off, RemoteKey rkey,
+                                          size_t remote_off, uint32_t len, bool batch_follower) {
+  return ReadOp(local, local_off, rkey, remote_off, len, batch_follower, std::nullopt);
+}
+
+sim::Task<WorkCompletion> QueuePair::ReadOp(MemoryRegion& local, size_t local_off,
+                                            RemoteKey rkey, size_t remote_off, uint32_t len,
+                                            bool batch_follower, std::optional<uint64_t> wr_id) {
+  WorkCompletion wc = MakeWc(Opcode::kRead, len, qp_num_);
+  if (Refuse(wc, type_ == QpType::kRc, local, local_off, batch_follower)) {
+    co_return Complete(wc, wr_id);
   }
 
   sim::Engine& eng = fabric_->engine();
   Nic& nic = local_->nic();
+  check::FabricChecker* chk = fabric_->checker();
   const uint64_t ticket = ++next_ticket_;
   BeginOp();
-  co_await nic.PostOverhead();
+  co_await nic.PostLock();
+  co_await nic.PostCpu();
   // The READ request itself carries no payload outward.
   co_await nic.IssueOneSided(Opcode::kRead, 0, batch_follower);
   co_await eng.Sleep(fabric_->WireDelay(local_, peer_, /*reliable=*/true));
@@ -115,10 +153,10 @@ sim::Task<WorkCompletion> QueuePair::Read(MemoryRegion& local, size_t local_off,
   // Hardware DMAs the remote bytes at the instant the serving engine handles
   // the request; concurrent remote writes before/after this instant are
   // naturally visible (or not), which is how torn reads arise.
-  std::vector<std::byte> snapshot;
+  Payload snapshot;
   if (ok) {
-    snapshot.resize(len);
-    target->ReadBytes(remote_off, snapshot);
+    snapshot = Payload(len);
+    target->ReadBytes(remote_off, snapshot.bytes());
     if (chk != nullptr) {
       wc.check_tick = chk->OnReadSnapshot(rkey.rkey, remote_off, len);
     }
@@ -127,71 +165,47 @@ sim::Task<WorkCompletion> QueuePair::Read(MemoryRegion& local, size_t local_off,
   co_await eng.Sleep(fabric_->WireDelay(peer_, local_, /*reliable=*/true));
   co_await nic.AbsorbReadResponse(ok ? len : 0);
   if (ok) {
-    local.WriteBytes(local_off, snapshot);
+    local.WriteBytes(local_off, snapshot.bytes());
   } else {
     wc.status = WcStatus::kRemoteAccessError;
     wc.byte_len = 0;
   }
   co_await AwaitTicket(ticket);
   co_await nic.CompletionOverhead();
-  EndOp();
-  if (chk != nullptr) {
-    chk->OnOpEnd(qp_num_);
-  }
-  co_return wc;
+  co_return Finish(wc, wr_id);
 }
 
 sim::Task<WorkCompletion> QueuePair::Write(MemoryRegion& local, size_t local_off, RemoteKey rkey,
                                            size_t remote_off, uint32_t len, bool batch_follower) {
+  return WriteOp(local, local_off, rkey, remote_off, len, batch_follower, std::nullopt);
+}
+
+sim::Task<WorkCompletion> QueuePair::WriteOp(MemoryRegion& local, size_t local_off,
+                                             RemoteKey rkey, size_t remote_off, uint32_t len,
+                                             bool batch_follower, std::optional<uint64_t> wr_id) {
   WorkCompletion wc = MakeWc(Opcode::kWrite, len, qp_num_);
-  check::FabricChecker* chk = fabric_->checker();
-  if (chk != nullptr) {
-    chk->OnPost(qp_num_, Opcode::kWrite, in_error(), type_ != QpType::kUd, retired_,
-                batch_follower);
-  }
-  if (retired_) {
-    wc.status = WcStatus::kQpError;
-    wc.byte_len = 0;
-    co_return wc;
-  }
-  if (type_ == QpType::kUd) {
-    wc.status = WcStatus::kUnsupportedOp;
-    co_return wc;
-  }
-  if (in_error()) {
-    wc.status = WcStatus::kQpError;
-    wc.byte_len = 0;
-    co_return wc;
-  }
-  if (!local.InBounds(local_off, len)) {
-    if (chk != nullptr) {
-      chk->OnLocalBounds(qp_num_, Opcode::kWrite, local_off, len, local.size(), false);
-      chk->OnOpEnd(qp_num_);
-    }
-    wc.status = WcStatus::kLocalProtError;
-    co_return wc;
+  if (Refuse(wc, type_ != QpType::kUd, local, local_off, batch_follower)) {
+    co_return Complete(wc, wr_id);
   }
 
   sim::Engine& eng = fabric_->engine();
   Nic& nic = local_->nic();
+  check::FabricChecker* chk = fabric_->checker();
   const uint64_t ticket = type_ == QpType::kRc ? ++next_ticket_ : 0;
   BeginOp();
-  co_await nic.PostOverhead();
+  co_await nic.PostLock();
+  co_await nic.PostCpu();
   co_await nic.IssueOneSided(Opcode::kWrite, len, batch_follower);
   // The payload leaves the local buffer during issue; snapshot it so the
   // caller may reuse the buffer immediately after completion.
-  std::vector<std::byte> payload(len);
-  local.ReadBytes(local_off, payload);
+  Payload payload(len);
+  local.ReadBytes(local_off, payload.bytes());
 
   if (type_ == QpType::kUc) {
     // Fire-and-forget: local completion does not wait for delivery.
     eng.Spawn(DeliverUcWrite(rkey, remote_off, std::move(payload)));
     co_await nic.CompletionOverhead();
-    EndOp();
-    if (chk != nullptr) {
-      chk->OnOpEnd(qp_num_);
-    }
-    co_return wc;
+    co_return Finish(wc, wr_id);
   }
 
   co_await eng.Sleep(fabric_->WireDelay(local_, peer_, /*reliable=*/true));
@@ -203,7 +217,7 @@ sim::Task<WorkCompletion> QueuePair::Write(MemoryRegion& local, size_t local_off
                   target->InBounds(remote_off, len) && target->AllowsRemoteWrite();
   co_await peer_->nic().ServeInboundOneSided(ok ? len : 0);
   if (ok) {
-    target->WriteBytes(remote_off, payload);
+    target->WriteBytes(remote_off, payload.bytes());
     if (chk != nullptr) {
       chk->OnRemoteWrite(rkey.rkey, remote_off, len);
     }
@@ -214,15 +228,10 @@ sim::Task<WorkCompletion> QueuePair::Write(MemoryRegion& local, size_t local_off
   co_await eng.Sleep(fabric_->WireDelay(peer_, local_, /*reliable=*/true));  // ACK
   co_await AwaitTicket(ticket);
   co_await nic.CompletionOverhead();
-  EndOp();
-  if (chk != nullptr) {
-    chk->OnOpEnd(qp_num_);
-  }
-  co_return wc;
+  co_return Finish(wc, wr_id);
 }
 
-sim::Task<void> QueuePair::DeliverUcWrite(RemoteKey rkey, size_t remote_off,
-                                          std::vector<std::byte> payload) {
+sim::Task<void> QueuePair::DeliverUcWrite(RemoteKey rkey, size_t remote_off, Payload payload) {
   sim::Engine& eng = fabric_->engine();
   if (fabric_->DrawUnreliableLoss(local_, peer_)) {
     co_return;  // dropped in the network; nobody ever knows
@@ -233,7 +242,7 @@ sim::Task<void> QueuePair::DeliverUcWrite(RemoteKey rkey, size_t remote_off,
                   target->InBounds(remote_off, payload.size()) && target->AllowsRemoteWrite();
   co_await peer_->nic().ServeInboundOneSided(ok ? static_cast<uint32_t>(payload.size()) : 0);
   if (ok) {
-    target->WriteBytes(remote_off, payload);
+    target->WriteBytes(remote_off, payload.bytes());
     if (check::FabricChecker* chk = fabric_->checker()) {
       chk->OnRemoteWrite(rkey.rkey, remote_off, payload.size());
     }
@@ -241,52 +250,32 @@ sim::Task<void> QueuePair::DeliverUcWrite(RemoteKey rkey, size_t remote_off,
 }
 
 sim::Task<WorkCompletion> QueuePair::Send(MemoryRegion& local, size_t local_off, uint32_t len) {
+  return SendOp(local, local_off, len, std::nullopt);
+}
+
+sim::Task<WorkCompletion> QueuePair::SendOp(MemoryRegion& local, size_t local_off, uint32_t len,
+                                            std::optional<uint64_t> wr_id) {
   WorkCompletion wc = MakeWc(Opcode::kSend, len, qp_num_);
-  check::FabricChecker* chk = fabric_->checker();
-  if (chk != nullptr) {
-    chk->OnPost(qp_num_, Opcode::kSend, in_error(), type_ != QpType::kUd, retired_);
-  }
-  if (retired_) {
-    wc.status = WcStatus::kQpError;
-    wc.byte_len = 0;
-    co_return wc;
-  }
-  if (type_ == QpType::kUd) {
-    wc.status = WcStatus::kUnsupportedOp;  // UD needs an explicit destination
-    co_return wc;
-  }
-  if (in_error()) {
-    wc.status = WcStatus::kQpError;
-    wc.byte_len = 0;
-    co_return wc;
-  }
-  if (!local.InBounds(local_off, len)) {
-    if (chk != nullptr) {
-      chk->OnLocalBounds(qp_num_, Opcode::kSend, local_off, len, local.size(), false);
-      chk->OnOpEnd(qp_num_);
-    }
-    wc.status = WcStatus::kLocalProtError;
-    co_return wc;
+  // UD needs an explicit destination (SendTo).
+  if (Refuse(wc, type_ != QpType::kUd, local, local_off, false)) {
+    co_return Complete(wc, wr_id);
   }
 
   sim::Engine& eng = fabric_->engine();
   Nic& nic = local_->nic();
   const uint64_t ticket = type_ == QpType::kRc ? ++next_ticket_ : 0;
   BeginOp();
-  co_await nic.PostOverhead();
+  co_await nic.PostLock();
+  co_await nic.PostCpu();
   co_await nic.IssueTwoSided(len);
-  std::vector<std::byte> payload(len);
-  local.ReadBytes(local_off, payload);
+  Payload payload(len);
+  local.ReadBytes(local_off, payload.bytes());
 
   QueuePair* dst = fabric_->FindQp(peer_->id(), PeerQpNum());
   if (type_ == QpType::kUc) {
     eng.Spawn(DeliverSend(dst, std::move(payload), /*reliable=*/false));
     co_await nic.CompletionOverhead();
-    EndOp();
-    if (chk != nullptr) {
-      chk->OnOpEnd(qp_num_);
-    }
-    co_return wc;
+    co_return Finish(wc, wr_id);
   }
 
   // RC: delivery result is visible to the sender.
@@ -299,69 +288,38 @@ sim::Task<WorkCompletion> QueuePair::Send(MemoryRegion& local, size_t local_off,
     wc.status = WcStatus::kRnrRetryExceeded;
     wc.byte_len = 0;
   } else {
-    DeliverIntoRecv(dst, payload, qp_num_);
+    DeliverIntoRecv(dst, payload.bytes(), qp_num_);
   }
   co_await eng.Sleep(fabric_->WireDelay(peer_, local_, /*reliable=*/true));  // ACK
   co_await AwaitTicket(ticket);
   co_await nic.CompletionOverhead();
-  EndOp();
-  if (chk != nullptr) {
-    chk->OnOpEnd(qp_num_);
-  }
-  co_return wc;
+  co_return Finish(wc, wr_id);
 }
 
 sim::Task<WorkCompletion> QueuePair::SendTo(AddressHandle ah, MemoryRegion& local,
                                             size_t local_off, uint32_t len) {
   WorkCompletion wc = MakeWc(Opcode::kSend, len, qp_num_);
-  check::FabricChecker* chk = fabric_->checker();
-  if (chk != nullptr) {
-    chk->OnPost(qp_num_, Opcode::kSend, in_error(), type_ == QpType::kUd, retired_);
-  }
-  if (retired_) {
-    wc.status = WcStatus::kQpError;
-    wc.byte_len = 0;
-    co_return wc;
-  }
-  if (type_ != QpType::kUd) {
-    wc.status = WcStatus::kUnsupportedOp;
-    co_return wc;
-  }
-  if (in_error()) {
-    wc.status = WcStatus::kQpError;
-    wc.byte_len = 0;
-    co_return wc;
-  }
-  if (!local.InBounds(local_off, len)) {
-    if (chk != nullptr) {
-      chk->OnLocalBounds(qp_num_, Opcode::kSend, local_off, len, local.size(), false);
-      chk->OnOpEnd(qp_num_);
-    }
-    wc.status = WcStatus::kLocalProtError;
+  if (Refuse(wc, type_ == QpType::kUd, local, local_off, false)) {
     co_return wc;
   }
 
   sim::Engine& eng = fabric_->engine();
   Nic& nic = local_->nic();
   BeginOp();
-  co_await nic.PostOverhead();
+  co_await nic.PostLock();
+  co_await nic.PostCpu();
   co_await nic.IssueTwoSided(len);
-  std::vector<std::byte> payload(len);
-  local.ReadBytes(local_off, payload);
+  Payload payload(len);
+  local.ReadBytes(local_off, payload.bytes());
   QueuePair* dst = fabric_->FindQp(ah.node_id, ah.qp_num);
   if (dst != nullptr && dst->type_ == QpType::kUd) {
     eng.Spawn(DeliverSend(dst, std::move(payload), /*reliable=*/false));
   }
   co_await nic.CompletionOverhead();
-  EndOp();
-  if (chk != nullptr) {
-    chk->OnOpEnd(qp_num_);
-  }
-  co_return wc;
+  co_return Finish(wc, std::nullopt);
 }
 
-sim::Task<void> QueuePair::DeliverSend(QueuePair* dst, std::vector<std::byte> payload,
-                                       bool reliable) {
+sim::Task<void> QueuePair::DeliverSend(QueuePair* dst, Payload payload, bool reliable) {
   sim::Engine& eng = fabric_->engine();
   if (!reliable && fabric_->DrawUnreliableLoss(local_, dst == nullptr ? nullptr : dst->local_)) {
     co_return;
@@ -376,14 +334,14 @@ sim::Task<void> QueuePair::DeliverSend(QueuePair* dst, std::vector<std::byte> pa
     co_return;
   }
   if (!dst->recv_queue_.empty()) {
-    DeliverIntoRecv(dst, payload, qp_num_);
+    DeliverIntoRecv(dst, payload.bytes(), qp_num_);
   } else {
     // Unreliable transports drop silently when no RECV is posted.
     ++dst->dropped_no_recv_;
   }
 }
 
-void QueuePair::DeliverIntoRecv(QueuePair* dst, const std::vector<std::byte>& payload,
+void QueuePair::DeliverIntoRecv(QueuePair* dst, std::span<const std::byte> payload,
                                 uint32_t src_qpn) {
   PostedRecv slot = dst->recv_queue_.front();
   dst->recv_queue_.pop_front();
@@ -412,13 +370,7 @@ void QueuePair::PostRead(uint64_t wr_id, MemoryRegion& local, size_t local_off, 
   if (check::FabricChecker* chk = fabric_->checker()) {
     chk->OnAsyncPost(qp_num_, wr_id);
   }
-  fabric_->engine().Spawn([](QueuePair* qp, uint64_t id, MemoryRegion* mr, size_t loff,
-                             RemoteKey key, size_t roff, uint32_t n,
-                             bool follower) -> sim::Task<void> {
-    WorkCompletion wc = co_await qp->Read(*mr, loff, key, roff, n, follower);
-    wc.wr_id = id;
-    qp->send_cq_->Push(wc);
-  }(this, wr_id, &local, local_off, rkey, remote_off, len, batch_follower));
+  fabric_->engine().Spawn(ReadOp(local, local_off, rkey, remote_off, len, batch_follower, wr_id));
 }
 
 void QueuePair::PostWrite(uint64_t wr_id, MemoryRegion& local, size_t local_off, RemoteKey rkey,
@@ -426,25 +378,14 @@ void QueuePair::PostWrite(uint64_t wr_id, MemoryRegion& local, size_t local_off,
   if (check::FabricChecker* chk = fabric_->checker()) {
     chk->OnAsyncPost(qp_num_, wr_id);
   }
-  fabric_->engine().Spawn([](QueuePair* qp, uint64_t id, MemoryRegion* mr, size_t loff,
-                             RemoteKey key, size_t roff, uint32_t n,
-                             bool follower) -> sim::Task<void> {
-    WorkCompletion wc = co_await qp->Write(*mr, loff, key, roff, n, follower);
-    wc.wr_id = id;
-    qp->send_cq_->Push(wc);
-  }(this, wr_id, &local, local_off, rkey, remote_off, len, batch_follower));
+  fabric_->engine().Spawn(WriteOp(local, local_off, rkey, remote_off, len, batch_follower, wr_id));
 }
 
 void QueuePair::PostSend(uint64_t wr_id, MemoryRegion& local, size_t local_off, uint32_t len) {
   if (check::FabricChecker* chk = fabric_->checker()) {
     chk->OnAsyncPost(qp_num_, wr_id);
   }
-  fabric_->engine().Spawn(
-      [](QueuePair* qp, uint64_t id, MemoryRegion* mr, size_t loff, uint32_t n) -> sim::Task<void> {
-        WorkCompletion wc = co_await qp->Send(*mr, loff, n);
-        wc.wr_id = id;
-        qp->send_cq_->Push(wc);
-      }(this, wr_id, &local, local_off, len));
+  fabric_->engine().Spawn(SendOp(local, local_off, len, wr_id));
 }
 
 }  // namespace rdma

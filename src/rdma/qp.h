@@ -12,18 +12,29 @@
 //    starting the next operation");
 //  * asynchronous — `PostRead(wr_id, ...)` returns immediately and the
 //    completion lands on the send CQ.
+//
+// Either way an op is one coroutine: it awaits each NIC station (nic.h) and
+// wire delay on its own frame, and a posted op pushes its own completion.
+// The bytes an op moves are snapshotted into a Payload, a buffer drawn from
+// a thread-local size-class pool, at the instant the hardware would DMA
+// them.
 
 #ifndef SRC_RDMA_QP_H_
 #define SRC_RDMA_QP_H_
 
+#include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <vector>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "src/rdma/cq.h"
 #include "src/rdma/memory.h"
 #include "src/rdma/types.h"
+#include "src/sim/frame_pool.h"
 #include "src/sim/signal.h"
 #include "src/sim/task.h"
 
@@ -135,21 +146,104 @@ class QueuePair {
   void BeginOp();
   void EndOp();
 
+  // A snapshot of the bytes an op carries: move-only, its buffer drawn from a
+  // thread-local size-class pool (sim::internal::SizeClassPool), so a warm
+  // data path copies payloads without calling ::operator new. Buffers above
+  // the pool's cap, and every buffer under ASan, come from ::operator new.
+  class Payload {
+   public:
+    Payload() = default;
+    explicit Payload(size_t size)
+        : data_(size == 0 ? nullptr : static_cast<std::byte*>(Pool::Allocate(size))),
+          size_(size) {}
+    Payload(Payload&& other) noexcept
+        : data_(std::exchange(other.data_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+    Payload& operator=(Payload&& other) noexcept {
+      std::swap(data_, other.data_);
+      std::swap(size_, other.size_);
+      return *this;
+    }
+    ~Payload() {
+      if (data_ != nullptr) {
+        Pool::Deallocate(data_, size_);
+      }
+    }
+
+    size_t size() const { return size_; }
+    std::span<std::byte> bytes() { return {data_, size_}; }
+    std::span<const std::byte> bytes() const { return {data_, size_}; }
+
+   private:
+    struct Tag {};
+    using Pool = sim::internal::SizeClassPool<Tag, 64, 16384>;
+
+    std::byte* data_ = nullptr;
+    size_t size_ = 0;
+  };
+
   // RC send-queue ordering: every RC op takes a ticket at post time and its
   // completion waits for all earlier tickets, so completions are generated in
   // post order even when a faulted link's retransmissions reorder arrival
   // times (real RC hardware acks strictly in order). Fault-free the gate is
   // never taken: FIFO queueing already yields in-order completion, so the
-  // event schedule is byte-identical to a build without the gate.
-  sim::Task<void> AwaitTicket(uint64_t ticket);
+  // event schedule is byte-identical to a build without the gate. An
+  // in-order ticket (or ticket 0, for UC) passes at the co_await with no
+  // frame; an early one waits on WaitForTicket's frame, which the awaiter
+  // owns.
+  class [[nodiscard]] TicketAwaiter {
+   public:
+    TicketAwaiter(QueuePair* qp, uint64_t ticket) : qp_(qp), ticket_(ticket) {}
+
+    bool await_ready() { return qp_->TakeTicket(ticket_); }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      waiting_ = qp_->WaitForTicket(ticket_);
+      return std::move(waiting_).operator co_await().await_suspend(h);
+    }
+    void await_resume() {
+      if (waiting_.valid()) {
+        std::move(waiting_).operator co_await().await_resume();
+      }
+    }
+
+   private:
+    QueuePair* qp_;
+    uint64_t ticket_;
+    sim::Task<void> waiting_;
+  };
+  TicketAwaiter AwaitTicket(uint64_t ticket) { return TicketAwaiter(this, ticket); }
+  // Completes `ticket` if every earlier one has completed.
+  bool TakeTicket(uint64_t ticket);
+  sim::Task<void> WaitForTicket(uint64_t ticket);
+
+  // The op bodies. `wr_id` is set for a posted op, which pushes its
+  // completion to the send CQ; a synchronous op leaves it empty and only
+  // returns the completion.
+  sim::Task<WorkCompletion> ReadOp(MemoryRegion& local, size_t local_off, RemoteKey rkey,
+                                   size_t remote_off, uint32_t len, bool batch_follower,
+                                   std::optional<uint64_t> wr_id);
+  sim::Task<WorkCompletion> WriteOp(MemoryRegion& local, size_t local_off, RemoteKey rkey,
+                                    size_t remote_off, uint32_t len, bool batch_follower,
+                                    std::optional<uint64_t> wr_id);
+  sim::Task<WorkCompletion> SendOp(MemoryRegion& local, size_t local_off, uint32_t len,
+                                   std::optional<uint64_t> wr_id);
+  // Fails `wc` with the error a post meets before it reaches the NIC (a
+  // retired or errored QP, an op the QP type does not support, a local
+  // buffer out of bounds) and returns true; returns false for a post the NIC
+  // takes. `supported` is the QP type's op-support verdict.
+  bool Refuse(WorkCompletion& wc, bool supported, const MemoryRegion& local, size_t local_off,
+              bool batch_follower);
+  // Ends an op the NIC took: releases its posting slot and closes it for
+  // the checker. Then Complete.
+  WorkCompletion Finish(const WorkCompletion& wc, std::optional<uint64_t> wr_id);
+  // Pushes a posted op's completion; returns `wc` for a synchronous caller.
+  WorkCompletion Complete(WorkCompletion wc, std::optional<uint64_t> wr_id);
 
   // Detached continuation carrying an unacknowledged UC WRITE to its target.
-  sim::Task<void> DeliverUcWrite(RemoteKey rkey, size_t remote_off,
-                                 std::vector<std::byte> payload);
+  sim::Task<void> DeliverUcWrite(RemoteKey rkey, size_t remote_off, Payload payload);
   // Detached continuation delivering a SEND (UC or UD) to a destination QP.
-  sim::Task<void> DeliverSend(QueuePair* dst, std::vector<std::byte> payload, bool reliable);
+  sim::Task<void> DeliverSend(QueuePair* dst, Payload payload, bool reliable);
   // Consumes the head RECV buffer of `dst` and pushes the recv completion.
-  void DeliverIntoRecv(QueuePair* dst, const std::vector<std::byte>& payload, uint32_t src_qpn);
+  void DeliverIntoRecv(QueuePair* dst, std::span<const std::byte> payload, uint32_t src_qpn);
 
   uint32_t PeerQpNum() const;
 

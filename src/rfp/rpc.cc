@@ -189,7 +189,7 @@ void RpcServer::DestroyChannel(size_t index) {
   ++channels_closed_;
 }
 
-const AsyncHandler* RpcServer::FindHandler(uint16_t rpc_id) const {
+const RpcHandler* RpcServer::FindHandler(uint16_t rpc_id) const {
   if (gated_rpcs_.count(rpc_id) != 0) {
     return nullptr;
   }
@@ -283,28 +283,12 @@ void RpcServer::RestartThread(int thread) {
   }
 }
 
-namespace {
-
-// Lifts a synchronous handler into the coroutine calling convention. The
-// handler is copied into the frame as a parameter, so it cannot dangle.
-sim::Task<HandlerResult> RunSyncHandler(Handler handler, HandlerContext ctx,
-                                        std::span<const std::byte> request,
-                                        std::span<std::byte> response) {
-  co_return handler(ctx, request, response);
-}
-
-}  // namespace
-
 void RpcServer::RegisterHandler(uint16_t rpc_id, Handler handler) {
-  handlers_[rpc_id] = [h = std::move(handler)](const HandlerContext& ctx,
-                                               std::span<const std::byte> request,
-                                               std::span<std::byte> response) {
-    return RunSyncHandler(h, ctx, request, response);
-  };
+  handlers_.insert_or_assign(rpc_id, RpcHandler(std::move(handler)));
 }
 
 void RpcServer::RegisterAsyncHandler(uint16_t rpc_id, AsyncHandler handler) {
-  handlers_[rpc_id] = std::move(handler);
+  handlers_.insert_or_assign(rpc_id, RpcHandler(std::move(handler)));
 }
 
 Channel* RpcServer::AcceptChannel(rdma::Node& client, const RfpOptions& options, int thread) {

@@ -23,12 +23,14 @@
 #ifndef SRC_RFP_RPC_H_
 #define SRC_RFP_RPC_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/rdma/fabric.h"
@@ -79,6 +81,44 @@ using Handler = std::function<HandlerResult(const HandlerContext& ctx,
 using AsyncHandler = std::function<sim::Task<HandlerResult>(const HandlerContext& ctx,
                                                             std::span<const std::byte> request,
                                                             std::span<std::byte> response)>;
+
+// The handler registered for one rpc id, of either kind, called through one
+// awaitable: a synchronous Handler runs inside the call and its awaitable is
+// ready at once, so it costs no coroutine frame; an AsyncHandler's task runs
+// when the awaitable is co_awaited. Call it directly in a co_await.
+class RpcHandler {
+ public:
+  class [[nodiscard]] Call {
+   public:
+    explicit Call(HandlerResult result) : result_(std::move(result)) {}
+    explicit Call(sim::Task<HandlerResult> task) : task_(std::move(task)) {}
+
+    bool await_ready() const { return !task_.valid(); }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+      return std::move(task_).operator co_await().await_suspend(h);
+    }
+    HandlerResult await_resume() {
+      return task_.valid() ? std::move(task_).operator co_await().await_resume()
+                           : std::move(result_);
+    }
+
+   private:
+    HandlerResult result_;
+    sim::Task<HandlerResult> task_;
+  };
+
+  explicit RpcHandler(Handler handler) : sync_(std::move(handler)) {}
+  explicit RpcHandler(AsyncHandler handler) : async_(std::move(handler)) {}
+
+  Call operator()(const HandlerContext& ctx, std::span<const std::byte> request,
+                  std::span<std::byte> response) const {
+    return sync_ ? Call(sync_(ctx, request, response)) : Call(async_(ctx, request, response));
+  }
+
+ private:
+  Handler sync_;
+  AsyncHandler async_;
+};
 
 // Server CPU cost of unpacking a request, dispatching, and packing the
 // response (excluding the handler's own process time). The pooled
@@ -140,7 +180,7 @@ class RpcServer {
   // Returns nullptr when no handler is registered for `rpc_id`, and for a
   // gated id (GateRpc): an out-of-band request carries no replication epoch
   // for the gate to check, so it is never served.
-  const AsyncHandler* FindHandler(uint16_t rpc_id) const;
+  const RpcHandler* FindHandler(uint16_t rpc_id) const;
 
   // Channels destroyed via CloseChannel (immediate + deferred).
   uint64_t channels_closed() const { return channels_closed_; }
@@ -346,7 +386,7 @@ class RpcServer {
   uint32_t repl_epoch_ = 0;
   uint16_t repl_leader_hint_ = 0;
   uint64_t requests_shed_redirect_ = 0;
-  std::unordered_map<uint16_t, AsyncHandler> handlers_;
+  std::unordered_map<uint16_t, RpcHandler> handlers_;
   std::vector<ThreadState> threads_;
   // All accepted channels in acceptance order; each worker's sweep visits
   // the subsequence its ready set names, preserving the legacy per-thread

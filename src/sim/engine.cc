@@ -2,50 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <string>
 #include <utility>
 
 #include "src/sim/cpu.h"
 #include "src/sim/schedule.h"
 
 namespace sim {
-
-namespace {
-
-// Fire-and-forget wrapper coroutine used by Engine::Spawn. It starts eagerly,
-// runs the wrapped task to completion, and self-destructs (final_suspend is
-// suspend_never), so the engine never has to track frames explicitly. Its
-// frame is recycled through FramePool like every Task frame.
-struct Detached {
-  struct promise_type {
-    static void* operator new(std::size_t bytes) { return internal::FramePool::Allocate(bytes); }
-    static void operator delete(void* frame, std::size_t bytes) noexcept {
-      internal::FramePool::Deallocate(frame, bytes);
-    }
-    Detached get_return_object() noexcept { return {}; }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() noexcept {}
-    // The wrapper body catches everything; reaching here is a logic error.
-    void unhandled_exception() noexcept { std::terminate(); }
-  };
-};
-
-Detached RunDetached(Engine* engine, Task<void> task, uint64_t actor_id, Time spawned_at) {
-  std::exception_ptr failure;
-  try {
-    co_await std::move(task);
-  } catch (...) {
-    failure = std::current_exception();
-  }
-  if (TraceSink* trace = engine->trace_sink()) {
-    trace->Span("actor", "actor-" + std::to_string(actor_id), actor_id, spawned_at,
-                engine->now());
-  }
-  engine->ActorDone(failure);
-}
-
-}  // namespace
 
 void Engine::ScheduleAt(Time when, std::function<void()> fn) {
   size_t slot;
@@ -58,15 +20,6 @@ void Engine::ScheduleAt(Time when, std::function<void()> fn) {
     callbacks_[slot] = std::move(fn);
   }
   Push(when, Target{.slot = slot}, kCallbackTag);
-}
-
-void Engine::Lane::Grow() {
-  std::vector<PendingEvent> grown(ring_.empty() ? 64 : 2 * ring_.size());
-  for (size_t i = 0; i < size_; ++i) {
-    grown[i] = ring_[(head_ + i) & (ring_.size() - 1)];
-  }
-  ring_.swap(grown);
-  head_ = 0;
 }
 
 // A 4-ary min-heap: half the depth of a binary heap, and the four children
@@ -121,6 +74,10 @@ void Engine::Fire(const PendingEvent& ev) {
     std::coroutine_handle<>::from_address(ev.target.frame).resume();
     return;
   }
+  if ((ev.seq & kObjectTag) == kObjectTag) {
+    ev.target.object->Resume();
+    return;
+  }
   // The slot is freed before the call, so a callback that schedules another
   // one may be handed its own slot back.
   const size_t slot = ev.target.slot;
@@ -128,11 +85,6 @@ void Engine::Fire(const PendingEvent& ev) {
   callbacks_[slot] = nullptr;
   free_callbacks_.push_back(slot);
   fn();
-}
-
-void Engine::Spawn(Task<void> task) {
-  ++live_actors_;
-  RunDetached(this, std::move(task), next_actor_id_++, now_);
 }
 
 void Engine::ActorDone(std::exception_ptr e) {

@@ -8,8 +8,8 @@
 // every simulation fully deterministic for a given seed.
 //
 // An event is a 24-byte {when, seq, target} record: the target is the frame
-// address of the coroutine to resume, or a slot of the callback slab that
-// ScheduleAt() fills. Events for a later instant wait in a 4-ary heap;
+// address of the coroutine to resume, a Resumable to call, or a slot of the
+// callback slab that ScheduleAt() fills. Events for a later instant wait in a 4-ary heap;
 // events for the current instant (every wake-up by Resource::Release,
 // Event/Notifier and Yield) go to a FIFO lane that bypasses the heap.
 // Dispatch takes the lower (when, seq) of the lane front and the heap top,
@@ -36,10 +36,12 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/sim/ring.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 #include "src/sim/trace.h"
@@ -47,7 +49,47 @@
 namespace sim {
 
 class BusyMeter;
+class Engine;
 class SchedulePolicy;
+
+// An event target that is not a coroutine frame: the engine calls Resume()
+// when the event fires. An awaiter that must act at an instant on behalf of
+// the coroutine suspended in it (a contended Resource::Use starting the
+// holder's service at its grant) derives from it instead of starting a
+// frame of its own. It must outlive its pending events.
+class Resumable {
+ public:
+  virtual void Resume() = 0;
+
+ protected:
+  ~Resumable() = default;
+};
+
+namespace internal {
+
+// Fire-and-forget wrapper coroutine used by Engine::Spawn. It starts eagerly,
+// runs the wrapped task to completion, and self-destructs (final_suspend is
+// suspend_never), so the engine never has to track frames explicitly. Its
+// frame is recycled through FramePool like every Task frame.
+struct Detached {
+  struct promise_type {
+    static void* operator new(std::size_t bytes) { return FramePool::Allocate(bytes); }
+    static void operator delete(void* frame, std::size_t bytes) noexcept {
+      FramePool::Deallocate(frame, bytes);
+    }
+    Detached get_return_object() noexcept { return {}; }
+    std::suspend_never initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    // The wrapper body catches everything; reaching here is a logic error.
+    void unhandled_exception() noexcept { std::terminate(); }
+  };
+};
+
+template <typename T>
+Detached RunDetached(Engine* engine, Task<T> task, uint64_t actor_id, Time spawned_at);
+
+}  // namespace internal
 
 class Engine {
  public:
@@ -102,17 +144,21 @@ class Engine {
     Push(when, Target{.frame = handle.address()}, 0);
   }
 
-  // Awaitable: suspends the current coroutine for `delay` virtual nanoseconds.
-  auto Sleep(Time delay) {
-    struct Awaiter {
-      Engine* engine;
-      Time delay;
-      bool await_ready() const noexcept { return delay <= 0; }
-      void await_suspend(std::coroutine_handle<> h) { engine->SleepFrame(h, delay); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, delay};
+  // Calls `target->Resume()` at absolute virtual time `when` (clamped to
+  // now()): one event, ordered like a frame's.
+  void ResumeAt(Time when, Resumable* target) {
+    Push(when, Target{.object = target}, kObjectTag);
   }
+
+  // Awaitable: suspends the current coroutine for `delay` virtual nanoseconds.
+  struct SleepAwaiter {
+    Engine* engine;
+    Time delay;
+    bool await_ready() const noexcept { return delay <= 0; }
+    void await_suspend(std::coroutine_handle<> h) { engine->SleepFrame(h, delay); }
+    void await_resume() const noexcept {}
+  };
+  SleepAwaiter Sleep(Time delay) { return SleepAwaiter{this, delay}; }
 
   // Awaitable: yields to any other events pending at the current instant.
   auto Yield() {
@@ -126,9 +172,14 @@ class Engine {
   }
 
   // Launches a detached actor. The engine owns the coroutine frame and reaps
-  // it when the actor finishes; exceptions escaping the actor are captured
-  // and rethrown from Run()/RunFor()/RunUntil().
-  void Spawn(Task<void> task);
+  // it when the actor finishes, dropping any value it returns; exceptions
+  // escaping the actor are captured and rethrown from Run()/RunFor()/
+  // RunUntil().
+  template <typename T>
+  void Spawn(Task<T> task) {
+    ++live_actors_;
+    internal::RunDetached(this, std::move(task), next_actor_id_++, now_);
+  }
 
   // Number of spawned actors that have not finished yet.
   int live_actors() const { return live_actors_; }
@@ -217,12 +268,14 @@ class Engine {
 
   union Target {
     void* frame;  // coroutine to resume
+    Resumable* object;
     size_t slot;  // callback in callbacks_
   };
 
-  // `seq` is the scheduling order shifted left by kSeqShift; its low bit is
-  // kCallbackTag when `target` names a callback slot rather than a frame.
-  // The bits between order parked polls (ParkSeq), leaving 40 bits of
+  // `seq` is the scheduling order shifted left by kSeqShift; its low bits
+  // are kCallbackTag when `target` names a callback slot and kObjectTag when
+  // it names a Resumable, rather than a frame (whose low bit is 0). The bits
+  // between order parked polls (ParkSeq), leaving 40 bits of
   // scheduling order; seq 0 is a wake event for a parked poll, resolved on
   // arrival.
   struct PendingEvent {
@@ -233,6 +286,7 @@ class Engine {
   static_assert(sizeof(PendingEvent) == 24 && std::is_trivially_copyable_v<PendingEvent>);
 
   static constexpr uint64_t kCallbackTag = 1;
+  static constexpr uint64_t kObjectTag = 3;  // kCallbackTag | 2: a Resumable
   static constexpr int kSeqShift = 24;
   static constexpr int kRankBits = 10;
   static constexpr uint32_t kRankLimit = 1U << kRankBits;
@@ -255,35 +309,6 @@ class Engine {
   static bool Before(const PendingEvent& a, const PendingEvent& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
   }
-
-  // FIFO ring of events for the current instant. Grows by doubling and never
-  // shrinks, so a steady-state lane allocates nothing.
-  class Lane {
-   public:
-    bool empty() const { return size_ == 0; }
-    const PendingEvent& front() const { return ring_[head_]; }
-    const PendingEvent& back() const { return ring_[(head_ + size_ - 1) & (ring_.size() - 1)]; }
-    void push_back(const PendingEvent& ev) {
-      if (size_ == ring_.size()) {
-        Grow();
-      }
-      ring_[(head_ + size_) & (ring_.size() - 1)] = ev;
-      ++size_;
-    }
-    PendingEvent pop_front() {
-      const PendingEvent ev = ring_[head_];
-      head_ = (head_ + 1) & (ring_.size() - 1);
-      --size_;
-      return ev;
-    }
-
-   private:
-    void Grow();
-
-    std::vector<PendingEvent> ring_;  // size is zero or a power of two
-    size_t head_ = 0;
-    size_t size_ = 0;
-  };
 
   // Queues `target` at `when` (clamped to now()). The lane takes it if it is
   // for the current instant and the lane holds only current-instant events
@@ -372,7 +397,7 @@ class Engine {
   int live_actors_ = 0;
   std::exception_ptr actor_failure_;
   std::vector<PendingEvent> heap_;  // 4-ary min-heap on (when, seq)
-  Lane lane_;
+  Ring<PendingEvent> lane_;  // events for the current instant
   std::vector<std::function<void()>> callbacks_;  // ScheduleAt slab
   std::vector<size_t> free_callbacks_;            // recycled slab slots
   std::vector<PendingEvent> ready_scratch_;       // policy path: same-instant ready set
@@ -394,6 +419,25 @@ class Engine {
   size_t trim_at_ = 0;
   std::vector<Boundary> boundaries_;
 };
+
+namespace internal {
+
+template <typename T>
+Detached RunDetached(Engine* engine, Task<T> task, uint64_t actor_id, Time spawned_at) {
+  std::exception_ptr failure;
+  try {
+    co_await std::move(task);
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  if (TraceSink* trace = engine->trace_sink()) {
+    trace->Span("actor", "actor-" + std::to_string(actor_id), actor_id, spawned_at,
+                engine->now());
+  }
+  engine->ActorDone(failure);
+}
+
+}  // namespace internal
 
 }  // namespace sim
 

@@ -1,21 +1,24 @@
-// Recycled coroutine frames.
+// Recycled coroutine frames and payload buffers.
 //
-// Every simulated call creates and destroys a handful of short-lived
-// coroutine frames (Task bodies, Resource::Use, the Spawn wrapper), and each
-// frame would otherwise be one malloc/free pair. FramePool keeps freed frames
-// on thread-local free lists, one per 64-byte size class up to 2 KiB, so a
-// steady-state simulation reuses frames instead of allocating them. Larger
-// frames go straight to ::operator new. A thread keeps its high-water mark of
-// pooled frames until it exits.
+// Every simulated call creates and destroys short-lived coroutine frames
+// (an RDMA op, the Spawn wrapper, a contended Resource::Use) and copies
+// payload snapshots, and each would otherwise be one malloc/free pair.
+// SizeClassPool keeps freed blocks on thread-local free lists, one per
+// `Step`-byte size class up to `MaxPooled` bytes, so a steady-state
+// simulation reuses blocks instead of allocating them. Larger blocks go
+// straight to ::operator new. A thread keeps its high-water mark of pooled
+// blocks (the most that were live at once in each class) until it exits.
+// FramePool holds coroutine frames; each pool has free lists of its own.
 //
-// Under AddressSanitizer the pool forwards every call to ::operator
-// new/delete: a recycled frame would hide a use-after-free of a destroyed
-// coroutine from the sanitizer.
+// Under AddressSanitizer a pool forwards every call to ::operator
+// new/delete: a recycled block would hide a use-after-free of a destroyed
+// coroutine or a released buffer from the sanitizer.
 
 #ifndef SRC_SIM_FRAME_POOL_H_
 #define SRC_SIM_FRAME_POOL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <utility>
 
@@ -35,12 +38,14 @@ inline constexpr bool kFramePoolEnabled = false;
 inline constexpr bool kFramePoolEnabled = true;
 #endif
 
-class FramePool {
+template <typename Tag, size_t Step, size_t MaxPooled>
+class SizeClassPool {
  public:
-  static constexpr size_t kStep = 64;
-  static constexpr size_t kMaxPooled = 2048;
+  static constexpr size_t kStep = Step;
+  static constexpr size_t kMaxPooled = MaxPooled;
 
   static void* Allocate(size_t bytes) {
+    ++Lists().drawn;
     if (!kFramePoolEnabled || bytes > kMaxPooled) {
       return ::operator new(bytes);
     }
@@ -55,14 +60,17 @@ class FramePool {
 
   // `bytes` must be the size passed to Allocate (coroutine frames are freed
   // through the sized operator delete, which guarantees it).
-  static void Deallocate(void* frame, size_t bytes) noexcept {
+  static void Deallocate(void* block, size_t bytes) noexcept {
     if (!kFramePoolEnabled || bytes > kMaxPooled) {
-      ::operator delete(frame);
+      ::operator delete(block);
       return;
     }
     FreeBlock*& head = Lists().heads[ClassOf(bytes)];
-    head = new (frame) FreeBlock{head};
+    head = new (block) FreeBlock{head};
   }
+
+  // Blocks this thread has drawn with Allocate, pooled or not.
+  static uint64_t drawn() { return Lists().drawn; }
 
  private:
   static constexpr size_t kClasses = kMaxPooled / kStep;
@@ -75,6 +83,7 @@ class FramePool {
   // the thread-local directly, with no guard and no destructor ordering.
   struct FreeLists {
     FreeBlock* heads[kClasses];
+    uint64_t drawn;
   };
 
   static size_t ClassOf(size_t bytes) { return bytes == 0 ? 0 : (bytes - 1) / kStep; }
@@ -85,7 +94,7 @@ class FramePool {
   }
 
   // Returns a thread's pooled blocks to the system when the thread exits.
-  // Frames freed after that (by later static destructors) are pooled again
+  // Blocks freed after that (by later static destructors) are pooled again
   // and reclaimed with the process.
   struct Reaper {
     ~Reaper() {
@@ -103,6 +112,9 @@ class FramePool {
     return ::operator new((ClassOf(bytes) + 1) * kStep);
   }
 };
+
+struct FrameTag {};
+using FramePool = SizeClassPool<FrameTag, 64, 2048>;
 
 }  // namespace sim::internal
 

@@ -5,21 +5,20 @@
 // hold it for however long they choose (usually via Engine::Sleep), and
 // release it; contenders queue in strict FIFO order, which keeps simulations
 // deterministic. `Use(service)` wraps the common acquire-hold-release
-// pattern; an uncontended use runs on the awaiting coroutine's own frame, so
-// a station that is usually free (a worker's core) costs one event and no
-// frame per charge. Utilization and queueing statistics are tracked for
-// reporting.
+// pattern on the awaiting coroutine's own frame, contended or not, so a
+// charge to a station costs its events and no frame. Utilization and
+// queueing statistics are tracked for reporting.
 
 #ifndef SRC_SIM_RESOURCE_H_
 #define SRC_SIM_RESOURCE_H_
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/sim/engine.h"
-#include "src/sim/task.h"
+#include "src/sim/ring.h"
+#include "src/sim/stats.h"
 #include "src/sim/time.h"
 
 namespace sim {
@@ -92,56 +91,26 @@ class Resource {
   // head of the queue (resumed at the current instant).
   void Release();
 
-  // Acquires a permit, holds it for `service`, then releases it. A free
-  // permit is granted at the co_await, held by sleeping the awaiting
-  // coroutine itself and released as it resumes: UseContended()'s grant,
-  // event and release without its frame. Otherwise the awaiter starts
-  // UseContended() and owns that frame, so destroying a coroutine suspended
-  // here frees it too.
-  auto Use(Time service) {
-    struct [[nodiscard]] Awaiter {
-      Resource* resource;
-      Time service;
-      bool held = false;
-      Task<void> contended;
+  class UseAwaiter;
 
-      bool await_ready() {
-        if (resource->available_ == 0) {
-          return false;
-        }
-        resource->Grant();
-        if (service <= 0) {
-          resource->Release();
-          return true;
-        }
-        held = true;
-        return false;
-      }
-
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
-        if (held) {
-          resource->engine_.Sleep(service).await_suspend(h);
-          return std::noop_coroutine();
-        }
-        contended = resource->UseContended(service);
-        return std::move(contended).operator co_await().await_suspend(h);
-      }
-
-      void await_resume() {
-        if (held) {
-          resource->Release();
-        } else if (contended.valid()) {
-          std::move(contended).operator co_await().await_resume();
-        }
-      }
-    };
-    return Awaiter{this, service, false, {}};
-  }
+  // Acquires a permit, holds it for `service`, then releases it; the
+  // co_await yields the instant the permit was granted. When `wait_ns` is
+  // set, the time from the co_await to the grant is recorded into it at the
+  // grant. The permit is held by sleeping the awaiting coroutine itself and
+  // released as it resumes, so a use starts no frame. A free permit is
+  // granted at the co_await. Otherwise the awaiter queues like Acquire();
+  // the grant event fires the awaiter (a Resumable), which starts the
+  // coroutine's service sleep: the grant, events and release of
+  // Acquire/Sleep/Release, with the same seqs.
+  UseAwaiter Use(Time service, Histogram* wait_ns = nullptr);
 
  private:
+  // An Acquire() waiter, or a queued Use() (`use` set), whose coroutine
+  // resumes only once its service ends.
   struct Waiter {
     std::coroutine_handle<> handle;
     Time enqueued_at;
+    UseAwaiter* use = nullptr;
   };
 
   struct Watch {
@@ -194,9 +163,6 @@ class Resource {
     ++total_acquisitions_;
   }
 
-  // Use() when no permit is free: queue, hold, release.
-  Task<void> UseContended(Time service);
-
   Engine& engine_;
   const int capacity_;
   int available_;
@@ -204,9 +170,78 @@ class Resource {
   Time total_wait_ = 0;
   Time busy_integral_ = 0;
   Time last_change_ = 0;
-  std::deque<Waiter> waiters_;
+  Ring<Waiter> waiters_;
   mutable std::vector<Watch> watches_;
 };
+
+class [[nodiscard]] Resource::UseAwaiter final : public Resumable {
+ public:
+  UseAwaiter(Resource* resource, Time service, Histogram* wait_ns)
+      : resource_(resource), service_(service), wait_ns_(wait_ns),
+        requested_(resource->engine_.now()) {}
+
+  bool await_ready() {
+    if (resource_->available_ == 0) {
+      return false;
+    }
+    resource_->Grant();
+    Granted();
+    if (service_ <= 0) {
+      resource_->Release();
+      return true;
+    }
+    held_ = true;
+    return false;
+  }
+
+  void await_suspend(std::coroutine_handle<> h) {
+    if (held_) {
+      resource_->engine_.Sleep(service_).await_suspend(h);
+      return;
+    }
+    held_ = true;  // from the grant on
+    holder_ = h;
+    resource_->waiters_.push_back(Waiter{h, requested_, this});
+  }
+
+  Time await_resume() {
+    if (held_) {
+      resource_->Release();
+    }
+    return granted_;
+  }
+
+  // The grant event of a queued use: start the service, or with none,
+  // release and go on at once.
+  void Resume() override {
+    Granted();
+    if (service_ <= 0) {
+      holder_.resume();
+    } else {
+      resource_->engine_.Sleep(service_).await_suspend(holder_);
+    }
+  }
+
+ private:
+  void Granted() {
+    granted_ = resource_->engine_.now();
+    if (wait_ns_ != nullptr) {
+      wait_ns_->Record(granted_ - requested_);
+    }
+  }
+
+  Resource* resource_;
+  Time service_;
+  Histogram* wait_ns_;
+  Time requested_;
+  Time granted_ = 0;
+  bool held_ = false;
+  std::coroutine_handle<> holder_;
+};
+
+inline Resource::UseAwaiter Resource::Use(Time service, Histogram* wait_ns) {
+  return UseAwaiter(this, service, wait_ns);
+}
 
 // Mutual exclusion: a capacity-1 resource with lock/unlock vocabulary.
 class Mutex {

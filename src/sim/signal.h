@@ -4,9 +4,9 @@
 #define SRC_SIM_SIGNAL_H_
 
 #include <coroutine>
-#include <deque>
 
 #include "src/sim/engine.h"
+#include "src/sim/ring.h"
 
 namespace sim {
 
@@ -41,15 +41,13 @@ class Event {
  private:
   void WakeAll() {
     while (!waiters_.empty()) {
-      std::coroutine_handle<> h = waiters_.front();
-      waiters_.pop_front();
-      engine_.ResumeAt(engine_.now(), h);
+      engine_.ResumeAt(engine_.now(), waiters_.pop_front());
     }
   }
 
   Engine& engine_;
   bool set_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Ring<std::coroutine_handle<>> waiters_;
 };
 
 // Edge-triggered condition: Wait() always suspends until the next
@@ -76,9 +74,7 @@ class Notifier {
 
   void NotifyOne() {
     if (!waiters_.empty()) {
-      std::coroutine_handle<> h = waiters_.front();
-      waiters_.pop_front();
-      engine_.ResumeAt(engine_.now(), h);
+      engine_.ResumeAt(engine_.now(), waiters_.pop_front());
     }
   }
 
@@ -90,7 +86,7 @@ class Notifier {
 
  private:
   Engine& engine_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Ring<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace sim

@@ -110,6 +110,26 @@ def window_sweep(t):
     return t.rows[:15]
 
 
+def failover_rows(t):
+    """bench_ext_replication's two ack_mode rows, sync then async (the
+    availability-trace rows carry no ack_mode)."""
+    rows = [row for row in t.rows if "ack_mode" in row]
+    if [row["ack_mode"] for row in rows] != ["sync", "async"]:
+        raise KeyError(f"ack_mode rows {[row['ack_mode'] for row in rows]}, expected sync, async")
+    return rows
+
+
+def recovers(t, mode):
+    """Every availability-trace bucket of `mode` at or after its recovered_us
+    completes at least 90 % of its steady rate (kops = ops per ms, so a
+    100 us bucket holds steady_kops / 10 ops)."""
+    row = next(r for r in failover_rows(t) if r["ack_mode"] == mode)
+    floor = 0.9 * float(row["steady_kops"]) / 10
+    buckets = [float(r[mode + "_ops"]) for r in t.rows
+               if "t_us" in r and float(r["t_us"]) >= float(row["recovered_us"])]
+    return len(buckets) > 0 and min(buckets) >= floor
+
+
 def has_columns(t, count, columns):
     """Exactly `count` printed rows, each carrying every one of `columns`."""
     return len(t.rows) == count and all(set(columns) <= row.keys() for row in t.rows)
@@ -280,6 +300,20 @@ CLAIMS = [
           >= 10 * t.one("mode_switches", hysteresis="2")
           and all(float(r["mode_switches"]) == 0 for r in t.rows
                   if float(r["hysteresis"]) >= 3)),
+    # Replication: a primary killed at 2 ms loses no acknowledged PUT in
+    # either ack mode, the backup is promoted within the lease bound, and
+    # from recovered_us on every 100 us bucket of the availability trace
+    # completes at least 90 % of the pre-kill steady rate.
+    Claim("Replication", "bench_ext_replication", "lost_acked 0 in both ack_mode rows",
+          ("ack_mode", "lost_acked"),
+          lambda t: [r["lost_acked"] for r in failover_rows(t)] == ["0", "0"]),
+    Claim("Replication", "bench_ext_replication", "within_lease yes in both ack_mode rows",
+          ("ack_mode", "within_lease"),
+          lambda t: [r["within_lease"] for r in failover_rows(t)] == ["yes", "yes"]),
+    Claim("Replication", "bench_ext_replication",
+          "every trace bucket from recovered_us on >= 0.9 x steady_kops per 100 us, "
+          "in both ack modes", ("ack_mode", "steady_kops", "recovered_us"),
+          lambda t: all(recovers(t, mode) for mode in ("sync", "async"))),
     # Latency runs from each call's SubmitCall (bench::DriveCalls), so a
     # deeper window queues more calls ahead of each one.
     Claim("Pipelining", "bench_ext_pipeline", "p50_us > 0 and p99_us >= p50_us in every row",

@@ -4,9 +4,20 @@
 
 #include "src/rdma/config.h"
 #include "src/sim/engine.h"
+#include "src/sim/task.h"
 
 namespace rdma {
 namespace {
+
+// The NIC's stations are awaiters, not tasks: an actor co_awaits each one.
+sim::Task<void> IssueRead(Nic& nic) { co_await nic.IssueOneSided(Opcode::kRead, 0); }
+sim::Task<void> ServeInbound(Nic& nic, uint32_t payload) {
+  co_await nic.ServeInboundOneSided(payload);
+}
+sim::Task<void> PostOverhead(Nic& nic) {
+  co_await nic.PostLock();
+  co_await nic.PostCpu();
+}
 
 class NicTest : public ::testing::Test {
  protected:
@@ -109,8 +120,8 @@ TEST_F(NicTest, TwoSidedCostsAreSymmetric) {
 
 TEST_F(NicTest, CountersTrackOps) {
   Nic nic(engine_, config_);
-  engine_.Spawn(nic.IssueOneSided(Opcode::kRead, 0));
-  engine_.Spawn(nic.ServeInboundOneSided(32));
+  engine_.Spawn(IssueRead(nic));
+  engine_.Spawn(ServeInbound(nic, 32));
   engine_.Run();
   EXPECT_EQ(nic.outbound_ops(), 1u);
   EXPECT_EQ(nic.inbound_ops(), 1u);
@@ -118,8 +129,8 @@ TEST_F(NicTest, CountersTrackOps) {
 
 TEST_F(NicTest, PostOverheadSerializedByPostLock) {
   Nic nic(engine_, config_);
-  engine_.Spawn(nic.PostOverhead());
-  engine_.Spawn(nic.PostOverhead());
+  engine_.Spawn(PostOverhead(nic));
+  engine_.Spawn(PostOverhead(nic));
   engine_.Run();
   // Two posts: lock section is serialized (2 * 20ns), CPU portions overlap.
   EXPECT_GE(engine_.now(), static_cast<sim::Time>(2 * kPostLockNs));

@@ -186,6 +186,35 @@ TEST(EngineTest, LaneAndHeapEventsAtOneInstantDispatchInSeqOrder) {
   EXPECT_EQ(engine.events_processed(), 6u);
 }
 
+// A Resumable is an event target like a frame or a callback: its events
+// take seqs from the same counter and run in (when, seq) order among theirs.
+TEST(EngineTest, ResumableEventsOrderWithCallbacksBySeq) {
+  class Recorder final : public Resumable {
+   public:
+    Recorder(std::vector<int>* order, int id) : order_(order), id_(id) {}
+    void Resume() override { order_->push_back(id_); }
+
+   private:
+    std::vector<int>* order_;
+    int id_;
+  };
+  Engine engine;
+  std::vector<int> order;
+  Recorder early(&order, 1);
+  Recorder late(&order, 4);
+  Recorder now(&order, 3);
+  engine.ResumeAt(Micros(2), &late);
+  engine.ResumeAt(Micros(1), &early);
+  engine.ScheduleAt(Micros(1), [&] {
+    order.push_back(2);
+    engine.ResumeAt(engine.now(), &now);  // lane, behind this event
+  });
+  engine.ScheduleAt(Micros(2), [&] { order.push_back(5); });
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(engine.events_processed(), 5u);
+}
+
 TEST(EngineTest, CoroutineWakesAtOneInstantInterleaveWithHeapBySeq) {
   Engine engine;
   Notifier notifier(engine);

@@ -97,5 +97,21 @@ TEST(FramePoolTest, LargeFramesBypassThePool) {
   EXPECT_EQ(g_allocations - before, 2u);
 }
 
+// drawn() counts every frame a thread allocates, pooled or not, sanitized
+// build or not, so host-work counts and frame-pinning tests read the same
+// everywhere.
+TEST(FramePoolTest, DrawnCountsEveryFrame) {
+  constexpr int kIterations = 100;
+  Engine engine;
+  int sum = 0;
+  const uint64_t before = FramePool::drawn();
+  engine.Spawn(Loop(engine, kIterations, &sum));  // the Spawn wrapper and Loop
+  engine.Run();
+  EXPECT_EQ(FramePool::drawn() - before, 2u + 2u * kIterations);  // + Middle and Leaf
+  void* big = FramePool::Allocate(FramePool::kMaxPooled + 1);
+  FramePool::Deallocate(big, FramePool::kMaxPooled + 1);
+  EXPECT_EQ(FramePool::drawn() - before, 3u + 2u * kIterations);
+}
+
 }  // namespace
 }  // namespace sim

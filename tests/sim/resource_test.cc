@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/engine.h"
+#include "src/sim/stats.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
 
@@ -221,10 +222,31 @@ TEST(ResourceTest, DestroyingAnActorWaitingInUseFreesItsFrames) {
   std::coroutine_handle<> frame = waiter.Release();
   frame.resume();  // runs into the contended Use and queues
   EXPECT_EQ(res.queue_length(), 1);
-  // Under ASan a leaked contended-Use frame fails this test at exit.
+  // A queued Use holds no frame of its own; under ASan anything leaked
+  // here fails this test at exit.
   frame.destroy();
   engine.Run();
   EXPECT_EQ(engine.events_processed(), 0u);
+}
+
+// Use() yields the instant its permit was granted and records the wait for
+// it at the grant, whether the permit was free or queued for.
+TEST(ResourceTest, UseYieldsGrantTimeAndRecordsWait) {
+  Engine engine;
+  Resource res(engine, 1);
+  Histogram wait;
+  std::vector<Time> granted;
+  for (Time service : {Micros(3), Micros(2)}) {
+    engine.Spawn([](Resource& r, Time s, Histogram* w, std::vector<Time>* out) -> Task<void> {
+      out->push_back(co_await r.Use(s, w));
+    }(res, service, &wait, &granted));
+  }
+  EXPECT_EQ(wait.count(), 1u);  // the free grant, at the co_await
+  engine.Run();
+  EXPECT_EQ(granted, (std::vector<Time>{0, Micros(3)}));
+  EXPECT_EQ(wait.count(), 2u);
+  EXPECT_EQ(wait.max(), Micros(3));
+  EXPECT_EQ(engine.now(), Micros(5));
 }
 
 TEST(MutexTest, ProvidesMutualExclusion) {
